@@ -36,10 +36,11 @@
 //! merges on the perf trajectory instead of treating
 //! `BENCH_kernels.json` as write-only history.
 
-use epim::core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
+use epim::core::{ConvShape, Epitome, EpitomeDesigner, EpitomeShape, EpitomeSpec};
 use epim::models::lower::NetworkWeights;
 use epim::models::zoo;
-use epim::pim::datapath::{AnalogModel, DataPath};
+use epim::pim::datapath::{AnalogModel, CompiledPlan, DataPath};
+use epim::pim::mvm::{crossbar_mvm, crossbar_mvm_portable, CrossbarRound};
 use epim::runtime::{Engine, EngineConfig, NetworkEngine, PlanCache};
 use epim::tensor::ops::gemm::reference_matmul;
 use epim::tensor::ops::{
@@ -206,6 +207,86 @@ fn bench_datapath(entries: &mut Vec<Entry>, reps: usize) {
         optimized_ms,
         speedup: baseline_ms / optimized_ms,
         max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
+    });
+}
+
+/// The data path's batched crossbar MVM on the paper-scale design of
+/// ResNet-50's stage-1 3x3 layer (64 -> 64 channels at 56x56, one image,
+/// 64-pixel tiles as the data path cuts them): the portable SSE2 block
+/// against the `epim-simd` op on identical operands. A bit-identity gate.
+fn bench_datapath_mvm(entries: &mut Vec<Entry>, reps: usize) {
+    let conv = ConvShape::new(64, 64, 3, 3);
+    let spec = EpitomeDesigner::new(128, 128)
+        .design(conv, 1024, 256)
+        .expect("the design is legal");
+    let eshape = spec.shape();
+    let (word_lines, ld) = (eshape.matrix_rows(), eshape.cout);
+    let mut r = rng::seeded(17);
+    let epi = init::kaiming_normal(&eshape.dims(), &mut r);
+    // Crossbar form: one row per (ci, y, x) word line, one column per
+    // epitome output channel.
+    let mut matrix = vec![0.0f32; word_lines * ld];
+    for (i, &v) in epi.data().iter().enumerate() {
+        matrix[i % word_lines * ld + i / word_lines] = v;
+    }
+    // The input buffer: a 56x56 image padded by one, every output pixel's
+    // window origin in it, and per round the (word line, window offset)
+    // taps composed from the compiled IFAT/IFRT/OFAT tables.
+    let (side, padded) = (56, 58);
+    let input = init::uniform(&[conv.cin * padded * padded], -1.0, 1.0, &mut r);
+    let origins: Vec<usize> = (0..side * side)
+        .map(|p| p / side * padded + p % side)
+        .collect();
+    let plan = CompiledPlan::compile(&spec).expect("the plan compiles");
+    let rounds: Vec<_> = (0..plan.rounds_per_pixel())
+        .map(|r| {
+            let offsets: Vec<usize> = plan.ifat().entries[r]
+                .iter()
+                .flat_map(|range| range.start..range.stop)
+                .map(|rf| {
+                    let (ci, ky, kx) = (rf / 9, rf / 3 % 3, rf % 3);
+                    (ci * padded + ky) * padded + kx
+                })
+                .collect();
+            let taps: Vec<(usize, usize)> = plan.ifrt().sequences[r]
+                .iter()
+                .enumerate()
+                .filter_map(|(wl, pos)| pos.map(|p| (wl, offsets[p])))
+                .collect();
+            let ofat = plan.ofat().entries[r];
+            (taps, ofat.src_col_start, ofat.range.len())
+        })
+        .collect();
+    let out_len: usize = rounds.iter().map(|r| r.2).sum::<usize>() * origins.len();
+    let run = |kernel: fn(CrossbarRound<'_>, &mut [f32])| {
+        let mut out = vec![0.0f32; out_len];
+        let mut at = 0;
+        for origins in origins.chunks(64) {
+            for (taps, col0, width) in &rounds {
+                let n = origins.len() * width;
+                let round = CrossbarRound {
+                    input: input.data(),
+                    origins,
+                    matrix: &matrix,
+                    ld,
+                    col0: *col0,
+                    width: *width,
+                    taps,
+                };
+                kernel(round, &mut out[at..at + n]);
+                at += n;
+            }
+        }
+        out
+    };
+    let (baseline_ms, y_base) = time_best(reps, || run(crossbar_mvm_portable));
+    let (optimized_ms, y_opt) = time_best(reps, || run(crossbar_mvm));
+    entries.push(Entry {
+        name: "datapath_mvm_64x64x3x3_on_56x56".to_string(),
+        baseline_ms,
+        optimized_ms,
+        speedup: baseline_ms / optimized_ms,
+        max_abs_diff: max_abs_diff(&y_base, &y_opt),
     });
 }
 
@@ -1373,6 +1454,7 @@ fn run_sweep(reps: usize) -> Report {
     bench_faults(&mut entries, reps);
     bench_simd_ops(&mut entries, reps);
     bench_serve_tcp(&mut entries, reps);
+    bench_datapath_mvm(&mut entries, reps);
     Report {
         schema_version: 1,
         generated_by: "epim-bench bench_kernels".to_string(),

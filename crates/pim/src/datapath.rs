@@ -22,6 +22,7 @@
 //! match a plain convolution with [`epim_core::Epitome::reconstruct`]'s
 //! weight exactly.
 
+use crate::mvm::{crossbar_mvm, CrossbarRound, MVM_TB};
 use crate::quantize::{quantize_slice, quantize_value};
 use crate::PimError;
 use epim_core::{wrapping_factor, ChannelWrapping, Epitome, EpitomeSpec};
@@ -350,58 +351,6 @@ impl CompiledPlan {
     }
 }
 
-/// Pixel rows per micro-kernel block in the batched data path.
-const MVM_TB: usize = 8;
-
-/// Register-blocked crossbar MVM for a block of `tb <= MVM_TB` pixels:
-/// `out[ti][j] = sum_k a_blk[ti*kk + k] * panel[k*width + j]`, with the
-/// `k` loop innermost and strictly in order.
-///
-/// **Bit-exactness contract:** every output element is produced by the
-/// same sequence of (round-to-nearest multiply, add) as the scalar
-/// per-pixel loop in [`DataPath::execute_pixel`] — the blocking only
-/// reuses each panel row across `tb` pixels and keeps the accumulators in
-/// registers (Rust never contracts `a + v * m` into an FMA, and
-/// vectorization across the independent `ti`/`j` lanes does not reorder
-/// any per-element sum). The j-dimension is tiled by 8 so a full tile's
-/// `4 x 8` accumulator block stays in registers.
-fn mvm_block(a_blk: &[f32], panel: &[f32], out: &mut [f32], tb: usize, kk: usize, width: usize) {
-    let mut j0 = 0;
-    while j0 < width {
-        let jl = (width - j0).min(8);
-        if tb == MVM_TB && jl == 8 {
-            let mut acc = [[0.0f32; 8]; MVM_TB];
-            for k in 0..kk {
-                let b = &panel[k * width + j0..k * width + j0 + 8];
-                for (ti, acc_row) in acc.iter_mut().enumerate() {
-                    let v = a_blk[ti * kk + k];
-                    for (a, &m) in acc_row.iter_mut().zip(b) {
-                        *a += v * m;
-                    }
-                }
-            }
-            for (ti, acc_row) in acc.iter().enumerate() {
-                out[ti * width + j0..ti * width + j0 + 8].copy_from_slice(acc_row);
-            }
-        } else {
-            // Remainder block (short pixel block or narrow bit-line
-            // chunk): plain loops, identical per-element order.
-            for ti in 0..tb {
-                let orow = &mut out[ti * width + j0..ti * width + j0 + jl];
-                orow.fill(0.0);
-                for k in 0..kk {
-                    let v = a_blk[ti * kk + k];
-                    let b = &panel[k * width + j0..k * width + j0 + jl];
-                    for (a, &m) in orow.iter_mut().zip(b) {
-                        *a += v * m;
-                    }
-                }
-            }
-        }
-        j0 += jl;
-    }
-}
-
 /// The functional EPIM data path for one layer.
 #[derive(Debug, Clone)]
 pub struct DataPath {
@@ -668,15 +617,20 @@ impl DataPath {
     /// per-request stats. The speedup comes from restructuring the walk,
     /// not from reassociating any floating-point arithmetic:
     ///
-    /// - the im2col-style receptive-field matrix is built once per pixel
-    ///   tile drawn from the whole batch, and the finite-DAC sweep
-    ///   quantizes it once — per-request execution re-quantizes an element
-    ///   for every round that reads it;
-    /// - each round's active word-line weights are packed into a contiguous
-    ///   panel once per call, then streamed over every pixel of every
-    ///   image;
+    /// - the whole batch is staged once as the on-chip input buffer would
+    ///   hold it — zero-padded, with one finite-DAC sweep over it;
+    ///   per-request execution re-quantizes an element for every round
+    ///   that reads it — and every pixel reads its receptive field out of
+    ///   that buffer in place, so no im2col matrix is built;
+    /// - each round is one [`crossbar_mvm`] over a tile of pixels drawn
+    ///   from the whole batch: weight rows are read in place through the
+    ///   round's word-line list, every weight row is shared by `MVM_TB`
+    ///   pixels, and rounds 16 or more bit lines wide run on the host's
+    ///   widest vector ISA;
     /// - round metadata (word-line lists, OFAT routing) is walked once per
-    ///   tile instead of once per pixel.
+    ///   tile instead of once per pixel, the counters are computed as
+    ///   products, and wrapped channels are replicated by the final scatter
+    ///   instead of being staged.
     ///
     /// # Errors
     ///
@@ -768,195 +722,190 @@ impl DataPath {
         let cout = conv.cout;
         let cout_e = self.plan.spec.shape().cout;
         let wrap_on = self.wrapping_enabled && self.wrapping.is_effective();
-        let rf_len = conv.matrix_rows();
+        // With wrapping on only channel block 0 is computed and staged; the
+        // scatter replicates it into the other blocks (Eq. 9).
+        let cw = if wrap_on { self.wrapping.block } else { cout };
         let cfg = self.conv_cfg;
         let pixels = oh * ow;
-        let rows = inputs.len() * n * pixels;
+        let images = inputs.len() * n;
+        let rows = images * pixels;
         let word_lines = self.plan.ifrt.word_lines as u64;
-        let dac = self.dac_params();
         let adc = self.adc_params();
-
-        // Pack each executable round's active word-line weights into a
-        // contiguous panel, once for the whole batch.
         let md = self.matrix.data();
-        let panels: Vec<Vec<f32>> = self
+        let rounds: Vec<&Round> = self
             .plan
             .rounds
             .iter()
+            .filter(|round| !wrap_on || round.range.start == 0)
+            .collect();
+
+        // Every pixel walks the same rounds, so the counters are products.
+        let mut stats = DataPathStats::default();
+        let tr = rows as u64;
+        for round in &rounds {
+            let (n_active, width) = (round.active.len() as u64, round.range.len() as u64);
+            stats.rounds += tr;
+            stats.table_lookups += (round.ifat_pairs + word_lines + 1) * tr;
+            stats.buffer_reads += n_active * tr;
+            stats.word_line_activations += n_active * tr;
+            stats.bit_line_activations += width * tr;
+            stats.joint_adds += width * tr;
+            stats.buffer_writes += width * tr;
+        }
+        stats.wrapped_elements = (cout - cw) as u64 * tr;
+
+        // The input buffer: every image plane zero-padded and swept by the
+        // DAC once (per-request execution re-quantizes an element for every
+        // round that reads it; padding quantizes to itself). Pixels read
+        // their receptive fields out of it in place, so no im2col matrix is
+        // built: a pixel's window starts at its origin, and receptive index
+        // `(ci, ky, kx)` sits at a fixed offset from there.
+        let (hp, wp) = (h + 2 * cfg.padding, w + 2 * cfg.padding);
+        let dac = self.dac_params();
+        let mut staged = vec![0.0f32; images * conv.cin * hp * wp];
+        let stage_plane = |plane_idx: usize, plane: &mut [f32]| {
+            let (img, ci) = (plane_idx / conv.cin, plane_idx % conv.cin);
+            let src = &inputs[img / n][((img % n) * conv.cin + ci) * h * w..][..h * w];
+            let padded_rows = plane[cfg.padding * wp..].chunks_mut(wp);
+            for (dst, src) in padded_rows.zip(src.chunks(w)) {
+                dst[cfg.padding..cfg.padding + w].copy_from_slice(src);
+            }
+            if let Some((step, limit)) = dac {
+                quantize_slice(plane, step, limit);
+            }
+        };
+        let t_stage = trace::start();
+        if staged.len() < 1 << 16 {
+            for (idx, plane) in staged.chunks_mut(hp * wp).enumerate() {
+                stage_plane(idx, plane);
+            }
+        } else {
+            epim_parallel::for_each_chunk_mut(&mut staged, hp * wp, stage_plane);
+        }
+        if dac.is_some() {
+            trace::span(
+                trace::SpanKind::DacSweep,
+                trace::TENANT_NONE,
+                0,
+                t_stage,
+                staged.len() as u64,
+                0,
+            );
+        }
+        let origins: Vec<usize> = (0..rows)
+            .map(|row| {
+                let (img, oy, ox) = (row / pixels, row / ow % oh, row % ow);
+                (img * conv.cin * hp + oy * cfg.stride) * wp + ox * cfg.stride
+            })
+            .collect();
+        let taps: Vec<Vec<(usize, usize)>> = rounds
+            .iter()
             .map(|round| {
-                if wrap_on && round.range.start != 0 {
-                    return Vec::new();
-                }
-                let width = round.range.len();
-                let mut panel = Vec::with_capacity(round.active.len() * width);
-                for &(wl, _) in &round.active {
-                    panel.extend_from_slice(&md[wl * cout_e + round.src_col_start..][..width]);
-                }
-                panel
+                let tap = |&(wl, rf): &(usize, usize)| {
+                    let (ci, ky, kx) = (
+                        rf / (conv.kh * conv.kw),
+                        rf / conv.kw % conv.kh,
+                        rf % conv.kw,
+                    );
+                    (wl, (ci * hp + ky) * wp + kx)
+                };
+                round.active.iter().map(tap).collect()
             })
             .collect();
 
-        // Pixel-major staging buffer over the whole batch, processed in
-        // row tiles: rows `tile_rows*i..` of `pix` form tile `i`.
+        // Pixel-major staging buffer for the outputs of the whole batch,
+        // processed in row tiles: rows `tile_rows*i..` of `pix` form tile
+        // `i`. A tile is whole `MVM_TB` blocks, and small enough that a 7×7
+        // layer's 49 rows still give every pool thread one.
         const TILE_ROWS: usize = 64;
-        let tile_rows = TILE_ROWS.min(rows.max(1));
-        let mut pix = vec![0.0f32; rows * cout];
+        let tile_rows = rows
+            .div_ceil(epim_parallel::num_threads())
+            .next_multiple_of(MVM_TB)
+            .clamp(MVM_TB, TILE_ROWS);
+        let mut pix = vec![0.0f32; rows * cw];
 
-        let process_tile = |tile_idx: usize, chunk: &mut [f32]| -> DataPathStats {
-            let mut stats = DataPathStats::default();
-            let t_rows = chunk.len() / cout;
-            let row0 = tile_idx * tile_rows;
-            let mut rfq = vec![0.0f32; t_rows * rf_len];
-
-            // Stage 1: the tile's receptive-field matrix (im2col rows
-            // across every image of the batch).
-            for t in 0..t_rows {
-                let row = row0 + t;
-                let img = row / pixels;
-                let ox = row % ow;
-                let oy = (row / ow) % oh;
-                let input = inputs[img / n];
-                epim_tensor::ops::fill_receptive_field(
-                    input,
-                    conv.cin,
-                    h,
-                    w,
-                    conv.kh,
-                    conv.kw,
-                    img % n,
-                    oy,
-                    ox,
-                    cfg,
-                    &mut rfq[t * rf_len..(t + 1) * rf_len],
-                );
-            }
-            // Stage 2: one DAC sweep for the whole tile (per-request
-            // execution re-quantizes per round).
-            if let Some((step, limit)) = dac {
-                let t_dac = trace::start();
-                quantize_slice(&mut rfq, step, limit);
-                trace::span(
-                    trace::SpanKind::DacSweep,
-                    trace::TENANT_NONE,
-                    tile_idx as u32,
-                    t_dac,
-                    rfq.len() as u64,
-                    0,
-                );
-            }
-
-            // Stage 3: rounds outer, pixel blocks inner — round metadata
-            // and the packed panel stay hot across the tile, and the
-            // register-blocked micro-kernel shares each panel row across
-            // `MVM_TB` pixels.
-            let mut a_blk = vec![0.0f32; MVM_TB * self.plan.ifrt.word_lines];
-            let mut blk_out = vec![0.0f32; MVM_TB * cout_e];
-            let mut adc_sweeps = 0u64;
-            let mut adc_elems = 0u64;
-            for (round, panel) in self.plan.rounds.iter().zip(&panels) {
-                if wrap_on && round.range.start != 0 {
-                    continue;
-                }
+        let process_tile = |tile_idx: usize, chunk: &mut [f32]| {
+            let t_rows = chunk.len() / cw;
+            let origins = &origins[tile_idx * tile_rows..][..t_rows];
+            let mut accs = vec![0.0f32; t_rows * cout_e];
+            // Rounds outer, pixels inner — round metadata and the round's
+            // weight rows stay hot across the tile.
+            for (round, taps) in rounds.iter().zip(&taps) {
                 let width = round.range.len();
-                let n_active = round.active.len();
-                let tr = t_rows as u64;
-                stats.rounds += tr;
-                stats.table_lookups += (round.ifat_pairs + word_lines + 1) * tr;
-                stats.buffer_reads += n_active as u64 * tr;
-                stats.word_line_activations += n_active as u64 * tr;
-                stats.bit_line_activations += width as u64 * tr;
-                let mut t0 = 0;
-                while t0 < t_rows {
-                    let tb = MVM_TB.min(t_rows - t0);
-                    // Gather the block's driven word-line voltages.
-                    for ti in 0..tb {
-                        let rf_row = &rfq[(t0 + ti) * rf_len..(t0 + ti + 1) * rf_len];
-                        let arow = &mut a_blk[ti * n_active..(ti + 1) * n_active];
-                        for (slot, &(_, rf)) in arow.iter_mut().zip(&round.active) {
-                            *slot = rf_row[rf];
-                        }
-                    }
-                    mvm_block(&a_blk, panel, &mut blk_out, tb, n_active, width);
-                    for ti in 0..tb {
-                        let accs = &mut blk_out[ti * width..(ti + 1) * width];
-                        if let Some((step, limit)) = adc {
-                            quantize_slice(accs, step, limit);
-                            adc_sweeps += 1;
-                            adc_elems += width as u64;
-                        }
-                        let t = t0 + ti;
-                        let out_vec =
-                            &mut chunk[t * cout + round.range.start..t * cout + round.range.stop];
-                        for (slot, &a) in out_vec.iter_mut().zip(&*accs) {
-                            *slot += a;
-                        }
-                    }
-                    t0 += tb;
+                let accs = &mut accs[..t_rows * width];
+                let operands = CrossbarRound {
+                    input: &staged,
+                    origins,
+                    matrix: md,
+                    ld: cout_e,
+                    col0: round.src_col_start,
+                    width,
+                    taps,
+                };
+                crossbar_mvm(operands, accs);
+                if let Some((step, limit)) = adc {
+                    quantize_slice(accs, step, limit);
                 }
-                stats.joint_adds += width as u64 * tr;
-                stats.buffer_writes += width as u64 * tr;
+                // Joint module: accumulate into the output range.
+                for (out_vec, acc_row) in chunk.chunks_mut(cw).zip(accs.chunks(width)) {
+                    let out_vec = &mut out_vec[round.range.start..round.range.stop];
+                    for (slot, &a) in out_vec.iter_mut().zip(acc_row) {
+                        *slot += a;
+                    }
+                }
             }
-            if adc_sweeps > 0 {
+            if adc.is_some() && !rounds.is_empty() {
+                let sweeps = (rounds.len() * t_rows) as u64;
+                let elems: usize = rounds.iter().map(|r| r.range.len()).sum();
                 trace::instant(
                     trace::SpanKind::AdcSweep,
                     trace::TENANT_NONE,
-                    adc_sweeps,
-                    adc_elems,
+                    sweeps,
+                    (elems * t_rows) as u64,
                 );
             }
+        };
 
-            if wrap_on {
-                // Replicate block 0 into the remaining channel blocks.
-                let c = self.wrapping.block;
-                for out_vec in chunk.chunks_mut(cout) {
-                    for x in c..cout {
-                        out_vec[x] = out_vec[x % c];
-                        stats.wrapped_elements += 1;
-                    }
-                }
+        if rows * cout < 1 << 14 {
+            for (i, chunk) in pix.chunks_mut(tile_rows * cw).enumerate() {
+                process_tile(i, chunk);
             }
-            stats
-        };
-
-        let stat_parts: Vec<DataPathStats> = if rows * cout < 1 << 14 {
-            pix.chunks_mut(tile_rows * cout)
-                .enumerate()
-                .map(|(i, c)| process_tile(i, c))
-                .collect()
         } else {
-            epim_parallel::map_chunks_mut(&mut pix, tile_rows * cout, process_tile)
-        };
-        let mut stats = DataPathStats::default();
-        for part in &stat_parts {
-            stats.accumulate(part);
+            epim_parallel::for_each_chunk_mut(&mut pix, tile_rows * cw, process_tile);
         }
 
-        // Scatter pixel-major -> one NCHW block per request, clamping in
-        // the fused-ReLU case (elementwise `max`, bit-identical to a
-        // separate pass over the unfused scatter).
+        // Scatter pixel-major -> one NCHW block per request, `SCATTER_PLANES`
+        // (image, channel) planes per pass so each `pix` cache line is
+        // fetched once; a wrapped channel reads its block-0 twin. The
+        // fused-ReLU clamp is an elementwise `max`, bit-identical to a
+        // separate pass over the unfused scatter.
+        const SCATTER_PLANES: usize = 16;
         let out_len = n * cout * pixels;
         for (b, od) in outs.iter_mut().enumerate() {
-            let base = b * n * pixels;
-            let scatter_plane = |plane_idx: usize, plane: &mut [f32]| {
-                let ni = plane_idx / cout;
-                let co = plane_idx % cout;
-                if relu {
-                    for (p, slot) in plane.iter_mut().enumerate() {
-                        *slot = pix[(base + ni * pixels + p) * cout + co].max(0.0);
-                    }
-                } else {
-                    for (p, slot) in plane.iter_mut().enumerate() {
-                        *slot = pix[(base + ni * pixels + p) * cout + co];
+            let rows_of_b = &pix[b * n * pixels * cw..];
+            let scatter_planes = |chunk_idx: usize, planes: &mut [f32]| {
+                // Where each plane's channel sits in its image's first
+                // `pix` row.
+                let mut offsets = [0usize; SCATTER_PLANES];
+                let n_planes = planes.len() / pixels;
+                for (j, offset) in offsets[..n_planes].iter_mut().enumerate() {
+                    let plane_idx = chunk_idx * SCATTER_PLANES + j;
+                    *offset = plane_idx / cout * pixels * cw + plane_idx % cout % cw;
+                }
+                for p in 0..pixels {
+                    for (j, &offset) in offsets[..n_planes].iter().enumerate() {
+                        let v = rows_of_b[p * cw + offset];
+                        planes[j * pixels + p] = if relu { v.max(0.0) } else { v };
                     }
                 }
             };
             let od = &mut od[..out_len];
             if out_len < 1 << 16 {
-                for (idx, plane) in od.chunks_mut(pixels).enumerate() {
-                    scatter_plane(idx, plane);
+                for (idx, planes) in od.chunks_mut(SCATTER_PLANES * pixels).enumerate() {
+                    scatter_planes(idx, planes);
                 }
             } else {
-                epim_parallel::for_each_chunk_mut(od, pixels, scatter_plane);
+                epim_parallel::for_each_chunk_mut(od, SCATTER_PLANES * pixels, scatter_planes);
             }
         }
         Ok(stats)
@@ -1654,6 +1603,54 @@ mod tests {
             ref_stats.accumulate(&s);
         }
         assert_eq!(batch_stats, ref_stats);
+    }
+
+    /// Paper-scale rounds (64–256 bit lines, up to 256 word lines) reach
+    /// the wide MVM tile, several tiles with a ragged last one and the
+    /// parallel paths; the shapes above are too narrow to.
+    #[test]
+    fn paper_shaped_layers_bit_identical_across_all_paths() {
+        let analog = AnalogModel {
+            adc_bits: Some(8),
+            dac_bits: Some(9),
+            ..AnalogModel::ideal()
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let designer = EpitomeDesigner::new(128, 128);
+        let mut r = rng::seeded(60);
+        for (conv, padding) in [
+            (ConvShape::new(64, 64, 3, 3), 1),
+            (ConvShape::new(1024, 256, 1, 1), 0),
+        ] {
+            let spec = designer.design(conv, 1024, 256).unwrap();
+            let data = init::uniform(&spec.shape().dims(), -0.5, 0.5, &mut r);
+            let epi = Epitome::from_tensor(spec, data).unwrap();
+            let cfg = Conv2dCfg { stride: 1, padding };
+            let xs: Vec<Tensor> = (0..2)
+                .map(|_| init::uniform(&[1, conv.cin, 14, 14], -1.0, 1.0, &mut r))
+                .collect();
+            for wrapping in [false, true] {
+                let dp = DataPath::with_analog(&epi, cfg, wrapping, analog).unwrap();
+                for batch in [1, 2] {
+                    let refs: Vec<&Tensor> = xs[..batch].iter().collect();
+                    let (batched, batch_stats) = dp.execute_batch(&refs).unwrap();
+                    let mut want_stats = DataPathStats::default();
+                    for (x, got) in refs.iter().zip(&batched) {
+                        let (want, s) = dp.execute(x).unwrap();
+                        let (oracle, oracle_stats) = dp.execute_reference(x).unwrap();
+                        assert_eq!(bits(&want), bits(&oracle), "{conv} wrapping={wrapping}");
+                        assert_eq!(s, oracle_stats, "{conv} wrapping={wrapping}");
+                        assert_eq!(
+                            bits(got),
+                            bits(&want),
+                            "{conv} wrapping={wrapping} batch={batch}"
+                        );
+                        want_stats.accumulate(&s);
+                    }
+                    assert_eq!(batch_stats, want_stats, "{conv} wrapping={wrapping}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod datapath;
 mod error;
 mod lut;
 mod mapping;
+pub mod mvm;
 mod network;
 pub mod quantize;
 
