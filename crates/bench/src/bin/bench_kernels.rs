@@ -42,7 +42,7 @@ use epim::models::zoo;
 use epim::pim::datapath::{AnalogModel, CompiledPlan, DataPath};
 use epim::pim::mvm::{crossbar_mvm, crossbar_mvm_portable, CrossbarRound};
 use epim::runtime::{Engine, EngineConfig, NetworkEngine, PlanCache};
-use epim::tensor::ops::gemm::reference_matmul;
+use epim::tensor::ops::gemm::{gemm_nt_bias_row, reference_matmul};
 use epim::tensor::ops::{
     add_relu_slice, add_slice, conv2d, conv2d_into, conv2d_out_dims, conv2d_ref, global_avg_pool,
     im2col, max_pool2d, relu, relu_slice, softmax_rows, softmax_rows_scalar, Conv2dCfg, PoolCfg,
@@ -433,11 +433,10 @@ fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
     });
 }
 
-/// Multi-image GEMM batching in conv2d: N per-image `conv2d` calls (the
-/// pre-batching dispatch pattern) vs one call on the stacked batch. The
-/// batched call folds the N GEMM dispatches into one worker-pool dispatch
-/// while keeping every image's arithmetic untouched, so `max_abs_diff`
-/// doubles as a correctness gate (must be exactly 0).
+/// Batched conv2d: N per-image `conv2d` calls vs one call on the stacked
+/// batch, whose GEMM runs all N images' pixels as one N axis under one
+/// worker-pool dispatch while keeping every image's arithmetic untouched,
+/// so `max_abs_diff` doubles as a correctness gate (must be exactly 0).
 fn bench_conv_batched(entries: &mut Vec<Entry>, reps: usize) {
     for &(n, c_in, c_out, hw) in &[(16usize, 8usize, 16usize, 8usize), (8, 16, 32, 14)] {
         let mut r = rng::seeded(400 + n as u64);
@@ -481,6 +480,68 @@ fn bench_conv_batched(entries: &mut Vec<Entry>, reps: usize) {
             optimized_ms,
             speedup: baseline_ms / optimized_ms,
             max_abs_diff: diff,
+        });
+    }
+}
+
+/// The materialised convolution the implicit GEMM replaced, kept here as
+/// the reference: lower every patch with `im2col`, then one `gemm_nt` per
+/// image against its block of the lowered matrix, bias folded in.
+fn materialised_conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, cfg: Conv2dCfg) -> Tensor {
+    let (n, c_out) = (x.shape()[0], weight.shape()[0]);
+    let (kh, kw) = (weight.shape()[2], weight.shape()[3]);
+    let (oh, ow) = conv2d_out_dims(x.shape()[2], x.shape()[3], kh, kw, cfg).expect("geometry");
+    let cols = im2col(x, kh, kw, cfg).expect("geometry");
+    let (pixels, ckk) = (oh * ow, cols.shape()[1]);
+    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
+    for (ni, out_n) in out.data_mut().chunks_mut(c_out * pixels).enumerate() {
+        gemm_nt_bias_row(
+            c_out,
+            pixels,
+            ckk,
+            weight.data(),
+            &cols.data()[ni * pixels * ckk..(ni + 1) * pixels * ckk],
+            bias.data(),
+            out_n,
+        );
+    }
+    out
+}
+
+/// The dense convolution path at ResNet-50 scale, batch 2: the materialised
+/// `im2col` + `gemm_nt` pipeline vs `conv2d`'s implicit GEMM on the four
+/// layer shapes that bracket the network (a 56x56 pointwise and 3x3, the
+/// deepest 7x7 3x3, the stride-2 stem). Both run the same micro-kernels in
+/// the same order per element, so `max_abs_diff` is a hard `0` gate.
+fn bench_conv_r50(entries: &mut Vec<Entry>, reps: usize) {
+    for &(name, c_in, c_out, hw, k, stride, padding) in &[
+        (
+            "1x1_256to64_on_56x56",
+            256usize,
+            64usize,
+            56usize,
+            1usize,
+            1usize,
+            0usize,
+        ),
+        ("3x3_64_on_56x56", 64, 64, 56, 3, 1, 1),
+        ("3x3_512_on_7x7", 512, 512, 7, 3, 1, 1),
+        ("stem_7x7s2", 3, 64, 224, 7, 2, 3),
+    ] {
+        let mut r = rng::seeded(1500 + c_in as u64);
+        let x = init::uniform(&[2, c_in, hw, hw], -1.0, 1.0, &mut r);
+        let wt = init::uniform(&[c_out, c_in, k, k], -1.0, 1.0, &mut r);
+        let b = init::uniform(&[c_out], -1.0, 1.0, &mut r);
+        let cfg = Conv2dCfg { stride, padding };
+        let (baseline_ms, y_base) = time_best(reps, || materialised_conv2d(&x, &wt, &b, cfg));
+        let (optimized_ms, y_opt) =
+            time_best(reps, || conv2d(&x, &wt, Some(&b), cfg).expect("geometry"));
+        entries.push(Entry {
+            name: format!("conv2d_r50_{name}_b2"),
+            baseline_ms,
+            optimized_ms,
+            speedup: baseline_ms / optimized_ms,
+            max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
         });
     }
 }
@@ -624,7 +685,6 @@ fn bench_fusion(entries: &mut Vec<Entry>, reps: usize) {
         padding: 1,
     };
     let (oh, ow) = conv2d_out_dims(hw, hw, 3, 3, cfg).expect("geometry");
-    let mut cols = vec![0.0f32; n * oh * ow * c_in * 9];
     let mut pre = vec![0.0f32; n * c_out * oh * ow];
     let mut two_pass = vec![0.0f32; n * c_out * oh * ow];
     let mut fused = vec![0.0f32; n * c_out * oh * ow];
@@ -636,7 +696,6 @@ fn bench_fusion(entries: &mut Vec<Entry>, reps: usize) {
             Some(&b),
             cfg,
             false,
-            &mut cols,
             &mut pre,
         )
         .expect("geometry");
@@ -650,7 +709,6 @@ fn bench_fusion(entries: &mut Vec<Entry>, reps: usize) {
             Some(&b),
             cfg,
             true,
-            &mut cols,
             &mut fused,
         )
         .expect("geometry")
@@ -1455,6 +1513,7 @@ fn run_sweep(reps: usize) -> Report {
     bench_simd_ops(&mut entries, reps);
     bench_serve_tcp(&mut entries, reps);
     bench_datapath_mvm(&mut entries, reps);
+    bench_conv_r50(&mut entries, reps);
     Report {
         schema_version: 1,
         generated_by: "epim-bench bench_kernels".to_string(),

@@ -26,9 +26,8 @@
 //! its target *is* the new tail.
 //!
 //! [`NetworkProgram::plan_arena`] then computes per-stage liveness over
-//! the (optimized) program and packs every activation — plus per-stage
-//! scratch such as the im2col buffer — into one static arena with a
-//! greedy first-fit assignment. The runtime allocates that arena once per
+//! the (optimized) program and packs every activation into one static
+//! arena with a greedy first-fit assignment. The runtime allocates that arena once per
 //! in-flight batch instead of churning a resize-prone buffer pool.
 
 use crate::lower::{NetworkProgram, Stage, StageInput, StageOp};
@@ -135,21 +134,15 @@ impl NetworkProgram {
 
     /// Computes the static activation arena for this program.
     ///
-    /// `scratch` gives each stage's per-image scratch requirement in f32
-    /// units (e.g. the im2col column buffer for dense convolutions; zero
-    /// for stages that need none) and must have one entry per stage.
-    ///
     /// All slot offsets and lengths are **per image**; an executor
     /// serving `n` images scales every offset and length by `n`, which
     /// preserves disjointness.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch.len() != self.stages().len()` or the program is
-    /// empty.
-    pub fn plan_arena(&self, scratch: &[usize]) -> ArenaPlan {
+    /// Panics if the program is empty.
+    pub fn plan_arena(&self) -> ArenaPlan {
         let n = self.stages.len();
-        assert_eq!(scratch.len(), n, "one scratch size per stage");
         assert!(n > 0, "cannot plan an empty program");
 
         // Inclusive live intervals over stage indices. A value is born
@@ -172,23 +165,15 @@ impl NetworkProgram {
         let source_len: usize = self.input_shape.iter().product();
         let source = first_fit(&mut placed, source_len, 0, source_death);
         let mut values = Vec::with_capacity(n);
-        let mut scratch_slots = Vec::with_capacity(n);
         for (i, stage) in self.stages.iter().enumerate() {
             let len: usize = stage.out_shape.iter().product();
             values.push(first_fit(&mut placed, len, i, value_death[i]));
-            // Scratch lives only while its stage executes.
-            scratch_slots.push(if scratch[i] > 0 {
-                Some(first_fit(&mut placed, scratch[i], i, i))
-            } else {
-                None
-            });
         }
         let total = placed.iter().map(|p| p.slot.offset + p.slot.len).max();
         ArenaPlan {
             total: total.unwrap_or(0),
             source,
             values,
-            scratch: scratch_slots,
         }
     }
 }
@@ -202,8 +187,7 @@ pub struct ArenaSlot {
     pub len: usize,
 }
 
-/// A static arena layout for every activation (and scratch buffer) a
-/// program touches, produced by [`NetworkProgram::plan_arena`].
+/// A static arena layout for every activation a program touches, produced by [`NetworkProgram::plan_arena`].
 ///
 /// Offsets and lengths are per image; scale by the batch size to size a
 /// concrete allocation. Slots whose lifetimes overlap never share bytes;
@@ -216,8 +200,6 @@ pub struct ArenaPlan {
     pub source: ArenaSlot,
     /// Where each stage's output lives, indexed by stage.
     pub values: Vec<ArenaSlot>,
-    /// Each stage's scratch slot, if it requested one.
-    pub scratch: Vec<Option<ArenaSlot>>,
 }
 
 struct PlacedSlot {
@@ -425,13 +407,7 @@ mod tests {
     fn arena_slots_never_overlap_while_live() {
         let net = Network::baseline(zoo::tiny_resnet_backbone(8, 4, 10));
         let opt = net.lower(16, 16).unwrap().optimize();
-        let scratch: Vec<usize> = opt
-            .stages()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (i % 3) * 100)
-            .collect();
-        let plan = opt.plan_arena(&scratch);
+        let plan = opt.plan_arena();
 
         // Rebuild (slot, interval) tuples exactly as planning assigns them.
         let n = opt.stages().len();
@@ -450,9 +426,6 @@ mod tests {
         let mut slots: Vec<(ArenaSlot, usize, usize)> = vec![(plan.source, 0, source_death)];
         for (i, &death) in value_death.iter().enumerate() {
             slots.push((plan.values[i], i, death));
-            if let Some(s) = plan.scratch[i] {
-                slots.push((s, i, i));
-            }
         }
         for (a, (sa, ba, da)) in slots.iter().enumerate() {
             assert!(sa.offset + sa.len <= plan.total);
@@ -466,9 +439,7 @@ mod tests {
             }
         }
         // The arena must be strictly smaller than keeping everything live.
-        let keep_all: usize = plan.source.len
-            + plan.values.iter().map(|s| s.len).sum::<usize>()
-            + plan.scratch.iter().flatten().map(|s| s.len).sum::<usize>();
+        let keep_all: usize = plan.source.len + plan.values.iter().map(|s| s.len).sum::<usize>();
         assert!(plan.total < keep_all);
     }
 }

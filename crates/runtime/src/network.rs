@@ -11,9 +11,8 @@
 //! engines — warming the cache first via [`PlanCache::warm_network`]
 //! makes compilation miss-free), and computes the **liveness-planned
 //! activation arena** ([`ArenaPlan`]): one static layout assigning every
-//! activation (and the im2col scratch of every dense convolution) an
-//! offset in a single allocation, with lifetimes-disjoint activations
-//! sharing memory. Steady-state serving leases one whole arena per
+//! activation an offset in a single allocation, with lifetimes-disjoint
+//! activations sharing memory. Steady-state serving leases one whole arena per
 //! in-flight group — no per-stage allocation, no buffer-pool resize
 //! churn, and a peak footprint strictly below the old exact-size pool's
 //! high-water mark (both reported in
@@ -22,8 +21,8 @@
 //! Execution stacks a whole request group into the arena's source slot
 //! and streams it through the stages: epitome stages run on the batched
 //! data path (packed round panels amortized over every image of every
-//! request), dense convolutions run the multi-image batched GEMM with
-//! their fused ReLU epilogue, and elementwise stages run the vectorized
+//! request), dense convolutions run one implicit GEMM over the stacked
+//! images with their fused ReLU epilogue, and elementwise stages run the vectorized
 //! slice kernels. The result is **bit-identical** to executing each
 //! request alone through `NetworkProgram::forward_reference` on the
 //! *unoptimized* program — every fused epilogue clamps the exact value
@@ -154,15 +153,10 @@ impl NetworkPlan {
         let program = if optimize { raw.optimize() } else { raw };
 
         let mut ops = Vec::with_capacity(program.stages().len());
-        let mut scratch = Vec::with_capacity(program.stages().len());
         for stage in program.stages() {
-            let mut stage_scratch = 0usize;
             let op = match &stage.op {
                 StageOp::Conv { layer, cfg, relu } => {
                     let (w, b) = weights.dense(*layer, &stage.name)?;
-                    // Per-image im2col columns: (OH * OW) x (C_in * KH * KW).
-                    let ckk = w.len() / w.shape()[0].max(1);
-                    stage_scratch = stage.out_shape[1] * stage.out_shape[2] * ckk;
                     PlannedOp::Conv {
                         weight: w.clone(),
                         bias: b.cloned(),
@@ -200,9 +194,8 @@ impl NetworkPlan {
                 },
             };
             ops.push(op);
-            scratch.push(stage_scratch);
         }
-        let arena = program.plan_arena(&scratch);
+        let arena = program.plan_arena();
 
         Ok(NetworkPlan {
             program,
@@ -250,8 +243,7 @@ impl NetworkPlan {
             .expect("arena pool poisoned")
             .pop()
             .unwrap_or_default();
-        // Contents may be stale: every op overwrites its whole output
-        // slot, and the im2col fill zeroes its scratch first.
+        // Contents may be stale: every op overwrites its whole output slot.
         v.resize(len, 0.0);
         v
     }
@@ -361,7 +353,6 @@ impl NetworkPlan {
             };
             let out_range = slot_range(self.arena.values[i], images);
             let out_bytes = ((out_range.end - out_range.start) * std::mem::size_of::<f32>()) as u64;
-            let scratch_range = self.arena.scratch[i].map(|s| slot_range(s, images));
             let started = Instant::now();
             let t_stage = trace::start();
             match op {
@@ -371,8 +362,7 @@ impl NetworkPlan {
                     cfg,
                     relu,
                 } => {
-                    let (out, scratch, reads) =
-                        stage_views(arena, out_range, scratch_range, &[in_range]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     conv2d_into(
                         reads[0],
                         (images, in_shape[0], in_shape[1], in_shape[2]),
@@ -380,13 +370,12 @@ impl NetworkPlan {
                         bias.as_ref(),
                         *cfg,
                         *relu,
-                        scratch.expect("conv stages plan im2col scratch"),
                         out,
                     )
                     .map_err(epim_pim::PimError::Tensor)?;
                 }
                 PlannedOp::Epitome { dp, relu } => {
-                    let (out, _, reads) = stage_views(arena, out_range, None, &[in_range]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     let s = dp.execute_stacked_into(
                         reads[0],
                         images,
@@ -398,11 +387,11 @@ impl NetworkPlan {
                     stats.accumulate(&s);
                 }
                 PlannedOp::Relu => {
-                    let (out, _, reads) = stage_views(arena, out_range, None, &[in_range]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     relu_slice(reads[0], out);
                 }
                 PlannedOp::MaxPool(cfg) => {
-                    let (out, _, reads) = stage_views(arena, out_range, None, &[in_range]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     max_pool2d_into(
                         reads[0],
                         (images, in_shape[0], in_shape[1], in_shape[2]),
@@ -412,7 +401,7 @@ impl NetworkPlan {
                     .map_err(epim_pim::PimError::Tensor)?;
                 }
                 PlannedOp::GlobalAvgPool => {
-                    let (out, _, reads) = stage_views(arena, out_range, None, &[in_range]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     global_avg_pool_into(
                         reads[0],
                         (images, in_shape[0], in_shape[1], in_shape[2]),
@@ -435,7 +424,7 @@ impl NetworkPlan {
                             weight.shape()[1]
                         )));
                     }
-                    let (out, _, reads) = stage_views(arena, out_range, None, &[in_range]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     for g in 0..inputs.len() {
                         let rows = &reads[0][g * n_per * feats..(g + 1) * n_per * feats];
                         let dst = &mut out[g * n_per * out_f..(g + 1) * n_per * out_f];
@@ -469,7 +458,7 @@ impl NetworkPlan {
                 }
                 PlannedOp::Add { with, relu } => {
                     let other = slot_range(self.arena.values[*with], images);
-                    let (out, _, reads) = stage_views(arena, out_range, None, &[in_range, other]);
+                    let (out, reads) = stage_views(arena, out_range, &[in_range, other]);
                     if *relu {
                         add_relu_slice(reads[0], reads[1], out);
                     } else {
@@ -520,47 +509,38 @@ fn ranges_disjoint(a: &Range<usize>, b: &Range<usize>) -> bool {
     a.end <= b.start || b.end <= a.start
 }
 
-/// Views into disjoint ranges of one arena: the stage's mutable output,
-/// its optional mutable scratch, and its shared read slices.
+/// Views into disjoint ranges of one arena: the stage's mutable output and
+/// its shared read slices.
 ///
 /// Reads may overlap each other (a residual add reading one producer
-/// twice) but never a mutable range; the [`ArenaPlan`] guarantees this by
+/// twice) but never the output; the [`ArenaPlan`] guarantees this by
 /// construction — live slots never share memory, and a stage's inputs
 /// are live while it writes its output. The assertions turn a planner
 /// bug into a loud panic instead of silent data corruption.
 fn stage_views<'a>(
     arena: &'a mut [f32],
     out: Range<usize>,
-    scratch: Option<Range<usize>>,
     reads: &[Range<usize>],
-) -> (&'a mut [f32], Option<&'a mut [f32]>, Vec<&'a [f32]>) {
+) -> (&'a mut [f32], Vec<&'a [f32]>) {
     let len = arena.len();
     let in_bounds = |r: &Range<usize>| r.start <= r.end && r.end <= len;
     assert!(in_bounds(&out), "output slot in bounds");
-    if let Some(s) = &scratch {
-        assert!(in_bounds(s), "scratch slot in bounds");
-        assert!(ranges_disjoint(s, &out), "scratch and output disjoint");
-    }
     for r in reads {
         assert!(in_bounds(r), "read slot in bounds");
         assert!(ranges_disjoint(r, &out), "reads and output disjoint");
-        if let Some(s) = &scratch {
-            assert!(ranges_disjoint(r, s), "reads and scratch disjoint");
-        }
     }
     let ptr = arena.as_mut_ptr();
-    // SAFETY: all ranges are in bounds of `arena`, and both mutable
-    // ranges are disjoint from each other and from every read range
-    // (asserted above), so no `&mut` aliases any other returned
-    // reference; read views alias only each other, as shared `&` may.
+    // SAFETY: all ranges are in bounds of `arena`, and the mutable range
+    // is disjoint from every read range (asserted above), so the `&mut`
+    // aliases no other returned reference; read views alias only each
+    // other, as shared `&` may.
     unsafe {
         let o = std::slice::from_raw_parts_mut(ptr.add(out.start), out.end - out.start);
-        let s = scratch.map(|s| std::slice::from_raw_parts_mut(ptr.add(s.start), s.end - s.start));
         let rs = reads
             .iter()
             .map(|r| std::slice::from_raw_parts(ptr.add(r.start).cast_const(), r.end - r.start))
             .collect();
-        (o, s, rs)
+        (o, rs)
     }
 }
 

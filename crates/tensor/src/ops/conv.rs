@@ -1,13 +1,15 @@
-//! 2-D convolution: fused im2col+GEMM forward, direct reference, and
-//! backward passes.
+//! 2-D convolution: implicit-GEMM forward, direct reference, and backward
+//! passes.
 //!
-//! The production path ([`conv2d`]) lowers patches with a contiguous-copy
-//! [`im2col`], then runs one stride-aware GEMM per image directly into the
-//! `NCHW` output buffer (`out[n] = W_mat · cols_nᵀ + bias`), with the bias
-//! folded into the GEMM epilogue — there is no separate output-rearrange or
-//! bias pass. Two reference implementations stay available for tests and
-//! benchmarks: [`conv2d_direct`] (naive 7-loop) and [`conv2d_ref`] (the
-//! seed's unfused im2col → matmul → rearrange pipeline).
+//! The production path ([`conv2d`], [`conv2d_into`]) is one GEMM over the
+//! whole stacked batch, `out (C_out x N·OH·OW) = W_mat · cols + bias`, whose
+//! B operand is a `gemm::ConvWindow`: the GEMM packs its panels straight
+//! from the `NCHW` activation and writes straight into the `NCHW` output, so
+//! the lowered `cols` matrix is never materialized and there is no separate
+//! output-rearrange or bias pass. [`im2col`] itself stays for the backward
+//! pass and for two reference implementations kept for tests and benchmarks:
+//! [`conv2d_direct`] (naive 7-loop) and [`conv2d_ref`] (the seed's unfused
+//! im2col → matmul → rearrange pipeline).
 
 use crate::ops::gemm;
 use crate::{Tensor, TensorError};
@@ -121,7 +123,7 @@ pub fn fill_receptive_field(
 /// The copy core of [`fill_receptive_field`]: writes only the in-bounds
 /// `kx` runs, assuming `dst`'s padded positions are already zero.
 #[allow(clippy::too_many_arguments)]
-fn copy_receptive_runs(
+pub(super) fn copy_receptive_runs(
     xd: &[f32],
     c_in: usize,
     h: usize,
@@ -178,62 +180,30 @@ pub fn im2col(x: &Tensor, kh: usize, kw: usize, cfg: Conv2dCfg) -> Result<Tensor
     let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg)?;
     let rows = n * oh * ow;
     let cols = c * kh * kw;
+    // Rows start zeroed and are written exactly once, so the copy core
+    // can skip the per-row zeroing.
     let mut out = vec![0.0f32; rows * cols];
-    // `out` is freshly zeroed, so the fill core can skip re-zeroing.
-    im2col_fill(
-        x.data(),
-        (n, c, h, w),
-        (kh, kw),
-        (oh, ow),
-        cfg,
-        false,
-        &mut out,
-    );
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// The fill core shared by [`im2col`] and [`conv2d_into`]: lowers patches
-/// into `out` (`n*oh*ow` rows of `c*kh*kw`). `zero_first` re-zeroes each
-/// chunk before filling, for reused (arena) destinations whose padded
-/// positions may hold stale values.
-fn im2col_fill(
-    xd: &[f32],
-    (n, c, h, w): (usize, usize, usize, usize),
-    (kh, kw): (usize, usize),
-    (oh, ow): (usize, usize),
-    cfg: Conv2dCfg,
-    zero_first: bool,
-    out: &mut [f32],
-) {
-    let rows = n * oh * ow;
-    let cols = c * kh * kw;
-
-    // One chunk = all rows of one output scanline (ni, oy): big enough to
-    // amortize dispatch, small enough to balance.
     let fill_rows = |row0: usize, chunk: &mut [f32]| {
-        if zero_first {
-            chunk.fill(0.0);
-        }
         for (r, orow) in chunk.chunks_mut(cols).enumerate() {
             let row = row0 + r;
             let ox = row % ow;
             let oy = (row / ow) % oh;
             let ni = row / (oh * ow);
-            // Rows start zeroed and are written exactly once, so the copy
-            // core can skip the per-row zeroing.
-            copy_receptive_runs(xd, c, h, w, kh, kw, ni, oy, ox, cfg, orow);
+            copy_receptive_runs(x.data(), c, h, w, kh, kw, ni, oy, ox, cfg, orow);
         }
     };
-
-    // Below the copy floor, one chunk == fully serial (no thread dispatch).
+    // One chunk = all rows of one output scanline (ni, oy): big enough to
+    // amortize dispatch, small enough to balance. Below the copy floor, one
+    // chunk == fully serial (no thread dispatch).
     let chunk_rows = if rows * cols < PARALLEL_COPY_FLOOR {
         rows.max(1)
     } else {
         ow.max(1)
     };
-    epim_parallel::for_each_chunk_mut(&mut out[..rows * cols], chunk_rows * cols, |ci, chunk| {
+    epim_parallel::for_each_chunk_mut(&mut out, chunk_rows * cols, |ci, chunk| {
         fill_rows(ci * chunk_rows, chunk);
     });
+    Tensor::from_vec(out, &[rows, cols])
 }
 
 /// Accumulates an im2col matrix back into image space (`col2im`).
@@ -352,11 +322,13 @@ fn check_conv_operands(
 /// `x` is `(N, C_in, H, W)`, `weight` is `(C_out, C_in, KH, KW)`, `bias`
 /// (optional) is `(C_out)`. Returns `(N, C_out, OH, OW)`.
 ///
-/// Implemented as `im2col` followed by one stride-aware GEMM per image that
-/// writes **directly into the `NCHW` output layout** with the bias folded
-/// into the GEMM epilogue: `out[n] (C_out x OH*OW) = W_mat · cols_nᵀ + b`.
-/// Unlike the seed implementation there is no second rearrange pass over
-/// the output and no per-pixel bias lookup.
+/// Implemented as one implicit GEMM over the stacked batch that writes
+/// **directly into the `NCHW` output layout** with the bias folded into the
+/// GEMM epilogue: `out[n] (C_out x OH*OW) = W_mat · cols_n + b`, the
+/// columns packed from `x` as the GEMM consumes them. Each image's result
+/// is bit-identical to convolving it alone. Unlike the seed implementation
+/// there is no lowered matrix, no second rearrange pass over the output and
+/// no per-pixel bias lookup.
 ///
 /// # Errors
 ///
@@ -369,49 +341,27 @@ pub fn conv2d(
     cfg: Conv2dCfg,
 ) -> Result<Tensor, TensorError> {
     check_conv_operands(x, weight, bias)?;
-    let (n, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let dims = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-    let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg)?;
-
-    let cols = im2col(x, kh, kw, cfg)?; // (N*OH*OW, C_in*KH*KW)
-    let ckk = c_in * kh * kw;
-    let pixels = oh * ow;
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    // One batched call over all N images: each image's `cols` block is the
-    // (transposed, never materialized) B operand and its `NCHW` plane block
-    // the output. Per-image results are bit-identical to N separate GEMM
-    // calls — the batching only folds N dispatches into one, which is what
-    // keeps small feature maps from paying N× dispatch overhead.
-    gemm::gemm_nt_batch(
-        n,
-        c_out,
-        pixels,
-        ckk,
-        weight.data(),
-        cols.data(),
-        bias.map(Tensor::data),
-        false,
-        out.data_mut(),
-    );
+    let (oh, ow) = conv2d_out_dims(dims.2, dims.3, kh, kw, cfg)?;
+    let mut out = Tensor::zeros(&[dims.0, c_out, oh, ow]);
+    conv2d_into(x.data(), dims, weight, bias, cfg, false, out.data_mut())?;
     Ok(out)
 }
 
 /// Slice-based [`conv2d`] with an optional fused ReLU epilogue, for
-/// arena-backed executors that own both the activation storage and the
-/// im2col scratch.
+/// arena-backed executors that own the activation storage.
 ///
-/// `xd` holds an `(n, c_in, h, w)` NCHW image block, `cols` is im2col
-/// scratch of at least `n*oh*ow * c_in*kh*kw` floats (stale contents are
-/// fine — it is re-zeroed), and `out` receives the `(n, c_out, oh, ow)`
-/// result. With `relu` set, every output element is clamped via the GEMM
-/// kernels' fused epilogue — bit-identical to [`conv2d`] followed by a
+/// `xd` holds an `(n, c_in, h, w)` NCHW image block and `out` receives the
+/// `(n, c_out, oh, ow)` result (stale contents are fine — every element is
+/// overwritten). With `relu` set, every output element is clamped via the
+/// GEMM kernels' fused epilogue — bit-identical to [`conv2d`] followed by a
 /// separate elementwise ReLU.
 ///
 /// # Errors
 ///
 /// Returns rank/shape errors if operands disagree, the geometry is
 /// invalid, or a slice is too short.
-#[allow(clippy::too_many_arguments)]
 pub fn conv2d_into(
     xd: &[f32],
     (n, c_in, h, w): (usize, usize, usize, usize),
@@ -419,7 +369,6 @@ pub fn conv2d_into(
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
     relu: bool,
-    cols: &mut [f32],
     out: &mut [f32],
 ) -> Result<(), TensorError> {
     if weight.rank() != 4 {
@@ -455,35 +404,13 @@ pub fn conv2d_into(
     if xd.len() < n * c_in * h * w {
         return Err(TensorError::invalid("conv2d_into: input slice too short"));
     }
-    let ckk = c_in * kh * kw;
-    let rows = n * oh * ow;
-    let pixels = oh * ow;
-    if cols.len() < rows * ckk {
-        return Err(TensorError::invalid("conv2d_into: scratch slice too short"));
-    }
-    if out.len() < n * c_out * pixels {
+    if out.len() < n * c_out * oh * ow {
         return Err(TensorError::invalid("conv2d_into: output slice too short"));
     }
-    im2col_fill(
-        xd,
-        (n, c_in, h, w),
-        (kh, kw),
-        (oh, ow),
-        cfg,
-        true,
-        &mut cols[..rows * ckk],
-    );
-    gemm::gemm_nt_batch(
-        n,
-        c_out,
-        pixels,
-        ckk,
-        weight.data(),
-        &cols[..rows * ckk],
-        bias.map(Tensor::data),
-        relu,
-        &mut out[..n * c_out * pixels],
-    );
+    // One GEMM whose B operand is the window over `xd`.
+    let window = gemm::ConvWindow::new(xd, (n, c_in, h, w), (kh, kw), cfg, (oh, ow));
+    let bias = bias.map(Tensor::data);
+    gemm::gemm_conv(c_out, weight.data(), window, bias, relu, out);
     Ok(())
 }
 
@@ -816,7 +743,7 @@ mod tests {
 
     #[test]
     fn conv2d_into_bit_identical_and_fuses_relu() {
-        // The slice-based entry (stale scratch, stale output) must match
+        // The slice-based entry (stale output) must match
         // the allocating path bitwise, and its fused ReLU must match a
         // separate ReLU pass bitwise.
         let mut r = crate::rng::seeded(61);
@@ -831,33 +758,139 @@ mod tests {
             let cfg = Conv2dCfg { stride, padding };
             let want = conv2d(&x, &w, Some(&b), cfg).unwrap();
             let (oh, ow) = conv2d_out_dims(hw, hw, 3, 3, cfg).unwrap();
-            let scratch_len = n * oh * ow * c_in * 9;
             let out_len = n * c_out * oh * ow;
             let dims = (n, c_in, hw, hw);
 
-            let mut cols = vec![f32::NAN; scratch_len];
             let mut out = vec![f32::NAN; out_len];
-            conv2d_into(
-                x.data(),
-                dims,
-                &w,
-                Some(&b),
-                cfg,
-                false,
-                &mut cols,
-                &mut out,
-            )
-            .unwrap();
+            conv2d_into(x.data(), dims, &w, Some(&b), cfg, false, &mut out).unwrap();
             assert_eq!(out, want.data(), "unfused into-path diverged");
 
             let mut relu_want = want.clone();
             for v in relu_want.data_mut() {
                 *v = v.max(0.0);
             }
-            cols.fill(f32::NAN);
             out.fill(f32::NAN);
-            conv2d_into(x.data(), dims, &w, Some(&b), cfg, true, &mut cols, &mut out).unwrap();
+            conv2d_into(x.data(), dims, &w, Some(&b), cfg, true, &mut out).unwrap();
             assert_eq!(out, relu_want.data(), "fused relu diverged");
+        }
+    }
+
+    /// The materialised pipeline the implicit GEMM replaced, kept as the
+    /// oracle: lower every patch with [`im2col`], then one `gemm_nt` per
+    /// image against its block of the lowered matrix.
+    fn conv2d_materialised(
+        x: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        cfg: Conv2dCfg,
+        relu: bool,
+    ) -> Vec<f32> {
+        let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
+        let cols = im2col(x, kh, kw, cfg).unwrap();
+        let ckk = cols.shape()[1];
+        let pixels = cols.shape()[0] / x.shape()[0];
+        let mut out = vec![f32::NAN; x.shape()[0] * c_out * pixels];
+        for (ni, out_n) in out.chunks_mut(c_out * pixels).enumerate() {
+            let cols_n = &cols.data()[ni * pixels * ckk..(ni + 1) * pixels * ckk];
+            match bias {
+                Some(b) => gemm::gemm_nt_bias_row(
+                    c_out,
+                    pixels,
+                    ckk,
+                    weight.data(),
+                    cols_n,
+                    b.data(),
+                    out_n,
+                ),
+                None => gemm::gemm_nt(c_out, pixels, ckk, weight.data(), cols_n, out_n),
+            }
+        }
+        if relu {
+            for v in &mut out {
+                *v = v.max(0.0);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// `conv2d` and `conv2d_into` (bias and ReLU on and off) against the
+    /// materialised oracle, bit for bit, for `(batch, c_in, c_out, h, kernel,
+    /// stride, padding)` cases on square inputs.
+    fn assert_matches_materialised(cases: &[(usize, usize, usize, usize, usize, usize, usize)]) {
+        let mut r = crate::rng::seeded(71);
+        for &(n, c_in, c_out, hw, kk, stride, padding) in cases {
+            let x = crate::init::uniform(&[n, c_in, hw, hw], -1.0, 1.0, &mut r);
+            let w = crate::init::uniform(&[c_out, c_in, kk, kk], -1.0, 1.0, &mut r);
+            let b = crate::init::uniform(&[c_out], -1.0, 1.0, &mut r);
+            let cfg = Conv2dCfg { stride, padding };
+            let case = format!("n={n} {c_in}->{c_out} {kk}x{kk} s{stride} p{padding} on {hw}x{hw}");
+            for bias in [None, Some(&b)] {
+                let want = conv2d_materialised(&x, &w, bias, cfg, false);
+                let got = conv2d(&x, &w, bias, cfg).unwrap();
+                assert_eq!(bits(got.data()), bits(&want), "conv2d {case}");
+                for relu in [false, true] {
+                    let want = conv2d_materialised(&x, &w, bias, cfg, relu);
+                    let mut out = vec![f32::NAN; want.len()];
+                    let dims = (n, c_in, hw, hw);
+                    conv2d_into(x.data(), dims, &w, bias, cfg, relu, &mut out).unwrap();
+                    assert_eq!(bits(&out), bits(&want), "conv2d_into relu={relu} {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn implicit_gemm_bit_identical_to_materialised_im2col() {
+        assert_matches_materialised(&[
+            // 1x1 stride 1, k exactly one KC slice; 49 pixels per image, so
+            // panels of every width span two images.
+            (2, 256, 64, 7, 1, 1, 0),
+            (3, 27, 8, 14, 1, 1, 0),
+            // 1x1 stride 2, k one past the slice.
+            (3, 257, 9, 14, 1, 2, 0),
+            (1, 64, 7, 13, 1, 2, 0),
+            // 3x3 pad 1: rows shorter than, about, and longer than a panel.
+            (1, 3, 8, 31, 3, 1, 1),
+            (2, 3, 7, 33, 3, 1, 1),
+            (2, 8, 64, 56, 3, 1, 1),
+            (8, 32, 1, 14, 3, 1, 1),
+            (3, 16, 9, 28, 3, 2, 1),
+            (2, 5, 8, 61, 3, 2, 1),
+            // The stem: 7x7 stride 2 pad 3.
+            (2, 3, 8, 28, 7, 2, 3),
+            (1, 3, 64, 62, 7, 2, 3),
+            // Many K slices on a 7x7 map.
+            (2, 512, 9, 7, 3, 1, 1),
+            // One output pixel per image: eight images in one panel.
+            (8, 64, 64, 3, 3, 1, 0),
+            // Padding wider than the kernel: whole runs fall in it.
+            (2, 16, 16, 11, 2, 1, 3),
+            (3, 16, 9, 9, 2, 2, 3),
+        ]);
+    }
+
+    #[test]
+    fn small_convolutions_bit_identical_to_materialised_im2col() {
+        // At or under `SMALL_FLOPS` per image the plain serial loops run on
+        // a gathered operand: every conv of the zoo's tiny ResNet at 16x16,
+        // a one-pixel output, padding wider than the kernel — alone, in a
+        // small batch, and in a batch big enough to cross images in
+        // parallel.
+        for n in [1, 2, 8, 200] {
+            assert_matches_materialised(&[
+                (n, 3, 8, 16, 3, 2, 1),
+                (n, 8, 4, 4, 1, 1, 0),
+                (n, 4, 4, 4, 3, 1, 1),
+                (n, 4, 16, 4, 1, 1, 0),
+                (n, 8, 16, 4, 1, 1, 0),
+                (n, 16, 4, 4, 1, 1, 0),
+                (n, 4, 10, 3, 3, 1, 0),
+                (n, 2, 3, 5, 2, 1, 3),
+            ]);
         }
     }
 

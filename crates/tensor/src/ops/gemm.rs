@@ -1,30 +1,39 @@
 //! Cache-blocked single-precision GEMM kernels.
 //!
 //! This is the compute spine of the whole reproduction: `Tensor::matmul`,
-//! the im2col convolution path, the linear layers and (indirectly) every
+//! the convolutions, the linear layers and (indirectly) every
 //! training/search experiment bottom out here.
 //!
-//! The implementation follows the standard BLIS-style recipe:
+//! The implementation follows the standard BLIS-style recipe, in one loop
+//! nest (`gemm_nest`) for every entry point:
 //!
-//! - the K dimension is processed in `KC`-sized slices;
-//! - for each slice, B is packed once into `NR`-wide column panels
-//!   (`bp[p * NR + j]`) shared by all rows;
-//! - the M dimension is split into `MR`-row chunks, each packing its A rows
+//! - the N dimension is cut into blocks of `NC` columns, and a task owns a
+//!   block of columns (times a block of rows, when there are too few column
+//!   blocks to keep the pool busy); tasks are distributed over threads via
+//!   `epim-parallel` when the problem is large enough — their parts of C are
+//!   disjoint, so no synchronization is needed, and one product is one
+//!   fork-join;
+//! - inside a task the K dimension is processed in `KC`-sized slices; for
+//!   each slice the task packs its own B block into `NR`-wide column panels
+//!   (`bp[p * NR + j]`) in a per-thread buffer that is reused across calls;
+//! - the task's rows are swept in `MR`-row bands, each packing its A rows
 //!   into a `MR`-wide panel (`ap[p * MR + i]`, zero-padded at the edges) and
-//!   driving an `MR x NR` register-blocked micro-kernel;
-//! - chunks are distributed over threads via `epim-parallel` when the
-//!   problem is large enough (C chunks are disjoint row bands, so no
-//!   synchronization is needed).
+//!   driving an `MR x NR` register-blocked micro-kernel over the panels.
 //!
-//! All entry points are *stride-aware*: [`gemm_tn`] and [`gemm_nt`] read A
-//! or B through transposed strides during packing, so callers never
-//! materialize an explicit `transpose()` copy. Bias addition is fused into
-//! the output prefill (per output row or per output column), which lets the
-//! convolution and linear layers skip their separate bias passes. A ReLU
-//! epilogue (`_relu` variants) clamps each output element with
-//! `v.max(0.0)` at its **final** writeback — the pre-clamp sum is the same
-//! arithmetic as the unfused GEMM, so the fused result is bit-identical to
-//! a GEMM followed by a separate ReLU pass.
+//! B has two sources. [`gemm_tn`] and [`gemm_nt`] read A or B through
+//! transposed strides during packing, so callers never materialize an
+//! explicit `transpose()` copy; and the convolutions hand in a
+//! `ConvWindow`, whose panels are packed straight from the NCHW
+//! activation (the stacked batch is one N axis, so a panel may span two
+//! images) — the lowered im2col matrix is never stored. Bias addition is
+//! fused into the first slice's writeback (per output row or per output
+//! column), which lets the convolution and linear layers skip their separate
+//! bias passes. A ReLU epilogue (`_relu` variants) clamps each output
+//! element with `v.max(0.0)` at its **final** writeback — the pre-clamp sum
+//! is the same arithmetic as the unfused GEMM, so the fused result is
+//! bit-identical to a GEMM followed by a separate ReLU pass. No element's
+//! arithmetic depends on the blocking, on its place in a panel or on the
+//! thread count.
 //!
 //! The binary stays portable (generic x86-64, same target the seed used):
 //! the micro-kernel is selected **at runtime** from the cached
@@ -34,7 +43,9 @@
 //! confined to the `#[target_feature]` kernel bodies, which only touch
 //! caller-validated panel/tile buffers.
 
+use crate::ops::conv::{copy_receptive_runs, Conv2dCfg};
 use epim_parallel::for_each_chunk_mut;
+use std::cell::RefCell;
 
 /// Largest micro-kernel row count across variants (A-panel sizing).
 const MR_MAX: usize = 8;
@@ -43,6 +54,10 @@ const NR_MAX: usize = 32;
 /// K-dimension cache block: the A panel (`MR_MAX * KC` floats) stays L1
 /// resident while B panels stream from L2.
 const KC: usize = 256;
+/// N-dimension cache block: a task's packed B block (`KC * NC` floats,
+/// 512 KB) stays L2 resident while the task's row bands sweep it. A multiple
+/// of every micro-kernel's column count.
+const NC: usize = 512;
 
 /// The instruction-set variant the tile kernel dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,10 +123,10 @@ impl MatRef<'_> {
     }
 }
 
-/// Fused bias applied while prefilling the output.
+/// Fused bias: the value every output element's accumulation starts from.
 #[derive(Clone, Copy)]
 enum Bias<'a> {
-    /// No bias: prefill with zeros.
+    /// No bias: start from zero.
     None,
     /// `bias[i]` is added to every element of output row `i` (length `m`).
     PerRow(&'a [f32]),
@@ -176,7 +191,7 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 
 /// `C = A · Bᵀ` where `B` is *stored* row-major as `(n x k)`.
 ///
-/// Used by [`crate::ops::linear`] (`y = x · Wᵀ`) and the fused convolution.
+/// Used by [`crate::ops::linear`] (`y = x · Wᵀ`).
 ///
 /// # Panics
 ///
@@ -304,82 +319,6 @@ pub fn gemm_nt_bias_col_relu(
     gemm_nt_opt(m, n, k, a, b, Bias::PerCol(bias), true, c);
 }
 
-/// Batched [`gemm_nt`]: `C[g] = A · B[g]ᵀ (+ bias)` for `batch`
-/// independent problems sharing one `A` operand, with `B` stored as
-/// `batch` contiguous `(n x k)` blocks and `C` as `batch` contiguous
-/// `(m x n)` blocks.
-///
-/// Semantically this is exactly the loop
-/// `for g in 0..batch { gemm_nt_bias_row(m, n, k, a, &b[g..], bias, &mut c[g..]) }`
-/// and every output element is **bit-identical** to that loop: the
-/// per-problem kernel path (small/blocked, serial/parallel) is chosen from
-/// the per-problem `m·n·k` alone, so folding the batch never changes any
-/// element's arithmetic. What changes is the dispatch: when each problem is
-/// too small to cross the kernel's own thread threshold but the batch as a
-/// whole is worth parallelizing, all `batch` problems run under **one**
-/// worker-pool dispatch (chunked per problem) instead of `batch` serial
-/// calls. This is the multi-image convolution path: N small feature maps
-/// pay one dispatch, not N.
-///
-/// `bias` (optional, length `m`) is added to every element of each output
-/// row, as in [`gemm_nt_bias_row`]. `relu` requests the fused ReLU
-/// epilogue on every problem (bit-identical to a separate ReLU pass).
-///
-/// # Panics
-///
-/// Panics if a slice is shorter than its `batch`/`m`/`n`/`k` geometry
-/// implies.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_batch(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    relu: bool,
-    c: &mut [f32],
-) {
-    assert!(
-        c.len() >= batch * m * n,
-        "output slice too short for {batch}x{m}x{n}"
-    );
-    assert!(
-        b.len() >= batch * n * k,
-        "B slice too short for {batch}x{n}x{k}"
-    );
-    if let Some(bb) = bias {
-        assert_eq!(bb.len(), m, "row bias length must equal m");
-    }
-    if batch == 0 || m * n == 0 {
-        // Nothing to write (and chunking by a zero-sized output would
-        // panic); matches the per-problem loop, which was a no-op here.
-        return;
-    }
-    let run_one = |g: usize, c_g: &mut [f32]| {
-        let b_g = &b[g * n * k..(g + 1) * n * k];
-        let bias_ref = match bias {
-            Some(bb) => Bias::PerRow(bb),
-            None => Bias::None,
-        };
-        gemm_nt_opt(m, n, k, a, b_g, bias_ref, relu, c_g);
-    };
-    let per = m * n * k;
-    if batch > 1 && per < PARALLEL_FLOPS && batch * per >= PARALLEL_FLOPS {
-        // Each problem would run serially on its own; parallelize across
-        // problems instead — one dispatch for the whole batch. Problems
-        // are disjoint `m x n` output blocks, so no synchronization.
-        for_each_chunk_mut(&mut c[..batch * m * n], m * n, run_one);
-    } else {
-        // Either the batch is trivial or each problem is big enough to use
-        // the pool internally; per-problem calls keep that behavior.
-        for (g, c_g) in c[..batch * m * n].chunks_mut(m * n).enumerate() {
-            run_one(g, c_g);
-        }
-    }
-}
-
 /// The number of worker threads the kernel layer will use (threshold
 /// permitting) — `epim-parallel`'s pool size, re-exported for reporting.
 pub fn num_threads_in_use() -> usize {
@@ -409,6 +348,254 @@ pub fn reference_matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &
 // Core
 // ---------------------------------------------------------------------------
 
+/// Where the nest reads its `k x n` operand from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// A strided matrix view.
+    Mat(MatRef<'a>),
+    /// The lowered (im2col) matrix of a stacked activation, never stored.
+    Conv(ConvWindow<'a>),
+}
+
+impl BSource<'_> {
+    /// Packs K rows `pc..pc+kc` of columns `col0..col0+ncols` into
+    /// `nr_k`-wide panels (`bp[p * nr_k + j]`, one after the other in
+    /// `dst`, which holds exactly those panels), zero-padding the last
+    /// panel's column remainder.
+    fn pack(&self, dst: &mut [f32], pc: usize, kc: usize, col0: usize, ncols: usize, nr_k: usize) {
+        for (jp, panel) in dst.chunks_mut(nr_k * kc).enumerate() {
+            let nr = nr_k.min(ncols - jp * nr_k);
+            if nr < nr_k {
+                panel.fill(0.0);
+            }
+            match self {
+                BSource::Mat(b) => b.pack_panel(panel, pc, col0 + jp * nr_k, nr, nr_k),
+                BSource::Conv(win) => win.pack_panel(panel, pc, col0 + jp * nr_k, nr, nr_k),
+            }
+        }
+    }
+}
+
+impl MatRef<'_> {
+    /// Fills the first `nr` columns of one panel from rows `pc..` and
+    /// columns `col0..col0+nr` of the matrix.
+    fn pack_panel(&self, panel: &mut [f32], pc: usize, col0: usize, nr: usize, nr_k: usize) {
+        for (p, prow) in panel.chunks_mut(nr_k).enumerate() {
+            let base = (pc + p) * self.rs + col0 * self.cs;
+            let dst = &mut prow[..nr];
+            if self.cs == 1 {
+                dst.copy_from_slice(&self.data[base..base + nr]);
+            } else {
+                for (j, d) in dst.iter_mut().enumerate() {
+                    *d = self.data[base + j * self.cs];
+                }
+            }
+        }
+    }
+}
+
+/// The B operand of a convolution: the `(c_in·kh·kw) x (images·oh·ow)`
+/// matrix whose K row `(ci, ky, kx)` holds, for every output pixel of every
+/// stacked image, the input value that kernel tap reads (zero in the
+/// padding). Panels are packed straight from the NCHW activation.
+#[derive(Clone, Copy)]
+pub(crate) struct ConvWindow<'a> {
+    xd: &'a [f32],
+    images: usize,
+    c_in: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    cfg: Conv2dCfg,
+    oh: usize,
+    ow: usize,
+}
+
+/// One run of a panel's columns inside a single output row.
+#[derive(Clone, Copy, Default)]
+struct Segment {
+    /// First panel column of the run, and how many it covers.
+    off: usize,
+    len: usize,
+    /// Offset in the activation of the image's first plane.
+    base: usize,
+    /// Padded input row and column the run's first pixel reads at tap (0, 0).
+    y0: usize,
+    x0: usize,
+}
+
+impl<'a> ConvWindow<'a> {
+    /// The window of a `kh x kw` convolution under `cfg` over `images`
+    /// stacked `(c_in, h, w)` activations with `oh x ow` outputs each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xd` is shorter than `images` activations.
+    pub(crate) fn new(
+        xd: &'a [f32],
+        (images, c_in, h, w): (usize, usize, usize, usize),
+        (kh, kw): (usize, usize),
+        cfg: Conv2dCfg,
+        (oh, ow): (usize, usize),
+    ) -> Self {
+        assert!(
+            xd.len() >= images * c_in * h * w,
+            "activation slice too short for its geometry"
+        );
+        // An unpadded stride-1 1x1 window reads each plane front to back:
+        // the plane is one long row, and runs break only between images.
+        let ((h, w), (oh, ow)) = if (kh, kw, cfg.stride, cfg.padding) == (1, 1, 1, 0) {
+            ((1, h * w), (1, oh * ow))
+        } else {
+            ((h, w), (oh, ow))
+        };
+        ConvWindow {
+            xd,
+            images,
+            c_in,
+            h,
+            w,
+            kh,
+            kw,
+            cfg,
+            oh,
+            ow,
+        }
+    }
+
+    /// Fills the first `nr` columns of one panel from K rows `pc..` and
+    /// stacked pixels `col0..col0+nr`. Stride 1 copies the in-bounds part of
+    /// each run as one slice; other strides gather it.
+    fn pack_panel(&self, panel: &mut [f32], pc: usize, col0: usize, nr: usize, nr_k: usize) {
+        let (stride, padding) = (self.cfg.stride, self.cfg.padding);
+        let (h, w) = (self.h, self.w);
+
+        // Cut the panel's columns where the output row changes.
+        let pixels = self.oh * self.ow;
+        let (mut img, pixel) = (col0 / pixels, col0 % pixels);
+        let (mut oy, mut ox) = (pixel / self.ow, pixel % self.ow);
+        let mut segs = [Segment::default(); NR_MAX];
+        let mut n_segs = 0;
+        let mut off = 0;
+        while off < nr {
+            let len = (self.ow - ox).min(nr - off);
+            segs[n_segs] = Segment {
+                off,
+                len,
+                base: img * self.c_in * h * w,
+                y0: oy * stride,
+                x0: ox * stride,
+            };
+            n_segs += 1;
+            off += len;
+            ox += len;
+            if ox == self.ow {
+                ox = 0;
+                oy += 1;
+                if oy == self.oh {
+                    oy = 0;
+                    img += 1;
+                }
+            }
+        }
+
+        let taps = self.kh * self.kw;
+        let (mut ci, mut ky, mut kx) = (pc / taps, pc % taps / self.kw, pc % self.kw);
+        for prow in panel.chunks_mut(nr_k) {
+            for seg in &segs[..n_segs] {
+                let drow = &mut prow[seg.off..seg.off + seg.len];
+                let y = seg.y0 + ky;
+                if y < padding || y >= h + padding {
+                    drow.fill(0.0);
+                    continue;
+                }
+                let src = &self.xd[seg.base + (ci * h + y - padding) * w..][..w];
+                // Element `j` reads padded column `x + j * stride`. An output
+                // row overhangs either edge by at most the padding, so both
+                // clips take a handful of steps.
+                let x = seg.x0 + kx;
+                let mut lo = 0;
+                while lo < seg.len && x + lo * stride < padding {
+                    lo += 1;
+                }
+                let mut hi = seg.len;
+                while hi > lo && x + (hi - 1) * stride >= w + padding {
+                    hi -= 1;
+                }
+                drow[..lo].fill(0.0);
+                drow[hi..].fill(0.0);
+                if lo == hi {
+                    continue;
+                }
+                if stride == 1 {
+                    drow[lo..hi].copy_from_slice(&src[x + lo - padding..x + hi - padding]);
+                } else {
+                    for (j, d) in drow[lo..hi].iter_mut().enumerate() {
+                        *d = src[x + (lo + j) * stride - padding];
+                    }
+                }
+            }
+            kx += 1;
+            if kx == self.kw {
+                kx = 0;
+                ky += 1;
+                if ky == self.kh {
+                    ky = 0;
+                    ci += 1;
+                }
+            }
+        }
+    }
+
+    /// Writes image `img`'s lowered matrix into `dst`, one row of
+    /// `c_in·kh·kw` per output pixel — the operand [`gemm_small`] reads
+    /// through transposed strides.
+    fn gather_image(&self, img: usize, dst: &mut [f32]) {
+        let (c_in, h, w, kh, kw) = (self.c_in, self.h, self.w, self.kh, self.kw);
+        dst.fill(0.0);
+        for (pixel, row) in dst.chunks_mut(c_in * kh * kw).enumerate() {
+            let (oy, ox) = (pixel / self.ow, pixel % self.ow);
+            copy_receptive_runs(self.xd, c_in, h, w, kh, kw, img, oy, ox, self.cfg, row);
+        }
+    }
+}
+
+/// `out[g] (m x oh·ow) = A · window_g (+ bias)` for every stacked image `g`
+/// of `win`: the convolution as one product whose N axis runs over all
+/// images' pixels, written straight into the `(images, m, oh, ow)` layout.
+/// `a` is the `(m x c_in·kh·kw)` weight matrix; `bias` (optional, length
+/// `m`) is added to every element of its output channel and `relu` clamps
+/// each element at its final writeback.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its geometry implies.
+pub(crate) fn gemm_conv(
+    m: usize,
+    a: &[f32],
+    win: ConvWindow,
+    bias: Option<&[f32]>,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let k = win.c_in * win.kh * win.kw;
+    let a = MatRef {
+        data: a,
+        rs: k,
+        cs: 1,
+    };
+    let bias = match bias {
+        Some(bias) => {
+            assert_eq!(bias.len(), m, "row bias length must equal m");
+            Bias::PerRow(bias)
+        }
+        None => Bias::None,
+    };
+    let (images, pixels) = (win.images, win.oh * win.ow);
+    gemm_nest(m, images, pixels, k, a, BSource::Conv(win), bias, relu, out);
+}
+
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     m: usize,
@@ -420,69 +607,259 @@ fn gemm_strided(
     relu: bool,
     c: &mut [f32],
 ) {
-    assert!(c.len() >= m * n, "output slice too short for {m}x{n}");
-    if m > 0 && k > 0 {
-        assert!(
-            a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs,
-            "A slice too short for its geometry"
-        );
-    }
     if k > 0 && n > 0 {
         assert!(
             b.data.len() > (k - 1) * b.rs + (n - 1) * b.cs,
             "B slice too short for its geometry"
         );
     }
+    gemm_nest(m, 1, n, k, a, BSource::Mat(b), bias, relu, c);
+}
 
-    prefill(m, n, bias, c);
-    if m == 0 || n == 0 || k == 0 {
-        // Degenerate contraction: the output is the prefilled bias, and the
-        // epilogue (if any) clamps it in place.
-        if relu {
-            relu_pass(&mut c[..m * n]);
-        }
+/// The one loop nest: `C[g] (m x pixels) = A · B[:, g·pixels..] (+ bias)`
+/// for `images` column groups of `pixels` columns each, stored group after
+/// group in `c` (a plain GEMM is one group of `n` columns).
+///
+/// Every output element is `bias or 0.0`, then per `KC` slice of K in order
+/// `c + tile`, the tile an accumulation from zero over the slice in order,
+/// clamped on the last slice when `relu` is set — whatever the blocking,
+/// the element's place in a panel, or the thread count.
+#[allow(clippy::too_many_arguments)]
+fn gemm_nest(
+    m: usize,
+    images: usize,
+    pixels: usize,
+    k: usize,
+    a: MatRef,
+    b: BSource,
+    bias: Bias,
+    relu: bool,
+    c: &mut [f32],
+) {
+    let n = images * pixels;
+    assert!(
+        c.len() >= m * n,
+        "output slice too short for {m}x{pixels}x{images}"
+    );
+    if m > 0 && k > 0 {
+        assert!(
+            a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs,
+            "A slice too short for its geometry"
+        );
+    }
+    if m == 0 || n == 0 {
         return;
     }
+    let c = &mut c[..m * n];
 
-    if m * n * k <= SMALL_FLOPS {
-        gemm_small(m, n, k, a, b, c);
-        // The small path accumulates in place, so its final values are the
-        // same sums the epilogue-free call produces; clamping afterwards is
-        // bit-identical to a separate ReLU pass.
-        if relu {
-            relu_pass(&mut c[..m * n]);
+    if m * pixels * k <= SMALL_FLOPS {
+        // Plain serial loops per group (none for `k == 0`: the output is
+        // the prefilled bias). They accumulate in place, so clamping
+        // afterwards is bit-identical to a separate ReLU pass.
+        let group = |g: usize, c_g: &mut [f32]| {
+            prefill(m, pixels, bias, c_g);
+            match b {
+                BSource::Mat(b) => gemm_small(m, pixels, k, a, b, c_g),
+                BSource::Conv(win) => PACK_BUF.with_borrow_mut(|buf| {
+                    if buf.len() < pixels * k {
+                        buf.resize(pixels * k, 0.0);
+                    }
+                    let lowered = &mut buf[..pixels * k];
+                    win.gather_image(g, lowered);
+                    let b = MatRef {
+                        data: lowered,
+                        rs: 1,
+                        cs: k,
+                    };
+                    gemm_small(m, pixels, k, a, b, c_g);
+                }),
+            }
+            if relu {
+                relu_pass(c_g);
+            }
+        };
+        if images > 1 && m * n * k >= PARALLEL_FLOPS {
+            for_each_chunk_mut(c, m * pixels, group);
+        } else {
+            c.chunks_mut(m * pixels)
+                .enumerate()
+                .for_each(|(g, c_g)| group(g, c_g));
         }
         return;
     }
 
     let kind = kernel_kind();
-    let (mr_k, nr_k) = (kind.mr(), kind.nr());
-    let n_panels = n.div_ceil(nr_k);
-    let mut bpack = vec![0.0f32; n_panels * nr_k * KC.min(k)];
-    let mut pc = 0usize;
-    while pc < k {
-        let kc = KC.min(k - pc);
-        pack_b(&mut bpack, b, pc, kc, n, nr_k);
-        let bpack_ref: &[f32] = &bpack;
-        // The ReLU epilogue fires only on the final K slice's writeback:
-        // earlier slices hold partial sums that must stay unclamped.
-        let relu_now = relu && pc + kc == k;
-
-        let row_band = mr_k * n;
-        if m * n * k >= PARALLEL_FLOPS {
-            for_each_chunk_mut(&mut c[..m * n], row_band, |chunk_idx, c_chunk| {
-                update_row_band(
-                    chunk_idx, c_chunk, m, n, kc, pc, a, bpack_ref, kind, relu_now,
-                );
-            });
-        } else {
-            for (chunk_idx, c_chunk) in c[..m * n].chunks_mut(row_band).enumerate() {
-                update_row_band(
-                    chunk_idx, c_chunk, m, n, kc, pc, a, bpack_ref, kind, relu_now,
-                );
+    let mr_k = kind.mr();
+    // One task per cell of a grid over C: even column blocks of at most `NC`
+    // columns, cut into row blocks only while there are fewer cells than
+    // pool threads (each row block packs the B block again, so columns are
+    // the cheaper axis to split).
+    let (panels, bands) = (n.div_ceil(kind.nr()), m.div_ceil(mr_k));
+    let block_cols = panels.div_ceil(n.div_ceil(NC)) * kind.nr();
+    let col_blocks = n.div_ceil(block_cols);
+    let threads = if m * n * k >= PARALLEL_FLOPS {
+        epim_parallel::num_threads()
+    } else {
+        1
+    };
+    let rows_per_block = bands.div_ceil(threads.div_ceil(col_blocks).min(bands)) * mr_k;
+    let row_blocks = m.div_ceil(rows_per_block);
+    let mut tasks: Vec<Task> = (0..col_blocks * row_blocks)
+        .map(|idx| {
+            let (cb, rb) = (idx / row_blocks, idx % row_blocks);
+            let (col0, row0) = (cb * block_cols, rb * rows_per_block);
+            let ncols = block_cols.min(n - col0);
+            let nrows = rows_per_block.min(m - row0);
+            let groups = (col0 + ncols - 1) / pixels - col0 / pixels + 1;
+            Task {
+                col0,
+                ncols,
+                row0,
+                nrows,
+                segs: Vec::with_capacity(groups * nrows),
             }
+        })
+        .collect();
+    // Deal every output row out to the tasks it crosses. Rows arrive in
+    // (group, row) order, so a task's segments are group-major.
+    for (r, mut row) in c.chunks_mut(pixels).enumerate() {
+        let rb = (r % m) / rows_per_block;
+        let mut col = (r / m) * pixels;
+        while !row.is_empty() {
+            let cb = col / block_cols;
+            let len = ((cb + 1) * block_cols - col).min(row.len());
+            let (seg, rest) = std::mem::take(&mut row).split_at_mut(len);
+            tasks[cb * row_blocks + rb].segs.push(seg);
+            col += len;
+            row = rest;
         }
-        pc += kc;
+    }
+
+    let nest = Nest {
+        pixels,
+        k,
+        a,
+        b,
+        bias,
+        relu,
+        kind,
+    };
+    if threads > 1 {
+        for_each_chunk_mut(&mut tasks, 1, |_, task| nest.run(&mut task[0]));
+    } else {
+        tasks.iter_mut().for_each(|task| nest.run(task));
+    }
+}
+
+thread_local! {
+    /// The calling thread's packed B block (at most `NC * KC` floats), kept
+    /// across calls so a pool worker's block stays warm in its L2.
+    static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What every task of one product shares.
+struct Nest<'a> {
+    /// Columns per output group.
+    pixels: usize,
+    k: usize,
+    a: MatRef<'a>,
+    b: BSource<'a>,
+    bias: Bias<'a>,
+    relu: bool,
+    kind: KernelKind,
+}
+
+/// One block of columns by one block of rows of the output.
+struct Task<'c> {
+    col0: usize,
+    ncols: usize,
+    row0: usize,
+    nrows: usize,
+    /// The task's part of each output row: `nrows` slices per column group
+    /// the block touches, group after group.
+    segs: Vec<&'c mut [f32]>,
+}
+
+impl Nest<'_> {
+    /// Computes one task: per K slice, packs the task's B block into the
+    /// thread's buffer, then sweeps the task's row bands over it.
+    fn run(&self, task: &mut Task) {
+        let (mr_k, nr_k) = (self.kind.mr(), self.kind.nr());
+        let panels = task.ncols.div_ceil(nr_k);
+        PACK_BUF.with_borrow_mut(|buf| {
+            let need = panels * nr_k * KC.min(self.k);
+            if buf.len() < need {
+                buf.resize(need, 0.0);
+            }
+            let mut apanel = [0.0f32; MR_MAX * KC];
+            let mut tile = [0.0f32; MR_MAX * NR_MAX];
+            for pc in (0..self.k).step_by(KC) {
+                let kc = KC.min(self.k - pc);
+                let bpack = &mut buf[..panels * nr_k * kc];
+                self.b.pack(bpack, pc, kc, task.col0, task.ncols, nr_k);
+                for i0 in (0..task.nrows).step_by(mr_k) {
+                    let mr = mr_k.min(task.nrows - i0);
+                    pack_a(&mut apanel, self.a, task.row0 + i0, mr, pc, kc, mr_k);
+                    for (jp, bpanel) in bpack.chunks(nr_k * kc).enumerate() {
+                        run_kernel(self.kind, kc, &apanel, bpanel, &mut tile);
+                        self.write_back(task, &tile, (i0, mr), jp * nr_k, pc);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Adds rows `i0..i0+mr` of the tile at block column `t0` into the
+    /// task's output, group by group. The first K slice (`pc == 0`) writes
+    /// the bias under it; the ReLU epilogue fires only on the last slice's
+    /// writeback — earlier ones hold partial sums that must stay unclamped —
+    /// where `c + tile` is the same arithmetic as the unfused writeback, so
+    /// clamping it is bit-identical to a separate ReLU over the finished C.
+    fn write_back(
+        &self,
+        task: &mut Task,
+        tile: &[f32; MR_MAX * NR_MAX],
+        (i0, mr): (usize, usize),
+        t0: usize,
+        pc: usize,
+    ) {
+        let nr_k = self.kind.nr();
+        let t1 = task.ncols.min(t0 + nr_k);
+        let relu = self.relu && pc + KC >= self.k;
+        let first_group = task.col0 / self.pixels;
+        let mut s = (task.col0 + t0) / self.pixels - first_group;
+        loop {
+            // The columns of the block that group `first_group + s` covers.
+            let g0 = ((first_group + s) * self.pixels).saturating_sub(task.col0);
+            let g1 = ((first_group + s + 1) * self.pixels - task.col0).min(task.ncols);
+            let (lo, hi) = (g0.max(t0), g1.min(t1));
+            for i in 0..mr {
+                let crow = &mut task.segs[s * task.nrows + i0 + i][lo - g0..hi - g0];
+                let trow = &tile[i * nr_k + lo - t0..i * nr_k + hi - t0];
+                if pc == 0 {
+                    match self.bias {
+                        Bias::None => crow.fill(0.0),
+                        Bias::PerRow(bias) => crow.fill(bias[task.row0 + i0 + i]),
+                        Bias::PerCol(bias) => {
+                            crow.copy_from_slice(&bias[task.col0 + lo..task.col0 + hi]);
+                        }
+                    }
+                }
+                if relu {
+                    for (co, &tv) in crow.iter_mut().zip(trow) {
+                        *co = (*co + tv).max(0.0);
+                    }
+                } else {
+                    for (co, &tv) in crow.iter_mut().zip(trow) {
+                        *co += tv;
+                    }
+                }
+            }
+            if g1 >= t1 {
+                return;
+            }
+            s += 1;
+        }
     }
 }
 
@@ -493,68 +870,33 @@ fn relu_pass(c: &mut [f32]) {
     }
 }
 
-/// Accumulates the current K slice into one `mr`-row band of C.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn update_row_band(
-    chunk_idx: usize,
-    c_chunk: &mut [f32],
-    m: usize,
-    n: usize,
-    kc: usize,
-    pc: usize,
-    a: MatRef,
-    bpack: &[f32],
+/// Runs the `kind` micro-kernel over one packed A panel and B panel,
+/// overwriting `tile` (row stride `kind.nr()`).
+#[inline(always)]
+fn run_kernel(
     kind: KernelKind,
-    relu: bool,
+    kc: usize,
+    apanel: &[f32; MR_MAX * KC],
+    bpanel: &[f32],
+    tile: &mut [f32; MR_MAX * NR_MAX],
 ) {
-    let (mr_k, nr_k) = (kind.mr(), kind.nr());
-    let row0 = chunk_idx * mr_k;
-    let mr = mr_k.min(m - row0);
-    let mut apanel = [0.0f32; MR_MAX * KC];
-    pack_a(&mut apanel, a, row0, mr, pc, kc, mr_k);
-
-    let mut tile = [0.0f32; MR_MAX * NR_MAX];
-    let n_panels = n.div_ceil(nr_k);
-    for jp in 0..n_panels {
-        let col0 = jp * nr_k;
-        let nr = nr_k.min(n - col0);
-        let bpanel = &bpack[jp * nr_k * kc..(jp + 1) * nr_k * kc];
-        match kind {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `kernel_kind()` verified avx512f at runtime; the
-            // pointers cover `kc * 8` / `kc * 32` / `8 * 32` floats by
-            // construction of the panel and tile buffers.
-            KernelKind::Avx512 => unsafe {
-                kernel_8x32_avx512(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above, with avx2+fma verified and 6x16 geometry.
-            KernelKind::Fma => unsafe {
-                kernel_6x16_fma(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            KernelKind::Avx512 | KernelKind::Fma => {
-                kernel_8x8_generic(kc, &apanel, bpanel, &mut tile)
-            }
-            KernelKind::Generic => kernel_8x8_generic(kc, &apanel, bpanel, &mut tile),
-        }
-        for i in 0..mr {
-            let crow = &mut c_chunk[i * n + col0..i * n + col0 + nr];
-            let trow = &tile[i * nr_k..i * nr_k + nr];
-            if relu {
-                // Final K slice: the sum `*co + tv` is the same arithmetic
-                // as the unfused writeback, so clamping here is
-                // bit-identical to a separate ReLU over the finished C.
-                for (co, &tv) in crow.iter_mut().zip(trow) {
-                    *co = (*co + tv).max(0.0);
-                }
-            } else {
-                for (co, &tv) in crow.iter_mut().zip(trow) {
-                    *co += tv;
-                }
-            }
-        }
+    assert!(kc <= KC && bpanel.len() >= kc * kind.nr());
+    match kind {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `kernel_kind()` verified avx512f at runtime; the
+        // pointers cover `kc * 8` / `kc * 32` / `8 * 32` floats by the
+        // array types and the assertion above.
+        KernelKind::Avx512 => unsafe {
+            kernel_8x32_avx512(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, with avx2+fma verified and 6x16 geometry.
+        KernelKind::Fma => unsafe {
+            kernel_6x16_fma(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelKind::Avx512 | KernelKind::Fma => kernel_8x8_generic(kc, apanel, bpanel, tile),
+        KernelKind::Generic => kernel_8x8_generic(kc, apanel, bpanel, tile),
     }
 }
 
@@ -665,32 +1007,8 @@ fn pack_a(
     }
 }
 
-/// Packs the `kc x n` slice of B (rows `pc..pc+kc`) into `nr_k`-wide column
-/// panels, zero-padding the column remainder.
-fn pack_b(bpack: &mut [f32], b: MatRef, pc: usize, kc: usize, n: usize, nr_k: usize) {
-    let n_panels = n.div_ceil(nr_k);
-    for jp in 0..n_panels {
-        let col0 = jp * nr_k;
-        let nr = nr_k.min(n - col0);
-        let panel = &mut bpack[jp * nr_k * kc..(jp + 1) * nr_k * kc];
-        if nr < nr_k {
-            panel.fill(0.0);
-        }
-        for p in 0..kc {
-            let base = (pc + p) * b.rs + col0 * b.cs;
-            let dst = &mut panel[p * nr_k..p * nr_k + nr];
-            if b.cs == 1 {
-                dst.copy_from_slice(&b.data[base..base + nr]);
-            } else {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = b.data[base + j * b.cs];
-                }
-            }
-        }
-    }
-}
-
-/// Prefills C with the fused bias (or zeros).
+/// Prefills C with the fused bias (or zeros) for the small path, which
+/// accumulates in place.
 fn prefill(m: usize, n: usize, bias: Bias, c: &mut [f32]) {
     match bias {
         Bias::None => c[..m * n].fill(0.0),
@@ -709,6 +1027,11 @@ fn prefill(m: usize, n: usize, bias: Bias, c: &mut [f32]) {
 
 /// Serial path for tiny problems: no packing, no threads.
 fn gemm_small(m: usize, n: usize, k: usize, a: MatRef, b: MatRef, c: &mut [f32]) {
+    if k == 0 {
+        // An empty sum adds nothing — not even the `+ 0.0` that would turn a
+        // `-0.0` bias into `+0.0`.
+        return;
+    }
     if b.cs == 1 {
         // Inner loop walks contiguous B rows (ikj / axpy).
         for i in 0..m {
@@ -886,50 +1209,18 @@ mod tests {
     }
 
     #[test]
-    fn nt_batch_bit_identical_to_per_problem_calls() {
-        // Sizes straddling the small/blocked and serial/parallel
-        // thresholds; the batched entry must reproduce the per-problem
-        // loop exactly (==, not allclose).
-        for &(batch, m, n, k) in &[
-            (1usize, 4usize, 6usize, 5usize),
-            (3, 8, 16, 9),
-            (5, 16, 49, 36),  // conv-like: c_out x pixels x ckk
-            (16, 32, 64, 72), // crosses PARALLEL_FLOPS in aggregate
-            (2, 64, 70, 300), // per-problem blocked path
-        ] {
-            let a = dense(m, k, 21);
-            let b = dense(batch * n, k, 22);
-            let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.125 - 1.0).collect();
-            for with_bias in [false, true] {
-                let bias_opt = with_bias.then_some(&bias[..]);
-                let mut want = vec![f32::NAN; batch * m * n];
-                for g in 0..batch {
-                    let b_g = &b[g * n * k..(g + 1) * n * k];
-                    let c_g = &mut want[g * m * n..(g + 1) * m * n];
-                    match bias_opt {
-                        Some(bb) => gemm_nt_bias_row(m, n, k, &a, b_g, bb, c_g),
-                        None => gemm_nt(m, n, k, &a, b_g, c_g),
-                    }
-                }
-                let mut got = vec![f32::NAN; batch * m * n];
-                gemm_nt_batch(batch, m, n, k, &a, &b, bias_opt, false, &mut got);
-                assert_eq!(
-                    got, want,
-                    "batch={batch} m={m} n={n} k={k} bias={with_bias}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nt_batch_empty_batch_is_noop() {
+    fn conv_empty_batch_is_noop() {
+        let cfg = Conv2dCfg {
+            stride: 1,
+            padding: 0,
+        };
         let mut c: Vec<f32> = vec![7.0; 4];
-        gemm_nt_batch(0, 2, 2, 3, &[], &[], None, false, &mut c);
+        let window = ConvWindow::new(&[], (0, 3, 2, 2), (1, 1), cfg, (2, 2));
+        gemm_conv(2, &[0.0; 6], window, None, false, &mut c);
         assert_eq!(c, vec![7.0; 4]);
-        // Degenerate problem shapes (m or n zero) are no-ops too, not
-        // zero-sized-chunk panics.
-        gemm_nt_batch(3, 0, 2, 3, &[], &[0.0; 18], None, false, &mut c);
-        gemm_nt_batch(3, 2, 0, 3, &[0.0; 6], &[], None, false, &mut c);
+        // No output channels is a no-op too, not a zero-sized-chunk panic.
+        let window = ConvWindow::new(&[0.0; 24], (2, 3, 2, 2), (1, 1), cfg, (2, 2));
+        gemm_conv(0, &[], window, None, false, &mut c);
         assert_eq!(c, vec![7.0; 4]);
     }
 
@@ -976,17 +1267,22 @@ mod tests {
 
     #[test]
     fn relu_epilogue_on_batch_and_degenerate_k() {
-        // Batched path (including the cross-problem parallel dispatch).
-        for &(batch, m, n, k) in &[(3usize, 8usize, 16usize, 9usize), (16, 32, 64, 72)] {
-            let a = dense(m, k, 41);
-            let b = dense(batch * n, k, 42);
+        // Stacked-batch path (including the cross-image parallel dispatch).
+        for &(images, m, c_in, hw) in &[(3usize, 8usize, 1usize, 4usize), (16, 32, 8, 8)] {
+            let a = dense(m, c_in * 9, 41);
+            let x = dense(images * c_in, hw * hw, 42);
             let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.125 - 1.0).collect();
-            let mut want = vec![f32::NAN; batch * m * n];
-            gemm_nt_batch(batch, m, n, k, &a, &b, Some(&bias), false, &mut want);
+            let cfg = Conv2dCfg {
+                stride: 1,
+                padding: 1,
+            };
+            let window = ConvWindow::new(&x, (images, c_in, hw, hw), (3, 3), cfg, (hw, hw));
+            let mut want = vec![f32::NAN; images * m * hw * hw];
+            gemm_conv(m, &a, window, Some(&bias), false, &mut want);
             relu_pass(&mut want);
-            let mut got = vec![f32::NAN; batch * m * n];
-            gemm_nt_batch(batch, m, n, k, &a, &b, Some(&bias), true, &mut got);
-            assert_eq!(got, want, "batched relu {batch}x{m}x{n}x{k}");
+            let mut got = vec![f32::NAN; images * m * hw * hw];
+            gemm_conv(m, &a, window, Some(&bias), true, &mut got);
+            assert_eq!(got, want, "batched relu {images}x{m}x{c_in}x{hw}");
         }
 
         // k == 0: output is pure (clamped) bias — including a negative-zero
