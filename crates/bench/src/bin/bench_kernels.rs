@@ -38,16 +38,21 @@
 
 use epim::core::{ConvShape, Epitome, EpitomeDesigner, EpitomeShape, EpitomeSpec};
 use epim::models::lower::NetworkWeights;
+use epim::models::resnet::resnet50;
 use epim::models::zoo;
 use epim::pim::datapath::{AnalogModel, CompiledPlan, DataPath};
 use epim::pim::mvm::{crossbar_mvm, crossbar_mvm_portable, CrossbarRound};
+use epim::pim::{LayerCosts, Precision};
+use epim::quant::{quantize_epitome, QuantGranularity, QuantReport, Quantizer, RangeEstimator};
 use epim::runtime::{Engine, EngineConfig, NetworkEngine, PlanCache};
+use epim::search::{EvoSearch, SearchConfig, SearchLayer};
 use epim::tensor::ops::gemm::{gemm_nt_bias_row, reference_matmul};
 use epim::tensor::ops::{
     add_relu_slice, add_slice, conv2d, conv2d_into, conv2d_out_dims, conv2d_ref, global_avg_pool,
     im2col, max_pool2d, relu, relu_slice, softmax_rows, softmax_rows_scalar, Conv2dCfg, PoolCfg,
 };
 use epim::tensor::{init, rng, Tensor};
+use epim_bench::experiments::{cost_model, search_problem};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -1452,6 +1457,238 @@ fn bench_serve_tcp(entries: &mut Vec<Entry>, reps: usize) {
         .expect("server drains cleanly");
 }
 
+/// The patch walk `Epitome::repetition_map` replaced: every kx run of
+/// every patch bumps the epitome elements it reads, one increment per
+/// *convolution* element.
+fn patch_walk_repetition_map(epi: &Epitome) -> Tensor {
+    let (conv, shape) = (epi.spec().conv(), epi.spec().shape());
+    let (e1, e2, e3) = (shape.cin * shape.h * shape.w, shape.h * shape.w, shape.w);
+    let mut counts = vec![0.0f32; shape.params()];
+    for patch in epi.spec().plan().patches() {
+        for a in 0..patch.size[0] {
+            for b in 0..patch.size[1] {
+                for c in 0..patch.size[2] {
+                    let src = (patch.src[0] + a) * e1
+                        + (patch.src[1] + b) * e2
+                        + (patch.src[2] + c) * e3
+                        + patch.src[3];
+                    for n in &mut counts[src..src + patch.size[3]] {
+                        *n += 1.0;
+                    }
+                }
+            }
+        }
+    }
+    debug_assert_eq!(counts.iter().sum::<f32>() as usize, conv.params());
+    Tensor::from_vec(counts, &shape.dims()).expect("one count per epitome element")
+}
+
+/// The per-element `quantize_epitome` the slice kernel replaced, for
+/// per-crossbar tiles with overlap-weighted ranges: both tensors
+/// transposed to matrix form through `from_fn`/`at`, a gathered `Vec` per
+/// tile, scalar quantize/dequantize through `at`/`set`, a scatter back and
+/// a whole-epitome clone.
+fn per_element_quantize_epitome(
+    epi: &Epitome,
+    bits: u8,
+    (tile_rows, tile_cols): (usize, usize),
+    (w1, w2): (f32, f32),
+) -> (Epitome, QuantReport) {
+    let shape = epi.spec().shape();
+    let (rows, cols) = (shape.matrix_rows(), shape.cout);
+    let to_matrix = |t: &Tensor| {
+        Tensor::from_fn(&[rows, cols], |idx| {
+            let (row, co) = (idx[0], idx[1]);
+            let (x, y) = (row % shape.w, (row / shape.w) % shape.h);
+            t.at(&[co, row / (shape.w * shape.h), y, x])
+        })
+    };
+    let matrix = to_matrix(epi.tensor());
+    let reps = to_matrix(&patch_walk_repetition_map(epi));
+    let (w1, w2) = (w1 / (w1 + w2), w2 / (w1 + w2));
+    let mut out = matrix.clone();
+    let mut groups = 0;
+    for r0 in (0..rows).step_by(tile_rows) {
+        for c0 in (0..cols).step_by(tile_cols) {
+            let (r1, c1) = ((r0 + tile_rows).min(rows), (c0 + tile_cols).min(cols));
+            let (mut vals, mut counts) = (Vec::new(), Vec::new());
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    vals.push(matrix.at(&[r, c]));
+                    counts.push(reps.at(&[r, c]));
+                }
+            }
+            let threshold = counts.iter().copied().fold(f32::INFINITY, f32::min);
+            let mut ov = (f32::INFINITY, f32::NEG_INFINITY);
+            let mut rest = ov;
+            for (&v, &c) in vals.iter().zip(&counts) {
+                let slot = if c > threshold { &mut ov } else { &mut rest };
+                *slot = (slot.0.min(v), slot.1.max(v));
+            }
+            let ov = if ov.0.is_finite() { ov } else { rest };
+            let rest = if rest.0.is_finite() { rest } else { ov };
+            let (alpha, beta) = (w1 * ov.0 + w2 * rest.0, w1 * ov.1 + w2 * rest.1);
+            let q = Quantizer::from_range(bits, alpha.min(beta), alpha.max(beta))
+                .expect("finite weights");
+            groups += 1;
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    let v = q.dequantize(q.quantize(matrix.at(&[r, c])));
+                    out.set(&[r, c], v).expect("inside the matrix");
+                }
+            }
+        }
+    }
+    let mse = matrix.mse(&out).expect("same shape") as f64;
+    let p_sig = matrix.norm_sq() as f64 / matrix.len() as f64;
+    let report = QuantReport {
+        bits,
+        groups,
+        mse,
+        sqnr_db: 10.0 * (p_sig / mse).log10(),
+    };
+    let data = Tensor::from_fn(&shape.dims(), |idx| {
+        out.at(&[(idx[1] * shape.h + idx[2]) * shape.w + idx[3], idx[0]])
+    });
+    let mut quantized = epi.clone();
+    quantized.set_tensor(data).expect("same shape");
+    (quantized, report)
+}
+
+/// The design-time kernels against the per-element implementations they
+/// replaced, each a hard `0` gate:
+/// - `quantize_epitome_1024x256_3bit_xbar_overlap`: the paper's uniform
+///   epitome at 3 bits, one scale per 128x128 crossbar, overlap-weighted
+///   ranges; the diff covers the values and both report figures;
+/// - `repetition_map_512x512x3x3`: the separable product against the patch
+///   walk on the same epitome shape for a 512->512 3x3 layer;
+/// - `evo_search_r50_40x32`: the evaluations of one published-size search
+///   (40 generations of 32) over the ResNet-50 problem, a fixed stream of
+///   genomes: simulating every layer of every genome against building the
+///   cost table once and summing entries; the diff covers reward, latency,
+///   energy, utilization and crossbars.
+fn bench_design_time(entries: &mut Vec<Entry>, reps: usize) {
+    let design = |conv| {
+        let spec = EpitomeDesigner::new(128, 128)
+            .design(conv, 1024, 256)
+            .expect("legal design");
+        let data = init::kaiming_normal(&spec.shape().dims(), &mut rng::seeded(1600));
+        Epitome::from_tensor(spec, data).expect("shape matches")
+    };
+
+    let epi = design(ConvShape::new(512, 256, 3, 3));
+    let overlap = RangeEstimator::overlap_default();
+    let RangeEstimator::OverlapWeighted { w1, w2 } = overlap else {
+        unreachable!("the default is overlap-weighted")
+    };
+    let (baseline_ms, (q_base, rep_base)) = time_best(reps, || {
+        per_element_quantize_epitome(&epi, 3, (128, 128), (w1, w2))
+    });
+    let tiles = QuantGranularity::PerCrossbar {
+        rows: 128,
+        cols: 128,
+    };
+    let (optimized_ms, (q_opt, rep_opt)) = time_best(reps, || {
+        quantize_epitome(&epi, 3, tiles, &overlap).expect("quantizes")
+    });
+    assert_eq!(rep_base.groups, rep_opt.groups);
+    entries.push(Entry {
+        name: "quantize_epitome_1024x256_3bit_xbar_overlap".to_string(),
+        baseline_ms,
+        optimized_ms,
+        speedup: baseline_ms / optimized_ms,
+        max_abs_diff: max_abs_diff(q_base.tensor().data(), q_opt.tensor().data())
+            .max((rep_base.mse - rep_opt.mse).abs())
+            .max((rep_base.sqnr_db - rep_opt.sqnr_db).abs()),
+    });
+
+    let epi = design(ConvShape::new(512, 512, 3, 3));
+    // Eight maps per timed call: one separable map takes ~40 us, too
+    // short for a steady ratio.
+    let eight = |map: &dyn Fn() -> Tensor| {
+        let mut last = map();
+        for _ in 1..8 {
+            last = map();
+        }
+        last
+    };
+    let (baseline_ms, reps_base) = time_best(reps, || eight(&|| patch_walk_repetition_map(&epi)));
+    let (optimized_ms, reps_opt) = time_best(reps, || eight(&|| epi.repetition_map()));
+    entries.push(Entry {
+        name: "repetition_map_512x512x3x3".to_string(),
+        baseline_ms,
+        optimized_ms,
+        speedup: baseline_ms / optimized_ms,
+        max_abs_diff: max_abs_diff(reps_base.data(), reps_opt.data()),
+    });
+
+    let layers: Vec<SearchLayer> = search_problem(&resnet50())
+        .into_iter()
+        .map(|(_, layer)| layer)
+        .collect();
+    let (model, precision) = (cost_model(true), Precision::new(9, 9));
+    let mut r = rng::seeded(1601);
+    let genomes: Vec<Vec<usize>> = (0..40 * 32)
+        .map(|_| {
+            layers
+                .iter()
+                .map(|l| rng::uniform(&mut r, 0.0, l.candidates.len() as f32) as usize)
+                .collect()
+        })
+        .collect();
+    // The default configuration maximises `1 / latency` with no budget.
+    let figures = |c: &LayerCosts, reward: f64| {
+        [
+            reward,
+            c.latency_ns,
+            c.energy_pj,
+            c.utilization,
+            c.crossbars as f64,
+        ]
+    };
+    let (baseline_ms, base) = time_best(reps, || {
+        genomes
+            .iter()
+            .map(|g| {
+                let total = layers
+                    .iter()
+                    .zip(g)
+                    .map(|(l, &gi)| model.epitome_layer(&l.candidates[gi], l.out_pixels, precision))
+                    .reduce(|total, c| total.combine(&c))
+                    .expect("at least one layer");
+                figures(&total, 1.0 / total.latency_ns)
+            })
+            .collect::<Vec<_>>()
+    });
+    // `EvoSearch::new` takes its layers by value: one copy per timed call,
+    // made outside the timing.
+    let mut copies: Vec<_> = (0..=reps).map(|_| layers.clone()).collect();
+    let (optimized_ms, opt) = time_best(reps, || {
+        let layers = copies.pop().expect("one copy per call");
+        let search = EvoSearch::new(layers, model, precision, SearchConfig::default())
+            .expect("valid problem");
+        genomes
+            .iter()
+            .map(|g| {
+                let (total, reward) = search.evaluate(g);
+                figures(&total, reward)
+            })
+            .collect::<Vec<_>>()
+    });
+    entries.push(Entry {
+        name: "evo_search_r50_40x32".to_string(),
+        baseline_ms,
+        optimized_ms,
+        speedup: baseline_ms / optimized_ms,
+        max_abs_diff: base
+            .iter()
+            .flatten()
+            .zip(opt.iter().flatten())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max),
+    });
+}
+
 /// A >25% relative slowdown (in speedup-over-seed terms) fails the gate.
 const SLOWDOWN_TOLERANCE: f64 = 1.25;
 
@@ -1514,6 +1751,7 @@ fn run_sweep(reps: usize) -> Report {
     bench_serve_tcp(&mut entries, reps);
     bench_datapath_mvm(&mut entries, reps);
     bench_conv_r50(&mut entries, reps);
+    bench_design_time(&mut entries, reps);
     Report {
         schema_version: 1,
         generated_by: "epim-bench bench_kernels".to_string(),

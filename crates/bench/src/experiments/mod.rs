@@ -114,8 +114,9 @@ pub fn searched_network(
     fast: bool,
 ) -> Network {
     let problem = search_problem(backbone);
-    let layers: Vec<SearchLayer> = problem.iter().map(|(_, l)| l.clone()).collect();
-    let mut cfg = SearchConfig {
+    let reference_genome = reference.map(|r| genome_for_reference(&problem, r));
+    let (layer_indices, layers): (Vec<usize>, Vec<SearchLayer>) = problem.into_iter().unzip();
+    let cfg = SearchConfig {
         population: if fast { 12 } else { 32 },
         iterations: if fast { 8 } else { 40 },
         objective,
@@ -123,27 +124,23 @@ pub fn searched_network(
         seed: 2024,
         ..SearchConfig::default()
     };
+    let mut search =
+        EvoSearch::new(layers, cost_model(wrapping), precision, cfg).expect("valid search problem");
     // The reference network's shapes may not be exactly representable in
     // the candidate ladder; widen the budget just enough that the nearest
     // representable genome stays feasible, so the search provably starts
-    // from (at least) the reference design.
-    let reference_genome = reference.map(|r| genome_for_reference(&problem, r));
+    // from (at least) the reference design. A genome's costs do not depend
+    // on the budget, so the probe and the search share one cost table.
     if let Some(g) = &reference_genome {
-        let probe = EvoSearch::new(
-            layers.clone(),
-            cost_model(wrapping),
-            precision,
-            SearchConfig {
-                crossbar_budget: usize::MAX,
+        let (seed_costs, _) = search.evaluate(g);
+        search = search
+            .with_config(SearchConfig {
+                crossbar_budget: budget.max(seed_costs.crossbars),
                 ..cfg
-            },
-        )
-        .expect("valid search problem");
-        let (seed_costs, _) = probe.evaluate(g);
-        cfg.crossbar_budget = cfg.crossbar_budget.max(seed_costs.crossbars);
+            })
+            .expect("only the budget changed");
     }
-    let search = EvoSearch::new(layers.clone(), cost_model(wrapping), precision, cfg)
-        .expect("valid search problem");
+    let layers = search.layers();
     // Seed the population with interpretable heuristics: all-identity
     // (fast, crossbar-hungry), all-most-compressed (slow, frugal), and a
     // pixel-aware ramp (big epitomes where output pixels — and therefore
@@ -170,10 +167,10 @@ pub fn searched_network(
     let (best, _) = search.run_seeded(&seeds);
 
     let mut net = Network::baseline(backbone.clone());
-    for ((layer_idx, sl), &gene) in problem.iter().zip(&best.genome) {
+    for ((&layer_idx, sl), &gene) in layer_indices.iter().zip(layers).zip(&best.genome) {
         let spec = sl.candidates[gene].clone();
         net.set_choice(
-            *layer_idx,
+            layer_idx,
             epim::models::network::OperatorChoice::Epitome(spec),
         )
         .expect("index within backbone");
@@ -193,6 +190,56 @@ mod tests {
         let uniform = uniform_epim(bb);
         assert_eq!(problem.len(), uniform.epitome_layers());
         assert!(problem.len() > 20);
+    }
+
+    /// The ResNet-50 search at the published settings, pinned to what it
+    /// returned before `EvoSearch` summed a cost table instead of
+    /// re-simulating each genome: genome, reward bits and a fold of every
+    /// generation's best reward.
+    #[test]
+    fn resnet50_search_returns_the_pinned_design() {
+        let bb = resnet50();
+        let prec = Precision::new(9, 9);
+        let budget = epitome_layer_crossbars(&uniform_epim(bb.clone()), prec);
+        assert_eq!(budget, 1579);
+        #[rustfmt::skip]
+        let pinned: [(Objective, [usize; 36], u64, u64); 2] = [
+            (
+                Objective::Latency,
+                [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 5, 10, 8, 9, 4, 9,
+                 0, 5, 2, 8, 6, 0, 6, 4, 8, 6, 4, 7, 6, 10, 7, 6, 11, 7],
+                0x3e71c5b43a58c84a,
+                0xb7abbe0e62014526,
+            ),
+            (
+                Objective::Energy,
+                [3, 9, 3, 12, 5, 0, 5, 5, 2, 11, 2, 7, 0, 5, 7, 11, 2, 8,
+                 2, 3, 11, 0, 8, 5, 7, 11, 11, 8, 11, 7, 11, 11, 1, 4, 2, 8],
+                0x3de71713cecbcb52,
+                0xb5aba294b6135dba,
+            ),
+        ];
+        for (objective, genome, reward_bits, trace_fold) in pinned {
+            let layers: Vec<SearchLayer> =
+                search_problem(&bb).into_iter().map(|(_, l)| l).collect();
+            let cfg = SearchConfig {
+                population: 32,
+                iterations: 40,
+                objective,
+                crossbar_budget: budget,
+                seed: 2024,
+                ..SearchConfig::default()
+            };
+            let search = EvoSearch::new(layers, cost_model(true), prec, cfg).unwrap();
+            let (best, trace) = search.run_seeded(&[vec![0; genome.len()]]);
+            assert_eq!(best.genome, genome, "{objective:?}");
+            assert_eq!(best.reward.to_bits(), reward_bits, "{objective:?}");
+            let fold = trace
+                .best_rewards
+                .iter()
+                .fold(0u64, |h, r| h.rotate_left(7) ^ r.to_bits());
+            assert_eq!(fold, trace_fold, "{objective:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@ use epim::core::Epitome;
 use epim::models::accuracy::{AccuracyModel, QuantMethod, WeightScheme};
 use epim::models::network::OperatorChoice;
 use epim::models::resnet::{resnet101, resnet50};
-use epim::quant::{quantize_epitome, QuantGranularity, RangeEstimator};
+use epim::quant::{
+    quantize_epitome, repetition_weighted_sq_error, QuantGranularity, RangeEstimator,
+};
 use epim::tensor::{init, rng};
 
 use super::uniform_epim;
@@ -77,21 +79,6 @@ pub struct Table2Measured {
     pub overlap_weighted_mse: f64,
 }
 
-fn weighted_mse(original: &Epitome, quantized: &Epitome) -> f64 {
-    let reps = original.repetition_map();
-    let diff = quantized
-        .tensor()
-        .sub(original.tensor())
-        .expect("same shape");
-    let num: f64 = diff
-        .data()
-        .iter()
-        .zip(reps.data())
-        .map(|(&d, &c)| (d as f64 * d as f64) * c as f64)
-        .sum();
-    num / reps.sum() as f64
-}
-
 /// Measures the ablation on the first `max_layers` epitome layers of the
 /// uniform ResNet-50 EPIM variant, with Kaiming-initialized weights.
 pub fn table2_measured(max_layers: usize) -> Vec<Table2Measured> {
@@ -111,7 +98,7 @@ pub fn table2_measured(max_layers: usize) -> Vec<Table2Measured> {
             rows: 128,
             cols: 128,
         };
-        let (q_naive, rep_naive) = quantize_epitome(
+        let (_, rep_naive) = quantize_epitome(
             &epi,
             3,
             QuantGranularity::PerTensor,
@@ -123,13 +110,20 @@ pub fn table2_measured(max_layers: usize) -> Vec<Table2Measured> {
         let (q_overlap, _) =
             quantize_epitome(&epi, 3, xbar_tiles, &RangeEstimator::overlap_default())
                 .expect("quantization succeeds");
-        let _ = q_naive;
+        // One repetition map per layer serves both weighted errors.
+        let reps = epi.repetition_map();
+        let mass = reps.sum() as f64;
+        let weighted_mse = |quantized: &Epitome| {
+            repetition_weighted_sq_error(epi.tensor(), quantized.tensor(), &reps)
+                .expect("same shape")
+                / mass
+        };
         rows.push(Table2Measured {
             layer: layer.name.clone(),
             naive_mse: rep_naive.mse,
             xbar_mse: rep_xbar.mse,
-            xbar_weighted_mse: weighted_mse(&epi, &q_xbar),
-            overlap_weighted_mse: weighted_mse(&epi, &q_overlap),
+            xbar_weighted_mse: weighted_mse(&q_xbar),
+            overlap_weighted_mse: weighted_mse(&q_overlap),
         });
     }
     rows

@@ -71,6 +71,16 @@ impl EpitomeDesigner {
         target_rows: usize,
         target_cout: usize,
     ) -> Result<EpitomeSpec, EpitomeError> {
+        EpitomeSpec::new(conv, self.legal_shape(conv, target_rows, target_cout)?)
+    }
+
+    /// The legalized shape [`EpitomeDesigner::design`] builds its spec on.
+    fn legal_shape(
+        &self,
+        conv: ConvShape,
+        target_rows: usize,
+        target_cout: usize,
+    ) -> Result<EpitomeShape, EpitomeError> {
         conv.validate()?;
         if target_rows == 0 || target_cout == 0 {
             return Err(EpitomeError::geometry("design targets must be nonzero"));
@@ -78,8 +88,7 @@ impl EpitomeDesigner {
         let rows = self.align(target_rows.min(conv.matrix_rows()), self.xbar_rows);
         let cout = self.align(target_cout.min(conv.cout), self.xbar_cols);
         let (cin_e, h, w) = factor_rows(rows, conv);
-        let shape = EpitomeShape::new(cout, cin_e, h, w);
-        EpitomeSpec::new(conv, shape)
+        Ok(EpitomeShape::new(cout, cin_e, h, w))
     }
 
     /// Rounds `value` down to a multiple of `unit` when it is at least one
@@ -122,18 +131,24 @@ impl EpitomeDesigner {
     /// extent.
     pub fn candidates(&self, conv: ConvShape) -> Result<Vec<EpitomeSpec>, EpitomeError> {
         conv.validate()?;
-        let mut specs: Vec<EpitomeSpec> = vec![self.identity(conv)?];
+        // Deduplicate on the shape: a spec (plan and patch list) is built
+        // only for the shapes that stay.
+        let mut shapes = vec![EpitomeShape::new(conv.cout, conv.cin, conv.kh, conv.kw)];
         let full_rows = conv.matrix_rows();
         let full_cout = conv.cout;
         for row_div in [1usize, 2, 4, 8] {
             for cout_div in [1usize, 2, 4] {
                 let rows = (full_rows / row_div).max(1);
                 let cout = (full_cout / cout_div).max(1);
-                let spec = self.design(conv, rows, cout)?;
-                if !specs.iter().any(|s| s.shape() == spec.shape()) {
-                    specs.push(spec);
+                let shape = self.legal_shape(conv, rows, cout)?;
+                if !shapes.contains(&shape) {
+                    shapes.push(shape);
                 }
             }
+        }
+        let mut specs = Vec::with_capacity(shapes.len());
+        for shape in shapes {
+            specs.push(EpitomeSpec::new(conv, shape)?);
         }
         Ok(specs)
     }
@@ -188,6 +203,30 @@ mod tests {
         assert_eq!(s.matrix_rows(), 1024);
         assert_eq!(s.cout, 256);
         assert_eq!((s.cin, s.h, s.w), (256, 2, 2));
+    }
+
+    #[test]
+    fn candidates_are_the_deduplicated_ladder_of_designs() {
+        let d = EpitomeDesigner::new(128, 128);
+        for conv in [
+            ConvShape::new(512, 256, 3, 3),
+            ConvShape::new(64, 64, 1, 1), // sub-crossbar: the ladder collapses
+            ConvShape::new(256, 64, 1, 1),
+            ConvShape::new(7, 5, 3, 2),
+        ] {
+            let mut want = vec![d.identity(conv).unwrap()];
+            for row_div in [1usize, 2, 4, 8] {
+                for cout_div in [1usize, 2, 4] {
+                    let rows = (conv.matrix_rows() / row_div).max(1);
+                    let spec = d.design(conv, rows, (conv.cout / cout_div).max(1)).unwrap();
+                    if !want.iter().any(|s| s.shape() == spec.shape()) {
+                        want.push(spec);
+                    }
+                }
+            }
+            assert_eq!(d.candidates(conv).unwrap(), want, "{conv}");
+        }
+        assert!(d.candidates(ConvShape::new(0, 4, 3, 3)).is_err());
     }
 
     #[test]

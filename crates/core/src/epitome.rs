@@ -1,6 +1,6 @@
 //! The [`Epitome`] parameter tensor and its reconstruction machinery.
 
-use crate::{ConvShape, EpitomeError, EpitomeShape, SamplingPlan};
+use crate::{ConvShape, DimPlan, EpitomeError, EpitomeShape, SamplingPlan};
 use epim_simd::{dispatch, slice, Simd, SimdOp};
 use epim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -236,31 +236,28 @@ impl Epitome {
     /// How many times each epitome element appears in the reconstructed
     /// convolution. Elements in overlap regions have higher counts; the
     /// paper's epitome-aware quantization weighs them more (Fig. 2c).
+    ///
+    /// A plan is the cartesian product of its four per-axis plans, so the
+    /// patches covering element `(co, ci, y, x)` are one covering segment
+    /// per axis, chosen independently: the count is the product of the four
+    /// per-axis cover counts. Small integers — every product is exact in
+    /// `f32` — at one multiply per *epitome* element, where walking the
+    /// patches costs one increment per *convolution* element.
     pub fn repetition_map(&self) -> Tensor {
-        let dims = self.spec.shape().dims();
-        let len: usize = dims.iter().product();
-        let patches = self.spec.plan().patches();
-        // Patches may overlap in the epitome (accumulation), so parallelize
-        // with per-worker accumulators reduced at the end; integer counts
-        // make the float reduction order-insensitive.
-        let counts = epim_parallel::fold_reduce(
-            patches.len(),
-            || vec![0.0f32; len],
-            |acc, p| {
-                for_each_patch_run_of(&self.spec, &patches[p], |src_flat, _dst_flat, run| {
-                    for c in &mut acc[src_flat..src_flat + run] {
-                        *c += 1.0;
-                    }
-                });
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-        Tensor::from_vec(counts, &dims).expect("length matches dims by construction")
+        let [n0, n1, n2, n3] = self.spec.plan().dim_plans().each_ref().map(source_cover);
+        // One output channel's counts, then a scaled copy per channel.
+        let mut channel = Vec::with_capacity(n1.len() * n2.len() * n3.len());
+        for &b in &n1 {
+            for &c in &n2 {
+                channel.extend(n3.iter().map(|&d| b * c * d));
+            }
+        }
+        let mut counts = Vec::with_capacity(self.data.len());
+        for &a in &n0 {
+            counts.extend(channel.iter().map(|&bcd| a * bcd));
+        }
+        Tensor::from_vec(counts, &self.spec.shape().dims())
+            .expect("length matches dims by construction")
     }
 
     /// Backpropagates a gradient on the reconstructed weight to the
@@ -414,21 +411,21 @@ impl SimdOp for AverageInitOp<'_> {
     }
 }
 
+/// How many segments of `plan` read each source (epitome) index.
+fn source_cover(plan: &DimPlan) -> Vec<f32> {
+    let mut cover = vec![0.0f32; plan.src_extent];
+    for seg in &plan.segments {
+        for n in &mut cover[seg.src_start..seg.src_start + seg.len] {
+            *n += 1.0;
+        }
+    }
+    cover
+}
+
 /// Calls `f(src_flat, dst_flat, run)` for every contiguous kx run of every
 /// patch of `spec`, in patch order. `src_flat` indexes the epitome tensor,
 /// `dst_flat` the conv weight; both runs are `run` elements long.
 fn for_each_patch_run(spec: &EpitomeSpec, mut f: impl FnMut(usize, usize, usize)) {
-    for patch in spec.plan().patches() {
-        for_each_patch_run_of(spec, patch, &mut f);
-    }
-}
-
-/// [`for_each_patch_run`] restricted to one patch.
-fn for_each_patch_run_of(
-    spec: &EpitomeSpec,
-    patch: &crate::Patch,
-    mut f: impl FnMut(usize, usize, usize),
-) {
     let conv = spec.conv();
     let eshape = spec.shape();
     let (e1, e2, e3) = (
@@ -437,17 +434,19 @@ fn for_each_patch_run_of(
         eshape.w,
     );
     let (c1, c2, c3) = (conv.cin * conv.kh * conv.kw, conv.kh * conv.kw, conv.kw);
-    let run = patch.size[3];
-    for a in 0..patch.size[0] {
-        let src_a = (patch.src[0] + a) * e1;
-        let dst_a = (patch.dst[0] + a) * c1;
-        for b in 0..patch.size[1] {
-            let src_b = src_a + (patch.src[1] + b) * e2;
-            let dst_b = dst_a + (patch.dst[1] + b) * c2;
-            for c in 0..patch.size[2] {
-                let src_flat = src_b + (patch.src[2] + c) * e3 + patch.src[3];
-                let dst_flat = dst_b + (patch.dst[2] + c) * c3 + patch.dst[3];
-                f(src_flat, dst_flat, run);
+    for patch in spec.plan().patches() {
+        let run = patch.size[3];
+        for a in 0..patch.size[0] {
+            let src_a = (patch.src[0] + a) * e1;
+            let dst_a = (patch.dst[0] + a) * c1;
+            for b in 0..patch.size[1] {
+                let src_b = src_a + (patch.src[1] + b) * e2;
+                let dst_b = dst_a + (patch.dst[1] + b) * c2;
+                for c in 0..patch.size[2] {
+                    let src_flat = src_b + (patch.src[2] + c) * e3 + patch.src[3];
+                    let dst_flat = dst_b + (patch.dst[2] + c) * c3 + patch.dst[3];
+                    f(src_flat, dst_flat, run);
+                }
             }
         }
     }

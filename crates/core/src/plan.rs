@@ -264,6 +264,9 @@ impl SamplingPlan {
         Ok(Self::from_dim_plans(conv, epitome, dim_plans))
     }
 
+    /// The only constructor: every plan's patch list is the cartesian
+    /// product of its four per-axis plans, which
+    /// [`crate::Epitome::repetition_map`] relies on.
     fn from_dim_plans(conv: ConvShape, epitome: EpitomeShape, dim_plans: [DimPlan; 4]) -> Self {
         let mut patches = Vec::with_capacity(dim_plans.iter().map(DimPlan::tiles).product());
         for s0 in &dim_plans[0].segments {

@@ -24,7 +24,47 @@ fn shape_pair() -> impl Strategy<Value = (ConvShape, EpitomeShape)> {
     })
 }
 
+/// The patch walk `Epitome::repetition_map` replaced: one increment per
+/// convolution element, at the epitome element it is read from.
+fn repetition_by_patch_walk(spec: &EpitomeSpec) -> Tensor {
+    let mut counts = Tensor::zeros(&spec.shape().dims());
+    for p in spec.plan().patches() {
+        for a in 0..p.size[0] {
+            for b in 0..p.size[1] {
+                for c in 0..p.size[2] {
+                    for d in 0..p.size[3] {
+                        let src = [p.src[0] + a, p.src[1] + b, p.src[2] + c, p.src[3] + d];
+                        counts.set(&src, counts.at(&src) + 1.0).unwrap();
+                    }
+                }
+            }
+        }
+    }
+    counts
+}
+
 proptest! {
+    /// The separable repetition map (a product of per-axis cover counts)
+    /// equals the patch walk and the adjoint of reconstruction applied to
+    /// all-ones, bit for bit — for replicated and overlapping output-channel
+    /// plans and extents that do not divide.
+    #[test]
+    fn repetition_map_matches_patch_walk((conv, epi) in shape_pair(), overlapping in any::<bool>()) {
+        let plan = if overlapping {
+            SamplingPlan::build_overlapping(conv, epi)
+        } else {
+            SamplingPlan::build(conv, epi)
+        }.unwrap();
+        let spec = EpitomeSpec::with_plan(conv, epi, plan).unwrap();
+        let e = Epitome::zeros(spec.clone());
+        let reps = e.repetition_map();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(reps.shape(), &epi.dims()[..]);
+        prop_assert_eq!(bits(&reps), bits(&repetition_by_patch_walk(&spec)));
+        let ones = Tensor::ones(&conv.dims());
+        prop_assert_eq!(bits(&reps), bits(&e.backprop_weight_grad(&ones).unwrap()));
+    }
+
     /// Every legal dim plan partitions the destination axis.
     #[test]
     fn dim_plan_partitions(dst in 1usize..200, src in 1usize..200) {

@@ -19,6 +19,25 @@
 //!    sensitivity signal here is an analytic quantization-perturbation
 //!    proxy rather than an ImageNet Hessian trace (see DESIGN.md §2).
 //!
+//! ## The slice kernel
+//!
+//! All of the above runs on flat slices. An epitome tensor
+//! `(c_out, c_in, h, w)` *is* its crossbar-mapped matrix `(c_in·h·w, c_out)`
+//! transposed — element `(row, co)` sits at `co·rows + row` — so a
+//! crossbar tile is a handful of contiguous runs of the tensor itself and
+//! nothing is transposed, gathered or scattered. Per tile,
+//! [`quantize_epitome`] and [`quantize_per_crossbar`] scan those runs in
+//! place for the range (min/max, or the repetition threshold and the two
+//! regions' extrema for [`RangeEstimator::OverlapWeighted`]), fit a
+//! [`Quantizer`] and fake-quantize the same runs of the output with one
+//! `epim_simd::SimdOp` that [`Quantizer::fake_quant`] and
+//! [`Quantizer::mse`] share. The scalar [`Quantizer::quantize`] /
+//! [`Quantizer::dequantize`] pair is the documented ground truth every ISA
+//! arm reproduces bit for bit (see the `quantizer` module source for the
+//! argument and for how `±0.0` and non-finite weights are treated). Report
+//! sums run in mapped-matrix order, so [`QuantReport`] does not depend on
+//! the memory layout.
+//!
 //! ## Example
 //!
 //! ```
@@ -43,7 +62,10 @@ mod range;
 mod xbar;
 
 pub use error::QuantError;
-pub use mixed::{quantizers_for_allocation, sensitivity_proxy, BitAllocation, MixedPrecision};
+pub use mixed::{
+    quantizers_for_allocation, repetition_weighted_sq_error, sensitivity_proxy, BitAllocation,
+    MixedPrecision,
+};
 pub use quantizer::Quantizer;
 pub use range::RangeEstimator;
 pub use xbar::{quantize_epitome, quantize_per_crossbar, QuantGranularity, QuantReport};

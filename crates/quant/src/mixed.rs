@@ -8,9 +8,41 @@
 //! reconstructed convolution, i.e. repetition-weighted quantization error
 //! times fan-out. The allocation mechanics are HAWQ's.
 
-use crate::{QuantError, QuantGranularity, Quantizer, RangeEstimator};
+use crate::{QuantError, Quantizer, RangeEstimator};
 use epim_core::Epitome;
+use epim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+
+/// Repetition-weighted total squared quantization error,
+/// `Σ (q_i − w_i)² · reps_i` (accumulated in `f64`, element order): the
+/// squared error the quantized epitome injects into the *reconstructed*
+/// convolution, where element `i` appears `reps_i` times. Divided by the
+/// repetition mass it is the weighted MSE of the paper's Table 2 ablation.
+///
+/// # Errors
+///
+/// Returns [`QuantError::InvalidParameter`] if the three shapes differ.
+pub fn repetition_weighted_sq_error(
+    original: &Tensor,
+    quantized: &Tensor,
+    repetition: &Tensor,
+) -> Result<f64, QuantError> {
+    if quantized.shape() != original.shape() || repetition.shape() != original.shape() {
+        return Err(QuantError::invalid(
+            "original, quantized and repetition map must share a shape",
+        ));
+    }
+    Ok(quantized
+        .data()
+        .iter()
+        .zip(original.data())
+        .zip(repetition.data())
+        .map(|((&q, &w), &c)| {
+            let d = q - w;
+            (d as f64 * d as f64) * c as f64
+        })
+        .sum())
+}
 
 /// Sensitivity proxy for one epitome layer at `low_bits`.
 ///
@@ -24,21 +56,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// Propagates quantizer fitting errors.
 pub fn sensitivity_proxy(epitome: &Epitome, low_bits: u8) -> Result<f64, QuantError> {
-    let (q, _) = crate::quantize_epitome(
-        epitome,
-        low_bits,
-        QuantGranularity::PerTensor,
-        &RangeEstimator::MinMax,
-    )?;
-    let reps = epitome.repetition_map();
-    let diff = q.tensor().sub(epitome.tensor())?;
-    let total: f64 = diff
-        .data()
-        .iter()
-        .zip(reps.data())
-        .map(|(&d, &c)| (d as f64 * d as f64) * c as f64)
-        .sum();
-    Ok(total)
+    // Per-tensor min/max quantization is one tile over the whole tensor:
+    // fit once, with no report and no copy of the epitome.
+    let weights = epitome.tensor();
+    let quantized = Quantizer::fit(weights, low_bits, &RangeEstimator::MinMax)?.fake_quant(weights);
+    repetition_weighted_sq_error(weights, &quantized, &epitome.repetition_map())
 }
 
 /// A per-layer bit assignment produced by [`MixedPrecision::allocate`].
@@ -235,6 +257,18 @@ mod tests {
         let narrow = sensitivity_proxy(&spec(1, 0.1), 3).unwrap();
         let wide = sensitivity_proxy(&spec(1, 5.0), 3).unwrap();
         assert!(wide > narrow * 10.0, "wide {wide} narrow {narrow}");
+    }
+
+    #[test]
+    fn weighted_error_counts_each_element_as_often_as_it_repeats() {
+        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+        let q = Tensor::from_vec(vec![1.5, 2.0, 1.0], &[3]).unwrap();
+        let reps = Tensor::from_vec(vec![2.0, 5.0, 3.0], &[3]).unwrap();
+        // 0.25 * 2 + 0 * 5 + 4 * 3.
+        assert_eq!(repetition_weighted_sq_error(&w, &q, &reps).unwrap(), 12.5);
+        let short = Tensor::ones(&[2]);
+        assert!(repetition_weighted_sq_error(&w, &short, &reps).is_err());
+        assert!(repetition_weighted_sq_error(&w, &q, &short).is_err());
     }
 
     #[test]

@@ -51,35 +51,59 @@ impl RangeEstimator {
         tensor: &Tensor,
         repetition: Option<&Tensor>,
     ) -> Result<(f32, f32), QuantError> {
-        if tensor.is_empty() {
+        let overlap = matches!(self, RangeEstimator::OverlapWeighted { .. });
+        if overlap && repetition.is_some_and(|reps| reps.shape() != tensor.shape()) {
+            return Err(QuantError::invalid(
+                "repetition map shape does not match tensor",
+            ));
+        }
+        let whole = Runs {
+            first: 0,
+            step: 0,
+            count: 1,
+            len: tensor.len(),
+        };
+        self.estimate_runs(tensor.data(), repetition.map(Tensor::data), whole)
+    }
+
+    /// [`RangeEstimator::estimate`] over the elements `runs` picks out of
+    /// `vals` (and out of `reps`, laid out alike) — one crossbar tile read
+    /// in place. The caller guarantees `reps`, when given, is as long as
+    /// `vals`.
+    ///
+    /// The scan keeps [`LANES`] running extrema the compiler vectorizes, so
+    /// the order elements meet is not the slice order. Extrema of finite
+    /// values do not depend on it. A NaN never replaces a running extremum
+    /// (as with `f32::min`/`f32::max`), so NaN weights are ignored and an
+    /// all-NaN or infinite tile yields a non-finite range, which
+    /// [`crate::Quantizer::from_range`] rejects. Which sign a zero extremum
+    /// carries is unspecified; it cannot reach a quantized value
+    /// (`x − ±0.0` and `q·S + ±0.0` round alike for every `x`, `q ≠ 0`, and
+    /// code 0 dequantizes to `+0.0` under either).
+    pub(crate) fn estimate_runs(
+        &self,
+        vals: &[f32],
+        reps: Option<&[f32]>,
+        runs: Runs,
+    ) -> Result<(f32, f32), QuantError> {
+        if runs.count * runs.len == 0 {
             return Err(QuantError::invalid(
                 "cannot estimate a range on an empty tensor",
             ));
         }
         match *self {
-            RangeEstimator::MinMax => Ok((tensor.min(), tensor.max())),
+            RangeEstimator::MinMax => Ok(extrema(vals, runs)),
             RangeEstimator::OverlapWeighted { w1, w2 } => {
                 if w1 < 0.0 || w2 < 0.0 || w1 + w2 <= 0.0 {
                     return Err(QuantError::invalid("overlap weights must be non-negative"));
                 }
-                let reps = repetition.ok_or_else(|| {
+                let reps = reps.ok_or_else(|| {
                     QuantError::invalid("OverlapWeighted requires a repetition map")
                 })?;
-                if reps.shape() != tensor.shape() {
-                    return Err(QuantError::invalid(
-                        "repetition map shape does not match tensor",
-                    ));
-                }
                 // Normalize weights so degenerate cases stay in range.
                 let (w1, w2) = (w1 / (w1 + w2), w2 / (w1 + w2));
-                let threshold = reps.min();
-                let mut ov = (f32::INFINITY, f32::NEG_INFINITY);
-                let mut rest = (f32::INFINITY, f32::NEG_INFINITY);
-                for (&v, &c) in tensor.data().iter().zip(reps.data()) {
-                    let slot = if c > threshold { &mut ov } else { &mut rest };
-                    slot.0 = slot.0.min(v);
-                    slot.1 = slot.1.max(v);
-                }
+                let (threshold, _) = extrema(reps, runs);
+                let (ov, rest) = split_extrema(vals, reps, threshold, runs);
                 // If one region is empty (uniform repetition), fall back to
                 // the other region's extrema for both terms.
                 let ov = if ov.0.is_finite() { ov } else { rest };
@@ -92,6 +116,99 @@ impl RangeEstimator {
             }
         }
     }
+}
+
+/// `count` contiguous runs of `len` floats, the first at `first` and each
+/// `step` after the one before: how a crossbar tile of a mapped matrix
+/// lies in the flat slice holding it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Runs {
+    pub first: usize,
+    pub step: usize,
+    pub count: usize,
+    pub len: usize,
+}
+
+impl Runs {
+    /// Start offset of every run.
+    pub fn starts(&self) -> impl Iterator<Item = usize> {
+        let (first, step) = (self.first, self.step);
+        (0..self.count).map(move |i| first + i * step)
+    }
+}
+
+/// Independent running extrema per scan: what lets the compiler compare a
+/// vector of values at a time.
+const LANES: usize = 16;
+
+/// [`LANES`] running `(min, max)` pairs. A lane changes only on a strict
+/// comparison, which a NaN never wins.
+struct Extrema {
+    lo: [f32; LANES],
+    hi: [f32; LANES],
+}
+
+impl Extrema {
+    const EMPTY: Extrema = Extrema {
+        lo: [f32::INFINITY; LANES],
+        hi: [f32::NEG_INFINITY; LANES],
+    };
+
+    #[inline(always)]
+    fn take(&mut self, lane: usize, v: f32) {
+        let (lo, hi) = (self.lo[lane], self.hi[lane]);
+        self.lo[lane] = if v < lo { v } else { lo };
+        self.hi[lane] = if v > hi { v } else { hi };
+    }
+
+    fn fold(self) -> (f32, f32) {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for (&l, &h) in self.lo.iter().zip(&self.hi) {
+            lo = if l < lo { l } else { lo };
+            hi = if h > hi { h } else { hi };
+        }
+        (lo, hi)
+    }
+}
+
+/// `(min, max)` over the runs of `vals`.
+fn extrema(vals: &[f32], runs: Runs) -> (f32, f32) {
+    let mut all = Extrema::EMPTY;
+    for start in runs.starts() {
+        for chunk in vals[start..start + runs.len].chunks(LANES) {
+            for (lane, &v) in chunk.iter().enumerate() {
+                all.take(lane, v);
+            }
+        }
+    }
+    all.fold()
+}
+
+/// `(min, max)` of the overlap region (`reps > threshold`) and of the
+/// rest, over the runs of `vals`.
+fn split_extrema(
+    vals: &[f32],
+    reps: &[f32],
+    threshold: f32,
+    runs: Runs,
+) -> ((f32, f32), (f32, f32)) {
+    let (mut ov, mut rest) = (Extrema::EMPTY, Extrema::EMPTY);
+    for start in runs.starts() {
+        let span = start..start + runs.len;
+        for (v, c) in vals[span.clone()]
+            .chunks(LANES)
+            .zip(reps[span].chunks(LANES))
+        {
+            for (lane, (&v, &c)) in v.iter().zip(c).enumerate() {
+                // Each region is offered a NaN in place of the other's
+                // values.
+                let overlap = c > threshold;
+                ov.take(lane, if overlap { v } else { f32::NAN });
+                rest.take(lane, if overlap { f32::NAN } else { v });
+            }
+        }
+    }
+    (ov.fold(), rest.fold())
 }
 
 #[cfg(test)]
@@ -113,6 +230,48 @@ mod tests {
     fn empty_tensor_rejected() {
         let t = Tensor::zeros(&[0]);
         assert!(RangeEstimator::MinMax.estimate(&t, None).is_err());
+    }
+
+    #[test]
+    fn scan_reads_only_its_runs_and_ignores_nan() {
+        // Two runs of 17 (a full lane group plus a tail) inside a slice
+        // whose other elements would win every comparison.
+        let runs = Runs {
+            first: 2,
+            step: 20,
+            count: 2,
+            len: 17,
+        };
+        let mut vals = vec![-100.0f32; 40];
+        let mut reps = vec![0.0f32; 40];
+        for start in runs.starts() {
+            for i in start..start + 17 {
+                vals[i] = i as f32 * 0.5;
+                reps[i] = if i % 2 == 0 { 3.0 } else { 1.0 };
+            }
+        }
+        vals[7] = f32::NAN;
+        let mm = RangeEstimator::MinMax
+            .estimate_runs(&vals, None, runs)
+            .unwrap();
+        assert_eq!(mm, (1.0, 19.0));
+        // Overlap region: even indices 2..=38; the rest: odd 3..=37 less the NaN.
+        let only_overlap = RangeEstimator::OverlapWeighted { w1: 1.0, w2: 0.0 };
+        let only_rest = RangeEstimator::OverlapWeighted { w1: 0.0, w2: 1.0 };
+        assert_eq!(
+            only_overlap
+                .estimate_runs(&vals, Some(&reps), runs)
+                .unwrap(),
+            (1.0, 19.0)
+        );
+        assert_eq!(
+            only_rest.estimate_runs(&vals, Some(&reps), runs).unwrap(),
+            (1.5, 18.5)
+        );
+        let none = Runs { count: 0, ..runs };
+        assert!(RangeEstimator::MinMax
+            .estimate_runs(&vals, None, none)
+            .is_err());
     }
 
     #[test]

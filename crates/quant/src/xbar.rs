@@ -2,10 +2,12 @@
 //! adjustment: "given the parallel computation between PIM accelerator
 //! crossbars, we allocate a scaling factor to each crossbar").
 
+use crate::range::Runs;
 use crate::{QuantError, Quantizer, RangeEstimator};
 use epim_core::Epitome;
 use epim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Scaling-factor granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,9 +39,60 @@ pub struct QuantReport {
     pub sqnr_db: f64,
 }
 
-fn report(bits: u8, groups: usize, original: &Tensor, quantized: &Tensor) -> QuantReport {
-    let mse = original.mse(quantized).expect("same shape") as f64;
-    let p_sig = original.norm_sq() as f64 / original.len().max(1) as f64;
+/// Where element `(row, col)` of a mapped matrix sits in a flat slice:
+/// `row·row_stride + col·col_stride`, one of the strides being 1. Row-major
+/// storage has unit column stride. An epitome tensor
+/// `(c_out, c_in, h, w)` *is* its mapped matrix `(c_in·h·w, c_out)`
+/// transposed — element `(row, co)` sits at `co·rows + row` — so it has
+/// unit row stride, and quantizing it needs no transposed copy either way.
+#[derive(Debug, Clone, Copy)]
+struct MatrixLayout {
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    col_stride: usize,
+}
+
+impl MatrixLayout {
+    /// The contiguous runs holding the tile `rows x cols`.
+    fn tile(&self, rows: Range<usize>, cols: Range<usize>) -> Runs {
+        let first = rows.start * self.row_stride + cols.start * self.col_stride;
+        let (along, across) = if self.col_stride == 1 {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        Runs {
+            first,
+            step: self.row_stride.max(self.col_stride),
+            count: across.len(),
+            len: along.len(),
+        }
+    }
+}
+
+/// Both sums run in the mapped matrix's row-major order whatever the
+/// memory layout: `f32` addition is order-sensitive and the reported bits
+/// are pinned by `benchmark/golden/design_r50.json`.
+fn report(
+    bits: u8,
+    groups: usize,
+    original: &[f32],
+    quantized: &[f32],
+    layout: MatrixLayout,
+) -> QuantReport {
+    let (mut err, mut signal) = (0.0f32, 0.0f32);
+    for row in 0..layout.rows {
+        for col in 0..layout.cols {
+            let i = row * layout.row_stride + col * layout.col_stride;
+            let (w, q) = (original[i], quantized[i]);
+            err += (w - q) * (w - q);
+            signal += w * w;
+        }
+    }
+    let len = layout.rows * layout.cols;
+    let mse = (err / len as f32) as f64;
+    let p_sig = signal as f64 / len as f64;
     let sqnr_db = if mse <= 0.0 {
         f64::INFINITY
     } else {
@@ -53,6 +106,43 @@ fn report(bits: u8, groups: usize, original: &Tensor, quantized: &Tensor) -> Qua
     }
 }
 
+/// The slice kernel behind [`quantize_per_crossbar`] and
+/// [`quantize_epitome`]: a crossbar tile is a handful of contiguous runs of
+/// `original` ([`MatrixLayout::tile`]), scanned in place for its range and
+/// fake-quantized in place in the returned copy.
+fn quantize_tiles(
+    original: &[f32],
+    repetition: Option<&[f32]>,
+    layout: MatrixLayout,
+    (tile_rows, tile_cols): (usize, usize),
+    bits: u8,
+    range: &RangeEstimator,
+) -> Result<(Vec<f32>, QuantReport), QuantError> {
+    if tile_rows == 0 || tile_cols == 0 {
+        return Err(QuantError::invalid("tile extents must be nonzero"));
+    }
+    if original.is_empty() {
+        return Err(QuantError::invalid("cannot quantize an empty matrix"));
+    }
+    let mut out = original.to_vec();
+    let mut groups = 0usize;
+    for r0 in (0..layout.rows).step_by(tile_rows) {
+        let r1 = r0.saturating_add(tile_rows).min(layout.rows);
+        for c0 in (0..layout.cols).step_by(tile_cols) {
+            let c1 = c0.saturating_add(tile_cols).min(layout.cols);
+            let runs = layout.tile(r0..r1, c0..c1);
+            let (alpha, beta) = range.estimate_runs(original, repetition, runs)?;
+            let q = Quantizer::from_range(bits, alpha, beta)?;
+            for start in runs.starts() {
+                q.fake_quant_slice(&mut out[start..start + runs.len]);
+            }
+            groups += 1;
+        }
+    }
+    let rep = report(bits, groups, original, &out, layout);
+    Ok((out, rep))
+}
+
 /// Quantizes a mapped weight matrix `(rows, cols)` with one scaling factor
 /// per `rows_tile x cols_tile` crossbar, returning the fake-quantized
 /// matrix and a report.
@@ -62,8 +152,8 @@ fn report(bits: u8, groups: usize, original: &Tensor, quantized: &Tensor) -> Qua
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::InvalidParameter`] for a non-matrix input, zero
-/// tile extents or estimator failures.
+/// Returns [`QuantError::InvalidParameter`] for a non-matrix or empty
+/// input, zero tile extents or estimator failures.
 pub fn quantize_per_crossbar(
     matrix: &Tensor,
     repetition: Option<&Tensor>,
@@ -77,56 +167,28 @@ pub fn quantize_per_crossbar(
             "per-crossbar quantization expects a matrix",
         ));
     }
-    if tile_rows == 0 || tile_cols == 0 {
-        return Err(QuantError::invalid("tile extents must be nonzero"));
-    }
-    if let Some(reps) = repetition {
-        if reps.shape() != matrix.shape() {
-            return Err(QuantError::invalid("repetition map shape mismatch"));
-        }
+    if repetition.is_some_and(|reps| reps.shape() != matrix.shape()) {
+        return Err(QuantError::invalid("repetition map shape mismatch"));
     }
     let (rows, cols) = (matrix.shape()[0], matrix.shape()[1]);
-    let mut out = matrix.clone();
-    let mut groups = 0usize;
-    for r0 in (0..rows).step_by(tile_rows) {
-        for c0 in (0..cols).step_by(tile_cols) {
-            let r1 = (r0 + tile_rows).min(rows);
-            let c1 = (c0 + tile_cols).min(cols);
-            // Gather the tile into a dense tensor for range estimation.
-            let mut vals = Vec::with_capacity((r1 - r0) * (c1 - c0));
-            let mut reps_vals = Vec::new();
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    vals.push(matrix.at(&[r, c]));
-                    if let Some(reps) = repetition {
-                        reps_vals.push(reps.at(&[r, c]));
-                    }
-                }
-            }
-            let tile = Tensor::from_vec(vals, &[(r1 - r0) * (c1 - c0)])?;
-            let q = match repetition {
-                Some(_) => {
-                    let reps_t = Tensor::from_vec(reps_vals, &[tile.len()])?;
-                    Quantizer::fit_with_repetition(&tile, &reps_t, bits, range)?
-                }
-                None => Quantizer::fit(&tile, bits, range)?,
-            };
-            groups += 1;
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    let v = matrix.at(&[r, c]);
-                    out.set(&[r, c], q.dequantize(q.quantize(v)))?;
-                }
-            }
-        }
-    }
-    let rep = report(bits, groups, matrix, &out);
-    Ok((out, rep))
+    let (out, rep) = quantize_tiles(
+        matrix.data(),
+        repetition.map(Tensor::data),
+        MatrixLayout {
+            rows,
+            cols,
+            row_stride: cols,
+            col_stride: 1,
+        },
+        (tile_rows, tile_cols),
+        bits,
+        range,
+    )?;
+    Ok((Tensor::from_vec(out, matrix.shape())?, rep))
 }
 
 /// Quantizes an epitome's parameters in their crossbar-mapped matrix form
-/// `(c_in_e·h·w, c_out_e)` and writes the fake-quantized values back into
-/// a new epitome.
+/// `(c_in_e·h·w, c_out_e)` and returns them as a new epitome.
 ///
 /// This is the full §4.2 pipeline: choose granularity, optionally weight
 /// ranges by the epitome's repetition map, quantize, report.
@@ -142,47 +204,27 @@ pub fn quantize_epitome(
 ) -> Result<(Epitome, QuantReport), QuantError> {
     let shape = epitome.spec().shape();
     let (rows_e, cout_e) = (shape.matrix_rows(), shape.cout);
-    // Flatten epitome and its repetition map to matrix form. Row index of
-    // element (co, ci, y, x) is (ci*h + y)*w + x, column is co.
-    let to_matrix = |t: &Tensor| -> Tensor {
-        Tensor::from_fn(&[rows_e, cout_e], |idx| {
-            let (row, co) = (idx[0], idx[1]);
-            let x = row % shape.w;
-            let y = (row / shape.w) % shape.h;
-            let ci = row / (shape.w * shape.h);
-            t.at(&[co, ci, y, x])
-        })
-    };
-    let matrix = to_matrix(epitome.tensor());
-    let needs_reps = matches!(range, RangeEstimator::OverlapWeighted { .. });
-    let reps_matrix = if needs_reps {
-        Some(to_matrix(&epitome.repetition_map()))
-    } else {
-        None
-    };
-
-    let (tile_rows, tile_cols) = match granularity {
+    let repetition =
+        matches!(range, RangeEstimator::OverlapWeighted { .. }).then(|| epitome.repetition_map());
+    let tile = match granularity {
         QuantGranularity::PerTensor => (rows_e, cout_e),
         QuantGranularity::PerCrossbar { rows, cols } => (rows, cols),
     };
-    let (qmatrix, rep) = quantize_per_crossbar(
-        &matrix,
-        reps_matrix.as_ref(),
+    let (out, rep) = quantize_tiles(
+        epitome.tensor().data(),
+        repetition.as_ref().map(Tensor::data),
+        MatrixLayout {
+            rows: rows_e,
+            cols: cout_e,
+            row_stride: 1,
+            col_stride: rows_e,
+        },
+        tile,
         bits,
-        tile_rows,
-        tile_cols,
         range,
     )?;
-
-    // Scatter back into epitome layout.
-    let qdata = Tensor::from_fn(&shape.dims(), |idx| {
-        let (co, ci, y, x) = (idx[0], idx[1], idx[2], idx[3]);
-        let row = (ci * shape.h + y) * shape.w + x;
-        qmatrix.at(&[row, co])
-    });
-    let mut q = epitome.clone();
-    q.set_tensor(qdata)?;
-    Ok((q, rep))
+    let data = Tensor::from_vec(out, &shape.dims())?;
+    Ok((Epitome::from_tensor(epitome.spec().clone(), data)?, rep))
 }
 
 #[cfg(test)]
@@ -245,6 +287,67 @@ mod tests {
         assert!(quantize_per_crossbar(&v, None, 4, 2, 2, &RangeEstimator::MinMax).is_err());
         let reps = Tensor::ones(&[2, 2]);
         assert!(quantize_per_crossbar(&m, Some(&reps), 4, 2, 2, &RangeEstimator::MinMax).is_err());
+    }
+
+    #[test]
+    fn empty_matrix_is_invalid() {
+        for shape in [[0usize, 4], [4, 0], [0, 0]] {
+            let m = Tensor::zeros(&shape);
+            let err = quantize_per_crossbar(&m, None, 4, 2, 2, &RangeEstimator::MinMax);
+            assert!(
+                matches!(err, Err(QuantError::InvalidParameter { .. })),
+                "{shape:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_bits_and_overlap_weights_rejected() {
+        // The first tile's range estimate fails, before anything is
+        // quantized.
+        let m = Tensor::ones(&[4, 4]);
+        let reps = Tensor::ones(&[4, 4]);
+        let bad = RangeEstimator::OverlapWeighted { w1: -1.0, w2: 0.5 };
+        let nothing = RangeEstimator::OverlapWeighted { w1: 0.0, w2: 0.0 };
+        for range in [bad, nothing] {
+            let err = quantize_per_crossbar(&m, Some(&reps), 4, 2, 2, &range);
+            assert!(matches!(err, Err(QuantError::InvalidParameter { .. })));
+            let err = quantize_epitome(&random_epitome(5), 4, QuantGranularity::PerTensor, &range);
+            assert!(matches!(err, Err(QuantError::InvalidParameter { .. })));
+        }
+        for bits in [0u8, 17] {
+            assert!(quantize_per_crossbar(&m, None, bits, 2, 2, &RangeEstimator::MinMax).is_err());
+        }
+        // Overlap weighting without a map is an error too, not a panic.
+        let overlap = RangeEstimator::overlap_default();
+        assert!(quantize_per_crossbar(&m, None, 4, 2, 2, &overlap).is_err());
+    }
+
+    #[test]
+    fn constant_tiles_survive_exactly() {
+        // Each 2x3 tile is constant: the degenerate unit-step quantizer
+        // must reproduce it exactly, and the report says so.
+        let m = Tensor::from_fn(&[4, 6], |idx| {
+            (idx[0] / 2 * 2 + idx[1] / 3) as f32 * 0.37 - 0.5
+        });
+        let (q, rep) = quantize_per_crossbar(&m, None, 3, 2, 3, &RangeEstimator::MinMax).unwrap();
+        assert_eq!(q, m);
+        assert_eq!(rep.groups, 4);
+        assert_eq!(rep.mse, 0.0);
+        assert_eq!(rep.sqnr_db, f64::INFINITY);
+    }
+
+    #[test]
+    fn infinite_weights_are_rejected_and_nan_weights_ignored_by_the_range() {
+        let mut m = Tensor::ones(&[2, 20]);
+        m.data_mut()[3] = f32::INFINITY;
+        assert!(quantize_per_crossbar(&m, None, 4, 2, 20, &RangeEstimator::MinMax).is_err());
+        m.data_mut()[3] = f32::NAN;
+        m.data_mut()[7] = -1.0;
+        let (_, rep) = quantize_per_crossbar(&m, None, 4, 2, 20, &RangeEstimator::MinMax).unwrap();
+        assert_eq!(rep.groups, 1);
+        m.data_mut().fill(f32::NAN);
+        assert!(quantize_per_crossbar(&m, None, 4, 2, 20, &RangeEstimator::MinMax).is_err());
     }
 
     #[test]

@@ -2,11 +2,33 @@
 
 use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
 use epim_quant::{
-    quantize_epitome, quantize_per_crossbar, MixedPrecision, QuantGranularity, Quantizer,
-    RangeEstimator,
+    quantize_epitome, quantize_per_crossbar, repetition_weighted_sq_error, sensitivity_proxy,
+    MixedPrecision, QuantGranularity, QuantReport, Quantizer, RangeEstimator,
 };
 use epim_tensor::{init, rng, Tensor};
 use proptest::prelude::*;
+
+mod oracle;
+
+/// `to_bits` equality of two quantization results: values and report.
+fn assert_bitwise(got: (&Tensor, &QuantReport), want: (&Tensor, &QuantReport)) {
+    assert_eq!(got.0.shape(), want.0.shape());
+    for (i, (g, w)) in got.0.data().iter().zip(want.0.data()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "element {i}: {g} vs {w}");
+    }
+    assert_eq!((got.1.bits, got.1.groups), (want.1.bits, want.1.groups));
+    assert_eq!(got.1.mse.to_bits(), want.1.mse.to_bits());
+    assert_eq!(got.1.sqnr_db.to_bits(), want.1.sqnr_db.to_bits());
+}
+
+/// `MinMax` for 0, otherwise overlap weights derived from `pick`.
+fn range_for(pick: u8, w1: f32) -> RangeEstimator {
+    match pick {
+        0 => RangeEstimator::MinMax,
+        1 => RangeEstimator::overlap_default(),
+        _ => RangeEstimator::OverlapWeighted { w1, w2: 1.5 - w1 },
+    }
+}
 
 proptest! {
     /// Round-trip error of in-range values never exceeds half a step.
@@ -112,6 +134,78 @@ proptest! {
         prop_assert_eq!(q.tensor().shape(), epi.tensor().shape());
         prop_assert!(rep.mse.is_finite());
         prop_assert!(rep.groups >= 1);
+    }
+
+    /// The slice kernel equals the per-element implementation it replaced,
+    /// bit for bit, on epitomes: values and every report field, whatever
+    /// the shapes, the bit width, the tiling (tiles that do not divide the
+    /// matrix included) and the range estimator.
+    #[test]
+    fn quantize_epitome_matches_per_element_oracle(
+        (cout, cin, kh, kw) in (1usize..=24, 1usize..=12, 1usize..=3, 1usize..=3),
+        (ecout_pct, ecin_pct, eh, ew) in (1usize..=100, 1usize..=100, 1usize..=3, 1usize..=3),
+        bits in 1u8..=9,
+        (tile_rows, tile_cols) in (0usize..=40, 1usize..=20),
+        (range_pick, w1) in (0u8..3, 0.0f32..=1.5),
+        (normal, seed) in (any::<bool>(), 0u64..10_000),
+    ) {
+        let conv = ConvShape::new(cout, cin, kh, kw);
+        let shape = EpitomeShape::new(
+            (cout * ecout_pct).div_ceil(100),
+            (cin * ecin_pct).div_ceil(100),
+            eh.min(kh),
+            ew.min(kw),
+        );
+        let spec = EpitomeSpec::new(conv, shape).unwrap();
+        let mut r = rng::seeded(seed);
+        let data = if normal {
+            init::kaiming_normal(&shape.dims(), &mut r)
+        } else {
+            init::uniform(&shape.dims(), -2.0, 1.0, &mut r)
+        };
+        let epi = Epitome::from_tensor(spec, data).unwrap();
+        // Tile height 0 stands for the per-tensor granularity.
+        let granularity = if tile_rows == 0 {
+            QuantGranularity::PerTensor
+        } else {
+            QuantGranularity::PerCrossbar { rows: tile_rows, cols: tile_cols }
+        };
+        let range = range_for(range_pick, w1);
+        let (got, got_rep) = quantize_epitome(&epi, bits, granularity, &range).unwrap();
+        let (want, want_rep) = oracle::quantize_epitome(&epi, bits, granularity, &range).unwrap();
+        prop_assert_eq!(got.spec(), epi.spec());
+        assert_bitwise((got.tensor(), &got_rep), (want.tensor(), &want_rep));
+
+        // The sensitivity proxy is the repetition-weighted error of the
+        // per-tensor min/max quantization, without building that epitome.
+        let naive = RangeEstimator::MinMax;
+        let (q, _) = oracle::quantize_epitome(&epi, bits, QuantGranularity::PerTensor, &naive)
+            .unwrap();
+        let want = repetition_weighted_sq_error(epi.tensor(), q.tensor(), &epi.repetition_map())
+            .unwrap();
+        prop_assert_eq!(sensitivity_proxy(&epi, bits).unwrap().to_bits(), want.to_bits());
+    }
+
+    /// The same on row-major matrices, with and without a repetition map.
+    #[test]
+    fn quantize_per_crossbar_matches_per_element_oracle(
+        (rows, cols) in (1usize..=50, 1usize..=50),
+        bits in 1u8..=9,
+        (tile_rows, tile_cols) in (1usize..=60, 1usize..=60),
+        (range_pick, w1) in (0u8..3, 0.0f32..=1.5),
+        (with_reps, seed) in (any::<bool>(), 0u64..10_000),
+    ) {
+        let mut r = rng::seeded(seed);
+        let m = init::uniform(&[rows, cols], -1.0, 3.0, &mut r);
+        let reps = init::uniform(&[rows, cols], 1.0, 4.0, &mut r).map(f32::floor);
+        let range = range_for(range_pick, w1);
+        // Overlap weighting needs the map; min/max must ignore it.
+        let reps = (with_reps || range_pick != 0).then_some(&reps);
+        let (got, got_rep) =
+            quantize_per_crossbar(&m, reps, bits, tile_rows, tile_cols, &range).unwrap();
+        let (want, want_rep) =
+            oracle::quantize_per_crossbar(&m, reps, bits, tile_rows, tile_cols, &range).unwrap();
+        assert_bitwise((&got, &got_rep), (&want, &want_rep));
     }
 
     /// Mixed-precision allocation always respects the budget and assigns

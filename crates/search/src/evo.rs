@@ -86,16 +86,21 @@ pub struct SearchTrace {
 }
 
 /// The evolutionary search engine.
+///
+/// A layer's cost depends only on that layer's candidate, so
+/// [`EvoSearch::new`] simulates every `(layer, candidate)` pair once and a
+/// genome's evaluation sums table entries.
 #[derive(Debug, Clone)]
 pub struct EvoSearch {
     layers: Vec<SearchLayer>,
-    model: CostModel,
-    precision: Precision,
+    /// `costs[layer][candidate]`, parallel to `layers[layer].candidates`.
+    costs: Vec<Vec<LayerCosts>>,
     cfg: SearchConfig,
 }
 
 impl EvoSearch {
-    /// Creates a search over `layers`.
+    /// Creates a search over `layers`, simulating each candidate's costs
+    /// under `model` at `precision`.
     ///
     /// # Errors
     ///
@@ -124,21 +129,36 @@ impl EvoSearch {
                 }
             }
         }
-        if cfg.population == 0 || cfg.iterations == 0 {
-            return Err(SearchError::invalid(
-                "population and iterations must be nonzero",
-            ));
-        }
-        if !(0.0..=1.0).contains(&cfg.mutation_rate) || !(0.0..=1.0).contains(&cfg.parent_fraction)
-        {
-            return Err(SearchError::invalid("rates must be within [0, 1]"));
-        }
-        Ok(EvoSearch {
-            layers,
-            model,
-            precision,
-            cfg,
-        })
+        validate(&cfg)?;
+        let costs = layers
+            .iter()
+            .map(|l| {
+                l.candidates
+                    .iter()
+                    .map(|spec| model.epitome_layer(spec, l.out_pixels, precision))
+                    .collect()
+            })
+            .collect();
+        Ok(EvoSearch { layers, costs, cfg })
+    }
+
+    /// The same problem and simulated costs under other hyperparameters
+    /// (a costs-then-budget probe followed by the real search simulates
+    /// once).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SearchError::InvalidProblem`] for degenerate
+    /// hyperparameters.
+    pub fn with_config(mut self, cfg: SearchConfig) -> Result<Self, SearchError> {
+        validate(&cfg)?;
+        self.cfg = cfg;
+        Ok(self)
+    }
+
+    /// The layers being searched.
+    pub fn layers(&self) -> &[SearchLayer] {
+        &self.layers
     }
 
     /// The design-space size `N^l` (saturating; the paper quotes
@@ -151,18 +171,13 @@ impl EvoSearch {
 
     /// Evaluates one genome: summed layer costs and the Eq. 6 reward.
     pub fn evaluate(&self, genome: &[usize]) -> (LayerCosts, f64) {
-        let mut total: Option<LayerCosts> = None;
-        for (layer, &gi) in self.layers.iter().zip(genome) {
-            let spec = &layer.candidates[gi];
-            let c = self
-                .model
-                .epitome_layer(spec, layer.out_pixels, self.precision);
-            total = Some(match total {
-                Some(t) => t.combine(&c),
-                None => c,
-            });
-        }
-        let costs = total.expect("at least one layer");
+        let costs = self
+            .costs
+            .iter()
+            .zip(genome)
+            .map(|(layer, &gi)| layer[gi])
+            .reduce(|total, c| total.combine(&c))
+            .expect("at least one layer");
         let m = if costs.crossbars > self.cfg.crossbar_budget {
             0.0
         } else {
@@ -292,6 +307,18 @@ impl EvoSearch {
         }
         child
     }
+}
+
+fn validate(cfg: &SearchConfig) -> Result<(), SearchError> {
+    if cfg.population == 0 || cfg.iterations == 0 {
+        return Err(SearchError::invalid(
+            "population and iterations must be nonzero",
+        ));
+    }
+    if !(0.0..=1.0).contains(&cfg.mutation_rate) || !(0.0..=1.0).contains(&cfg.parent_fraction) {
+        return Err(SearchError::invalid("rates must be within [0, 1]"));
+    }
+    Ok(())
 }
 
 /// Uniform random search over the same problem — the sanity baseline the
@@ -530,6 +557,93 @@ mod tests {
             .product();
         assert_eq!(s.design_space(), expected);
         assert!(expected > 1);
+    }
+
+    /// What `evaluate` did before the cost table: simulate the chosen
+    /// candidate of every layer and combine in layer order.
+    fn evaluate_by_simulating(
+        layers: &[SearchLayer],
+        cfg: &SearchConfig,
+        genome: &[usize],
+    ) -> (LayerCosts, f64) {
+        let costs = layers
+            .iter()
+            .zip(genome)
+            .map(|(l, &gi)| {
+                CostModel::default().epitome_layer(
+                    &l.candidates[gi],
+                    l.out_pixels,
+                    Precision::new(9, 9),
+                )
+            })
+            .reduce(|total, c| total.combine(&c))
+            .unwrap();
+        let metric = match cfg.objective {
+            Objective::Latency => costs.latency_ns,
+            Objective::Energy => costs.energy_pj,
+            Objective::Edp => costs.edp(),
+        };
+        let m = if costs.crossbars > cfg.crossbar_budget {
+            0.0
+        } else {
+            1.0
+        };
+        (costs, m / metric)
+    }
+
+    #[test]
+    fn evaluate_from_the_table_equals_direct_simulation_bitwise() {
+        let layers = problem(7);
+        let mut rng = SmallRng::seed_from_u64(21);
+        for objective in [Objective::Latency, Objective::Energy, Objective::Edp] {
+            for crossbar_budget in [usize::MAX, 400, 0] {
+                let cfg = SearchConfig {
+                    objective,
+                    crossbar_budget,
+                    ..Default::default()
+                };
+                let s = search(layers.clone(), cfg);
+                for _ in 0..50 {
+                    let genome: Vec<usize> = layers
+                        .iter()
+                        .map(|l| rng.gen_range(0..l.candidates.len()))
+                        .collect();
+                    let (costs, reward) = s.evaluate(&genome);
+                    let (want_costs, want_reward) = evaluate_by_simulating(&layers, &cfg, &genome);
+                    assert_eq!(costs, want_costs);
+                    assert_eq!(
+                        costs.utilization.to_bits(),
+                        want_costs.utilization.to_bits()
+                    );
+                    assert_eq!(reward.to_bits(), want_reward.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_config_keeps_the_problem_and_revalidates() {
+        let cfg = SearchConfig {
+            crossbar_budget: 0,
+            iterations: 3,
+            ..Default::default()
+        };
+        let s = search(problem(2), cfg);
+        assert_eq!(s.run().reward, 0.0);
+        let open = SearchConfig {
+            crossbar_budget: usize::MAX,
+            ..cfg
+        };
+        let s = s.with_config(open).unwrap();
+        assert_eq!(s.layers().len(), 2);
+        let best = s.run();
+        assert_eq!(best, search(problem(2), open).run());
+        assert!(best.reward > 0.0);
+        let bad = SearchConfig {
+            iterations: 0,
+            ..open
+        };
+        assert!(s.with_config(bad).is_err());
     }
 
     #[test]

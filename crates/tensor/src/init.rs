@@ -1,7 +1,15 @@
 //! Weight initialization schemes.
 
-use crate::{rng, Tensor};
+use crate::{rng, Shape, Tensor};
 use rand::rngs::SmallRng;
+
+/// A tensor of `shape` filled with successive draws, in row-major order.
+fn filled(shape: &[usize], draw: impl FnMut() -> f32) -> Tensor {
+    let data: Vec<f32> = std::iter::repeat_with(draw)
+        .take(Shape::from(shape).len())
+        .collect();
+    Tensor::from_vec(data, shape).expect("one draw per element")
+}
 
 /// Kaiming/He normal initialization for convolution weights
 /// `(c_out, c_in, kh, kw)` or linear weights `(out, in)`.
@@ -18,7 +26,7 @@ use rand::rngs::SmallRng;
 pub fn kaiming_normal(shape: &[usize], rng_: &mut SmallRng) -> Tensor {
     let fan_in: usize = shape.iter().skip(1).product::<usize>().max(1);
     let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::from_fn(shape, |_| rng::normal(rng_, 0.0, std))
+    filled(shape, || rng::normal(rng_, 0.0, std))
 }
 
 /// Xavier/Glorot uniform initialization.
@@ -26,12 +34,12 @@ pub fn xavier_uniform(shape: &[usize], rng_: &mut SmallRng) -> Tensor {
     let fan_in: usize = shape.iter().skip(1).product::<usize>().max(1);
     let fan_out = shape.first().copied().unwrap_or(1);
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::from_fn(shape, |_| rng::uniform(rng_, -bound, bound))
+    filled(shape, || rng::uniform(rng_, -bound, bound))
 }
 
 /// Uniform initialization in `[lo, hi)`.
 pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng_: &mut SmallRng) -> Tensor {
-    Tensor::from_fn(shape, |_| rng::uniform(rng_, lo, hi))
+    filled(shape, || rng::uniform(rng_, lo, hi))
 }
 
 #[cfg(test)]
@@ -61,6 +69,30 @@ mod tests {
         let mut r = rng::seeded(5);
         let w = uniform(&[100], -0.5, 0.5, &mut r);
         assert!(w.min() >= -0.5 && w.max() < 0.5);
+    }
+
+    #[test]
+    fn draws_fill_the_tensor_in_row_major_order() {
+        // The multi-index walk the initialisers used to make: one draw per
+        // element, last axis fastest.
+        let shape = [3, 2, 4, 5];
+        let std = (2.0f32 / 40.0).sqrt();
+        let bound = (6.0f32 / 43.0).sqrt();
+        let (mut a, mut b) = (rng::seeded(11), rng::seeded(11));
+        assert_eq!(
+            kaiming_normal(&shape, &mut a),
+            Tensor::from_fn(&shape, |_| rng::normal(&mut b, 0.0, std))
+        );
+        assert_eq!(
+            xavier_uniform(&shape, &mut a),
+            Tensor::from_fn(&shape, |_| rng::uniform(&mut b, -bound, bound))
+        );
+        assert_eq!(
+            uniform(&shape, -1.0, 2.0, &mut a),
+            Tensor::from_fn(&shape, |_| rng::uniform(&mut b, -1.0, 2.0))
+        );
+        assert!(uniform(&[0, 3], 0.0, 1.0, &mut a).is_empty());
+        assert_eq!(uniform(&[], 0.0, 1.0, &mut a).len(), 1);
     }
 
     #[test]
