@@ -47,7 +47,8 @@ pub enum SpanKind {
     /// `b` = queue capacity).
     Shed = 1,
     /// A scheduler thread coalescing one request group (span; `a` = group
-    /// size).
+    /// size, `b` = nanoseconds the group could be held open for
+    /// stragglers, 0 when it was taken as found).
     Coalesce = 2,
     /// One group executing end to end (span; `a` = group size).
     Group = 3,
@@ -439,7 +440,11 @@ impl TraceRing {
                         args.push(("requests".into(), Value::U64(ev.a)));
                         args.push(("capacity".into(), Value::U64(ev.b)));
                     }
-                    SpanKind::Coalesce | SpanKind::Group => {
+                    SpanKind::Coalesce => {
+                        args.push(("batch".into(), Value::U64(ev.a)));
+                        args.push(("hold_ns".into(), Value::U64(ev.b)));
+                    }
+                    SpanKind::Group => {
                         args.push(("batch".into(), Value::U64(ev.a)));
                     }
                     SpanKind::Stage => {
@@ -688,7 +693,7 @@ mod tests {
     fn chrome_trace_round_trips_through_serde_json() {
         let ring = TraceRing::new(2, 16);
         ring.register_lane("epim-sched-0");
-        ring.record(0, SpanKind::Coalesce, 0, 0, 1000, 500, 4, 0);
+        ring.record(0, SpanKind::Coalesce, 0, 0, 1000, 500, 4, 200_000);
         ring.record(0, SpanKind::Group, 0, 0, 1600, 2000, 4, 0);
         ring.record(
             0,
@@ -761,6 +766,16 @@ mod tests {
         };
         assert!(args.contains(&("images".to_string(), serde::Value::U64(4))));
         assert!(args.contains(&("arena_bytes".to_string(), serde::Value::U64(512))));
+        // The coalesce span carries the hold it was granted.
+        let coalesce = events
+            .iter()
+            .find(|e| field(e, "name") == serde::Value::String("coalesce".into()))
+            .expect("coalesce span present");
+        let serde::Value::Object(args) = field(coalesce, "args") else {
+            panic!("args must be object")
+        };
+        assert!(args.contains(&("batch".to_string(), serde::Value::U64(4))));
+        assert!(args.contains(&("hold_ns".to_string(), serde::Value::U64(200_000))));
         // The registered lane label survives into the metadata event.
         assert!(json.contains("epim-sched-0"));
     }

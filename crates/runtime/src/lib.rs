@@ -14,8 +14,11 @@
 //!    submission queue with configurable [`FlowControl`]
 //!    ([`FlowControl::Block`] backpressure or [`FlowControl::Shed`] with a
 //!    timeout, plus non-blocking `try_infer`), shape-grouped coalescing
-//!    bounded by [`EngineConfig::max_batch`] / [`EngineConfig::batch_window`],
-//!    and [`EngineConfig::workers`] pipelined group executors.
+//!    bounded by [`EngineConfig::max_batch`] / [`EngineConfig::batch_window`]
+//!    (the window is an upper bound on the hold: the scheduler waits at
+//!    most the tenant's measured service time, and not at all when that
+//!    is below what a timed wait can resolve), and
+//!    [`EngineConfig::workers`] pipelined group executors.
 //! 3. **Single-layer engine** ([`Engine`]): concurrent [`Engine::infer`]
 //!    calls coalesce into `DataPath::execute_batch` calls, which build the
 //!    im2col-style receptive-field matrix once per pixel tile and amortize

@@ -35,10 +35,12 @@
 //! 3. Within its turn a tenant's queue is drained exactly like the
 //!    single-queue scheduler always did: the thread takes the queue
 //!    head's input shape, coalesces up to [`TenantConfig::max_batch`]
-//!    same-shaped requests (holding the batch open up to
-//!    [`TenantConfig::batch_window`] — flushing early if any *other*
-//!    tenant has work waiting, so one tenant's coalescing knob cannot
-//!    inflate its neighbours' latency), drains the group in FIFO order
+//!    same-shaped requests (holding the batch open for at most
+//!    [`TenantConfig::batch_window`], and for no longer than the
+//!    tenant's batches have been measured to take — flushing early if
+//!    any *other* tenant has work waiting, so one tenant's coalescing
+//!    knob cannot inflate its neighbours' latency), drains the group in
+//!    FIFO order
 //!    and runs it through **that tenant's** executor. Groups never mix
 //!    tenants, which is what keeps every tenant's outputs bit-identical
 //!    to a dedicated single-tenant engine.
@@ -47,7 +49,7 @@
 //!    [`RuntimeError::ExecutionPanicked`]), and a failing batch is retried
 //!    per-request so one bad request cannot poison its batchmates.
 
-use crate::stats::{StageMeta, StatsInner};
+use crate::stats::{ns, StageMeta, StatsInner};
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use crate::{PlanCacheStats, RuntimeError};
 use epim_faults as faults;
@@ -118,9 +120,12 @@ pub enum FlowControl {
 pub struct EngineConfig {
     /// Most requests coalesced into one executed batch.
     pub max_batch: usize,
-    /// How long a scheduler thread holds a non-full batch open for
-    /// stragglers. `Duration::ZERO` disables coalescing-by-time: whatever
-    /// is queued when the thread looks is taken.
+    /// Upper bound on how long a scheduler thread holds a non-full batch
+    /// open for stragglers; the scheduler waits at most the tenant's
+    /// measured service time, and not at all when that is below what a
+    /// timed wait can resolve (see [`TenantConfig::batch_window`]).
+    /// `Duration::ZERO` disables coalescing-by-time: whatever is queued
+    /// when the thread looks is taken.
     pub batch_window: Duration,
     /// Bounded submission-queue capacity (pending requests).
     pub queue_capacity: usize,
@@ -195,11 +200,16 @@ impl EngineConfig {
 pub struct TenantConfig {
     /// Most requests coalesced into one executed batch for this tenant.
     pub max_batch: usize,
-    /// How long a scheduler thread holds this tenant's non-full batch open
-    /// for stragglers. `Duration::ZERO` disables coalescing-by-time. The
-    /// window closes early when any *other* tenant has pending work, so
-    /// one tenant's coalescing knob never inflates its neighbours'
-    /// latency.
+    /// Upper bound on how long a scheduler thread holds this tenant's
+    /// non-full batch open for stragglers; the scheduler waits at most
+    /// the tenant's measured service time, and not at all when that is
+    /// below what a timed wait can resolve (about 100 us): waiting can
+    /// save at most one batch's fixed cost, which is less than one
+    /// service time. Until the tenant's first batch has been measured
+    /// the window applies as configured. `Duration::ZERO` disables
+    /// coalescing-by-time. The window closes early when any *other*
+    /// tenant has pending work, so one tenant's coalescing knob never
+    /// inflates its neighbours' latency.
     pub batch_window: Duration,
     /// This tenant's bounded submission-queue capacity (pending requests).
     pub queue_capacity: usize,
@@ -431,7 +441,46 @@ struct Tenant<E> {
     config: TenantConfig,
     exec: E,
     stats: Mutex<StatsInner>,
+    /// Estimated wall time of one batched execution, in nanoseconds;
+    /// `u64::MAX` until the first batch succeeds. A statistic (it
+    /// publishes no other data): `Relaxed`, and an update lost between
+    /// two workers is harmless.
+    service_ns: AtomicU64,
 }
+
+impl<E> Tenant<E> {
+    /// Feeds one successful batched execution into the service estimate,
+    /// which follows a drop at once but at most doubles per batch: one
+    /// stalled batch cannot bring a long hold back, a tenant that really
+    /// got slower is tracked geometrically. Never 0, which cannot double.
+    fn observe_service(&self, service: Duration) {
+        let prev = self.service_ns.load(Ordering::Relaxed);
+        let next = ns(service).min(prev.saturating_mul(2)).max(1);
+        self.service_ns.store(next, Ordering::Relaxed);
+    }
+
+    /// How long a non-full group of this tenant is held open for
+    /// stragglers: [`TenantConfig::batch_window`] capped by the service
+    /// estimate (the window alone before the first batch, when the
+    /// estimate is `u64::MAX` ns), and nothing below [`MIN_HOLD`].
+    fn hold(&self) -> Duration {
+        let estimate = Duration::from_nanos(self.service_ns.load(Ordering::Relaxed));
+        let hold = self.config.batch_window.min(estimate);
+        if hold < MIN_HOLD {
+            Duration::ZERO
+        } else {
+            hold
+        }
+    }
+}
+
+/// The shortest hold worth a timed condvar wait. Below this the wait's own
+/// cost (timer slack plus the wake-up) exceeds the hold asked for: on the
+/// benchmark's `zoo_wire_paced` workload (tenants serving in 25-55 us, so
+/// the service-time cap alone asks for holds that short) the p50 queue
+/// wait measured 106-148 us with those holds taken and 9-11 us with them
+/// skipped (2-vCPU guest, futex-backed `Condvar::wait_timeout`).
+const MIN_HOLD: Duration = Duration::from_micros(100);
 
 struct Shared<E: GroupExecutor> {
     tenants: Vec<Tenant<E>>,
@@ -542,6 +591,7 @@ impl<E: GroupExecutor> Scheduler<E> {
                     config,
                     exec,
                     stats: Mutex::new(StatsInner::with_stages(stage_meta)),
+                    service_ns: AtomicU64::new(u64::MAX),
                 }
             })
             .collect();
@@ -1036,7 +1086,8 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
         }
 
         // Weighted-fair tenant selection, then coalesce within that
-        // tenant: hold the batch open for up to its `batch_window`, or
+        // tenant: hold the batch open for up to its `batch_window` (less
+        // when the tenant serves faster than that, see `Tenant::hold`), or
         // until `max_batch` requests of the head's shape have arrived.
         // Shutdown flushes immediately, and so does a backlog on any
         // *other* tenant — one tenant's coalescing knob must not inflate
@@ -1045,7 +1096,8 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
         let t_coalesce = trace::start();
         let config = shared.tenants[tenant].config;
         let shape: Vec<usize> = queue.pending[tenant][0].input.shape().to_vec();
-        let deadline = Instant::now() + config.batch_window;
+        let hold = shared.tenants[tenant].hold();
+        let deadline = Instant::now() + hold;
         loop {
             let same = queue.pending[tenant]
                 .iter()
@@ -1103,7 +1155,7 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
             0,
             t_coalesce,
             group.len() as u64,
-            0,
+            ns(hold),
         );
         // Queue space freed: wake blocked submitters.
         shared.space.notify_all();
@@ -1187,6 +1239,7 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
         }
         Ok(Ok((outputs, dp_stats, stage_ns))) => {
             let service = exec_started.elapsed();
+            ten.observe_service(service);
             record_and_deliver(
                 ten,
                 &mut guard,
@@ -1317,6 +1370,277 @@ fn record_and_deliver<E>(
                 batch_size,
                 latency,
             }),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The coalescing hold against a stub executor of known cost. Every
+    //! timing assertion is one-sided with a margin of at least 2x, and no
+    //! sleep is shorter than 2 ms.
+    use super::*;
+    use crate::InferRequest;
+    use std::sync::atomic::AtomicU8;
+    use std::sync::Barrier;
+
+    const RUN: u8 = 0;
+    const FAIL_BATCH: u8 = 1;
+    const PANIC_BATCH: u8 = 2;
+
+    /// Echoes its inputs after sleeping `cost_ms`; `mode` makes the
+    /// batched path fail or panic (the per-request path always works).
+    struct Stub {
+        cost_ms: AtomicU64,
+        mode: AtomicU8,
+    }
+
+    impl Stub {
+        fn new(cost_ms: u64) -> Self {
+            Stub {
+                cost_ms: AtomicU64::new(cost_ms),
+                mode: AtomicU8::new(RUN),
+            }
+        }
+
+        fn work(&self) {
+            let ms = self.cost_ms.load(Ordering::SeqCst);
+            if ms > 0 {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+        }
+    }
+
+    impl GroupExecutor for Stub {
+        fn execute_batch(
+            &self,
+            _tenant: u32,
+            inputs: &[&Tensor],
+        ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError> {
+            match self.mode.load(Ordering::SeqCst) {
+                FAIL_BATCH => return Err(RuntimeError::config("stub: batch refused")),
+                PANIC_BATCH => panic!("stub: batch panicked"),
+                _ => {}
+            }
+            self.work();
+            let outputs = inputs.iter().map(|&t| t.clone()).collect();
+            Ok((outputs, DataPathStats::default(), Vec::new()))
+        }
+
+        fn execute_one(
+            &self,
+            _tenant: u32,
+            input: &Tensor,
+        ) -> Result<(Tensor, DataPathStats), RuntimeError> {
+            self.work();
+            Ok((input.clone(), DataPathStats::default()))
+        }
+    }
+
+    fn tenant(window_ms: u64, max_batch: usize) -> TenantConfig {
+        TenantConfig {
+            max_batch,
+            batch_window: Duration::from_millis(window_ms),
+            ..TenantConfig::default()
+        }
+    }
+
+    /// One worker, no supervision, one tenant per `(cost_ms, config)`.
+    fn fleet(tenants: &[(u64, TenantConfig)]) -> Scheduler<Stub> {
+        let tenants = tenants
+            .iter()
+            .map(|&(cost_ms, config)| (None, Stub::new(cost_ms), config))
+            .collect();
+        Scheduler::multi(tenants, 1, 0).unwrap()
+    }
+
+    fn request() -> InferRequest {
+        InferRequest::new(Tensor::zeros(&[1]))
+    }
+
+    fn estimate(sched: &Scheduler<Stub>) -> u64 {
+        sched.shared.tenants[0].service_ns.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn service_estimate_caps_the_hold() {
+        let window = Duration::from_millis(50);
+        let ten = Tenant {
+            label: None,
+            config: TenantConfig {
+                batch_window: window,
+                ..TenantConfig::default()
+            },
+            exec: (),
+            stats: Mutex::new(StatsInner::default()),
+            service_ns: AtomicU64::new(u64::MAX),
+        };
+        assert_eq!(ten.hold(), window, "cold start keeps the configured window");
+
+        // A cheap tenant is not held at all, and one 100x stall does not
+        // change that: the estimate at most doubles, then follows the
+        // next normal batch straight back down.
+        ten.observe_service(Duration::from_micros(45));
+        assert_eq!(ten.hold(), Duration::ZERO);
+        ten.observe_service(Duration::from_micros(4500));
+        assert_eq!(ten.service_ns.load(Ordering::Relaxed), 90_000);
+        assert_eq!(ten.hold(), Duration::ZERO);
+        ten.observe_service(Duration::from_micros(45));
+        assert_eq!(ten.service_ns.load(Ordering::Relaxed), 45_000);
+
+        // Between the minimum hold and the window, the hold is the
+        // estimate itself.
+        ten.observe_service(Duration::from_micros(60));
+        ten.observe_service(Duration::from_micros(120));
+        assert_eq!(ten.hold(), Duration::from_micros(120));
+
+        // A tenant that really got expensive is followed geometrically
+        // and ends at the window, never above it. A zero sample cannot
+        // pin the estimate at zero.
+        ten.observe_service(Duration::ZERO);
+        assert_eq!(ten.service_ns.load(Ordering::Relaxed), 1);
+        for _ in 0..40 {
+            ten.observe_service(Duration::from_millis(150));
+        }
+        assert_eq!(ten.service_ns.load(Ordering::Relaxed), 150_000_000);
+        assert_eq!(ten.hold(), window);
+    }
+
+    /// (a) The first group on a fresh fleet has no estimate to cap with:
+    /// it waits out the configured window and takes what arrives in it.
+    #[test]
+    fn cold_start_holds_for_the_configured_window() {
+        let sched = fleet(&[(0, tenant(200, 4))]);
+        let first = sched.try_submit(0, request()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let second = sched.try_submit(0, request()).unwrap();
+        let (first, second) = (first.wait().unwrap(), second.wait().unwrap());
+        assert_eq!((first.batch_size, second.batch_size), (2, 2));
+        assert!(
+            first.latency >= Duration::from_millis(180),
+            "the cold hold ended after {:?} of a 200 ms window",
+            first.latency
+        );
+    }
+
+    /// (b) + (d) Once a cheap tenant has been measured, a lone request is
+    /// served at once instead of after the window, and a single stalled
+    /// batch does not bring the window back for the requests after it.
+    #[test]
+    fn cheap_tenant_is_not_held_even_after_one_stall() {
+        let sched = fleet(&[(0, tenant(50, 4))]);
+        let lone = || sched.submit_wait(0, request()).unwrap().latency;
+        assert!(lone() >= Duration::from_millis(45), "warm-up is cold");
+        for _ in 0..3 {
+            let latency = lone();
+            assert!(latency < Duration::from_millis(25), "held {latency:?}");
+        }
+        sched.executor(0).cost_ms.store(30, Ordering::SeqCst);
+        lone();
+        sched.executor(0).cost_ms.store(0, Ordering::SeqCst);
+        for _ in 0..3 {
+            let latency = lone();
+            assert!(latency < Duration::from_millis(25), "held {latency:?}");
+        }
+    }
+
+    /// (c) A tenant that costs more than its window keeps the whole
+    /// window — the `r50_*` guard: two closed-loop callers stay paired —
+    /// and because the hold is anchored when the group is picked, a pair
+    /// knocked into alternation finds itself again.
+    #[test]
+    fn expensive_tenant_keeps_coalescing_and_recovers_from_alternation() {
+        const ROUNDS: usize = 36;
+        const KNOCK: usize = 30;
+        let sched = fleet(&[(20, tenant(10, 2))]);
+        let start = Barrier::new(2);
+        let sizes: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..2)
+                .map(|caller| {
+                    let (sched, start) = (&sched, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..ROUNDS)
+                            .map(|round| {
+                                if caller == 0 && round == KNOCK {
+                                    // Three windows late: the twin's hold
+                                    // expires and it runs alone.
+                                    std::thread::sleep(Duration::from_millis(30));
+                                }
+                                sched.submit_wait(0, request()).unwrap().batch_size
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for caller in &sizes {
+            assert!(
+                caller[1..KNOCK].iter().all(|&b| b == 2),
+                "every group after the first is a pair: {sizes:?}"
+            );
+            // The last round is left out: after the knock the callers are
+            // one round apart, so one of them ends without a twin.
+            assert!(
+                caller[KNOCK + 2..ROUNDS - 1].iter().all(|&b| b == 2),
+                "paired again within two rounds of the knock: {sizes:?}"
+            );
+        }
+        assert_eq!(sizes[1][KNOCK], 1, "the knock split the pair: {sizes:?}");
+    }
+
+    /// (e) What ends a hold early is unchanged: work on another tenant,
+    /// shutdown, and a deadline that expires while the request is held.
+    #[test]
+    fn hold_still_yields_to_neighbours_shutdown_and_deadlines() {
+        let sched = fleet(&[(0, tenant(400, 4)), (0, tenant(400, 4))]);
+        let held = sched.try_submit(0, request()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let neighbour = sched.try_submit(1, request()).unwrap();
+        let flushed = held.wait().unwrap().latency;
+        assert!(
+            flushed < Duration::from_millis(200),
+            "a neighbour's arrival must flush the held group, took {flushed:?}"
+        );
+        // The neighbour is now the one held (cold, 400 ms); dropping the
+        // scheduler flushes and serves it.
+        drop(sched);
+        let drained = neighbour.wait().unwrap().latency;
+        assert!(
+            drained < Duration::from_millis(200),
+            "shutdown must flush the held group, took {drained:?}"
+        );
+
+        let sched = fleet(&[(0, tenant(100, 4))]);
+        let doomed = request().with_deadline(Instant::now() + Duration::from_millis(20));
+        let outcome = sched.try_submit(0, doomed).unwrap().wait();
+        assert!(matches!(outcome, Err(RuntimeError::DeadlineExceeded)));
+        let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
+        assert_eq!(stats.deadline_exceeded, 1);
+    }
+
+    /// (f) Only a successful batched execution is a measurement of what
+    /// a batch costs.
+    #[test]
+    fn failed_executions_do_not_feed_the_estimate() {
+        let sched = fleet(&[(2, tenant(0, 4))]);
+        sched.executor(0).mode.store(FAIL_BATCH, Ordering::SeqCst);
+        let fallback = sched.submit_wait(0, request());
+        assert!(fallback.is_ok(), "the per-request fallback serves it");
+        assert_eq!(estimate(&sched), u64::MAX);
+
+        sched.executor(0).mode.store(PANIC_BATCH, Ordering::SeqCst);
+        let panicked = sched.submit_wait(0, request());
+        assert!(matches!(panicked, Err(RuntimeError::ExecutionPanicked)));
+        assert_eq!(estimate(&sched), u64::MAX);
+
+        sched.executor(0).mode.store(RUN, Ordering::SeqCst);
+        sched.submit_wait(0, request()).unwrap();
+        let measured = estimate(&sched);
+        assert!(
+            (2_000_000..u64::MAX).contains(&measured),
+            "a 2 ms batch was measured as {measured} ns"
         );
     }
 }

@@ -333,7 +333,7 @@ pub(crate) struct StatsInner {
 
 /// Saturating nanoseconds of a `Duration` (latencies never realistically
 /// exceed u64 nanoseconds ≈ 584 years, but don't wrap if they do).
-fn ns(d: Duration) -> u64 {
+pub(crate) fn ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 

@@ -134,10 +134,57 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
         all.iter().any(|e| e.kind == SpanKind::Enqueue),
         "request arrivals leave enqueue instants"
     );
+    let coalesces: Vec<_> = all
+        .iter()
+        .filter(|e| e.kind == SpanKind::Coalesce)
+        .collect();
     assert!(
-        all.iter().any(|e| e.kind == SpanKind::Coalesce),
+        !coalesces.is_empty(),
         "batch formation leaves coalesce spans"
     );
+    assert!(
+        coalesces.iter().all(|e| e.b == 0),
+        "a zero window grants no hold"
+    );
+
+    // --- Phase 2b: the coalesce span carries the hold it was granted.
+    // The first group of a fresh engine has no service estimate yet and
+    // gets the configured window; once a batch has been measured (far
+    // below the 20 ms window) the next group gets at most that long.
+    let held = NetworkEngine::new(
+        &cache,
+        &net,
+        &weights,
+        (16, 16),
+        true,
+        analog,
+        EngineConfig {
+            max_batch: 4,
+            batch_window: Duration::from_millis(20),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    obs::global().clear();
+    obs::set_enabled(true);
+    for input in burst(2, 17) {
+        held.infer(input).unwrap();
+    }
+    obs::set_enabled(false);
+    let mut holds: Vec<(u64, u64)> = ring
+        .all_events()
+        .iter()
+        .filter(|e| e.kind == SpanKind::Coalesce)
+        .map(|e| (e.start_ns, e.b))
+        .collect();
+    holds.sort_unstable();
+    let holds: Vec<u64> = holds.into_iter().map(|(_, hold)| hold).collect();
+    assert_eq!(holds[0], 20_000_000, "cold start: the configured window");
+    assert!(
+        holds[1..].iter().all(|&h| h < 20_000_000),
+        "a measured tenant is held for less than the window: {holds:?}"
+    );
+    let all = ring.all_events();
 
     // --- Phase 3: exporters. The chrome trace parses back through the
     // vendored serde_json; the Prometheus exposition carries the serving
@@ -152,6 +199,7 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
         panic!("traceEvents array present");
     };
     assert!(events.len() >= all.len(), "every ring event exports");
+    assert!(json.contains("hold_ns"), "coalesce spans export their hold");
 
     let stats = engine.stats();
     assert!(

@@ -54,7 +54,10 @@ pub struct TenantSpec {
     pub seed: u64,
     /// Most requests coalesced into one executed batch.
     pub max_batch: usize,
-    /// Batch coalescing window in milliseconds.
+    /// Batch coalescing window in milliseconds: an upper bound on the
+    /// hold; the scheduler waits at most the tenant's measured service
+    /// time, and not at all when that is below what a timed wait can
+    /// resolve (`epim_runtime::TenantConfig::batch_window`).
     pub batch_window_ms: u64,
     /// Bounded submission-queue capacity.
     pub queue_capacity: usize,

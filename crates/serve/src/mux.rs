@@ -4,10 +4,11 @@
 //! Before `Pending` grew waker integration the only options were one
 //! blocked thread per request or a busy-poll loop; [`Mux`] instead polls
 //! every in-flight handle as a [`std::future::Future`] with one shared
-//! [`Waker`] and parks on a condvar until *any* of them completes — the
-//! scheduler's delivery path wakes the waker, the waker wakes the thread.
-//! One OS thread multiplexes an arbitrary number of in-flight requests
-//! with zero spinning.
+//! [`Waker`] and parks on a condvar ([`Mux::park`]) until *any* of them
+//! completes — the scheduler's delivery path wakes the waker, the waker
+//! wakes the thread — or until whoever feeds it new handles fires the
+//! same waker ([`Mux::waker`]). One OS thread multiplexes an arbitrary
+//! number of in-flight requests with zero spinning.
 
 use epim_runtime::{Inference, Pending, RuntimeError};
 use std::future::Future;
@@ -90,54 +91,65 @@ impl Mux {
         done
     }
 
-    /// Blocks until at least one in-flight request completes (or
-    /// `timeout` expires — `None` waits indefinitely), returning every
-    /// completed request. Returns an empty vector on timeout or when
-    /// nothing is in flight.
-    pub fn wait_ready(
-        &mut self,
-        timeout: Option<Duration>,
-    ) -> Vec<(u64, Result<Inference, RuntimeError>)> {
-        if self.inflight.is_empty() {
-            return Vec::new();
-        }
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        loop {
-            let done = self.poll_ready();
-            if !done.is_empty() {
-                return done;
-            }
-            let mut woken = self.flag.woken.lock().unwrap();
-            // A completion may have raced in between the poll and the
-            // lock; the flag catches it and we re-poll immediately.
-            while !*woken {
-                match deadline {
-                    None => woken = self.flag.cv.wait(woken).unwrap(),
-                    Some(d) => {
-                        let now = std::time::Instant::now();
-                        if now >= d {
-                            return Vec::new();
-                        }
-                        let (guard, _) = self.flag.cv.wait_timeout(woken, d - now).unwrap();
-                        woken = guard;
-                    }
-                }
-            }
-            *woken = false;
-        }
+    /// A clone of the waker the in-flight handles are polled with:
+    /// waking it ends a [`Mux::park`] from another thread, whatever is in
+    /// flight — how a producer announces work the mux has not polled yet.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
+    }
+
+    /// Parks the calling thread until the waker fires — a completion of
+    /// a handle polled earlier, or a wake through a [`Mux::waker`] clone —
+    /// or `timeout` expires. A wake that fired since the last park ends
+    /// this one at once, so nothing that happens between a poll and the
+    /// park is slept through.
+    pub fn park(&mut self, timeout: Duration) {
+        let woken = self.flag.woken.lock().unwrap();
+        let (mut woken, _) = self
+            .flag
+            .cv
+            .wait_timeout_while(woken, timeout, |w| !*w)
+            .unwrap();
+        *woken = false;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn empty_mux_never_blocks() {
         let mut mux = Mux::new();
         assert!(mux.is_empty());
         assert_eq!(mux.len(), 0);
-        assert!(mux.wait_ready(Some(Duration::from_secs(5))).is_empty());
         assert!(mux.poll_ready().is_empty());
+    }
+
+    #[test]
+    fn park_ends_on_a_wake_from_another_thread_with_nothing_in_flight() {
+        let mut mux = Mux::new();
+        // A wake that came first is not lost ...
+        mux.waker().wake();
+        mux.park(Duration::from_secs(30));
+        // ... it is consumed by that park, so the next one waits for a
+        // new wake (here from another thread) ...
+        let waker = mux.waker();
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                waker.wake();
+            });
+            mux.park(Duration::from_secs(30));
+        });
+        let parked = t0.elapsed();
+        assert!(parked >= Duration::from_millis(20), "woke after {parked:?}");
+        assert!(parked < Duration::from_secs(10), "slept through the wake");
+        // ... and without one, for the timeout.
+        let t0 = Instant::now();
+        mux.park(Duration::from_millis(5));
+        assert!(t0.elapsed() >= Duration::from_millis(5));
     }
 }

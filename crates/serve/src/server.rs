@@ -9,7 +9,10 @@
 //! the **writer**. The writer multiplexes all of the connection's
 //! in-flight requests through a [`Mux`] (waker-parked, never
 //! busy-polling) and streams responses back in completion order; request
-//! ids, not arrival order, correlate replies. A full tenant queue turns
+//! ids, not arrival order, correlate replies. The writer parks in one
+//! place, on the `Mux`'s waker, which both a completion and a reader
+//! hand-off fire — so a reply never waits behind a slower one that was
+//! submitted before it. A full tenant queue turns
 //! into a typed `overloaded` error frame; a malformed frame turns into a
 //! `protocol` error frame and a close.
 //!
@@ -49,8 +52,9 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -343,6 +347,24 @@ enum SessionMsg {
     Bye,
 }
 
+/// The reader's end of the hand-off. Every message is followed by a wake
+/// of the writer's [`Mux`]: a hand-off the writer has not polled yet has
+/// no waker registered, so without it a writer parked on a slow request
+/// would sit on a fast one (or a health reply) handed over meanwhile.
+struct Handoff {
+    tx: Sender<SessionMsg>,
+    waker: Waker,
+}
+
+impl Handoff {
+    fn send(&self, msg: SessionMsg) {
+        // Sending only fails once the writer is gone, and then nobody is
+        // left to answer.
+        let _ = self.tx.send(msg);
+        self.waker.wake_by_ref();
+    }
+}
+
 fn session(ctx: SessionCtx, stream: TcpStream, conn_id: u64) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
@@ -368,32 +390,32 @@ fn session(ctx: SessionCtx, stream: TcpStream, conn_id: u64) {
     }
 
     let (tx, rx) = std::sync::mpsc::channel::<SessionMsg>();
+    let mux = Mux::new();
+    let tx = Handoff {
+        tx,
+        waker: mux.waker(),
+    };
     let writer_counters = Arc::clone(&ctx.counters);
-    let writer_handle = std::thread::spawn(move || writer_loop(writer, rx, writer_counters));
+    let writer_handle = std::thread::spawn(move || writer_loop(writer, rx, mux, writer_counters));
     reader_loop(&ctx, &mut reader, &tx, conn_id);
     drop(tx);
     let _ = writer_handle.join();
 }
 
-fn reader_loop(
-    ctx: &SessionCtx,
-    reader: &mut impl std::io::Read,
-    tx: &Sender<SessionMsg>,
-    conn_id: u64,
-) {
+fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, conn_id: u64) {
     loop {
         match Message::read(reader, ctx.max_frame) {
             // Clean close — from the client, or from the server's drain
             // shutting the read half down.
             Ok(None) => {
-                let _ = tx.send(SessionMsg::Bye);
+                tx.send(SessionMsg::Bye);
                 return;
             }
             Ok(Some(Message::Request(req))) => {
                 ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
                 if ctx.shutdown.load(Ordering::SeqCst) {
                     let err = RuntimeError::ShuttingDown;
-                    let _ = tx.send(SessionMsg::Immediate(
+                    tx.send(SessionMsg::Immediate(
                         req.id,
                         wire::error_code(&err),
                         err.to_string(),
@@ -401,7 +423,7 @@ fn reader_loop(
                     continue;
                 }
                 let Some(&tid) = ctx.tenants.get(&req.tenant) else {
-                    let _ = tx.send(SessionMsg::Immediate(
+                    tx.send(SessionMsg::Immediate(
                         req.id,
                         wire::code::UNKNOWN_TENANT,
                         format!("unknown tenant `{}`", req.tenant),
@@ -416,31 +438,23 @@ fn reader_loop(
                         Instant::now() + Duration::from_millis(req.deadline_ms.into()),
                     );
                 }
-                match ctx.engine.try_infer(tid, infer_req) {
-                    Ok(pending) => {
-                        let _ = tx.send(SessionMsg::InFlight(req.id, pending));
-                    }
-                    Err(e) => {
-                        let _ = tx.send(SessionMsg::Immediate(
-                            req.id,
-                            wire::error_code(&e),
-                            e.to_string(),
-                        ));
-                    }
-                }
+                tx.send(match ctx.engine.try_infer(tid, infer_req) {
+                    Ok(pending) => SessionMsg::InFlight(req.id, pending),
+                    Err(e) => SessionMsg::Immediate(req.id, wire::error_code(&e), e.to_string()),
+                });
             }
             Ok(Some(Message::HealthReq)) => {
-                let _ = tx.send(SessionMsg::Health(WireHealth {
+                tx.send(SessionMsg::Health(WireHealth {
                     draining: ctx.shutdown.load(Ordering::SeqCst),
                     tenants: ctx.names.as_ref().clone(),
                 }));
             }
             Ok(Some(Message::Goodbye)) => {
-                let _ = tx.send(SessionMsg::Bye);
+                tx.send(SessionMsg::Bye);
                 return;
             }
             Ok(Some(_)) => {
-                let _ = tx.send(SessionMsg::Fatal(
+                tx.send(SessionMsg::Fatal(
                     wire::NO_REQUEST,
                     wire::code::PROTOCOL,
                     "unexpected frame type from client".to_string(),
@@ -448,7 +462,7 @@ fn reader_loop(
                 return;
             }
             Err(RuntimeError::Protocol { reason }) => {
-                let _ = tx.send(SessionMsg::Fatal(
+                tx.send(SessionMsg::Fatal(
                     wire::NO_REQUEST,
                     wire::code::PROTOCOL,
                     reason,
@@ -467,7 +481,7 @@ fn reader_loop(
                 ctx.counters
                     .idle_disconnects
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(SessionMsg::Fatal(
+                tx.send(SessionMsg::Fatal(
                     wire::NO_REQUEST,
                     wire::code::IO,
                     "idle timeout: no frames received within the configured window".to_string(),
@@ -476,7 +490,7 @@ fn reader_loop(
             }
             // Transport failure: the peer is gone, nothing to answer.
             Err(_) => {
-                let _ = tx.send(SessionMsg::Bye);
+                tx.send(SessionMsg::Bye);
                 return;
             }
         }
@@ -528,7 +542,6 @@ fn handle_msg(
     counters: &Counters,
     mux: &mut Mux,
     msg: SessionMsg,
-    flush_immediate: bool,
 ) -> Handled {
     match msg {
         SessionMsg::InFlight(id, pending) => mux.push(id, pending),
@@ -537,15 +550,9 @@ fn handle_msg(
             if write_msg(writer, &Message::Error(WireError { id, code, message })).is_err() {
                 return Handled::Close;
             }
-            if flush_immediate && writer.flush().is_err() {
-                return Handled::Close;
-            }
         }
         SessionMsg::Health(health) => {
             if write_msg(writer, &Message::Health(health)).is_err() {
-                return Handled::Close;
-            }
-            if flush_immediate && writer.flush().is_err() {
                 return Handled::Close;
             }
         }
@@ -560,47 +567,49 @@ fn handle_msg(
     Handled::Continue
 }
 
+/// Writes one completed request's reply: its response, or its typed
+/// error frame.
+fn write_result(
+    writer: &mut BufWriter<TcpStream>,
+    counters: &Counters,
+    id: u64,
+    result: Result<epim_runtime::Inference, RuntimeError>,
+) -> Result<(), RuntimeError> {
+    let msg = match result {
+        Ok(inference) => Message::Response(WireResponse {
+            id,
+            batch_size: inference.batch_size as u32,
+            latency_ns: inference.latency.as_nanos().min(u64::MAX as u128) as u64,
+            output: inference.output,
+        }),
+        Err(e) => {
+            counters.error_frames.fetch_add(1, Ordering::Relaxed);
+            Message::Error(WireError {
+                id,
+                code: wire::error_code(&e),
+                message: e.to_string(),
+            })
+        }
+    };
+    write_msg(writer, &msg)
+}
+
 fn writer_loop(
     mut writer: BufWriter<TcpStream>,
     rx: Receiver<SessionMsg>,
+    mut mux: Mux,
     counters: Arc<Counters>,
 ) {
-    let mut mux = Mux::new();
     let mut saw_bye = false;
     let mut disconnected = false;
-
-    let write_result =
-        |writer: &mut BufWriter<TcpStream>,
-         counters: &Counters,
-         id: u64,
-         result: Result<epim_runtime::Inference, RuntimeError>| {
-            let msg = match result {
-                Ok(inference) => Message::Response(WireResponse {
-                    id,
-                    batch_size: inference.batch_size as u32,
-                    latency_ns: inference.latency.as_nanos().min(u64::MAX as u128) as u64,
-                    output: inference.output,
-                }),
-                Err(e) => {
-                    counters.error_frames.fetch_add(1, Ordering::Relaxed);
-                    Message::Error(WireError {
-                        id,
-                        code: wire::error_code(&e),
-                        message: e.to_string(),
-                    })
-                }
-            };
-            write_msg(writer, &msg)
-        };
-
-    'outer: loop {
+    loop {
         // Take everything the reader has handed over so far.
         loop {
             match rx.try_recv() {
-                Ok(msg) => match handle_msg(&mut writer, &counters, &mut mux, msg, false) {
+                Ok(msg) => match handle_msg(&mut writer, &counters, &mut mux, msg) {
                     Handled::Continue => {}
                     Handled::SawBye => saw_bye = true,
-                    Handled::Close => break 'outer,
+                    Handled::Close => return,
                 },
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -609,44 +618,27 @@ fn writer_loop(
                 }
             }
         }
-        // Answer everything that has completed.
+        // Answer everything that has completed; polling also registers
+        // the waker with everything that has not.
         for (id, result) in mux.poll_ready() {
             if write_result(&mut writer, &counters, id, result).is_err() {
-                break 'outer;
+                return;
             }
         }
         if writer.flush().is_err() {
-            break 'outer;
+            return;
         }
         if (saw_bye || disconnected) && mux.is_empty() {
             if saw_bye {
                 let _ = Message::Goodbye.write(&mut writer);
                 let _ = writer.flush();
             }
-            break 'outer;
+            return;
         }
-        // Park until the next event: a completion (waker-driven, wakes
-        // immediately) or a new handoff from the reader (bounded nap —
-        // the common closed-loop path parks directly on the channel).
-        if mux.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(msg) => match handle_msg(&mut writer, &counters, &mut mux, msg, true) {
-                    Handled::Continue => {}
-                    Handled::SawBye => saw_bye = true,
-                    Handled::Close => break 'outer,
-                },
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
-        } else {
-            for (id, result) in mux.wait_ready(Some(Duration::from_millis(10))) {
-                if write_result(&mut writer, &counters, id, result).is_err() {
-                    break 'outer;
-                }
-            }
-            if writer.flush().is_err() {
-                break 'outer;
-            }
-        }
+        // Every event acted on above wakes the mux (completions through
+        // the polled handles, hand-offs through `Handoff::send`); the
+        // timeout only bounds how long a reader that died without a last
+        // message goes unnoticed.
+        mux.park(Duration::from_millis(50));
     }
 }

@@ -19,7 +19,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes tests around the process-global fault plan.
 static GATE: Mutex<()> = Mutex::new(());
@@ -288,6 +288,83 @@ fn wire_deadline_expires_into_typed_error_frame() {
     flag.store(true, Ordering::SeqCst);
     let report = server.join().unwrap();
     assert_eq!(report.error_frames, 1, "report: {report:?}");
+}
+
+/// A reply is written when its request completes, not when the writer
+/// next looks. With a stalled request in flight on the connection, a
+/// stream of fast ones and a health probe are each answered as they
+/// complete — every hand-off wakes the writer, where it used to sleep out
+/// a 10 ms nap first — and all of them before the stalled reply.
+#[test]
+fn fast_replies_overtake_a_stalled_request_on_the_same_connection() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    epim_faults::clear();
+
+    // Two workers, so `fast` runs beside the stalled `slow`; no
+    // coalescing, so nothing but the writer can hold a reply back.
+    let mut slow = TenantSpec::new("slow", 8, 4, 10, 7);
+    let mut fast = TenantSpec::new("fast", 8, 4, 10, 8);
+    for spec in [&mut slow, &mut fast] {
+        spec.max_batch = 1;
+        spec.batch_window_ms = 0;
+    }
+    let cfg = FleetConfig {
+        workers: 2,
+        tenants: vec![slow, fast],
+    };
+    let (addr, flag, server) = start_with(&cfg, |s| s);
+    let mut client = Client::connect(&addr.to_string()).unwrap();
+    let xs = inputs(2, 1500);
+
+    // The first stage to execute sleeps 500 ms: wait until the slow
+    // request has taken that stall before sending anything else.
+    epim_faults::install(FaultPlan::new(42).with_rule(
+        FaultPoint::StageDelay,
+        FaultRule {
+            delay_ms: 500,
+            ..FaultRule::once_at(1)
+        },
+    ));
+    let slow_id = client.submit("slow", xs[0].clone()).unwrap();
+    let armed = Instant::now();
+    while epim_faults::fire_count(FaultPoint::StageDelay) == 0 {
+        assert!(
+            armed.elapsed() < Duration::from_secs(10),
+            "stall never fired"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    const FAST: usize = 10;
+    let mut lag = Duration::ZERO;
+    for _ in 0..FAST {
+        let t0 = Instant::now();
+        let id = client.submit("fast", xs[1].clone()).unwrap();
+        let resp = client.recv_reply().unwrap().expect("no error frames");
+        assert_eq!(resp.id, id, "a fast reply must not wait for the slow one");
+        // What the reply spent outside the scheduler: wire plus writer.
+        lag += t0
+            .elapsed()
+            .saturating_sub(Duration::from_nanos(resp.latency_ns));
+    }
+    let t0 = Instant::now();
+    assert_eq!(client.health().unwrap().tenants, ["slow", "fast"]);
+    lag += t0.elapsed();
+    // 108-116 ms with the 10 ms nap (each closed-loop reply sat one out),
+    // 0.2-0.4 ms without.
+    assert!(
+        lag < Duration::from_millis(20),
+        "{FAST} fast replies and a health probe lagged {lag:?} behind their completion"
+    );
+    let resp = client.recv_reply().unwrap().expect("no error frames");
+    assert_eq!(resp.id, slow_id);
+    epim_faults::clear();
+
+    client.close().unwrap();
+    flag.store(true, Ordering::SeqCst);
+    let report = server.join().unwrap();
+    assert_eq!(report.requests, 1 + FAST as u64);
+    assert_eq!(report.error_frames, 0);
 }
 
 /// Graceful drain under hostile clients: sessions that vanish abruptly
