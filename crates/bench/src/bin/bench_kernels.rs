@@ -1566,7 +1566,10 @@ fn per_element_quantize_epitome(
 ///   (40 generations of 32) over the ResNet-50 problem, a fixed stream of
 ///   genomes: simulating every layer of every genome against building the
 ///   cost table once and summing entries; the diff covers reward, latency,
-///   energy, utilization and crossbars.
+///   energy, utilization and crossbars;
+/// - `kaiming_normal_1024x256x3x3_blocks`: the block-parallel initializer
+///   against the serial `from_fn` loop, weights and the generator's end
+///   state.
 fn bench_design_time(entries: &mut Vec<Entry>, reps: usize) {
     let design = |conv| {
         let spec = EpitomeDesigner::new(128, 128)
@@ -1686,6 +1689,28 @@ fn bench_design_time(entries: &mut Vec<Entry>, reps: usize) {
             .zip(opt.iter().flatten())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max),
+    });
+
+    // The block-parallel Kaiming fill against the serial loop it replaced;
+    // the diff also covers where each leaves the caller's generator.
+    let shape = [1024, 256, 3, 3];
+    let std = (2.0f32 / (256 * 9) as f32).sqrt();
+    let (baseline_ms, (w_base, r_base)) = time_best(reps, || {
+        let mut r = rng::seeded(1602);
+        let w = Tensor::from_fn(&shape, |_| rng::normal(&mut r, 0.0, std));
+        (w, r)
+    });
+    let (optimized_ms, (w_opt, r_opt)) = time_best(reps, || {
+        let mut r = rng::seeded(1602);
+        (init::kaiming_normal(&shape, &mut r), r)
+    });
+    let next_draw_diff = if r_base == r_opt { 0.0 } else { 1.0 };
+    entries.push(Entry {
+        name: "kaiming_normal_1024x256x3x3_blocks".to_string(),
+        baseline_ms,
+        optimized_ms,
+        speedup: baseline_ms / optimized_ms,
+        max_abs_diff: max_abs_diff(w_base.data(), w_opt.data()).max(next_draw_diff),
     });
 }
 

@@ -244,7 +244,12 @@ impl Epitome {
     /// `f32` — at one multiply per *epitome* element, where walking the
     /// patches costs one increment per *convolution* element.
     pub fn repetition_map(&self) -> Tensor {
-        let [n0, n1, n2, n3] = self.spec.plan().dim_plans().each_ref().map(source_cover);
+        let [n0, n1, n2, n3] = self
+            .spec
+            .plan()
+            .dim_plans()
+            .each_ref()
+            .map(DimPlan::source_cover);
         // One output channel's counts, then a scaled copy per channel.
         let mut channel = Vec::with_capacity(n1.len() * n2.len() * n3.len());
         for &b in &n1 {
@@ -409,17 +414,6 @@ impl SimdOp for AverageInitOp<'_> {
             slice::add_splat(s, &mut counts[src_flat..src_flat + run], 1.0);
         });
     }
-}
-
-/// How many segments of `plan` read each source (epitome) index.
-fn source_cover(plan: &DimPlan) -> Vec<f32> {
-    let mut cover = vec![0.0f32; plan.src_extent];
-    for seg in &plan.segments {
-        for n in &mut cover[seg.src_start..seg.src_start + seg.len] {
-            *n += 1.0;
-        }
-    }
-    cover
 }
 
 /// Calls `f(src_flat, dst_flat, run)` for every contiguous kx run of every

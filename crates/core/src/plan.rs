@@ -121,6 +121,18 @@ impl DimPlan {
         })
     }
 
+    /// How many segments read each source (epitome) index: the per-axis
+    /// factor of [`crate::Epitome::repetition_map`].
+    pub fn source_cover(&self) -> Vec<f32> {
+        let mut cover = vec![0.0f32; self.src_extent];
+        for seg in &self.segments {
+            for n in &mut cover[seg.src_start..seg.src_start + seg.len] {
+                *n += 1.0;
+            }
+        }
+        cover
+    }
+
     /// Number of segments (tiles) along this axis.
     pub fn tiles(&self) -> usize {
         self.segments.len()

@@ -15,13 +15,13 @@
 //! did not have to move.
 //!
 //! Work is distributed dynamically: workers pull the next chunk from a
-//! shared iterator behind a mutex (or an atomic counter), so uneven chunks
-//! still balance. On a single-core machine (or when `EPIM_THREADS=1`)
-//! every helper runs the serial path with zero thread overhead — the
-//! kernels in `epim-tensor` are designed to be fast serially first, with
-//! threads as a multiplier. Nested parallel regions (and concurrent
-//! regions from independent application threads, e.g. the `epim-runtime`
-//! micro-batcher) are safe: whoever finds the pool busy runs inline.
+//! shared iterator behind a mutex, so uneven chunks still balance. On a
+//! single-core machine (or when `EPIM_THREADS=1`) every helper runs the
+//! serial path with zero thread overhead — the kernels in `epim-tensor`
+//! are designed to be fast serially first, with threads as a multiplier.
+//! Nested parallel regions (and concurrent regions from independent
+//! application threads, e.g. the `epim-runtime` micro-batcher) are safe:
+//! whoever finds the pool busy runs inline.
 //!
 //! ## Example
 //!
@@ -136,86 +136,6 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Computes `f(i)` for every `i` in `0..n` in parallel, collecting results
-/// in index order.
-pub fn map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let counter = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    pool::run(&|_worker| {
-        let mut local: Vec<(usize, R)> = Vec::new();
-        loop {
-            let i = counter.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            local.push((i, f(i)));
-        }
-        if !local.is_empty() {
-            results
-                .lock()
-                .expect("worker poisoned the results")
-                .extend(local);
-        }
-    });
-    let mut tagged = results.into_inner().expect("worker poisoned the results");
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Fold-reduce over `0..n`: each worker folds items into its own
-/// accumulator (created by `identity`), and the per-worker accumulators are
-/// reduced left-to-right in accumulator-arrival order.
-///
-/// `fold` and `reduce` must be commutative-compatible: item-to-worker
-/// assignment is nondeterministic, so the final result is only deterministic
-/// when the reduction is order-insensitive (sums of floats are *almost*
-/// order-insensitive; callers needing bit-exact determinism should run with
-/// `EPIM_THREADS=1` or design accumulators accordingly).
-pub fn fold_reduce<A, Fi, Ff, Fr>(n: usize, identity: Fi, fold: Ff, reduce: Fr) -> A
-where
-    A: Send,
-    Fi: Fn() -> A + Sync,
-    Ff: Fn(&mut A, usize) + Sync,
-    Fr: Fn(A, A) -> A,
-{
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 {
-        let mut acc = identity();
-        for i in 0..n {
-            fold(&mut acc, i);
-        }
-        return acc;
-    }
-    let counter = AtomicUsize::new(0);
-    let accs: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(threads));
-    pool::run(&|_worker| {
-        let mut acc = identity();
-        loop {
-            let i = counter.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            fold(&mut acc, i);
-        }
-        accs.lock()
-            .expect("worker poisoned the accumulators")
-            .push(acc);
-    });
-    accs.into_inner()
-        .expect("worker poisoned the accumulators")
-        .into_iter()
-        .reduce(reduce)
-        .expect("at least one worker accumulator")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,35 +165,19 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_in_order() {
-        let out = map_indexed(257, |i| i * i);
-        assert_eq!(out.len(), 257);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i * i);
-        }
-    }
-
-    #[test]
-    fn fold_reduce_sums() {
-        let total = fold_reduce(1000, || 0u64, |acc, i| *acc += i as u64, |a, b| a + b);
-        assert_eq!(total, 499_500);
-    }
-
-    #[test]
     fn empty_inputs() {
         let mut empty: Vec<u8> = Vec::new();
         for_each_chunk_mut(&mut empty, 4, |_, _| panic!("no chunks expected"));
-        assert!(map_indexed(0, |i| i).is_empty());
-        let acc = fold_reduce(0, || 5i32, |_, _| (), |a, _| a);
-        assert_eq!(acc, 5);
+        assert!(map_chunks_mut(&mut empty, 4, |_, _| ()).is_empty());
     }
 
     #[test]
     fn nested_parallel_regions_complete() {
         // A parallel op whose body itself runs parallel ops must not
         // deadlock the pool (inner regions degrade to inline execution).
-        let out = map_indexed(8, |i| {
-            let inner = map_indexed(16, |j| (i * 16 + j) as u64);
+        let mut outer: Vec<u64> = (0..128).collect();
+        let out = map_chunks_mut(&mut outer, 16, |_, chunk| {
+            let inner = map_chunks_mut(chunk, 1, |_, x| x[0]);
             inner.iter().sum::<u64>()
         });
         let total: u64 = out.iter().sum();

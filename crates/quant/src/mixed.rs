@@ -9,7 +9,7 @@
 //! times fan-out. The allocation mechanics are HAWQ's.
 
 use crate::{QuantError, Quantizer, RangeEstimator};
-use epim_core::Epitome;
+use epim_core::{DimPlan, Epitome};
 use epim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -52,15 +52,41 @@ pub fn repetition_weighted_sq_error(
 /// sense: layers whose weights are hard to represent at 3 bits rank high
 /// and receive 5 bits.
 ///
+/// Bitwise [`repetition_weighted_sq_error`] of the per-tensor min/max fake
+/// quantization against [`Epitome::repetition_map`], computed in one pass
+/// with neither tensor built.
+///
 /// # Errors
 ///
 /// Propagates quantizer fitting errors.
 pub fn sensitivity_proxy(epitome: &Epitome, low_bits: u8) -> Result<f64, QuantError> {
     // Per-tensor min/max quantization is one tile over the whole tensor:
-    // fit once, with no report and no copy of the epitome.
+    // fit once, then fake-quantize stack chunks in element order.
     let weights = epitome.tensor();
-    let quantized = Quantizer::fit(weights, low_bits, &RangeEstimator::MinMax)?.fake_quant(weights);
-    repetition_weighted_sq_error(weights, &quantized, &epitome.repetition_map())
+    let q = Quantizer::fit(weights, low_bits, &RangeEstimator::MinMax)?;
+    let plans = epitome.spec().plan().dim_plans();
+    let [n0, n1, n2, n3] = plans.each_ref().map(DimPlan::source_cover);
+    // One output channel's counts, in `repetition_map`'s product order.
+    let mut channel = Vec::with_capacity(n1.len() * n2.len() * n3.len());
+    for &b in &n1 {
+        for &c in &n2 {
+            channel.extend(n3.iter().map(|&d| b * c * d));
+        }
+    }
+    let mut deq = [0.0f32; 256];
+    let mut sum = 0.0f64;
+    for (&a, row) in n0.iter().zip(weights.data().chunks(channel.len())) {
+        for (w, bcd) in row.chunks(deq.len()).zip(channel.chunks(deq.len())) {
+            let deq = &mut deq[..w.len()];
+            deq.copy_from_slice(w);
+            q.fake_quant_slice(deq);
+            for ((&q, &w), &bcd) in deq.iter().zip(w).zip(bcd) {
+                let d = q - w;
+                sum += (d as f64 * d as f64) * (a * bcd) as f64;
+            }
+        }
+    }
+    Ok(sum)
 }
 
 /// A per-layer bit assignment produced by [`MixedPrecision::allocate`].

@@ -3,6 +3,14 @@
 //! All stochastic pieces of the EPIM reproduction (weight init, dataset
 //! synthesis, evolutionary mutation) draw from [`SmallRng`] instances seeded
 //! explicitly, so every experiment is reproducible bit-for-bit.
+//!
+//! **Words per draw.** [`uniform`] consumes exactly one 64-bit word of the
+//! stream and [`normal`] exactly two (float ranges never reject). This is
+//! load-bearing: [`crate::init`] splits a tensor into blocks of
+//! `SmallRng::BLOCK_WORDS` words and starts each block's generator with
+//! `SmallRng::jump_block`, which is only where the serial loop would be if
+//! every draw takes a fixed number of words. A sampler that rejects or
+//! draws a variable number of words must not be used there.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -55,6 +63,23 @@ mod tests {
         for _ in 0..1000 {
             let x = uniform(&mut rng, -2.0, 3.0);
             assert!((-2.0..3.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn draws_consume_a_fixed_number_of_words() {
+        // `init`'s block filler relies on this; compare with a clone
+        // stepped by hand.
+        for seed in 0..64 {
+            let mut r = seeded(seed);
+            let mut by_hand = r.clone();
+            normal(&mut r, 0.0, 1.0);
+            by_hand.next_u64();
+            by_hand.next_u64();
+            assert_eq!(r, by_hand, "normal, seed {seed}");
+            uniform(&mut r, -3.0, 0.5);
+            by_hand.next_u64();
+            assert_eq!(r, by_hand, "uniform, seed {seed}");
         }
     }
 
