@@ -44,7 +44,7 @@ use epim::pim::datapath::{AnalogModel, CompiledPlan, DataPath};
 use epim::pim::mvm::{crossbar_mvm, crossbar_mvm_portable, CrossbarRound};
 use epim::pim::{LayerCosts, Precision};
 use epim::quant::{quantize_epitome, QuantGranularity, QuantReport, Quantizer, RangeEstimator};
-use epim::runtime::{Engine, EngineConfig, NetworkEngine, PlanCache};
+use epim::runtime::{MultiEngine, NetworkPlan, PlanCache, TenantConfig, TenantId};
 use epim::search::{EvoSearch, SearchConfig, SearchLayer};
 use epim::tensor::ops::gemm::{gemm_nt_bias_row, reference_matmul};
 use epim::tensor::ops::{
@@ -395,35 +395,18 @@ fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
         });
     }
 
-    // The whole serving engine (queue + batcher thread + plan cache) vs a
-    // bare sequential loop over the same data path.
-    let cache = PlanCache::new();
-    let engine = Engine::with_cache(
-        &cache,
-        &epi,
-        cfg,
-        true,
-        a9adc8,
-        EngineConfig {
-            max_batch: 8,
-            batch_window: std::time::Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine builds");
+    // The whole serving engine (queue + scheduler thread + plan cache),
+    // as a one-tenant fleet over the one-layer network, vs a bare
+    // sequential loop over the same data path.
+    let dp = DataPath::with_analog(&epi, cfg, true, a9adc8).expect("data path builds");
+    let (net, weights) = zoo::epitome_layer(&epi, 16).expect("one-layer network");
+    let (engine, id) = burst_fleet(&net, &weights, 16, a9adc8, true);
     let (baseline_ms, seq) = time_best(reps, || {
         refs.iter()
-            .map(|x| engine.datapath().execute(x).expect("executes").0)
+            .map(|x| dp.execute(x).expect("executes").0)
             .collect::<Vec<_>>()
     });
-    let (optimized_ms, served) = time_best(reps, || {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    });
+    let (optimized_ms, served) = time_best(reps, || serve_burst(&engine, id, &xs));
     let diff = seq
         .iter()
         .zip(&served)
@@ -551,20 +534,53 @@ fn bench_conv_r50(entries: &mut Vec<Entry>, reps: usize) {
     }
 }
 
-/// Whole-network pipelined serving: a burst of 8 requests through the
-/// `NetworkEngine` (lower -> plan -> serve) vs sequential per-stage
+/// A one-tenant fleet over `net` on `hw × hw` inputs that serves a burst
+/// of 8 as one group (`max_batch` 8, no coalescing window). Its plan runs
+/// the graph-fusion pass when `optimize` is set.
+fn burst_fleet(
+    net: &epim::models::network::Network,
+    weights: &NetworkWeights,
+    hw: usize,
+    analog: AnalogModel,
+    optimize: bool,
+) -> (MultiEngine, TenantId) {
+    let cache = PlanCache::new();
+    cache.warm_network(net).expect("cache warms");
+    let plan = NetworkPlan::compile(&cache, net, weights, (hw, hw), true, analog, optimize)
+        .expect("plan compiles");
+    let config = TenantConfig {
+        max_batch: 8,
+        batch_window: std::time::Duration::ZERO,
+        ..TenantConfig::default()
+    };
+    let mut builder = MultiEngine::builder(&cache);
+    let id = builder
+        .register_plan("burst", std::sync::Arc::new(plan), config)
+        .expect("tenant registers");
+    (builder.build().expect("fleet builds"), id)
+}
+
+/// Serves `xs` as one burst and returns the outputs in order.
+fn serve_burst(engine: &MultiEngine, id: TenantId, xs: &[Tensor]) -> Vec<Tensor> {
+    engine
+        .infer_many(id, xs.to_vec())
+        .expect("engine accepts the burst")
+        .into_iter()
+        .map(|res| res.expect("inference succeeds").output)
+        .collect()
+}
+
+/// Whole-network pipelined serving: a burst of 8 requests through a
+/// one-tenant fleet (lower -> plan -> serve) vs sequential per-stage
 /// reference execution of the same requests. Outputs must be bit-identical
 /// (`max_abs_diff` exactly 0 is the correctness gate).
 ///
-/// Emits three entries from one interleaved measurement so they stay
+/// Emits two entries from one interleaved measurement so they stay
 /// directly comparable under machine load:
-/// - `network_pipeline_resnet_burst8`: the engine pinned to
-///   `optimize_program: false` — the pipelining win alone;
-/// - `network_fused_resnet_burst8`: the default (fused) engine — fused
-///   epilogues, folded stages and the liveness-planned arena on top;
-/// - `network_arena_peak_mb_burst8`: the arena's peak activation bytes vs
-///   the old exact-size pool's high-water mark (deterministic bytes, not
-///   timings; the "speedup" is the memory shrink factor).
+/// - `network_pipeline_resnet_burst8`: the plan compiled without the
+///   graph-fusion pass — the pipelining win alone;
+/// - `network_fused_resnet_burst8`: the fused plan — fused epilogues,
+///   folded stages and the smaller liveness-planned arena on top.
 fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
     // The zoo's tiny ResNet (stem 8, inner width 8, 10 classes) is the
     // exact backbone+spec this entry has always timed.
@@ -593,35 +609,9 @@ fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
             .collect::<Vec<_>>()
     });
 
-    let build = |optimize_program: bool| {
-        let cache = PlanCache::new();
-        cache.warm_network(&net).expect("cache warms");
-        NetworkEngine::new(
-            &cache,
-            &net,
-            &weights,
-            (16, 16),
-            true,
-            analog,
-            EngineConfig {
-                max_batch: 8,
-                batch_window: std::time::Duration::ZERO,
-                optimize_program,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("engine builds")
-    };
-    let raw = build(false);
-    let fused = build(true);
-    let serve = |engine: &NetworkEngine| {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    };
+    let raw = burst_fleet(&net, &weights, 16, analog, false);
+    let fused = burst_fleet(&net, &weights, 16, analog, true);
+    let serve = |(engine, id): &(MultiEngine, TenantId)| serve_burst(engine, *id, &xs);
     // Alternate the two engines within one loop: a load spike hits both
     // the same way instead of skewing whichever happened to run under it.
     // The high repetition count is what separates the ~10% fusion win
@@ -656,16 +646,6 @@ fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
         optimized_ms: fused_ms,
         speedup: baseline_ms / fused_ms,
         max_abs_diff: diff_vs_seq(&fused_out),
-    });
-
-    let stats = fused.stats();
-    let to_mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-    entries.push(Entry {
-        name: "network_arena_peak_mb_burst8".to_string(),
-        baseline_ms: to_mb(stats.legacy_pool_bytes),
-        optimized_ms: to_mb(stats.arena_bytes),
-        speedup: stats.legacy_pool_bytes as f64 / stats.arena_bytes as f64,
-        max_abs_diff: 0.0,
     });
 }
 
@@ -784,30 +764,8 @@ fn bench_tracing(entries: &mut Vec<Entry>, reps: usize) {
         })
         .collect();
 
-    let cache = PlanCache::new();
-    cache.warm_network(&net).expect("cache warms");
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
-            max_batch: 8,
-            batch_window: std::time::Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine builds");
-    let serve = || {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    };
+    let (engine, id) = burst_fleet(&net, &weights, 16, analog, true);
+    let serve = || serve_burst(&engine, id, &xs);
     // Alternate enabled/disabled serves in one loop so a load spike hits
     // both modes the same way (same discipline as `bench_network`).
     epim::obs::set_enabled(true);
@@ -875,30 +833,8 @@ fn bench_faults(entries: &mut Vec<Entry>, reps: usize) {
         })
         .collect();
 
-    let cache = PlanCache::new();
-    cache.warm_network(&net).expect("cache warms");
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
-            max_batch: 8,
-            batch_window: std::time::Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine builds");
-    let serve = || {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    };
+    let (engine, id) = burst_fleet(&net, &weights, 16, analog, true);
+    let serve = || serve_burst(&engine, id, &xs);
     let arm = || {
         let mut plan = FaultPlan::new(42);
         for point in ALL_POINTS {
@@ -1270,8 +1206,7 @@ fn percentile(samples: &[f64], p: f64) -> f64 {
 /// boundary must never perturb a single bit).
 ///
 /// `serve_tcp_loadgen_qps` stores closed-loop throughput (requests/s, a
-/// deliberate unit abuse of the `*_ms` fields like
-/// `network_arena_peak_mb_burst8`): `baseline_ms` = in-process QPS,
+/// deliberate unit abuse of the `*_ms` fields): `baseline_ms` = in-process QPS,
 /// `optimized_ms` = TCP QPS, and `speedup` = the fraction of in-process
 /// throughput retained over the wire — the gate fires if the serving stack
 /// ever loses >25% of that fraction relative to the committed baseline.

@@ -3,14 +3,16 @@
 //! Every integration test, serving example and bench used to hand-roll
 //! its own "tiny ResNet" layer inventory; multi-tenant serving needs
 //! *several distinct* small networks, so the construction lives here
-//! once. All zoo backbones run at **16×16 input** (stem stride 2 to 8×8,
+//! once. The tiny ResNets run at **16×16 input** (stem stride 2 to 8×8,
 //! pooled entry to 4×4) and follow the ResNet naming convention
 //! [`crate::lower`] recognizes, so they lower, cost and serve exactly
-//! like the full-size inventories.
+//! like the full-size inventories. [`epitome_layer`] is the one-layer
+//! chain that serves a single epitome layer.
 
+use crate::lower::{LayerWeights, NetworkWeights};
 use crate::network::{Network, OperatorChoice};
 use crate::resnet::{Backbone, LayerInfo};
-use epim_core::{EpitomeDesigner, EpitomeError, EpitomeSpec};
+use epim_core::{Epitome, EpitomeDesigner, EpitomeError, EpitomeSpec};
 
 fn layer(name: &str, conv: epim_core::ConvShape, res: usize) -> LayerInfo {
     LayerInfo {
@@ -83,6 +85,31 @@ pub fn tiny_epitome_network(
     Ok((net, spec))
 }
 
+/// A one-layer chain network serving `epitome` on `hw × hw` inputs, with
+/// its weights bound: stride 1 and the padding that keeps the resolution
+/// (lowering infers both). It lowers to exactly one `Epitome` stage, so a
+/// one-tenant fleet over it serves what the layer's `DataPath` computes.
+///
+/// # Errors
+///
+/// Returns [`EpitomeError::PlanMismatch`] if no padding keeps `hw`
+/// (an even kernel).
+pub fn epitome_layer(
+    epitome: &Epitome,
+    hw: usize,
+) -> Result<(Network, NetworkWeights), EpitomeError> {
+    let spec = epitome.spec();
+    let bb = Backbone {
+        name: format!("epitome-layer-{hw}"),
+        layers: vec![layer("layer", spec.conv(), hw)],
+    };
+    let net = Network::from_choices(bb, vec![OperatorChoice::Epitome(spec.clone())])?;
+    net.lower(hw, hw)?;
+    let mut weights = NetworkWeights::default();
+    weights.set(0, LayerWeights::Epitome(epitome.clone()));
+    Ok((net, weights))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,5 +137,22 @@ mod tests {
         // Both epitome layers of one network share the one spec.
         let prog = net_a.lower(16, 16).unwrap();
         assert_eq!(prog.epitome_specs(), vec![&spec_a]);
+    }
+
+    #[test]
+    fn epitome_layer_lowers_to_one_epitome_stage() {
+        use crate::lower::StageOp;
+        let (_, spec) = tiny_epitome_network(8, 4, 10).unwrap();
+        let dims = spec.shape().dims();
+        let epi = Epitome::from_tensor(spec.clone(), epim_tensor::Tensor::zeros(&dims)).unwrap();
+        let (net, weights) = epitome_layer(&epi, 6).unwrap();
+        let prog = net.lower(6, 6).unwrap();
+        assert_eq!(prog.stages().len(), 1);
+        let StageOp::Epitome { cfg, .. } = &prog.stages()[0].op else {
+            panic!("expected an epitome stage, got {:?}", prog.stages()[0].op);
+        };
+        assert_eq!((cfg.stride, cfg.padding), (1, 1));
+        assert_eq!(prog.output_shape(), &[spec.conv().cout, 6, 6]);
+        assert!(weights.epitome(0, &spec, "layer").is_ok());
     }
 }

@@ -120,8 +120,6 @@ pub enum StageOpKind {
     Linear = 6,
     /// Residual addition.
     Add = 7,
-    /// A whole single-layer data-path execution.
-    DataPath = 8,
 }
 
 impl StageOpKind {
@@ -134,7 +132,6 @@ impl StageOpKind {
             5 => StageOpKind::GlobalAvgPool,
             6 => StageOpKind::Linear,
             7 => StageOpKind::Add,
-            8 => StageOpKind::DataPath,
             _ => StageOpKind::Other,
         }
     }
@@ -150,7 +147,6 @@ impl StageOpKind {
             StageOpKind::GlobalAvgPool => "global_avg_pool",
             StageOpKind::Linear => "linear",
             StageOpKind::Add => "add",
-            StageOpKind::DataPath => "datapath",
         }
     }
 }

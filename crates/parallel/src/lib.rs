@@ -6,7 +6,7 @@
 //! for rayon later without changing call sites much).
 //!
 //! Since the runtime PR, the helpers run on a **persistent worker pool**
-//! ([`pool`]): `num_threads() - 1` workers are spawned once, park on a
+//! (`pool.rs`): `num_threads() - 1` workers are spawned once, park on a
 //! condvar between jobs, and are woken for each fork-join region. The seed
 //! spawned scoped threads per call, whose creation cost kept small kernels
 //! below the parallel threshold; with parked workers a dispatch costs two

@@ -13,7 +13,7 @@
 //!    element so that an epitome layer running "on the crossbars" can be
 //!    checked bit-for-bit against a plain convolution with the
 //!    reconstructed weight.
-//! 2. **Analytic** ([`cost`]): a lookup-table cost model (latency, energy,
+//! 2. **Analytic** ([`CostModel`]): a lookup-table cost model (latency, energy,
 //!    crossbar count, memristor utilization) for whole layers and networks,
 //!    following the paper's statement that the simulator "maintains a
 //!    look-up table for the storage of the latency and power parameters

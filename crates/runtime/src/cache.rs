@@ -3,11 +3,11 @@
 //! `DataPath` construction has two parts: compiling the IFAT/IFRT/OFAT
 //! tables and per-round word-line lists (a function of the
 //! [`EpitomeSpec`] alone), and programming the crossbar matrix (a function
-//! of the epitome's tensor values and the [`AnalogModel`]). The seed redid
-//! both on every `DataPath::new`. [`PlanCache`] memoizes the first part —
-//! one [`CompiledPlan`] per spec, shared behind an [`Arc`] — so rebuilding
-//! an engine, serving the same layer shape in several networks, or
-//! re-programming a layer with new weights/noise only pays for the matrix.
+//! of the epitome's tensor values and the [`AnalogModel`]). [`PlanCache`]
+//! memoizes the first part — one [`CompiledPlan`] per spec, shared behind
+//! an [`Arc`] — so rebuilding a fleet, serving the same layer shape in
+//! several networks, or re-programming a layer with new weights/noise only
+//! pays for the matrix.
 //!
 //! The cache key is the spec itself (serialized: the vendored `serde`
 //! stand-in has no `Hash` derive, and the canonical JSON doubles as a
@@ -38,9 +38,9 @@ pub struct PlanCacheStats {
 /// A thread-safe memo table `EpitomeSpec -> Arc<CompiledPlan>`.
 ///
 /// `PlanCache` is a cheaply cloneable *handle*: clones share one
-/// underlying table (and its hit/miss counters), which is how engines keep
-/// a view of the cache they were built from and surface its counters in
-/// their `RuntimeStats`.
+/// underlying table (and its hit/miss counters), which is how a
+/// `MultiEngine` keeps a view of the cache it was built from and surfaces
+/// its counters in its `RuntimeStats`.
 ///
 /// # Example
 ///

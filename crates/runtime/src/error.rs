@@ -22,8 +22,7 @@ pub enum RuntimeError {
     /// overloads) are per-tenant: only the named tenant's traffic was
     /// affected.
     Overloaded {
-        /// The overloaded tenant's name (`None` for the anonymous
-        /// single-tenant engines).
+        /// The overloaded tenant's name (the scheduler always sets it).
         tenant: Option<String>,
         /// The queue capacity that was exhausted.
         capacity: usize,

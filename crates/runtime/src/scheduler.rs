@@ -1,18 +1,11 @@
-//! The reusable multi-tenant scheduler core shared by every serving
-//! engine.
+//! The multi-tenant scheduler core behind [`crate::MultiEngine`].
 //!
-//! PR 2's single-layer `Engine` owned its queue, coalescing loop, slot
-//! delivery and panic handling directly; PR 3 extracted that machinery
-//! into a scheduler generic over *what a batch executes* (the
-//! [`GroupExecutor`] trait). This PR generalizes the queue core from one
-//! queue to a **fleet of tenants**: each tenant brings its own executor,
-//! its own bounded submission queue with its own [`FlowControl`] and
+//! The scheduler is generic over *what a batch executes* (the
+//! [`GroupExecutor`] trait). Each tenant brings its own executor, its own
+//! bounded submission queue with its own [`FlowControl`] and
 //! micro-batching knobs ([`TenantConfig`]), and its own statistics, while
 //! one set of scheduler threads drains all of them under a weighted-fair
-//! policy. The single-tenant [`crate::Engine`] and [`crate::NetworkEngine`]
-//! are the one-tenant special case ([`Scheduler::single`]); the
-//! multi-network [`crate::MultiEngine`] registers one tenant per compiled
-//! plan.
+//! policy. [`crate::MultiEngine`] registers one tenant per compiled plan.
 //!
 //! ## Request flow
 //!
@@ -32,18 +25,16 @@
 //!    cycle, no tenant can be starved, no matter how heavy its
 //!    neighbours' traffic is; tenants within one weight class are served
 //!    round-robin.
-//! 3. Within its turn a tenant's queue is drained exactly like the
-//!    single-queue scheduler always did: the thread takes the queue
-//!    head's input shape, coalesces up to [`TenantConfig::max_batch`]
-//!    same-shaped requests (holding the batch open for at most
+//! 3. Within its turn the thread takes the tenant's queue head's input
+//!    shape, coalesces up to [`TenantConfig::max_batch`] same-shaped
+//!    requests (holding the batch open for at most
 //!    [`TenantConfig::batch_window`], and for no longer than the
 //!    tenant's batches have been measured to take — flushing early if
 //!    any *other* tenant has work waiting, so one tenant's coalescing
 //!    knob cannot inflate its neighbours' latency), drains the group in
-//!    FIFO order
-//!    and runs it through **that tenant's** executor. Groups never mix
-//!    tenants, which is what keeps every tenant's outputs bit-identical
-//!    to a dedicated single-tenant engine.
+//!    FIFO order and runs it through **that tenant's** executor. Groups
+//!    never mix tenants, which is what keeps every tenant's outputs
+//!    bit-identical to serving it alone.
 //! 4. Results are delivered to per-request slots; every request is
 //!    guaranteed a delivery (success, its own error, or
 //!    [`RuntimeError::ExecutionPanicked`]), and a failing batch is retried
@@ -110,89 +101,10 @@ pub enum FlowControl {
     },
 }
 
-/// Micro-batching and flow-control knobs (shared by [`crate::Engine`] and
-/// [`crate::NetworkEngine`]).
-///
-/// For multi-tenant serving the per-tenant slice of this configuration
-/// (everything except `workers`, which is fleet-wide) lives in
-/// [`TenantConfig`]; [`EngineConfig::tenant`] converts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Most requests coalesced into one executed batch.
-    pub max_batch: usize,
-    /// Upper bound on how long a scheduler thread holds a non-full batch
-    /// open for stragglers; the scheduler waits at most the tenant's
-    /// measured service time, and not at all when that is below what a
-    /// timed wait can resolve (see [`TenantConfig::batch_window`]).
-    /// `Duration::ZERO` disables coalescing-by-time: whatever is queued
-    /// when the thread looks is taken.
-    pub batch_window: Duration,
-    /// Bounded submission-queue capacity (pending requests).
-    pub queue_capacity: usize,
-    /// What happens to submissions when the queue is full.
-    pub flow: FlowControl,
-    /// Scheduler threads executing groups concurrently (the pipeline
-    /// depth). `1` reproduces the strictly serial group order of the
-    /// original engine; more lets a fresh group coalesce and execute while
-    /// earlier ones are still in flight.
-    pub workers: usize,
-    /// Whether network compilation runs the graph-fusion pass
-    /// (`NetworkProgram::optimize`: fused ReLU epilogues, identity
-    /// folds) before planning. On by default; the pass is
-    /// bit-identity-safe, so clearing this is a debugging/benchmarking
-    /// knob, not a correctness one. Ignored by the single-layer
-    /// [`crate::Engine`], which serves no lowered program.
-    pub optimize_program: bool,
-    /// How many crashed scheduler worker threads the supervisor may
-    /// respawn (with exponential backoff) before declaring a crash loop
-    /// and failing the fleet with [`RuntimeError::CrashLoop`]. `0`
-    /// disables supervision: the first worker crash shuts the fleet
-    /// down.
-    pub restart_budget: u32,
-}
-
-/// Default [`EngineConfig::restart_budget`]: generous enough to ride out
-/// a burst of poisonous requests, small enough that a deterministic
-/// crash loop fails fast.
+/// Default [`crate::MultiEngineBuilder::restart_budget`]: generous enough
+/// to ride out a burst of poisonous requests, small enough that a
+/// deterministic crash loop fails fast.
 pub const DEFAULT_RESTART_BUDGET: u32 = 8;
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_batch: 16,
-            batch_window: Duration::from_micros(200),
-            queue_capacity: 256,
-            flow: FlowControl::Block,
-            workers: 1,
-            optimize_program: true,
-            restart_budget: DEFAULT_RESTART_BUDGET,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Validates the configuration, returning a typed error instead of
-    /// letting a zero knob hang or panic a scheduler thread.
-    pub(crate) fn validate(&self) -> Result<(), RuntimeError> {
-        if self.workers == 0 {
-            return Err(RuntimeError::config("workers must be at least 1"));
-        }
-        self.tenant().validate()
-    }
-
-    /// The per-tenant slice of this configuration: everything except
-    /// `workers` (the scheduler threads are shared by all tenants), with
-    /// the default weight of 1.
-    pub fn tenant(&self) -> TenantConfig {
-        TenantConfig {
-            max_batch: self.max_batch,
-            batch_window: self.batch_window,
-            queue_capacity: self.queue_capacity,
-            flow: self.flow,
-            weight: 1,
-        }
-    }
-}
 
 /// Per-tenant serving knobs: micro-batching, bounded-queue flow control
 /// and the tenant's weight in the fair-draining policy.
@@ -227,7 +139,13 @@ pub struct TenantConfig {
 
 impl Default for TenantConfig {
     fn default() -> Self {
-        EngineConfig::default().tenant()
+        TenantConfig {
+            max_batch: 16,
+            batch_window: Duration::from_micros(200),
+            queue_capacity: 256,
+            flow: FlowControl::Block,
+            weight: 1,
+        }
     }
 }
 
@@ -435,9 +353,8 @@ impl std::future::Future for Pending {
 
 /// One registered tenant: its executor, serving knobs and statistics.
 struct Tenant<E> {
-    /// Display label used in per-tenant errors (`None` for the anonymous
-    /// single-tenant engines).
-    label: Option<String>,
+    /// Display label used in per-tenant errors.
+    label: String,
     config: TenantConfig,
     exec: E,
     stats: Mutex<StatsInner>,
@@ -550,23 +467,12 @@ enum WorkerExit {
 }
 
 impl<E: GroupExecutor> Scheduler<E> {
-    /// Spawns a scheduler serving exactly one anonymous tenant — the
-    /// single-network engines' configuration.
-    pub fn single(exec: E, config: EngineConfig) -> Result<Self, RuntimeError> {
-        config.validate()?;
-        Self::multi(
-            vec![(None, exec, config.tenant())],
-            config.workers,
-            config.restart_budget,
-        )
-    }
-
     /// Validates every tenant's config and spawns `workers` scheduler
     /// threads draining all of them under the weighted-fair policy, plus
     /// a supervisor thread that respawns crashed workers until
     /// `restart_budget` is exhausted.
-    pub fn multi(
-        tenants: Vec<(Option<String>, E, TenantConfig)>,
+    pub fn new(
+        tenants: Vec<(String, E, TenantConfig)>,
         workers: usize,
         restart_budget: u32,
     ) -> Result<Self, RuntimeError> {
@@ -807,7 +713,7 @@ impl<E: GroupExecutor> Scheduler<E> {
                             capacity as u64,
                         );
                         return Err(RuntimeError::Overloaded {
-                            tenant: ten.label.clone(),
+                            tenant: Some(ten.label.clone()),
                             capacity,
                         });
                     }
@@ -1449,9 +1355,9 @@ mod tests {
     fn fleet(tenants: &[(u64, TenantConfig)]) -> Scheduler<Stub> {
         let tenants = tenants
             .iter()
-            .map(|&(cost_ms, config)| (None, Stub::new(cost_ms), config))
+            .map(|&(cost_ms, config)| ("stub".to_string(), Stub::new(cost_ms), config))
             .collect();
-        Scheduler::multi(tenants, 1, 0).unwrap()
+        Scheduler::new(tenants, 1, 0).unwrap()
     }
 
     fn request() -> InferRequest {
@@ -1466,7 +1372,7 @@ mod tests {
     fn service_estimate_caps_the_hold() {
         let window = Duration::from_millis(50);
         let ten = Tenant {
-            label: None,
+            label: String::new(),
             config: TenantConfig {
                 batch_window: window,
                 ..TenantConfig::default()

@@ -2,15 +2,12 @@
 //! per-stage time rollups, queue/flow-control counters, and data-path
 //! counter rollups — with a Prometheus text exporter.
 //!
-//! Since the observability PR the latency store is a log-linear
-//! [`Histogram`] per distribution (queue wait, service time, end-to-end)
-//! instead of the old 64 KiB sorted-sample ring: recording is O(1) with no
-//! allocation, quantiles are an O(buckets) walk instead of an O(n log n)
-//! sort on every `stats()` call, and the fleet rollup merges **exactly**
-//! (bucket-wise addition over the full history) where the old ring could
-//! only concatenate its most recent window — so a rare-but-slow tenant's
-//! tail stays visible in fleet percentiles no matter how much traffic its
-//! neighbours push through the ring.
+//! Each latency distribution (queue wait, service time, end-to-end) is a
+//! log-linear [`Histogram`]: recording is O(1) with no allocation,
+//! quantiles are an O(buckets) walk, and the fleet rollup merges
+//! **exactly** (bucket-wise addition over the full history), so a
+//! rare-but-slow tenant's tail stays visible in fleet percentiles no
+//! matter how much traffic its neighbours push.
 
 use crate::PlanCacheStats;
 use epim_obs::{Histogram, HistogramSnapshot, PromWriter};
@@ -51,10 +48,12 @@ pub struct StageRollup {
     pub total_ns: u64,
 }
 
-/// A point-in-time snapshot of an engine's serving statistics.
+/// A point-in-time snapshot of serving statistics, for one tenant or the
+/// whole fleet.
 ///
-/// Returned by `Engine::stats`; all counters and distributions are totals
-/// since engine construction (nothing is windowed or sampled).
+/// Returned by `MultiEngine::{tenant_stats, fleet_stats}`; all counters
+/// and distributions are totals since the fleet was built (nothing is
+/// windowed or sampled).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RuntimeStats {
     /// Requests completed (delivered to their submitters).
@@ -75,8 +74,7 @@ pub struct RuntimeStats {
     /// Submission-to-delivery end-to-end latency, nanoseconds (the
     /// distribution behind `p50_latency_us`/`p99_latency_us`).
     pub e2e: HistogramSnapshot,
-    /// Per-stage execution-time rollups for plan-serving engines (empty
-    /// for the single-layer engine, which reports one `datapath` stage).
+    /// Per-stage execution-time rollups, one per plan stage.
     pub stages: Vec<StageRollup>,
     /// Rollup of every executed batch's [`DataPathStats`] (via
     /// `accumulate`) — equals the sum a sequential `execute` per request
@@ -98,19 +96,14 @@ pub struct RuntimeStats {
     /// Fleet-wide (workers are shared by all tenants), so per-tenant
     /// snapshots of a multi-tenant engine all report the same value.
     pub worker_restarts: u64,
-    /// Counters of the plan cache this engine was built from (all zero for
-    /// engines constructed without a cache). `warm_network` effectiveness
-    /// is visible here: a fully warmed engine compiles with zero
-    /// additional misses.
+    /// Counters of the plan cache the fleet was built from.
+    /// `warm_network` effectiveness is visible here: a fully warmed fleet
+    /// compiles with zero additional misses.
     pub plan_cache: PlanCacheStats,
     /// Peak activation-arena bytes for one full `max_batch` group under
-    /// the liveness-planned arena (zero for engines without a compiled
-    /// network plan).
+    /// the liveness-planned arena (summed over tenants in the fleet
+    /// rollup).
     pub arena_bytes: u64,
-    /// What the pre-arena exact-size buffer pool kept resident for the
-    /// same group (every stage activation plus the stacked source) — the
-    /// "before" of the arena optimization.
-    pub legacy_pool_bytes: u64,
 }
 
 impl RuntimeStats {
@@ -132,9 +125,9 @@ impl RuntimeStats {
 
     /// Writes this snapshot's serving metrics into `w` under `labels`
     /// (e.g. `[("tenant", name)]`), grouping with samples other snapshots
-    /// already wrote for the same metric names. Plan-cache counters are
-    /// *not* written here — they are engine-level, so the engine adds
-    /// them once (see `render_prometheus`).
+    /// already wrote for the same metric names. Plan-cache and
+    /// supervision counters are *not* written here — they are
+    /// fleet-level, so `MultiEngine::render_prometheus` adds them once.
     pub fn write_prometheus(&self, w: &mut PromWriter, labels: &[(&str, &str)]) {
         w.counter(
             "epim_requests_total",
@@ -236,12 +229,6 @@ impl RuntimeStats {
             labels,
             self.arena_bytes as f64,
         );
-        w.gauge(
-            "epim_legacy_pool_bytes",
-            "Resident bytes the pre-arena exact-size pool would have kept.",
-            labels,
-            self.legacy_pool_bytes as f64,
-        );
         w.counter(
             "epim_datapath_rounds_total",
             "Crossbar activation rounds executed.",
@@ -267,19 +254,6 @@ impl RuntimeStats {
             self.datapath.wrapped_elements,
         );
     }
-
-    /// Renders this snapshot alone as Prometheus text exposition
-    /// (serving metrics unlabeled, plus the engine's plan-cache
-    /// counters). Multi-tenant engines use
-    /// [`write_prometheus`](RuntimeStats::write_prometheus) per tenant
-    /// instead and add cache metrics once.
-    pub fn render_prometheus(&self) -> String {
-        let mut w = PromWriter::new();
-        self.write_prometheus(&mut w, &[]);
-        write_cache_prometheus(&mut w, &self.plan_cache);
-        write_supervision_prometheus(&mut w, self.worker_restarts);
-        w.render()
-    }
 }
 
 /// Writes fleet-level supervision counters (once per exposition — worker
@@ -293,7 +267,7 @@ pub(crate) fn write_supervision_prometheus(w: &mut PromWriter, worker_restarts: 
     );
 }
 
-/// Writes engine-level plan-cache counters (once per exposition, never
+/// Writes fleet-level plan-cache counters (once per exposition, never
 /// per tenant).
 pub(crate) fn write_cache_prometheus(w: &mut PromWriter, cache: &PlanCacheStats) {
     w.counter(
@@ -316,7 +290,7 @@ pub(crate) fn write_cache_prometheus(w: &mut PromWriter, cache: &PlanCacheStats)
     );
 }
 
-/// Mutable accumulator behind the engine's stats mutex.
+/// Mutable accumulator behind a tenant's stats mutex.
 #[derive(Debug, Default)]
 pub(crate) struct StatsInner {
     requests: u64,
@@ -464,11 +438,10 @@ impl StatsInner {
             shed: self.shed,
             deadline_exceeded: self.deadline_exceeded,
             // Fleet-wide, sampled outside the stats mutex: the owning
-            // scheduler fills it in (like the engines do arena_bytes).
+            // scheduler fills it in (as `MultiEngine` does arena_bytes).
             worker_restarts: 0,
             plan_cache,
             arena_bytes: 0,
-            legacy_pool_bytes: 0,
         }
     }
 }
@@ -654,26 +627,26 @@ mod tests {
         );
         inner.record_shed(1);
         let snap = inner.snapshot(3, 4, PlanCacheStats::default());
-        let text = snap.render_prometheus();
-        assert!(text.contains("# TYPE epim_requests_total counter"));
-        assert!(text.contains("epim_requests_total 2"));
-        assert!(text.contains("epim_shed_total 1"));
-        assert!(text.contains("epim_queue_depth 3"));
-        assert!(text.contains("epim_queue_depth_high_water 4"));
-        assert!(text.contains("# TYPE epim_queue_wait_seconds histogram"));
-        assert!(text.contains("epim_queue_wait_seconds_count 2"));
-        assert!(text.contains("epim_request_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("epim_batch_size_total{size=\"2\"} 1"));
-        assert!(text.contains("epim_stage_calls_total{stage=\"conv1\",op=\"conv2d\"} 1"));
-        assert!(text.contains("epim_stage_seconds_total{stage=\"conv1\",op=\"conv2d\"} 0.001"));
-        assert!(text.contains("epim_plan_cache_entries 0"));
-        // Labeled per-tenant form groups under the same headers.
         let mut w = PromWriter::new();
         snap.write_prometheus(&mut w, &[("tenant", "resnet")]);
-        let labeled = w.render();
-        assert!(labeled.contains("epim_requests_total{tenant=\"resnet\"} 2"));
-        assert!(labeled
+        write_cache_prometheus(&mut w, &snap.plan_cache);
+        let text = w.render();
+        assert!(text.contains("# TYPE epim_requests_total counter"));
+        assert!(text.contains("epim_requests_total{tenant=\"resnet\"} 2"));
+        assert!(text.contains("epim_shed_total{tenant=\"resnet\"} 1"));
+        assert!(text.contains("epim_queue_depth{tenant=\"resnet\"} 3"));
+        assert!(text.contains("epim_queue_depth_high_water{tenant=\"resnet\"} 4"));
+        assert!(text.contains("# TYPE epim_queue_wait_seconds histogram"));
+        assert!(text.contains("epim_queue_wait_seconds_count{tenant=\"resnet\"} 2"));
+        assert!(text.contains("epim_request_seconds_bucket{tenant=\"resnet\",le=\"+Inf\"} 2"));
+        assert!(text.contains("epim_batch_size_total{tenant=\"resnet\",size=\"2\"} 1"));
+        assert!(text
             .contains("epim_stage_calls_total{tenant=\"resnet\",stage=\"conv1\",op=\"conv2d\"} 1"));
+        assert!(text.contains(
+            "epim_stage_seconds_total{tenant=\"resnet\",stage=\"conv1\",op=\"conv2d\"} 0.001"
+        ));
+        // Plan-cache counters are fleet-level: written once, unlabeled.
+        assert!(text.contains("epim_plan_cache_entries 0"));
     }
 
     #[test]
@@ -681,19 +654,18 @@ mod tests {
         let mut inner = StatsInner::default();
         inner.record_shed(2);
         inner.record_deadline_exceeded(5);
-        let mut snap = inner.snapshot(0, 0, PlanCacheStats::default());
-        snap.worker_restarts = 3;
-        let text = snap.render_prometheus();
-        assert!(text.contains("# TYPE epim_deadline_exceeded_total counter"));
-        assert!(text.contains("epim_deadline_exceeded_total 5"));
-        assert!(text.contains("# TYPE epim_worker_restarts_total counter"));
-        assert!(text.contains("epim_worker_restarts_total 3"));
-        // The restart counter is engine-level: never written per tenant.
+        let snap = inner.snapshot(0, 0, PlanCacheStats::default());
         let mut w = PromWriter::new();
         snap.write_prometheus(&mut w, &[("tenant", "resnet")]);
         let labeled = w.render();
+        assert!(labeled.contains("# TYPE epim_deadline_exceeded_total counter"));
         assert!(labeled.contains("epim_deadline_exceeded_total{tenant=\"resnet\"} 5"));
+        // The restart counter is fleet-level: never written per tenant.
         assert!(!labeled.contains("epim_worker_restarts_total"));
+        write_supervision_prometheus(&mut w, 3);
+        let text = w.render();
+        assert!(text.contains("# TYPE epim_worker_restarts_total counter"));
+        assert!(text.contains("epim_worker_restarts_total 3"));
     }
 
     #[test]

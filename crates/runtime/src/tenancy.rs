@@ -1,22 +1,20 @@
-//! Multi-network tenancy: one scheduler serving a fleet of compiled
-//! plans.
+//! The serving engine: one scheduler serving a fleet of compiled plans.
 //!
 //! The paper's epitome compression pays off at fleet scale — many small
-//! compressed models sharing one accelerator. [`crate::NetworkEngine`]
-//! serves exactly one [`NetworkPlan`]; a deployment with several
-//! compressed backbones would need one engine (and one worker-pool fight)
-//! per model. [`MultiEngine`] closes that gap: several compiled plans
-//! register as **tenants** sharing one [`PlanCache`] and one set of
-//! scheduler threads, each tenant with its own bounded submission queue,
-//! its own [`FlowControl`] and micro-batching knobs, and its own
-//! [`RuntimeStats`] — drained under the scheduler core's weighted-fair
-//! policy (see [`crate::scheduler`]'s module docs).
+//! compressed models sharing one accelerator. In a [`MultiEngine`] several
+//! compiled [`NetworkPlan`]s register as **tenants** sharing one
+//! [`PlanCache`] and one set of scheduler threads, each tenant with its
+//! own bounded submission queue, its own [`crate::FlowControl`] and
+//! micro-batching knobs, and its own [`RuntimeStats`] — drained under the
+//! scheduler core's weighted-fair policy. A single network, or a single
+//! epitome layer (`epim_models::zoo::epitome_layer`), is served as a
+//! one-tenant fleet.
 //!
 //! Because request groups never mix tenants and every tenant executes its
 //! own plan, each tenant's outputs and [`DataPathStats`] rollups are
-//! **bit-identical** to running that tenant alone on a dedicated
-//! [`crate::NetworkEngine`] — tenancy is purely a resource-sharing
-//! decision, never a semantic one. Two tenants whose networks share an
+//! **bit-identical** to sequential per-request reference execution of its
+//! network — tenancy is purely a resource-sharing decision, never a
+//! semantic one. Two tenants whose networks share an
 //! [`epim_core::EpitomeSpec`] share one compiled plan through the cache
 //! (one compile, visible in [`crate::PlanCacheStats`]).
 //!
@@ -59,8 +57,7 @@
 use crate::network::{NetworkPlan, PlanExecutor};
 use crate::scheduler::Scheduler;
 use crate::{
-    InferRequest, InferService, Inference, Pending, PlanCache, RuntimeError, RuntimeStats,
-    TenantConfig,
+    InferRequest, Inference, Pending, PlanCache, RuntimeError, RuntimeStats, TenantConfig,
 };
 use epim_models::lower::NetworkWeights;
 use epim_models::network::Network;
@@ -144,8 +141,8 @@ impl MultiEngineBuilder {
         // before the shared cache's counters record any of its work).
         let name = name.into();
         self.check_registration(&name, config)?;
-        // Tenants always serve the optimized program: the graph-fusion
-        // pass is bit-identity-safe, so there is nothing to opt out of.
+        // The graph-fusion pass is bit-identity-safe, so `register`
+        // always runs it; an unfused plan goes through `register_plan`.
         let plan = Arc::new(NetworkPlan::compile(
             &self.cache,
             network,
@@ -213,15 +210,15 @@ impl MultiEngineBuilder {
             .into_iter()
             .map(|(name, plan, config)| {
                 // Pre-size each tenant's activation arena for its own
-                // max_batch, as the dedicated engine would.
+                // max_batch.
                 let max_batch = config.max_batch.max(1);
                 plan.warm(max_batch);
                 max_batches.push(max_batch);
                 names.push(name.clone());
-                (Some(name), PlanExecutor { plan }, config)
+                (name, PlanExecutor { plan }, config)
             })
             .collect();
-        let scheduler = Scheduler::multi(tenants, self.workers, self.restart_budget)?;
+        let scheduler = Scheduler::new(tenants, self.workers, self.restart_budget)?;
         Ok(MultiEngine {
             scheduler,
             fleet: self.fleet,
@@ -232,9 +229,10 @@ impl MultiEngineBuilder {
     }
 }
 
-/// A multi-tenant serving engine: a fleet of compiled [`NetworkPlan`]s
-/// behind one weighted-fair scheduler, sharing one [`PlanCache`] and one
-/// worker pool. See the [module docs](self) for the guarantees.
+/// The serving engine: a fleet of compiled [`NetworkPlan`]s behind one
+/// weighted-fair scheduler, sharing one [`PlanCache`] and one worker
+/// pool. Groups never mix tenants, so each tenant's outputs and
+/// data-path stats are bit-identical to serving it alone.
 pub struct MultiEngine {
     scheduler: Scheduler<PlanExecutor>,
     fleet: u64,
@@ -284,18 +282,6 @@ impl MultiEngine {
         Ok(id.index)
     }
 
-    /// A borrowing handle binding this engine to one tenant id — the
-    /// ergonomic per-tenant submission surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownTenant`] for an id this engine did
-    /// not issue.
-    pub fn tenant(&self, id: TenantId) -> Result<TenantHandle<'_>, RuntimeError> {
-        self.index_of(id)?;
-        Ok(TenantHandle { engine: self, id })
-    }
-
     /// The compiled plan tenant `id` serves.
     ///
     /// # Errors
@@ -329,9 +315,7 @@ impl MultiEngine {
 
     /// Submits to tenant `id` without ever blocking on queue space (full
     /// queue → shed immediately); the returned [`Pending`] waits for the
-    /// result. Accepts a bare [`Tensor`] or a tagged [`InferRequest`];
-    /// [`MultiEngine::tenant`] yields the per-tenant [`InferService`]
-    /// form of this call.
+    /// result. Accepts a bare [`Tensor`] or a tagged [`InferRequest`].
     ///
     /// # Errors
     ///
@@ -384,7 +368,6 @@ impl MultiEngine {
         let mut stats = self.scheduler.tenant_stats(index, self.cache.stats())?;
         let plan = &self.scheduler.executor(index).plan;
         stats.arena_bytes = plan.arena_bytes(self.max_batches[index]);
-        stats.legacy_pool_bytes = plan.legacy_pool_bytes(self.max_batches[index]);
         Ok(stats)
     }
 
@@ -397,7 +380,6 @@ impl MultiEngine {
         for (index, &max_batch) in self.max_batches.iter().enumerate() {
             let plan = &self.scheduler.executor(index).plan;
             stats.arena_bytes += plan.arena_bytes(max_batch);
-            stats.legacy_pool_bytes += plan.legacy_pool_bytes(max_batch);
         }
         stats
     }
@@ -423,78 +405,5 @@ impl MultiEngine {
         // shared), so the counter is written once, unlabeled.
         crate::stats::write_supervision_prometheus(&mut w, self.fleet_stats().worker_restarts);
         w.render()
-    }
-}
-
-/// A cheap borrowing handle binding a [`MultiEngine`] to one tenant id,
-/// so call sites read like the single-tenant engines'.
-#[derive(Clone, Copy)]
-pub struct TenantHandle<'a> {
-    engine: &'a MultiEngine,
-    id: TenantId,
-}
-
-impl<'a> TenantHandle<'a> {
-    /// The id this handle carries.
-    pub fn id(self) -> TenantId {
-        self.id
-    }
-
-    /// The tenant's registered name.
-    pub fn name(self) -> &'a str {
-        &self.engine.tenant_names()[self.id.index]
-    }
-
-    /// See [`MultiEngine::infer`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::infer`].
-    pub fn infer(self, req: impl Into<InferRequest>) -> Result<Inference, RuntimeError> {
-        self.engine.infer(self.id, req)
-    }
-
-    /// See [`MultiEngine::try_infer`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::try_infer`].
-    pub fn try_infer(self, req: impl Into<InferRequest>) -> Result<Pending, RuntimeError> {
-        self.engine.try_infer(self.id, req)
-    }
-
-    /// See [`MultiEngine::infer_many`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::infer_many`].
-    #[allow(clippy::type_complexity)]
-    pub fn infer_many(
-        self,
-        inputs: Vec<Tensor>,
-    ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
-        self.engine.infer_many(self.id, inputs)
-    }
-
-    /// See [`MultiEngine::tenant_stats`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::tenant_stats`].
-    pub fn stats(self) -> Result<RuntimeStats, RuntimeError> {
-        self.engine.tenant_stats(self.id)
-    }
-}
-
-/// The per-tenant [`InferService`]: a handle is only constructed through
-/// [`MultiEngine::tenant`], which validates the id, so the trait's
-/// infallible `stats` cannot actually fail.
-impl InferService for TenantHandle<'_> {
-    fn try_infer(&self, req: InferRequest) -> Result<Pending, RuntimeError> {
-        TenantHandle::try_infer(*self, req)
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        TenantHandle::stats(*self).expect("handle ids are validated at construction")
     }
 }

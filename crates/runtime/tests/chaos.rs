@@ -18,7 +18,7 @@ use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{
-    EngineConfig, InferRequest, NetworkEngine, PlanCache, RuntimeError, RuntimeStats,
+    InferRequest, MultiEngine, PlanCache, RuntimeError, RuntimeStats, TenantConfig, TenantId,
 };
 use epim_tensor::{init, rng, Tensor};
 use std::sync::{Mutex, PoisonError};
@@ -35,40 +35,43 @@ fn requests(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// A single-worker engine over the tiny epitome network: one scheduler
-/// lane makes crash/respawn sequencing deterministic.
-fn build_engine(config: EngineConfig) -> NetworkEngine {
+/// A one-tenant, single-worker fleet over the tiny epitome network,
+/// serving one request per batch: one scheduler lane makes crash/respawn
+/// sequencing deterministic.
+fn build_engine(restart_budget: u32) -> (MultiEngine, TenantId) {
     let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
     let weights = NetworkWeights::random(&net, 7).unwrap();
-    let cache = PlanCache::new();
-    NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        AnalogModel::ideal(),
-        config,
-    )
-    .unwrap()
-}
-
-fn serial_config() -> EngineConfig {
-    EngineConfig {
+    let mut builder = MultiEngine::builder(&PlanCache::new()).restart_budget(restart_budget);
+    let serial = TenantConfig {
         max_batch: 1,
         batch_window: Duration::ZERO,
-        workers: 1,
-        ..EngineConfig::default()
-    }
+        ..TenantConfig::default()
+    };
+    let id = builder
+        .register(
+            "chaos",
+            &net,
+            &weights,
+            (16, 16),
+            true,
+            AnalogModel::ideal(),
+            serial,
+        )
+        .unwrap();
+    (builder.build().unwrap(), id)
+}
+
+fn serial_engine() -> (MultiEngine, TenantId) {
+    build_engine(epim_runtime::DEFAULT_RESTART_BUDGET)
 }
 
 /// Polls until the submission queue drains (the worker took the head
 /// request into execution), so a follow-up submission cannot coalesce
 /// into the same batch.
-fn wait_queue_empty(engine: &NetworkEngine) -> RuntimeStats {
+fn wait_queue_empty(engine: &MultiEngine) -> RuntimeStats {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = engine.stats();
+        let stats = engine.fleet_stats();
         if stats.queue_depth == 0 {
             return stats;
         }
@@ -89,14 +92,14 @@ fn worker_kill_is_survived_bit_identically() {
     let reqs = requests(5, 33);
 
     // Ground truth from a fault-free engine over the same plan + inputs.
-    let healthy = build_engine(serial_config());
+    let (healthy, healthy_id) = serial_engine();
     let want: Vec<Tensor> = reqs
         .iter()
-        .map(|r| healthy.infer(r.clone()).unwrap().output)
+        .map(|r| healthy.infer(healthy_id, r.clone()).unwrap().output)
         .collect();
     drop(healthy);
 
-    let engine = build_engine(serial_config());
+    let (engine, id) = serial_engine();
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::WorkerPanic, FaultRule::once_at(1)),
     );
@@ -105,21 +108,21 @@ fn worker_kill_is_survived_bit_identically() {
     // served by the respawned lane.
     let got: Vec<Tensor> = reqs
         .iter()
-        .map(|r| engine.infer(r.clone()).unwrap().output)
+        .map(|r| engine.infer(id, r.clone()).unwrap().output)
         .collect();
     let fired = epim_faults::fire_count(FaultPoint::WorkerPanic);
     epim_faults::clear();
 
     assert_eq!(got, want, "post-restart outputs diverged from reference");
     assert_eq!(fired, 1, "worker-kill fault fired {fired} times, not once");
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert!(
         stats.worker_restarts >= 1,
         "supervisor recorded no restart: {stats:?}"
     );
 }
 
-/// With the restart budget exhausted (`restart_budget: 0`), a worker
+/// With the restart budget exhausted (`restart_budget(0)`), a worker
 /// crash fails the fleet: queued and subsequent submissions resolve to
 /// the typed [`RuntimeError::CrashLoop`] / [`RuntimeError::ShuttingDown`]
 /// — they never hang and never return a wrong answer.
@@ -129,23 +132,20 @@ fn crash_loop_fails_typed_instead_of_hanging() {
     epim_faults::clear();
 
     let reqs = requests(2, 44);
-    let engine = build_engine(EngineConfig {
-        restart_budget: 0,
-        ..serial_config()
-    });
+    let (engine, id) = build_engine(0);
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::WorkerPanic, FaultRule::once_at(1)),
     );
 
     // The batch that triggers the kill still answers.
-    let first = engine.infer(reqs[0].clone());
+    let first = engine.infer(id, reqs[0].clone());
     assert!(first.is_ok(), "pre-crash request failed: {first:?}");
 
     // The lone worker is dead and the supervisor may not respawn it; the
     // next submission must resolve to a typed terminal error. (It may
     // block briefly until the supervisor sweeps the queue — that bounded
     // wait is the test: a hang here is the bug.)
-    let second = engine.infer(reqs[1].clone());
+    let second = engine.infer(id, reqs[1].clone());
     match second {
         Err(RuntimeError::CrashLoop { .. }) | Err(RuntimeError::ShuttingDown) => {}
         other => panic!("expected CrashLoop/ShuttingDown, got {other:?}"),
@@ -164,33 +164,33 @@ fn stats_lock_poisoning_recovers() {
     epim_faults::clear();
 
     let reqs = requests(3, 55);
-    let healthy = build_engine(serial_config());
+    let (healthy, healthy_id) = serial_engine();
     let want: Vec<Tensor> = reqs
         .iter()
-        .map(|r| healthy.infer(r.clone()).unwrap().output)
+        .map(|r| healthy.infer(healthy_id, r.clone()).unwrap().output)
         .collect();
     drop(healthy);
 
-    let engine = build_engine(serial_config());
+    let (engine, id) = serial_engine();
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::LockPanic, FaultRule::once_at(1)),
     );
 
     // The batch that panics under the lock fails typed, not silently.
-    match engine.infer(reqs[0].clone()) {
+    match engine.infer(id, reqs[0].clone()) {
         Err(RuntimeError::ExecutionPanicked) => {}
         other => panic!("expected ExecutionPanicked, got {other:?}"),
     }
     // Subsequent requests are served by the respawned worker through the
     // recovered (formerly poisoned) stats mutex, bit-identically.
     for (i, req) in reqs.iter().enumerate().skip(1) {
-        let out = engine.infer(req.clone()).unwrap().output;
+        let out = engine.infer(id, req.clone()).unwrap().output;
         assert_eq!(out, want[i], "request {i} diverged after lock recovery");
     }
     epim_faults::clear();
 
     // The poisoned mutex is readable again and the books balance.
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert!(stats.worker_restarts >= 1, "no restart recorded: {stats:?}");
     assert!(
         stats.requests >= 2,
@@ -205,16 +205,16 @@ fn expired_deadline_is_shed_at_admission() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     epim_faults::clear();
 
-    let engine = build_engine(serial_config());
+    let (engine, id) = serial_engine();
     let input = requests(1, 66).pop().unwrap();
     let already_expired = Instant::now();
     std::thread::sleep(Duration::from_millis(2));
 
-    match engine.infer(InferRequest::new(input).with_deadline(already_expired)) {
+    match engine.infer(id, InferRequest::new(input).with_deadline(already_expired)) {
         Err(RuntimeError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert!(
         stats.deadline_exceeded >= 1,
         "admission shed not counted: {stats:?}"
@@ -229,7 +229,7 @@ fn queued_request_expiring_behind_slow_batch_is_shed() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     epim_faults::clear();
 
-    let engine = build_engine(serial_config());
+    let (engine, id) = serial_engine();
     let mut reqs = requests(2, 77);
     let slow_input = reqs.remove(0);
     let doomed_input = reqs.remove(0);
@@ -243,12 +243,13 @@ fn queued_request_expiring_behind_slow_batch_is_shed() {
         },
     ));
 
-    let slow = engine.try_infer(InferRequest::new(slow_input)).unwrap();
+    let slow = engine.try_infer(id, InferRequest::new(slow_input)).unwrap();
     // Wait until the worker has taken the slow request into execution so
     // the doomed one queues behind it instead of coalescing with it.
     wait_queue_empty(&engine);
     let doomed = engine
         .try_infer(
+            id,
             InferRequest::new(doomed_input)
                 .with_deadline(Instant::now() + Duration::from_millis(30)),
         )
@@ -262,7 +263,7 @@ fn queued_request_expiring_behind_slow_batch_is_shed() {
     }
     epim_faults::clear();
 
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert!(
         stats.deadline_exceeded >= 1,
         "drain-loop shed not counted: {stats:?}"
@@ -277,10 +278,10 @@ fn armed_but_silent_faults_change_no_bits() {
     epim_faults::clear();
 
     let reqs = requests(4, 88);
-    let healthy = build_engine(serial_config());
+    let (healthy, healthy_id) = serial_engine();
     let want: Vec<Tensor> = reqs
         .iter()
-        .map(|r| healthy.infer(r.clone()).unwrap().output)
+        .map(|r| healthy.infer(healthy_id, r.clone()).unwrap().output)
         .collect();
     drop(healthy);
 
@@ -290,13 +291,13 @@ fn armed_but_silent_faults_change_no_bits() {
     }
     epim_faults::install(plan);
 
-    let engine = build_engine(serial_config());
+    let (engine, id) = serial_engine();
     let got: Vec<Tensor> = reqs
         .iter()
-        .map(|r| engine.infer(r.clone()).unwrap().output)
+        .map(|r| engine.infer(id, r.clone()).unwrap().output)
         .collect();
     epim_faults::clear();
 
     assert_eq!(got, want, "armed-but-silent fault plan changed served bits");
-    assert_eq!(engine.stats().worker_restarts, 0);
+    assert_eq!(engine.fleet_stats().worker_restarts, 0);
 }

@@ -1,5 +1,5 @@
-//! Integration tests for whole-network serving: the pipelined
-//! `NetworkEngine` must be **bit-identical** to sequential per-stage
+//! Integration tests for whole-network serving: a one-tenant
+//! `MultiEngine` must be **bit-identical** to sequential per-stage
 //! reference execution (outputs and `DataPathStats` rollup), the bounded
 //! queue must shed or block per policy, and plan-cache warming must make
 //! compilation miss-free.
@@ -11,7 +11,7 @@ use epim_models::resnet::{Backbone, LayerInfo};
 use epim_models::zoo;
 use epim_pim::datapath::{AnalogModel, DataPathStats};
 use epim_runtime::{
-    EngineConfig, FlowControl, NetworkEngine, NetworkPlan, PlanCache, RuntimeError,
+    FlowControl, MultiEngine, NetworkPlan, PlanCache, RuntimeError, TenantConfig, TenantId,
 };
 use epim_tensor::{init, rng, Tensor};
 use proptest::prelude::*;
@@ -27,6 +27,14 @@ fn layer(name: &str, conv: ConvShape, res: usize) -> LayerInfo {
     }
 }
 
+fn window(max_batch: usize, ms: u64) -> TenantConfig {
+    TenantConfig {
+        max_batch,
+        batch_window: Duration::from_millis(ms),
+        ..TenantConfig::default()
+    }
+}
+
 /// The zoo's tiny ResNet (stem 8, inner width 4, 10 classes) with its two
 /// 3×3 convolutions replaced by a shared epitome spec (so the plan cache
 /// can pay off across layers).
@@ -34,14 +42,38 @@ fn tiny_resnet_network() -> (Network, EpitomeSpec) {
     zoo::tiny_epitome_network(8, 4, 10).unwrap()
 }
 
-/// Serves `requests` through a fresh engine and checks outputs and stats
+/// A one-tenant fleet serving `net` with `workers` scheduler threads.
+fn fleet(
+    net: &Network,
+    weights: &NetworkWeights,
+    input_hw: (usize, usize),
+    analog: AnalogModel,
+    config: TenantConfig,
+    workers: usize,
+) -> (MultiEngine, TenantId) {
+    let mut builder = MultiEngine::builder(&PlanCache::new()).workers(workers);
+    let id = builder
+        .register("net", net, weights, input_hw, true, analog, config)
+        .unwrap();
+    (builder.build().unwrap(), id)
+}
+
+/// The zoo network's default fleet: ideal analog model, one worker.
+fn tiny_fleet(seed: u64, config: TenantConfig) -> (MultiEngine, TenantId) {
+    let (net, _) = tiny_resnet_network();
+    let weights = NetworkWeights::random(&net, seed).unwrap();
+    fleet(&net, &weights, (16, 16), AnalogModel::ideal(), config, 1)
+}
+
+/// Serves `requests` through a fresh fleet and checks outputs and stats
 /// against sequential per-request reference execution, bit for bit.
 fn assert_serves_like_reference(
     net: &Network,
     weights: &NetworkWeights,
     input_hw: (usize, usize),
     analog: AnalogModel,
-    config: EngineConfig,
+    config: TenantConfig,
+    workers: usize,
     requests: Vec<Tensor>,
 ) {
     let prog = net.lower(input_hw.0, input_hw.1).unwrap();
@@ -55,14 +87,13 @@ fn assert_serves_like_reference(
         })
         .collect();
 
-    let cache = PlanCache::new();
-    let engine = NetworkEngine::new(&cache, net, weights, input_hw, true, analog, config).unwrap();
-    let results = engine.infer_many(requests).unwrap();
+    let (engine, id) = fleet(net, weights, input_hw, analog, config, workers);
+    let results = engine.infer_many(id, requests).unwrap();
     for (i, (res, w)) in results.iter().zip(&want).enumerate() {
         let inference = res.as_ref().expect("inference succeeds");
         assert_eq!(inference.output, *w, "request {i} diverged from reference");
     }
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert_eq!(stats.requests, want.len() as u64);
     assert_eq!(
         stats.datapath, want_stats,
@@ -85,18 +116,7 @@ fn resnet_style_network_serves_bit_identically() {
     let requests: Vec<Tensor> = (0..8)
         .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
         .collect();
-    assert_serves_like_reference(
-        &net,
-        &weights,
-        (16, 16),
-        analog,
-        EngineConfig {
-            max_batch: 4,
-            batch_window: Duration::from_millis(20),
-            ..EngineConfig::default()
-        },
-        requests,
-    );
+    assert_serves_like_reference(&net, &weights, (16, 16), analog, window(4, 20), 1, requests);
 }
 
 /// Same invariant with pipelined workers and mixed request sizes (N=1 and
@@ -114,12 +134,8 @@ fn pipelined_workers_and_mixed_batch_sizes_stay_bit_identical() {
         &weights,
         (16, 16),
         AnalogModel::ideal(),
-        EngineConfig {
-            max_batch: 4,
-            batch_window: Duration::from_millis(10),
-            workers: 3,
-            ..EngineConfig::default()
-        },
+        window(4, 10),
+        3,
         requests,
     );
 }
@@ -181,12 +197,8 @@ proptest! {
             &weights,
             (8, 8),
             analog,
-            EngineConfig {
-                max_batch: 3,
-                batch_window: Duration::from_millis(10),
-                workers,
-                ..EngineConfig::default()
-            },
+            window(3, 10),
+            workers,
             requests,
         );
     }
@@ -224,9 +236,12 @@ fn warmed_cache_compiles_with_zero_misses() {
     );
     assert_eq!(plan.program().epitome_specs(), vec![&spec]);
 
-    // The engine reports the shared cache's counters.
-    let engine = NetworkEngine::from_plan(plan, &cache, EngineConfig::default()).unwrap();
-    let stats = engine.stats();
+    // The fleet reports the shared cache's counters.
+    let mut builder = MultiEngine::builder(&cache);
+    builder
+        .register_plan("net", plan, TenantConfig::default())
+        .unwrap();
+    let stats = builder.build().unwrap().fleet_stats();
     assert_eq!(stats.plan_cache.misses, misses_after_warm);
     assert_eq!(stats.plan_cache.entries, 1);
     assert!(stats.plan_cache.hits >= 2);
@@ -235,17 +250,9 @@ fn warmed_cache_compiles_with_zero_misses() {
 /// `Shed` rejects when the bounded queue is full; nothing hangs.
 #[test]
 fn shed_policy_rejects_under_load() {
-    let (net, _) = tiny_resnet_network();
-    let weights = NetworkWeights::random(&net, 41).unwrap();
-    let cache = PlanCache::new();
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        AnalogModel::ideal(),
-        EngineConfig {
+    let (engine, id) = tiny_fleet(
+        41,
+        TenantConfig {
             max_batch: 4,
             // A long window parks the queued requests in the queue while
             // the scheduler waits for the batch to fill.
@@ -254,11 +261,9 @@ fn shed_policy_rejects_under_load() {
             flow: FlowControl::Shed {
                 timeout: Duration::from_millis(10),
             },
-            workers: 1,
-            ..EngineConfig::default()
+            weight: 1,
         },
-    )
-    .unwrap();
+    );
     let x = || init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut rng::seeded(43));
 
     std::thread::scope(|scope| {
@@ -266,23 +271,23 @@ fn shed_policy_rejects_under_load() {
         let h1 = scope.spawn({
             let engine = &engine;
             let x = x();
-            move || engine.infer(x)
+            move || engine.infer(id, x)
         });
         let h2 = scope.spawn({
             let engine = &engine;
             let x = x();
-            move || engine.infer(x)
+            move || engine.infer(id, x)
         });
         std::thread::sleep(Duration::from_millis(100));
         // The queue is full: try_infer sheds immediately...
-        let shed = engine.try_infer(x());
+        let shed = engine.try_infer(id, x());
         assert!(
             matches!(shed, Err(RuntimeError::Overloaded { capacity: 2, .. })),
             "{shed:?}"
         );
         // ...and a blocking infer under the Shed policy gives up after its
         // timeout instead of waiting forever.
-        let shed = engine.infer(x());
+        let shed = engine.infer(id, x());
         assert!(
             matches!(shed, Err(RuntimeError::Overloaded { .. })),
             "{shed:?}"
@@ -291,7 +296,7 @@ fn shed_policy_rejects_under_load() {
         assert!(h1.join().unwrap().is_ok());
         assert!(h2.join().unwrap().is_ok());
     });
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert!(
         stats.shed >= 2,
         "shed counter must record rejections, got {}",
@@ -305,26 +310,16 @@ fn shed_policy_rejects_under_load() {
 /// the queue capacity completes.
 #[test]
 fn block_policy_never_drops() {
-    let (net, _) = tiny_resnet_network();
-    let weights = NetworkWeights::random(&net, 51).unwrap();
-    let cache = PlanCache::new();
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        AnalogModel::ideal(),
-        EngineConfig {
+    let (engine, id) = tiny_fleet(
+        51,
+        TenantConfig {
             max_batch: 2,
             batch_window: Duration::ZERO,
             queue_capacity: 2,
             flow: FlowControl::Block,
-            workers: 1,
-            ..EngineConfig::default()
+            weight: 1,
         },
-    )
-    .unwrap();
+    );
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 4;
     std::thread::scope(|scope| {
@@ -334,12 +329,12 @@ fn block_policy_never_drops() {
                 let mut r = rng::seeded(60 + c as u64);
                 for _ in 0..PER_CLIENT {
                     let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-                    engine.infer(x).expect("Block policy never sheds");
+                    engine.infer(id, x).expect("Block policy never sheds");
                 }
             });
         }
     });
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert_eq!(stats.requests, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.queue_depth, 0);
@@ -352,9 +347,9 @@ fn invalid_configs_rejected_with_typed_errors() {
     let (net, _) = tiny_resnet_network();
     let weights = NetworkWeights::random(&net, 61).unwrap();
     let cache = PlanCache::new();
-    let make = |config: EngineConfig| {
-        NetworkEngine::new(
-            &cache,
+    let register = |builder: &mut epim_runtime::MultiEngineBuilder, config: TenantConfig| {
+        builder.register(
+            "net",
             &net,
             &weights,
             (16, 16),
@@ -364,54 +359,66 @@ fn invalid_configs_rejected_with_typed_errors() {
         )
     };
     for bad in [
-        EngineConfig {
+        TenantConfig {
             max_batch: 0,
-            ..EngineConfig::default()
+            ..TenantConfig::default()
         },
-        EngineConfig {
+        TenantConfig {
             queue_capacity: 0,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            workers: 0,
-            ..EngineConfig::default()
+            ..TenantConfig::default()
         },
     ] {
+        let mut builder = MultiEngine::builder(&cache);
         assert!(
-            matches!(make(bad), Err(RuntimeError::InvalidConfig { .. })),
+            matches!(
+                register(&mut builder, bad),
+                Err(RuntimeError::InvalidConfig { .. })
+            ),
             "{bad:?}"
         );
     }
+    let mut builder = MultiEngine::builder(&cache).workers(0);
+    register(&mut builder, TenantConfig::default()).unwrap();
+    assert!(matches!(
+        builder.build(),
+        Err(RuntimeError::InvalidConfig { .. })
+    ));
 
     // A burst larger than the queue can ever hold fails whole.
-    let engine = make(EngineConfig {
-        queue_capacity: 2,
-        ..EngineConfig::default()
-    })
+    let mut builder = MultiEngine::builder(&cache);
+    let id = register(
+        &mut builder,
+        TenantConfig {
+            queue_capacity: 2,
+            ..TenantConfig::default()
+        },
+    )
     .unwrap();
+    let engine = builder.build().unwrap();
     let mut r = rng::seeded(62);
     let burst: Vec<Tensor> = (0..3)
         .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
         .collect();
     assert!(matches!(
-        engine.infer_many(burst),
+        engine.infer_many(id, burst),
         Err(RuntimeError::InvalidConfig { .. })
     ));
 
     // Bad requests fail alone without poisoning the engine.
     let wrong_channels = Tensor::zeros(&[1, 5, 16, 16]);
     assert!(matches!(
-        engine.infer(wrong_channels),
+        engine.infer(id, wrong_channels),
         Err(RuntimeError::Pim(_))
     ));
     let good = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-    assert!(engine.infer(good).is_ok());
+    assert!(engine.infer(id, good).is_ok());
 }
 
-/// The graph-fusion pass is invisible to callers: a fused engine and an
-/// unfused engine serve bitwise-identical outputs and stats, while the
-/// fused plan runs fewer stages and its liveness-planned arena stays
-/// strictly below the old exact-size pool's high-water mark.
+/// The graph-fusion pass is invisible to callers: a fused tenant and an
+/// unfused one (`NetworkPlan::compile(.., false)` through
+/// `register_plan`) serve bitwise-identical outputs and stats, while the
+/// fused plan runs fewer stages, and both activation arenas stay below
+/// the footprint of every activation kept resident.
 #[test]
 fn fused_engine_matches_unfused_and_shrinks_the_arena() {
     let (net, _) = tiny_resnet_network();
@@ -425,45 +432,42 @@ fn fused_engine_matches_unfused_and_shrinks_the_arena() {
     let requests: Vec<Tensor> = (0..8)
         .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
         .collect();
-    let config = EngineConfig {
-        max_batch: 4,
-        batch_window: Duration::from_millis(10),
-        ..EngineConfig::default()
-    };
-    let serve = |optimize_program: bool| {
+    let serve = |optimize: bool| {
         let cache = PlanCache::new();
-        let engine = NetworkEngine::new(
-            &cache,
-            &net,
-            &weights,
-            (16, 16),
-            true,
-            analog,
-            EngineConfig {
-                optimize_program,
-                ..config
-            },
-        )
-        .unwrap();
+        let plan =
+            NetworkPlan::compile(&cache, &net, &weights, (16, 16), true, analog, optimize).unwrap();
+        let mut builder = MultiEngine::builder(&cache);
+        let id = builder
+            .register_plan("net", Arc::new(plan), window(4, 10))
+            .unwrap();
+        let engine = builder.build().unwrap();
         let outs: Vec<Tensor> = engine
-            .infer_many(requests.clone())
+            .infer_many(id, requests.clone())
             .unwrap()
             .into_iter()
             .map(|res| res.unwrap().output)
             .collect();
-        let stages = engine.plan().program().stages().len();
-        (outs, engine.stats(), stages)
+        let stages = engine.plan(id).unwrap().program().stages().len();
+        (outs, engine.fleet_stats(), stages)
     };
     let (fused_outs, fused_stats, fused_stages) = serve(true);
     let (raw_outs, raw_stats, raw_stages) = serve(false);
     assert_eq!(fused_outs, raw_outs, "fusion must be bitwise invisible");
     assert_eq!(fused_stats.datapath, raw_stats.datapath);
     assert!(fused_stages < raw_stages, "relu stages must fold away");
-    // The arena metric: strictly below the old pool's high-water mark,
-    // for both the fused and the unfused program.
+    // Both liveness-planned arenas stay strictly below keeping every
+    // unfused activation (and the source) resident for a full group.
+    let raw_prog = net.lower(16, 16).unwrap();
+    let resident: usize = raw_prog.input_shape().iter().product::<usize>()
+        + raw_prog
+            .stages()
+            .iter()
+            .map(|s| s.out_shape.iter().product::<usize>())
+            .sum::<usize>();
+    let resident_bytes = (resident * 4 * std::mem::size_of::<f32>()) as u64;
     assert!(fused_stats.arena_bytes > 0);
-    assert!(fused_stats.arena_bytes < fused_stats.legacy_pool_bytes);
-    assert!(raw_stats.arena_bytes < raw_stats.legacy_pool_bytes);
+    assert!(fused_stats.arena_bytes < resident_bytes);
+    assert!(raw_stats.arena_bytes < resident_bytes);
     assert!(
         fused_stats.arena_bytes <= raw_stats.arena_bytes,
         "fusion must never grow the arena"
@@ -475,26 +479,20 @@ fn fused_engine_matches_unfused_and_shrinks_the_arena() {
 fn try_infer_pending_delivers() {
     let (net, _) = tiny_resnet_network();
     let weights = NetworkWeights::random(&net, 71).unwrap();
-    let cache = PlanCache::new();
-    let engine = NetworkEngine::new(
-        &cache,
+    let (engine, id) = fleet(
         &net,
         &weights,
         (16, 16),
-        true,
         AnalogModel::ideal(),
-        EngineConfig {
-            batch_window: Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
+        window(16, 0),
+        1,
+    );
     let mut r = rng::seeded(72);
     let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
     let prog = net.lower(16, 16).unwrap();
     let (want, _) = prog
         .forward_reference(&weights, true, AnalogModel::ideal(), &x)
         .unwrap();
-    let pending = engine.try_infer(x).unwrap();
+    let pending = engine.try_infer(id, x).unwrap();
     assert_eq!(pending.wait().unwrap().output, want);
 }

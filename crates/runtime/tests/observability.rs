@@ -12,7 +12,7 @@ use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_obs::{self as obs, SpanKind, TENANT_NONE};
 use epim_pim::datapath::AnalogModel;
-use epim_runtime::{EngineConfig, NetworkEngine, NetworkPlan, PlanCache};
+use epim_runtime::{MultiEngine, NetworkPlan, PlanCache, TenantConfig};
 use epim_tensor::{init, rng, Tensor};
 use std::time::Duration;
 
@@ -74,22 +74,20 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     // --- Phase 2: a served burst. Scheduler workers occupy labeled
     // lanes; every stage span nests inside a group span on its lane.
     obs::global().clear();
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
+    let fleet = |window: Duration, workers: usize| {
+        let mut builder = MultiEngine::builder(&cache).workers(workers);
+        let config = TenantConfig {
             max_batch: 4,
-            batch_window: Duration::ZERO,
-            workers: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    for res in engine.infer_many(burst(8, 13)).unwrap() {
+            batch_window: window,
+            ..TenantConfig::default()
+        };
+        let id = builder
+            .register("net", &net, &weights, (16, 16), true, analog, config)
+            .unwrap();
+        (builder.build().unwrap(), id)
+    };
+    let (engine, id) = fleet(Duration::ZERO, 2);
+    for res in engine.infer_many(id, burst(8, 13)).unwrap() {
         res.unwrap();
     }
     obs::set_enabled(false);
@@ -151,24 +149,11 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     // The first group of a fresh engine has no service estimate yet and
     // gets the configured window; once a batch has been measured (far
     // below the 20 ms window) the next group gets at most that long.
-    let held = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
-            max_batch: 4,
-            batch_window: Duration::from_millis(20),
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
+    let (held, held_id) = fleet(Duration::from_millis(20), 1);
     obs::global().clear();
     obs::set_enabled(true);
     for input in burst(2, 17) {
-        held.infer(input).unwrap();
+        held.infer(held_id, input).unwrap();
     }
     obs::set_enabled(false);
     let mut holds: Vec<(u64, u64)> = ring
@@ -201,19 +186,19 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     assert!(events.len() >= all.len(), "every ring event exports");
     assert!(json.contains("hold_ns"), "coalesce spans export their hold");
 
-    let stats = engine.stats();
+    let stats = engine.fleet_stats();
     assert!(
         stats.queue_depth_high_water >= 1,
         "burst left a high-water mark"
     );
     assert!(!stats.stages.is_empty(), "per-stage rollup populated");
     assert!(stats.time_in_queue() > Duration::ZERO);
-    let text = stats.render_prometheus();
+    let text = engine.render_prometheus();
     for needle in [
         "# TYPE epim_request_seconds histogram",
         "epim_request_seconds_bucket",
         "le=\"+Inf\"",
-        "epim_requests_total 8",
+        "epim_requests_total{tenant=\"net\"} 8",
         "epim_queue_depth_high_water",
         "epim_stage_seconds_total",
     ] {

@@ -1,18 +1,12 @@
-//! Integration tests for the unified submission surface: the
-//! [`InferService`] trait must behave identically across all three engine
-//! kinds, and [`Pending`] must deliver results through every one of its
-//! three consumption modes — blocking `wait()`, bounded `wait_timeout()`
-//! and `await` under a runtime-free hand-rolled executor.
+//! Integration tests for the submission surface: [`Pending`] must
+//! deliver results through every one of its three consumption modes —
+//! blocking `wait()`, bounded `wait_timeout()` and `await` under a
+//! runtime-free hand-rolled executor.
 
 use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
-use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
-use epim_runtime::{
-    Engine, EngineConfig, InferRequest, InferService, MultiEngine, NetworkEngine, Pending,
-    PlanCache, RuntimeError, TenantConfig,
-};
-use epim_tensor::ops::Conv2dCfg;
+use epim_runtime::{MultiEngine, Pending, PlanCache, RuntimeError, TenantConfig, TenantId};
 use epim_tensor::{init, rng, Tensor};
 use std::future::Future;
 use std::pin::Pin;
@@ -20,23 +14,22 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-fn analog() -> AnalogModel {
-    AnalogModel {
-        adc_bits: Some(8),
-        dac_bits: Some(9),
-        ..AnalogModel::ideal()
-    }
-}
-
-fn layer_engine(config: EngineConfig) -> Engine {
+/// A one-tenant fleet serving one A9/ADC8 epitome layer on 8x8 inputs.
+fn layer_engine(config: TenantConfig) -> (MultiEngine, TenantId) {
     let spec = EpitomeSpec::new(ConvShape::new(8, 4, 3, 3), EpitomeShape::new(4, 4, 2, 2)).unwrap();
     let mut r = rng::seeded(5);
     let epi = Epitome::from_tensor(spec, init::uniform(&[4, 4, 2, 2], -1.0, 1.0, &mut r)).unwrap();
-    let cfg = Conv2dCfg {
-        stride: 1,
-        padding: 1,
+    let (net, weights) = zoo::epitome_layer(&epi, 8).unwrap();
+    let analog = AnalogModel {
+        adc_bits: Some(8),
+        dac_bits: Some(9),
+        ..AnalogModel::ideal()
     };
-    Engine::new(&epi, cfg, true, analog(), config).unwrap()
+    let mut builder = MultiEngine::builder(&PlanCache::new());
+    let id = builder
+        .register("layer", &net, &weights, (8, 8), true, analog, config)
+        .unwrap();
+    (builder.build().unwrap(), id)
 }
 
 /// A minimal single-future executor built only on std: parks on a
@@ -78,95 +71,15 @@ fn block_on<F: Future>(fut: F) -> F::Output {
     }
 }
 
-/// Generic driver: the point of `InferService` is that this compiles
-/// once and serves any engine.
-fn drive(svc: &dyn InferService, inputs: &[Tensor]) -> Vec<Tensor> {
-    let pendings: Vec<Pending> = inputs
-        .iter()
-        .map(|x| svc.try_infer(InferRequest::new(x.clone())).unwrap())
-        .collect();
-    pendings
-        .into_iter()
-        .map(|p| p.wait().unwrap().output)
-        .collect()
-}
-
-/// All three `InferService` implementations produce bit-identical
-/// outputs to their engine's inherent blocking path, through the same
-/// generic driver.
-#[test]
-fn infer_service_is_uniform_across_engines() {
-    // Single-layer engine.
-    let engine = layer_engine(EngineConfig::default());
-    let mut r = rng::seeded(6);
-    let layer_inputs: Vec<Tensor> = (0..3)
-        .map(|_| init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r))
-        .collect();
-    let want: Vec<Tensor> = layer_inputs
-        .iter()
-        .map(|x| engine.infer(x.clone()).unwrap().output)
-        .collect();
-    assert_eq!(drive(&engine, &layer_inputs), want);
-    assert!(InferService::stats(&engine).requests >= 3);
-
-    // Network engine and a tenant handle over the same network: all
-    // three must agree bitwise.
-    let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
-    let weights = NetworkWeights::random(&net, 11).unwrap();
-    let net_inputs: Vec<Tensor> = (0..3)
-        .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
-        .collect();
-
-    let cache = PlanCache::new();
-    let net_engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog(),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let net_want: Vec<Tensor> = net_inputs
-        .iter()
-        .map(|x| net_engine.infer(x.clone()).unwrap().output)
-        .collect();
-    assert_eq!(drive(&net_engine, &net_inputs), net_want);
-
-    let mut builder = MultiEngine::builder(&cache);
-    let solo = builder
-        .register(
-            "solo",
-            &net,
-            &weights,
-            (16, 16),
-            true,
-            analog(),
-            TenantConfig::default(),
-        )
-        .unwrap();
-    let fleet = builder.build().unwrap();
-    let handle = fleet.tenant(solo).unwrap();
-    assert_eq!(drive(&handle, &net_inputs), net_want);
-    assert_eq!(InferService::stats(&handle).requests, 3);
-
-    // The provided blocking convenience agrees with try_infer + wait.
-    let one = InferService::infer(&handle, InferRequest::new(net_inputs[0].clone()))
-        .unwrap()
-        .output;
-    assert_eq!(one, net_want[0]);
-}
-
 /// `Pending` as a `Future`: awaiting results under a minimal hand-rolled
 /// executor (no async runtime anywhere in the workspace) matches the
 /// blocking path bitwise, and the waker fires without busy-polling.
 #[test]
 fn pending_resolves_as_future_under_handrolled_executor() {
-    let engine = layer_engine(EngineConfig {
+    let (engine, id) = layer_engine(TenantConfig {
         max_batch: 4,
         batch_window: Duration::from_millis(2),
-        ..EngineConfig::default()
+        ..TenantConfig::default()
     });
     let mut r = rng::seeded(7);
     let inputs: Vec<Tensor> = (0..6)
@@ -174,14 +87,14 @@ fn pending_resolves_as_future_under_handrolled_executor() {
         .collect();
     let want: Vec<Tensor> = inputs
         .iter()
-        .map(|x| engine.infer(x.clone()).unwrap().output)
+        .map(|x| engine.infer(id, x.clone()).unwrap().output)
         .collect();
 
     // Await them one at a time (single-future executor), but submit all
     // up front so the batcher still coalesces.
     let pendings: Vec<Pending> = inputs
         .iter()
-        .map(|x| engine.try_infer(x.clone()).unwrap())
+        .map(|x| engine.try_infer(id, x.clone()).unwrap())
         .collect();
     let got: Vec<Tensor> = pendings
         .into_iter()
@@ -190,8 +103,8 @@ fn pending_resolves_as_future_under_handrolled_executor() {
     assert_eq!(got, want);
 
     // A joined pair through one future: poll-driven multiplexing.
-    let p1 = engine.try_infer(inputs[0].clone()).unwrap();
-    let p2 = engine.try_infer(inputs[1].clone()).unwrap();
+    let p1 = engine.try_infer(id, inputs[0].clone()).unwrap();
+    let p2 = engine.try_infer(id, inputs[1].clone()).unwrap();
     let joined = block_on(Join2 {
         a: Some(p1),
         b: Some(p2),
@@ -252,20 +165,20 @@ impl Future for Join2 {
 fn wait_timeout_returns_timeout_then_result_survives() {
     // max_batch 8 with a single submission: the batcher holds the
     // request for the whole window hoping for peers, stalling delivery.
-    let engine = layer_engine(EngineConfig {
+    let (engine, id) = layer_engine(TenantConfig {
         max_batch: 8,
         batch_window: Duration::from_millis(400),
-        ..EngineConfig::default()
+        ..TenantConfig::default()
     });
     let mut r = rng::seeded(8);
     let x = init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
     let want = {
         // Ground truth from a second engine with no stall window.
-        let fast = layer_engine(EngineConfig::default());
-        fast.infer(x.clone()).unwrap().output
+        let (fast, fast_id) = layer_engine(TenantConfig::default());
+        fast.infer(fast_id, x.clone()).unwrap().output
     };
 
-    let mut pending = engine.try_infer(x).unwrap();
+    let mut pending = engine.try_infer(id, x).unwrap();
     assert!(!pending.is_ready());
     let err = pending
         .wait_timeout(Duration::from_millis(30))
@@ -279,7 +192,7 @@ fn wait_timeout_returns_timeout_then_result_survives() {
     // A fresh request against the same engine resolves within a bounded
     // wait longer than the window: timeout is a deadline, not a poison.
     let y = init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
-    let mut p2 = engine.try_infer(y).unwrap();
+    let mut p2 = engine.try_infer(id, y).unwrap();
     let inf = p2.wait_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(inf.output.shape(), &[1, 8, 8, 8]);
 }

@@ -20,9 +20,9 @@
 //!   [`epim_runtime::Pending`] as a `Future`; the scheduler's delivery
 //!   wakes it. No busy-polling anywhere on the serving path.
 //! - [`server`] — accept loop, per-connection reader/writer session
-//!   threads mapping wire tenants onto the
-//!   [`epim_runtime::InferService`] surface, and graceful drain (stop
-//!   accepting, answer in-flight, goodbye, join).
+//!   threads mapping wire tenants onto [`epim_runtime::MultiEngine`]
+//!   tenants, and graceful drain (stop accepting, answer in-flight,
+//!   goodbye, join).
 //! - [`client`] — a blocking pipelining client, splittable into
 //!   sender/receiver halves for open-loop load generation, plus
 //!   [`client::ResilientClient`]: automatic reconnection with jittered

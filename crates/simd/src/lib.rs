@@ -6,7 +6,7 @@
 //! scalar) inside `#[target_feature]` wrappers so the whole inlined body —
 //! not just leaf intrinsics — compiles with the vector ISA enabled.
 //! AArch64 NEON later means one new [`Isa`] variant, one new token type
-//! and one new match arm in [`isa_dispatch!`], not a new dispatch stack.
+//! and one new match arm in `isa_dispatch!`, not a new dispatch stack.
 //!
 //! ```
 //! use epim_simd::{dispatch, Simd, SimdOp};

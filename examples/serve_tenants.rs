@@ -6,8 +6,8 @@
 //! with drain weight 3 and a *standard* tenant with weight 1 — and
 //! serves concurrent client fleets for both through the shared scheduler
 //! threads and plan cache. Along the way it verifies the house
-//! invariant: each tenant's outputs are bit-identical to a dedicated
-//! single-tenant `NetworkEngine` serving the same requests. A final act
+//! invariant: each tenant's outputs are bit-identical to sequential
+//! per-request reference execution of its network. A final act
 //! shows per-tenant flow control: the standard tenant sheds its overflow
 //! while the premium tenant's `Block` traffic all completes.
 //!
@@ -17,9 +17,7 @@
 use epim::models::lower::NetworkWeights;
 use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
-use epim::runtime::{
-    EngineConfig, FlowControl, MultiEngine, NetworkEngine, PlanCache, RuntimeError, TenantConfig,
-};
+use epim::runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim::tensor::{init, rng, Tensor};
 use std::time::Duration;
 
@@ -108,30 +106,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     });
 
-    // House invariant: each tenant matches a dedicated engine, bit for
-    // bit — tenancy is a resource-sharing decision, never a semantic one.
-    let dedicated = |net, weights, reqs: &[Tensor]| -> Vec<Tensor> {
-        let engine = NetworkEngine::new(
-            &cache,
-            net,
-            weights,
-            (16, 16),
-            true,
-            analog,
-            EngineConfig {
-                max_batch: 4,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("dedicated engine builds");
-        reqs.iter()
-            .map(|x| engine.infer(x.clone()).expect("inference succeeds").output)
-            .collect()
+    // House invariant: each tenant matches sequential per-request
+    // reference execution of its network, bit for bit — tenancy is a
+    // resource-sharing decision, never a semantic one.
+    let reference = |net: &epim::models::network::Network,
+                     weights: &NetworkWeights,
+                     reqs: &[Tensor]|
+     -> Result<Vec<Tensor>, Box<dyn std::error::Error>> {
+        let program = net.lower(16, 16)?;
+        let mut outs = Vec::with_capacity(reqs.len());
+        for x in reqs {
+            outs.push(program.forward_reference(weights, true, analog, x)?.0);
+        }
+        Ok(outs)
     };
-    let premium_solo = dedicated(&premium_net, &premium_weights, &premium_reqs);
-    let standard_solo = dedicated(&standard_net, &standard_weights, &standard_reqs);
-    let exact = premium_outs == premium_solo && standard_outs == standard_solo;
-    println!("tenants == dedicated engines, bitwise: {exact}");
+    let premium_ref = reference(&premium_net, &premium_weights, &premium_reqs)?;
+    let standard_ref = reference(&standard_net, &standard_weights, &standard_reqs)?;
+    let exact = premium_outs == premium_ref && standard_outs == standard_ref;
+    println!("tenants == forward_reference, bitwise: {exact}");
     assert!(
         exact,
         "multi-tenant serving must be bit-identical per tenant"
