@@ -28,6 +28,7 @@
 //! thread instead of waiting, so the pool can never deadlock and outer-level
 //! parallelism is never serialized behind an inner region.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock, TryLockError};
@@ -65,8 +66,8 @@ struct State {
     job: Option<Job>,
     /// Pool workers that have not yet finished the current epoch.
     pending: usize,
-    /// Whether any worker's job invocation panicked this epoch.
-    panicked: bool,
+    /// The payload of the first worker invocation that panicked this epoch.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 struct Pool {
@@ -96,7 +97,7 @@ fn pool() -> Option<&'static Pool> {
                 epoch: 0,
                 job: None,
                 pending: 0,
-                panicked: false,
+                panic: None,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -135,8 +136,8 @@ fn worker_loop(pool: &'static Pool, index: usize) {
         let f = unsafe { &*job.0 };
         let outcome = catch_unwind(AssertUnwindSafe(|| f(index)));
         let mut st = pool.state.lock().expect("pool state poisoned");
-        if outcome.is_err() {
-            st.panicked = true;
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
         }
         st.pending -= 1;
         if st.pending == 0 {
@@ -157,7 +158,8 @@ fn worker_loop(pool: &'static Pool, index: usize) {
 /// # Panics
 ///
 /// Propagates a panic if `f` panicked on any thread (after all threads have
-/// finished, so borrows stay sound).
+/// finished, so borrows stay sound), resuming with that invocation's own
+/// payload: the caller's when it panicked, else the first worker's.
 pub(crate) fn run(f: &(dyn Fn(usize) + Sync)) {
     let Some(pool) = pool() else {
         f(0);
@@ -186,7 +188,7 @@ pub(crate) fn run(f: &(dyn Fn(usize) + Sync)) {
         st.epoch += 1;
         st.job = Some(job);
         st.pending = pool.workers;
-        st.panicked = false;
+        st.panic = None;
         pool.work_cv.notify_all();
     }
 
@@ -194,21 +196,18 @@ pub(crate) fn run(f: &(dyn Fn(usize) + Sync)) {
     // barrier below — workers may still be running off our stack.
     let local = catch_unwind(AssertUnwindSafe(|| f(0)));
 
-    let worker_panicked = {
+    let worker_panic = {
         let mut st = pool.state.lock().expect("pool state poisoned");
         while st.pending > 0 {
             st = pool.done_cv.wait(st).expect("pool state poisoned");
         }
         st.job = None;
-        st.panicked
+        st.panic.take()
     };
     drop(guard);
 
-    if let Err(payload) = local {
+    if let Some(payload) = local.err().or(worker_panic) {
         resume_unwind(payload);
-    }
-    if worker_panicked {
-        panic!("worker panicked");
     }
 }
 
@@ -291,5 +290,35 @@ mod tests {
         });
         let count = count.load(Ordering::Relaxed);
         assert!((1..=crate::num_threads()).contains(&count));
+    }
+
+    #[test]
+    fn a_worker_panic_resumes_with_its_own_payload() {
+        if crate::num_threads() < 2 {
+            return; // no pool worker to panic on
+        }
+        // Only pool workers panic; a busy pool runs the job inline as
+        // worker 0 alone, so retry until a worker took part.
+        for _ in 0..500 {
+            let result = std::panic::catch_unwind(|| {
+                run(&|idx| {
+                    if idx != 0 {
+                        panic!("sub-batch on worker {idx} failed");
+                    }
+                })
+            });
+            if let Err(payload) = result {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("the worker's formatted message");
+                assert!(
+                    message.starts_with("sub-batch on worker ") && message.ends_with(" failed"),
+                    "{message}"
+                );
+                return;
+            }
+            std::thread::yield_now();
+        }
+        panic!("no pool worker joined a region in 500 attempts");
     }
 }

@@ -32,6 +32,10 @@ use epim_tensor::{rng, Tensor};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// A batched call whose output holds fewer elements than this computes its
+/// pixel tiles on the calling thread, never on the pool.
+pub const PARALLEL_OUTPUTS: usize = 1 << 14;
+
 /// Analog non-idealities applied by the functional data path.
 ///
 /// Models the two dominant error sources of real memristor crossbars:
@@ -866,7 +870,7 @@ impl DataPath {
             }
         };
 
-        if rows * cout < 1 << 14 {
+        if rows * cout < PARALLEL_OUTPUTS {
             for (i, chunk) in pix.chunks_mut(tile_rows * cw).enumerate() {
                 process_tile(i, chunk);
             }

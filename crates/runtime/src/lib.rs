@@ -23,6 +23,16 @@
 //!    dense convolutions one implicit GEMM. Outputs and `DataPathStats`
 //!    are **bit-identical** to sequential per-request reference
 //!    execution, so batching is purely a throughput decision.
+//!
+//!    **Group splitting.** When one of a plan's stages would fork across
+//!    the pool for a single image (the kernels' own parallel thresholds,
+//!    fixed at compile), a group whose request count is a multiple of a
+//!    pool width of at least 2 runs as one equal, contiguous sub-batch per
+//!    pool thread ([`NetworkPlan::sub_batches`]): the same stage loop, each
+//!    on its own arena, every kernel inline. Outputs concatenate in request
+//!    order and stats sum, so the result is still bit-identical; every
+//!    other group, and every plan below the threshold (the 16×16 zoo
+//!    tenants), runs the one stacked loop.
 //! 4. **Scheduler core**: per-tenant **bounded** queues with
 //!    [`FlowControl`] ([`FlowControl::Block`] backpressure or
 //!    [`FlowControl::Shed`] with a timeout), shape-grouped coalescing

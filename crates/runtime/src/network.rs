@@ -13,8 +13,9 @@
 //! activation arena** ([`ArenaPlan`]): one static layout assigning every
 //! activation an offset in a single allocation, with lifetimes-disjoint
 //! activations sharing memory. Steady-state serving leases one whole arena
-//! per in-flight group, so no stage allocates; the arena's size is
-//! reported in [`crate::RuntimeStats::arena_bytes`].
+//! per in-flight group (per sub-batch when the group splits), so no stage
+//! allocates; the arena's size is reported in
+//! [`crate::RuntimeStats::arena_bytes`].
 //!
 //! Execution stacks a whole request group into the arena's source slot
 //! and streams it through the stages: epitome stages run on the batched
@@ -29,6 +30,12 @@
 //! dimension *is* the batch, is deliberately executed per-request to
 //! keep that true) — with the [`DataPathStats`] rollup equal to the
 //! per-request sum.
+//!
+//! A heavy plan runs a group whose size is a multiple of the pool width as
+//! one sub-batch per pool thread instead ([`NetworkPlan::sub_batches`]);
+//! per-image results do not depend on the batch around them, so the
+//! concatenated outputs and summed stats are the unsplit group's, bit for
+//! bit.
 
 use crate::scheduler::GroupExecutor;
 use crate::stats::StageMeta;
@@ -37,7 +44,7 @@ use epim_models::lower::{NetworkProgram, NetworkWeights, StageInput, StageOp};
 use epim_models::network::Network;
 use epim_models::optimize::{ArenaPlan, ArenaSlot};
 use epim_obs::trace;
-use epim_pim::datapath::{AnalogModel, DataPath, DataPathStats};
+use epim_pim::datapath::{AnalogModel, DataPath, DataPathStats, PARALLEL_OUTPUTS};
 use epim_tensor::ops::{
     add_relu_slice, add_slice, conv2d_into, gemm, global_avg_pool_into, max_pool2d_into,
     relu_slice, Conv2dCfg, PoolCfg,
@@ -91,12 +98,36 @@ impl PlannedOp {
     fn op_name(&self) -> &'static str {
         self.trace_kind().as_str()
     }
+
+    /// Whether this stage's kernel forks across the pool for one image
+    /// whose output is `out_shape`, under the kernel's own threshold: the
+    /// implicit GEMM's multiply-adds, or the data path's output elements.
+    fn forks_alone(&self, out_shape: &[usize]) -> bool {
+        let outputs: usize = out_shape.iter().product();
+        match self {
+            PlannedOp::Conv { weight, .. } => {
+                outputs * (weight.len() / weight.shape()[0]) >= gemm::PARALLEL_FLOPS
+            }
+            PlannedOp::Epitome { .. } => outputs >= PARALLEL_OUTPUTS,
+            _ => false,
+        }
+    }
 }
 
-/// Whole arenas retained across groups; beyond this, returns are dropped.
-/// One arena serves one in-flight group, so this only needs to cover the
-/// scheduler's pipeline depth.
+/// Whole arenas retained across groups per pool thread; beyond this,
+/// returns are dropped. A split group leases one arena per pool thread, so
+/// this only needs to cover the scheduler's pipeline depth.
 const ARENA_RETAIN: usize = 8;
+
+/// The arenas retained between groups.
+struct ArenaPool {
+    free: Vec<Vec<f32>>,
+    /// The largest arena a warmed full group leases (`None` before
+    /// [`NetworkPlan::warm`]). A larger one — an odd-sized group of a
+    /// splitting plan — is dropped on return, so the retained arenas never
+    /// outgrow what a full group needs.
+    largest: Option<usize>,
+}
 
 /// A whole `Network` compiled for serving: optimized program + bound
 /// weights + per-stage data paths + the static activation arena,
@@ -133,8 +164,11 @@ pub struct NetworkPlan {
     program: NetworkProgram,
     ops: Vec<PlannedOp>,
     arena: ArenaPlan,
-    /// Whole activation arenas leased per group execution.
-    arenas: Mutex<Vec<Vec<f32>>>,
+    /// Whether some stage forks across the pool for a single image: the
+    /// precondition for splitting a group into sub-batches.
+    heavy: bool,
+    /// Whole activation arenas, one leased per executing (sub-)batch.
+    arenas: Mutex<ArenaPool>,
 }
 
 impl NetworkPlan {
@@ -207,12 +241,20 @@ impl NetworkPlan {
             ops.push(op);
         }
         let arena = program.plan_arena();
+        let heavy = ops
+            .iter()
+            .zip(program.stages())
+            .any(|(op, stage)| op.forks_alone(&stage.out_shape));
 
         Ok(NetworkPlan {
             program,
             ops,
             arena,
-            arenas: Mutex::new(Vec::new()),
+            heavy,
+            arenas: Mutex::new(ArenaPool {
+                free: Vec::new(),
+                largest: None,
+            }),
         })
     }
 
@@ -232,12 +274,23 @@ impl NetworkPlan {
         (self.arena.total * images * std::mem::size_of::<f32>()) as u64
     }
 
-    /// Pre-allocates one arena for groups of up to `images` stacked
-    /// images, so the first served groups do not pay the allocation.
-    /// Called at fleet build with each tenant's `max_batch`.
+    /// Pre-allocates exactly the arenas a full group of `images`
+    /// single-image requests leases — one per sub-batch when such a group
+    /// splits ([`NetworkPlan::sub_batches`]) — so the first served groups
+    /// do not pay the allocation, and caps every retained arena at that
+    /// sub-batch size. Called at fleet build with each tenant's
+    /// `max_batch`.
     pub fn warm(&self, images: usize) {
-        let arena = self.lease_arena(self.arena.total * images);
-        self.return_arena(arena);
+        let subs = self.sub_batches(images);
+        let len = self.arena.total * images / subs;
+        {
+            let mut pool = self.arenas.lock().expect("arena pool poisoned");
+            pool.largest = pool.largest.max(Some(len));
+        }
+        let leased: Vec<Vec<f32>> = (0..subs).map(|_| self.lease_arena(len)).collect();
+        for arena in leased {
+            self.return_arena(arena);
+        }
     }
 
     fn lease_arena(&self, len: usize) -> Vec<f32> {
@@ -245,17 +298,35 @@ impl NetworkPlan {
             .arenas
             .lock()
             .expect("arena pool poisoned")
+            .free
             .pop()
             .unwrap_or_default();
         // Contents may be stale: every op overwrites its whole output slot.
+        // Exact growth, so a grown arena still fits the retention cap.
+        v.reserve_exact(len.saturating_sub(v.len()));
         v.resize(len, 0.0);
         v
     }
 
     fn return_arena(&self, v: Vec<f32>) {
         let mut pool = self.arenas.lock().expect("arena pool poisoned");
-        if pool.len() < ARENA_RETAIN {
-            pool.push(v);
+        let fits = pool.largest.is_none_or(|largest| v.capacity() <= largest);
+        if fits && pool.free.len() < ARENA_RETAIN * epim_parallel::num_threads() {
+            pool.free.push(v);
+        }
+    }
+
+    /// How many sub-batches a group of `requests` requests executes as:
+    /// the pool width when the plan is heavy (one of its stages forks
+    /// across the pool for a single image) and `requests` is a multiple of
+    /// a width of at least 2, otherwise 1. Each sub-batch runs the whole
+    /// stage loop on its own pool thread with every kernel inline.
+    pub fn sub_batches(&self, requests: usize) -> usize {
+        let width = epim_parallel::num_threads();
+        if self.heavy && width >= 2 && requests >= width && requests.is_multiple_of(width) {
+            width
+        } else {
+            1
         }
     }
 
@@ -294,9 +365,10 @@ impl NetworkPlan {
     }
 
     /// [`NetworkPlan::execute_batch`] plus observability: also returns
-    /// each stage's wall time (nanoseconds, index-aligned with
-    /// [`NetworkPlan::stage_meta`]) and tags the per-stage trace spans
-    /// with `tenant` ([`trace::TENANT_NONE`] for direct calls).
+    /// each stage's time (nanoseconds, index-aligned with
+    /// [`NetworkPlan::stage_meta`]; busy time summed over the sub-batches
+    /// when the group splits) and tags the per-stage trace spans with
+    /// `tenant` ([`trace::TENANT_NONE`] for direct calls).
     pub(crate) fn run(
         &self,
         inputs: &[&Tensor],
@@ -322,6 +394,38 @@ impl NetworkPlan {
                 bad.shape()
             ))));
         }
+        let subs = self.sub_batches(inputs.len());
+        if subs == 1 {
+            return self.run_stages(inputs, tenant);
+        }
+        // Kernels inside a sub-batch find the pool busy with this region
+        // and run inline on the sub-batch's thread.
+        let mut parts: Vec<&[&Tensor]> = inputs.chunks(inputs.len() / subs).collect();
+        let results = epim_parallel::map_chunks_mut(&mut parts, 1, |_, part| {
+            self.run_stages(part[0], tenant)
+        });
+        let mut outs = Vec::with_capacity(inputs.len());
+        let mut stats = DataPathStats::default();
+        let mut stage_ns = vec![0u64; self.ops.len()];
+        for result in results {
+            let (part_outs, part_stats, part_ns) = result?;
+            outs.extend(part_outs);
+            stats.accumulate(&part_stats);
+            for (total, ns) in stage_ns.iter_mut().zip(part_ns) {
+                *total += ns;
+            }
+        }
+        Ok((outs, stats, stage_ns))
+    }
+
+    /// Streams a validated, shape-uniform group through every stage on one
+    /// leased arena.
+    fn run_stages(
+        &self,
+        inputs: &[&Tensor],
+        tenant: u32,
+    ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError> {
+        let first = inputs[0];
         let n_per = first.shape()[0];
         let images = inputs.len() * n_per;
 
@@ -342,8 +446,9 @@ impl NetworkPlan {
         let mut stage_ns = vec![0u64; self.ops.len()];
         for (i, op) in self.ops.iter().enumerate() {
             // Fault-injection point: slow this stage down (chaos testing
-            // of deadline shedding and batch-window behavior). Disabled
-            // (the default) this is one relaxed atomic load.
+            // of deadline shedding and batch-window behavior). It fires
+            // once per stage of each executed sub-batch. Disabled (the
+            // default) this is one relaxed atomic load.
             if let Some(delay) = epim_faults::fire_delay(epim_faults::FaultPoint::StageDelay) {
                 std::thread::sleep(delay);
             }
@@ -471,6 +576,7 @@ impl NetworkPlan {
                 }
             }
             stage_ns[i] = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            // The span carries this (sub-)batch's own image count.
             trace::span(
                 trace::SpanKind::Stage,
                 tenant,
@@ -573,5 +679,68 @@ impl GroupExecutor for PlanExecutor {
 
     fn stage_meta(&self) -> Vec<StageMeta> {
         self.plan.stage_meta()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MultiEngine, TenantConfig};
+    use epim_core::EpitomeDesigner;
+    use epim_models::resnet::resnet50;
+    use epim_tensor::{init, rng};
+    use std::time::Duration;
+
+    fn retained_bytes(plan: &NetworkPlan) -> u64 {
+        let pool = plan.arenas.lock().unwrap();
+        let floats: usize = pool.free.iter().map(Vec::capacity).sum();
+        (floats * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// Serving split groups retains exactly the arenas a full group
+    /// leases, one per sub-batch, and an odd-sized group never leaves a
+    /// larger arena behind.
+    #[test]
+    fn split_groups_retain_exactly_a_full_groups_arenas() {
+        let designer = EpitomeDesigner::new(128, 128);
+        let net = Network::uniform_epitome(resnet50(), &designer, 1024, 256).unwrap();
+        let weights = NetworkWeights::random(&net, 5).unwrap();
+        let max_batch = 2 * epim_parallel::num_threads();
+        let config = TenantConfig {
+            max_batch,
+            batch_window: Duration::ZERO,
+            ..TenantConfig::default()
+        };
+        let mut builder = MultiEngine::builder(&PlanCache::new());
+        let id = builder
+            .register(
+                "r50",
+                &net,
+                &weights,
+                (32, 32),
+                true,
+                AnalogModel::ideal(),
+                config,
+            )
+            .unwrap();
+        let engine = builder.build().unwrap();
+        let plan = engine.plan(id).unwrap();
+        let full = plan.arena_bytes(max_batch);
+        assert_eq!(
+            retained_bytes(plan),
+            full,
+            "warm leases a full group's arenas"
+        );
+        let mut r = rng::seeded(6);
+        for group in (1..=max_batch).chain([max_batch, max_batch]) {
+            let burst = (0..group)
+                .map(|_| init::uniform(&[1, 3, 32, 32], -1.0, 1.0, &mut r))
+                .collect();
+            for result in engine.infer_many(id, burst).unwrap() {
+                assert_eq!(result.unwrap().batch_size, group);
+            }
+            assert!(retained_bytes(plan) <= full, "after a group of {group}");
+        }
+        assert_eq!(retained_bytes(plan), full);
     }
 }

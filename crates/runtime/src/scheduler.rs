@@ -1293,9 +1293,11 @@ mod tests {
     const RUN: u8 = 0;
     const FAIL_BATCH: u8 = 1;
     const PANIC_BATCH: u8 = 2;
+    const PANIC_ON_POOL: u8 = 3;
 
     /// Echoes its inputs after sleeping `cost_ms`; `mode` makes the
-    /// batched path fail or panic (the per-request path always works).
+    /// batched path fail or panic, on the scheduler thread or inside a
+    /// pool region (the per-request path always works).
     struct Stub {
         cost_ms: AtomicU64,
         mode: AtomicU8,
@@ -1326,6 +1328,9 @@ mod tests {
             match self.mode.load(Ordering::SeqCst) {
                 FAIL_BATCH => return Err(RuntimeError::config("stub: batch refused")),
                 PANIC_BATCH => panic!("stub: batch panicked"),
+                PANIC_ON_POOL => epim_parallel::for_each_chunk_mut(&mut [0u8; 2], 1, |i, _| {
+                    panic!("stub: sub-batch {i} panicked")
+                }),
                 _ => {}
             }
             self.work();
@@ -1548,5 +1553,24 @@ mod tests {
             (2_000_000..u64::MAX).contains(&measured),
             "a 2 ms batch was measured as {measured} ns"
         );
+    }
+
+    /// A batch that panics inside a pool region, where a split group runs
+    /// its sub-batches, fails with the same typed error as any panicking
+    /// batch and costs no worker restart (this fleet has no restart
+    /// budget: a crashed worker would fail the next request).
+    #[test]
+    fn a_panic_on_the_pool_is_a_typed_error_not_a_restart() {
+        let sched = fleet(&[(0, tenant(0, 4))]);
+        sched
+            .executor(0)
+            .mode
+            .store(PANIC_ON_POOL, Ordering::SeqCst);
+        let panicked = sched.submit_wait(0, request());
+        assert!(matches!(panicked, Err(RuntimeError::ExecutionPanicked)));
+        sched.executor(0).mode.store(RUN, Ordering::SeqCst);
+        sched.submit_wait(0, request()).unwrap();
+        let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
+        assert_eq!(stats.worker_restarts, 0);
     }
 }

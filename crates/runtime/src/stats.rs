@@ -36,15 +36,22 @@ struct StageAgg {
 }
 
 /// One stage's execution-time rollup in a [`RuntimeStats`] snapshot.
+///
+/// A group that a heavy plan splits into sub-batches (see
+/// [`crate::NetworkPlan::sub_batches`]) still counts as one call; its time
+/// is the busy time summed over the sub-batches, which ran side by side,
+/// so it can exceed the group's wall time. Each `Stage` trace span carries
+/// its own sub-batch's image count.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageRollup {
     /// The stage's display name (the lowered program's stage name).
     pub name: String,
     /// The stage's op kind (e.g. `"conv2d"`, `"epitome"`).
     pub op: String,
-    /// Batches this stage has executed.
+    /// Groups this stage has executed (once per group, split or not).
     pub calls: u64,
-    /// Total time spent in this stage, nanoseconds.
+    /// Total busy time spent in this stage, nanoseconds, summed over the
+    /// sub-batches of split groups.
     pub total_ns: u64,
 }
 

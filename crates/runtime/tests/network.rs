@@ -7,7 +7,7 @@
 use epim_core::{ConvShape, EpitomeDesigner, EpitomeSpec};
 use epim_models::lower::NetworkWeights;
 use epim_models::network::{Network, OperatorChoice};
-use epim_models::resnet::{Backbone, LayerInfo};
+use epim_models::resnet::{resnet50, Backbone, LayerInfo};
 use epim_models::zoo;
 use epim_pim::datapath::{AnalogModel, DataPathStats};
 use epim_runtime::{
@@ -472,6 +472,59 @@ fn fused_engine_matches_unfused_and_shrinks_the_arena() {
         fused_stats.arena_bytes <= raw_stats.arena_bytes,
         "fusion must never grow the arena"
     );
+}
+
+/// A heavy plan splits every group whose size is a multiple of the pool
+/// width into one sub-batch per pool thread, and serving stays bitwise
+/// equal to per-request reference execution for every group size up to
+/// two full splits, down to the summed `DataPathStats`. Each stage still
+/// counts one call per group.
+#[test]
+fn heavy_plan_splits_groups_and_stays_bit_identical() {
+    // Uniform-epitome ResNet-50 at 32×32: its stem convolution (2.4 M
+    // multiply-adds) and stage-1 epitome stages (16 384 outputs) each fork
+    // across the pool for a single image.
+    let net =
+        Network::uniform_epitome(resnet50(), &EpitomeDesigner::new(128, 128), 1024, 256).unwrap();
+    let weights = NetworkWeights::random(&net, 91).unwrap();
+    let analog = AnalogModel {
+        adc_bits: Some(8),
+        dac_bits: Some(9),
+        ..AnalogModel::ideal()
+    };
+    let width = epim_parallel::num_threads();
+    let (engine, id) = fleet(&net, &weights, (32, 32), analog, window(2 * width, 0), 1);
+    let plan = engine.plan(id).unwrap();
+    let prog = net.lower(32, 32).unwrap();
+    let mut r = rng::seeded(92);
+    let mut want_stats = DataPathStats::default();
+    for group in 1..=2 * width {
+        let splits = width >= 2 && group % width == 0;
+        assert_eq!(plan.sub_batches(group), if splits { width } else { 1 });
+        let requests: Vec<Tensor> = (0..group)
+            .map(|_| init::uniform(&[1, 3, 32, 32], -1.0, 1.0, &mut r))
+            .collect();
+        let results = engine.infer_many(id, requests.clone()).unwrap();
+        for (x, res) in requests.iter().zip(results) {
+            let (want, s) = prog.forward_reference(&weights, true, analog, x).unwrap();
+            want_stats.accumulate(&s);
+            let inference = res.unwrap();
+            assert_eq!(inference.batch_size, group, "one burst is one group");
+            assert!(
+                inference
+                    .output
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "group of {group} diverged from reference"
+            );
+        }
+    }
+    let stats = engine.fleet_stats();
+    assert_eq!(stats.datapath, want_stats);
+    assert_eq!(stats.batches, 2 * width as u64);
+    assert!(stats.stages.iter().all(|s| s.calls == 2 * width as u64));
 }
 
 /// `try_infer`'s `Pending` handle delivers the same result as `infer`.

@@ -266,6 +266,13 @@ mod tests {
             &["resnet-a", "resnet-b", "resnet-c"],
             "wire-visible names must match registration order"
         );
+        // The 16×16 nets sit two orders of magnitude below the kernels'
+        // parallel thresholds, so no zoo group ever splits into
+        // sub-batches, whatever the pool width.
+        for name in fleet.tenant_names() {
+            let plan = fleet.plan(fleet.tenant_id(name).unwrap()).unwrap();
+            assert!((1..=64).all(|g| plan.sub_batches(g) == 1), "{name} split");
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn kernel_kind() -> KernelKind {
 /// packing and (above all) thread dispatch would dominate.
 const SMALL_FLOPS: usize = 1 << 15;
 /// Problems below this many multiply-adds never cross threads.
-const PARALLEL_FLOPS: usize = 1 << 21;
+pub const PARALLEL_FLOPS: usize = 1 << 21;
 
 /// A read-only matrix view with explicit row/column strides, so the same
 /// packing code serves normal and transposed operands.
