@@ -233,8 +233,8 @@ impl NetworkProgram {
     /// truth for the pipelined serving executor, which must reproduce both
     /// the output and the [`DataPathStats`] rollup bit for bit.
     ///
-    /// Epitome stages build a fresh [`DataPath`] per call; this is a
-    /// reference, not a serving path.
+    /// Epitome stages run a fresh [`DataPath`]'s serving executor at a batch
+    /// of one (its oracle is [`DataPath::execute_reference`]).
     ///
     /// # Errors
     ///

@@ -215,19 +215,24 @@ pub(crate) fn run(f: &(dyn Fn(usize) + Sync)) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     // These tests share one global pool with every other concurrently
     // running test in this binary (the harness runs tests in parallel on
     // multi-core machines). A busy pool legitimately degrades `run` to a
     // single inline invocation, so per-run assertions must accept
     // `1..=num_threads()` participants; full participation is asserted by
-    // retrying until an uncontended window is observed.
+    // retrying until an uncontended window is observed. Retries sleep
+    // rather than yield, so they cannot all land inside one hold of the
+    // pool by another test, and give up only after `RETRY_FOR`.
+    const RETRY_FOR: Duration = Duration::from_secs(10);
 
     #[test]
     fn all_threads_participate_and_rejoin() {
         let threads = crate::num_threads();
         let mut saw_full_participation = false;
-        for _ in 0..500 {
+        let deadline = Instant::now() + RETRY_FOR;
+        while Instant::now() < deadline {
             let seen = Mutex::new(Vec::new());
             run(&|idx| {
                 seen.lock().unwrap().push(idx);
@@ -249,11 +254,11 @@ mod tests {
                 saw_full_participation = true;
                 break;
             }
-            std::thread::yield_now();
+            std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
             saw_full_participation,
-            "pool never ran a full fork-join in 500 attempts"
+            "pool never ran a full fork-join in {RETRY_FOR:?}"
         );
     }
 
@@ -299,7 +304,8 @@ mod tests {
         }
         // Only pool workers panic; a busy pool runs the job inline as
         // worker 0 alone, so retry until a worker took part.
-        for _ in 0..500 {
+        let deadline = Instant::now() + RETRY_FOR;
+        while Instant::now() < deadline {
             let result = std::panic::catch_unwind(|| {
                 run(&|idx| {
                     if idx != 0 {
@@ -317,8 +323,8 @@ mod tests {
                 );
                 return;
             }
-            std::thread::yield_now();
+            std::thread::sleep(Duration::from_millis(1));
         }
-        panic!("no pool worker joined a region in 500 attempts");
+        panic!("no pool worker joined a region in {RETRY_FOR:?}");
     }
 }

@@ -17,10 +17,16 @@
 //!   module adds partials with identical ranges and concatenates
 //!   sequential ones.
 //!
-//! [`DataPath::execute`] runs a whole layer through this machinery and is
-//! the ground truth for the functional-equivalence tests: its output must
-//! match a plain convolution with [`epim_core::Epitome::reconstruct`]'s
-//! weight exactly.
+//! [`DataPath`] runs a layer through this machinery with one executor.
+//! [`DataPath::execute`] (one tensor), [`DataPath::execute_batch`] (several
+//! equal-shaped tensors) and [`DataPath::execute_stacked_into`] (a stacked
+//! slice, the serving path) are thin entry points over it, so a request's
+//! output bits and [`DataPathStats`] do not depend on which entry served it
+//! or what shared its batch. [`DataPath::execute_reference`], the seed's
+//! per-pixel table walk, is the oracle they are tested against bit for bit.
+//! Against a plain convolution with [`epim_core::Epitome::reconstruct`]'s
+//! weight the output agrees to float tolerance (the sums run in a
+//! different order).
 
 use crate::mvm::{crossbar_mvm, CrossbarRound, MVM_TB};
 use crate::quantize::{quantize_slice, quantize_value};
@@ -184,8 +190,8 @@ pub struct DataPathStats {
 }
 
 impl DataPathStats {
-    /// Adds another stats block into this one (used to merge the per-chunk
-    /// counters of a parallel execution; all fields are plain sums).
+    /// Adds another stats block into this one (used to roll up the
+    /// counters of several layers or requests; all fields are plain sums).
     pub fn accumulate(&mut self, other: &DataPathStats) {
         self.rounds += other.rounds;
         self.word_line_activations += other.word_line_activations;
@@ -526,12 +532,13 @@ impl DataPath {
     /// Executes the layer on an input feature map `(N, C_in, H, W)`,
     /// returning the output `(N, C_out, OH, OW)` and execution statistics.
     ///
-    /// This walks every output pixel through the activation rounds exactly
-    /// as the hardware would: gather inputs via IFAT, place them on word
-    /// lines via IFRT, run the (emulated, analog) crossbar MVM over the
-    /// active lines, and route partial sums through OFAT + joint module.
-    /// With wrapping enabled, rounds whose output-channel block is not the
-    /// first are skipped and their outputs replicated (Eq. 9).
+    /// Every output pixel walks the activation rounds as the hardware
+    /// would: its inputs are gathered via IFAT and placed on word lines via
+    /// IFRT, the (emulated, analog) crossbar MVM runs over the active lines,
+    /// and partial sums are routed through OFAT and the joint module. With
+    /// wrapping enabled, rounds whose output-channel block is not the first
+    /// are skipped and their outputs replicated (Eq. 9). This is a batch of
+    /// one on the executor [`DataPath::execute_batch`] describes.
     ///
     /// # Errors
     ///
@@ -540,92 +547,27 @@ impl DataPath {
     /// invalid for the input size.
     pub fn execute(&self, input: &Tensor) -> Result<(Tensor, DataPathStats), PimError> {
         let (n, h, w, oh, ow) = self.check_input(input)?;
-        let conv = self.plan.spec.conv();
-        let wrap_on = self.wrapping_enabled && self.wrapping.is_effective();
-        let rf_len = conv.matrix_rows();
-        let cfg = self.conv_cfg;
-        let xd = input.data();
-
-        // Pixel-major staging buffer: each row is one output pixel's
-        // channel vector, so rows parallelize over disjoint chunks. Small
-        // layers stay single-chunk (fully serial, no thread dispatch).
-        let pixels = oh * ow;
-        let rows = n * pixels;
-        let mut pix = vec![0.0f32; rows * conv.cout];
-        let chunk_rows = if rows * conv.cout < 1 << 14 {
-            rows.max(1)
-        } else {
-            rows.div_ceil(4 * epim_parallel::num_threads()).max(1)
-        };
-        let stat_parts =
-            epim_parallel::map_chunks_mut(&mut pix, chunk_rows * conv.cout, |chunk_idx, chunk| {
-                let mut stats = DataPathStats::default();
-                let mut receptive = vec![0.0f32; rf_len];
-                let mut scratch = vec![0.0f32; self.plan.spec.shape().cout];
-                for (r, out_vec) in chunk.chunks_mut(conv.cout).enumerate() {
-                    let row = chunk_idx * chunk_rows + r;
-                    let ox = row % ow;
-                    let oy = (row / ow) % oh;
-                    let ni = row / pixels;
-
-                    // Fill the receptive-field buffer for this pixel (what
-                    // the on-chip input buffer would hold).
-                    epim_tensor::ops::fill_receptive_field(
-                        xd,
-                        conv.cin,
-                        h,
-                        w,
-                        conv.kh,
-                        conv.kw,
-                        ni,
-                        oy,
-                        ox,
-                        cfg,
-                        &mut receptive,
-                    );
-
-                    self.execute_pixel(&receptive, out_vec, &mut scratch, wrap_on, &mut stats);
-                }
-                stats
-            });
-        let mut stats = DataPathStats::default();
-        for part in &stat_parts {
-            stats.accumulate(part);
-        }
-
-        // Scatter pixel-major -> NCHW; (image, channel) planes are disjoint.
-        let mut out = Tensor::zeros(&[n, conv.cout, oh, ow]);
-        let scatter_plane = |plane_idx: usize, plane: &mut [f32]| {
-            let ni = plane_idx / conv.cout;
-            let co = plane_idx % conv.cout;
-            for (p, slot) in plane.iter_mut().enumerate() {
-                *slot = pix[(ni * pixels + p) * conv.cout + co];
-            }
-        };
-        if out.len() < 1 << 16 {
-            for (idx, plane) in out.data_mut().chunks_mut(pixels).enumerate() {
-                scatter_plane(idx, plane);
-            }
-        } else {
-            epim_parallel::for_each_chunk_mut(out.data_mut(), pixels, scatter_plane);
-        }
+        let mut out = Tensor::zeros(&[n, self.plan.spec.conv().cout, oh, ow]);
+        let stats =
+            self.execute_batch_core(&[input.data()], n, h, w, false, &mut [out.data_mut()])?;
         Ok((out, stats))
     }
 
     /// Executes the layer on a batch of equal-shaped inputs at once,
     /// returning one output per input plus the summed statistics.
     ///
-    /// Semantics are exactly `inputs.iter().map(|x| self.execute(x))`: the
-    /// outputs are bit-identical to per-request execution (and to
-    /// [`DataPath::execute_reference`]) and the stats equal the sum of the
-    /// per-request stats. The speedup comes from restructuring the walk,
-    /// not from reassociating any floating-point arithmetic:
+    /// This is the data path's one executor: [`DataPath::execute`] and
+    /// [`DataPath::execute_stacked_into`] run it on a batch of one. Each
+    /// output is bit-identical to [`DataPath::execute_reference`] on its
+    /// input, whatever else shares the batch, and the stats are the sum of
+    /// the per-input reference stats. The speed comes from restructuring
+    /// the walk, not from reassociating any floating-point arithmetic:
     ///
     /// - the whole batch is staged once as the on-chip input buffer would
-    ///   hold it — zero-padded, with one finite-DAC sweep over it;
-    ///   per-request execution re-quantizes an element for every round
-    ///   that reads it — and every pixel reads its receptive field out of
-    ///   that buffer in place, so no im2col matrix is built;
+    ///   hold it — zero-padded, with one finite-DAC sweep over it; the
+    ///   reference re-quantizes an element for every round that reads it —
+    ///   and every pixel reads its receptive field out of that buffer in
+    ///   place, so no im2col matrix is built;
     /// - each round is one [`crossbar_mvm`] over a tile of pixels drawn
     ///   from the whole batch: weight rows are read in place through the
     ///   round's word-line list, every weight row is shared by `MVM_TB`
@@ -640,9 +582,8 @@ impl DataPath {
     ///
     /// Returns [`PimError::GeometryMismatch`] if the inputs' shapes differ
     /// from one another (callers batching mixed traffic should group by
-    /// shape — `epim-runtime`'s micro-batcher does — or fall back to
-    /// per-request [`DataPath::execute`]) or fail the usual geometry
-    /// checks.
+    /// shape, as `epim-runtime`'s micro-batcher does) or fail the usual
+    /// geometry checks.
     pub fn execute_batch(
         &self,
         inputs: &[&Tensor],
@@ -658,13 +599,11 @@ impl DataPath {
             )));
         }
         let (n, h, w, oh, ow) = self.check_input(first)?;
-        let cout = self.plan.spec.conv().cout;
-        let mut outs: Vec<Tensor> = (0..inputs.len())
-            .map(|_| Tensor::zeros(&[n, cout, oh, ow]))
-            .collect();
-        let input_slices: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-        let mut out_slices: Vec<&mut [f32]> = outs.iter_mut().map(|t| t.data_mut()).collect();
-        let stats = self.execute_batch_core(&input_slices, n, h, w, false, &mut out_slices)?;
+        let shape = [n, self.plan.spec.conv().cout, oh, ow];
+        let mut outs: Vec<Tensor> = inputs.iter().map(|_| Tensor::zeros(&shape)).collect();
+        let xs: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+        let mut ys: Vec<&mut [f32]> = outs.iter_mut().map(Tensor::data_mut).collect();
+        let stats = self.execute_batch_core(&xs, n, h, w, false, &mut ys)?;
         Ok((outs, stats))
     }
 
@@ -692,10 +631,10 @@ impl DataPath {
         self.execute_batch_core(&[xd], n, h, w, relu, &mut outs)
     }
 
-    /// The shared body of [`DataPath::execute_batch`] and
-    /// [`DataPath::execute_stacked_into`]: every input is an `(n, c_in, h,
-    /// w)` NCHW block and every output slice receives the matching `(n,
-    /// c_out, oh, ow)` block.
+    /// The executor behind [`DataPath::execute`],
+    /// [`DataPath::execute_batch`] and [`DataPath::execute_stacked_into`]:
+    /// every input is an `(n, c_in, h, w)` NCHW block and every output
+    /// slice receives the matching `(n, c_out, oh, ow)` block.
     fn execute_batch_core(
         &self,
         inputs: &[&[f32]],
@@ -932,8 +871,8 @@ impl DataPath {
     }
 
     /// The seed repository's per-pixel execution loop, kept verbatim as the
-    /// benchmark baseline and as an independent cross-check for the
-    /// compiled-round fast path ([`DataPath::execute`]).
+    /// oracle the executor behind [`DataPath::execute`] is tested against
+    /// (outputs bit for bit, stats exactly) and as the benchmark baseline.
     ///
     /// # Errors
     ///
@@ -1064,84 +1003,6 @@ impl DataPath {
             )));
         }
         conv2d_out_dims(h, w, conv.kh, conv.kw, self.conv_cfg).map_err(PimError::Tensor)
-    }
-
-    /// Runs all activation rounds for one output pixel through the compiled
-    /// round plan. `scratch` must hold at least `cout_e` floats.
-    fn execute_pixel(
-        &self,
-        receptive: &[f32],
-        out_vec: &mut [f32],
-        scratch: &mut [f32],
-        wrap_on: bool,
-        stats: &mut DataPathStats,
-    ) {
-        let md = self.matrix.data();
-        let cout_e = self.plan.spec.shape().cout;
-        let word_lines = self.plan.ifrt.word_lines as u64;
-        for round in &self.plan.rounds {
-            if wrap_on && round.range.start != 0 {
-                continue;
-            }
-            stats.rounds += 1;
-            // Table traffic: one lookup per IFAT pair, one per word line
-            // (IFRT), one OFAT pair — identical to the seed accounting.
-            stats.table_lookups += round.ifat_pairs + word_lines + 1;
-            stats.buffer_reads += round.active.len() as u64;
-            stats.word_line_activations += round.active.len() as u64;
-
-            let width = round.range.len();
-            stats.bit_line_activations += width as u64;
-            let accs = &mut scratch[..width];
-            accs.fill(0.0);
-            let col0 = round.src_col_start;
-
-            // Crossbar MVM over the active word lines: the inner loop walks
-            // `width` contiguous matrix columns, so it vectorizes.
-            if let Some((step, limit)) = self.dac_params() {
-                // Finite-precision DAC, applied to each driven word-line
-                // voltage exactly as the seed applied it to the gather.
-                for &(wl, rf) in &round.active {
-                    let v = quantize_value(receptive[rf], step, limit);
-                    let mrow = &md[wl * cout_e + col0..][..width];
-                    for (a, &m) in accs.iter_mut().zip(mrow) {
-                        *a += v * m;
-                    }
-                }
-            } else {
-                for &(wl, rf) in &round.active {
-                    let v = receptive[rf];
-                    let mrow = &md[wl * cout_e + col0..][..width];
-                    for (a, &m) in accs.iter_mut().zip(mrow) {
-                        *a += v * m;
-                    }
-                }
-            }
-
-            // Finite-precision ADC on each bit-line partial sum (SIMD
-            // sweep), then the joint module accumulates into the output
-            // range.
-            if let Some((step, limit)) = self.adc_params() {
-                quantize_slice(accs, step, limit);
-            }
-            for (slot, &a) in out_vec[round.range.start..round.range.stop]
-                .iter_mut()
-                .zip(&*accs)
-            {
-                *slot += a;
-            }
-            stats.joint_adds += width as u64;
-            stats.buffer_writes += width as u64;
-        }
-
-        if wrap_on {
-            // Replicate block 0 into the remaining channel blocks (Eq. 9).
-            let c = self.wrapping.block;
-            for x in c..out_vec.len() {
-                out_vec[x] = out_vec[x % c];
-                stats.wrapped_elements += 1;
-            }
-        }
     }
 }
 
@@ -1320,9 +1181,10 @@ mod tests {
 
     #[test]
     fn execute_matches_seed_reference_loop() {
-        // The compiled-round fast path must agree with the seed's original
-        // per-pixel pipeline — outputs to float tolerance (different but
-        // equivalent summation order), stats exactly.
+        // The executor must agree with the seed's original per-pixel
+        // pipeline bit for bit (every sum runs in the reference's order),
+        // stats exactly.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let conv = ConvShape::new(8, 6, 3, 3);
         let epi = random_epitome(conv, EpitomeShape::new(4, 3, 2, 2), 40);
         let mut r = rng::seeded(41);
@@ -1344,11 +1206,7 @@ mod tests {
                 let dp = DataPath::with_analog(&epi, cfg, wrapping, analog).unwrap();
                 let (fast, fast_stats) = dp.execute(&x).unwrap();
                 let (slow, slow_stats) = dp.execute_reference(&x).unwrap();
-                assert!(
-                    fast.allclose(&slow, 1e-4).unwrap(),
-                    "wrapping={wrapping} mse={}",
-                    fast.mse(&slow).unwrap()
-                );
+                assert_eq!(bits(&fast), bits(&slow), "wrapping={wrapping}");
                 assert_eq!(fast_stats, slow_stats, "wrapping={wrapping}");
             }
         }
@@ -1571,7 +1429,7 @@ mod tests {
                 assert_eq!(batched.len(), xs.len());
                 let mut want_stats = DataPathStats::default();
                 for (x, got) in xs.iter().zip(&batched) {
-                    let (want, s) = dp.execute(x).unwrap();
+                    let (want, s) = dp.execute_reference(x).unwrap();
                     assert_eq!(got, &want, "wrapping={wrapping}");
                     want_stats.accumulate(&s);
                 }
@@ -1640,13 +1498,13 @@ mod tests {
                     let (batched, batch_stats) = dp.execute_batch(&refs).unwrap();
                     let mut want_stats = DataPathStats::default();
                     for (x, got) in refs.iter().zip(&batched) {
-                        let (want, s) = dp.execute(x).unwrap();
-                        let (oracle, oracle_stats) = dp.execute_reference(x).unwrap();
-                        assert_eq!(bits(&want), bits(&oracle), "{conv} wrapping={wrapping}");
-                        assert_eq!(s, oracle_stats, "{conv} wrapping={wrapping}");
+                        let (single, single_stats) = dp.execute(x).unwrap();
+                        let (oracle, s) = dp.execute_reference(x).unwrap();
+                        assert_eq!(bits(&single), bits(&oracle), "{conv} wrapping={wrapping}");
+                        assert_eq!(single_stats, s, "{conv} wrapping={wrapping}");
                         assert_eq!(
                             bits(got),
-                            bits(&want),
+                            bits(&oracle),
                             "{conv} wrapping={wrapping} batch={batch}"
                         );
                         want_stats.accumulate(&s);

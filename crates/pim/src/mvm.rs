@@ -19,7 +19,8 @@
 //! **Bit-exactness contract.** Every output element is produced by the same
 //! sequence of (round-to-nearest multiply, round-to-nearest add), `k`
 //! strictly in order from a `0.0` accumulator, as the scalar per-pixel loop
-//! in `DataPath::execute_pixel` — the oracle's path. Blocking only reuses
+//! in `DataPath::execute_reference` — the oracle, whose word lines run in
+//! ascending order, the order of a round's taps. Blocking only reuses
 //! each weight row across `MVM_TB` (8) pixels and keeps the accumulators in
 //! registers; vectorizing across the independent pixel/bit-line lanes
 //! reorders no per-element sum. That rules out `mul_add` (one rounding
@@ -267,7 +268,8 @@ mod tests {
             .collect()
     }
 
-    /// The per-pixel oracle loop (`DataPath::execute_pixel`'s arithmetic).
+    /// The per-pixel oracle loop (`DataPath::execute_reference`'s
+    /// arithmetic).
     fn oracle(r: CrossbarRound<'_>) -> Vec<f32> {
         let mut out = vec![0.0f32; r.origins.len() * r.width];
         for (&origin, out_row) in r.origins.iter().zip(out.chunks_mut(r.width)) {

@@ -8,9 +8,9 @@
 //! generic [`SimdOp`] body and monomorphized per ISA (AVX-512F, AVX2+FMA,
 //! scalar) by the shared `epim-simd` dispatcher.
 //!
-//! **Bit-exactness.** The data-path equivalence tests compare the batched,
-//! per-pixel and seed-reference execution paths bit-for-bit, so every arm
-//! must reproduce `f32::round` exactly. SIMD rounding instructions round
+//! **Bit-exactness.** The data-path equivalence tests compare the executor
+//! with the seed-reference execution path bit-for-bit, so every arm must
+//! reproduce `f32::round` exactly. SIMD rounding instructions round
 //! ties to even, and the folklore `trunc(x + 0.5)` trick is wrong near
 //! halves (e.g. `x = 0.49999997`: `x + 0.5` rounds up to `1.0`), so the
 //! kernel rounds via exact float steps instead: `r = trunc(|t|)` and

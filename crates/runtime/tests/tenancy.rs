@@ -21,7 +21,7 @@ fn requests(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// The acceptance-criterion invariant: serving two tenants through one
+/// The tenancy invariant: serving two tenants through one
 /// `MultiEngine` produces, for each tenant, exactly the outputs and
 /// `DataPathStats` rollup of running that tenant alone in a dedicated
 /// one-tenant fleet (itself verified against sequential reference

@@ -38,7 +38,7 @@ fn inputs(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// The acceptance-criterion invariant: three tenants, three concurrent
+/// The serving invariant: three tenants, three concurrent
 /// clients, every wire output bitwise-equal to a direct in-process
 /// `MultiEngine` built from the same fleet config.
 #[test]

@@ -70,11 +70,11 @@ const PARALLEL_COPY_FLOOR: usize = 1 << 16;
 /// columns for an output column `ox`: returns `(kx_start, kx_end, ix_start)`
 /// with `kx_end <= kx_start` meaning an empty run.
 ///
-/// Shared with the PIM data path's receptive-field fill — the clipping
-/// arithmetic is subtle (empty runs, padding wider than the kernel), so
-/// there is exactly one copy of it.
+/// Shared by the receptive-field copy ([`im2col`] and the implicit-GEMM
+/// conv window) and [`col2im`] — the clipping arithmetic is subtle (empty
+/// runs, padding wider than the kernel), so there is exactly one copy of it.
 #[inline]
-pub fn kx_run(ox: usize, kw: usize, w: usize, cfg: Conv2dCfg) -> (usize, usize, usize) {
+fn kx_run(ox: usize, kw: usize, w: usize, cfg: Conv2dCfg) -> (usize, usize, usize) {
     let base = ox * cfg.stride; // ix = base + kx - padding
     let kx_start = cfg.padding.saturating_sub(base).min(kw);
     let kx_end = (w + cfg.padding).saturating_sub(base).min(kw).max(kx_start);
@@ -87,41 +87,15 @@ pub fn kx_run(ox: usize, kw: usize, w: usize, cfg: Conv2dCfg) -> (usize, usize, 
     )
 }
 
-/// Fills one output pixel's receptive field (`dst`, zeroing padding).
+/// Copies one output pixel's receptive field — the flattened `(ci, ky, kx)`
+/// vector a convolution at `(oy, ox)` reads from image `ni` of the NCHW
+/// buffer `xd` — into `dst`, each in-bounds `kx` run as one contiguous
+/// slice.
 ///
-/// Copies the flattened `(ci, ky, kx)` vector a convolution at `(oy, ox)`
-/// reads — from image `ni` of the NCHW buffer `xd` into `dst`, zeroing
-/// padded positions first.
-///
-/// `dst` must hold `c_in * kh * kw` floats. Each in-bounds `kx` run is
-/// copied as one contiguous slice. Shared between the conv lowering here
-/// ([`im2col`] uses the copy core directly on its pre-zeroed rows) and the
-/// PIM data path's input-buffer model (per-pixel and batched), so the
-/// subtle padding/clipping arithmetic exists exactly once.
-///
-/// # Panics
-///
-/// Panics if `xd`/`dst` are shorter than the geometry implies.
-#[allow(clippy::too_many_arguments)]
-pub fn fill_receptive_field(
-    xd: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    ni: usize,
-    oy: usize,
-    ox: usize,
-    cfg: Conv2dCfg,
-    dst: &mut [f32],
-) {
-    dst.fill(0.0);
-    copy_receptive_runs(xd, c_in, h, w, kh, kw, ni, oy, ox, cfg, dst);
-}
-
-/// The copy core of [`fill_receptive_field`]: writes only the in-bounds
-/// `kx` runs, assuming `dst`'s padded positions are already zero.
+/// Padded positions are not written: `dst` (`c_in * kh * kw` floats) must
+/// already hold zeros there, as [`im2col`]'s rows and the GEMM's gathered
+/// rows do. Shared by both, so the padding/clipping arithmetic exists
+/// exactly once.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn copy_receptive_runs(
     xd: &[f32],

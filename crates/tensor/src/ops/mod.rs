@@ -19,7 +19,7 @@ pub use activation::{
 };
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_direct, conv2d_into, conv2d_out_dims, conv2d_ref,
-    fill_receptive_field, im2col, kx_run, Conv2dCfg, Conv2dGrads,
+    im2col, Conv2dCfg, Conv2dGrads,
 };
 pub use linear::{linear, linear_backward, LinearGrads};
 pub use loss::{cross_entropy, CrossEntropyOutput};
