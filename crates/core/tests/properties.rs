@@ -24,6 +24,40 @@ fn shape_pair() -> impl Strategy<Value = (ConvShape, EpitomeShape)> {
     })
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn spec_for(conv: ConvShape, epi: EpitomeShape, overlapping: bool) -> EpitomeSpec {
+    let plan = if overlapping {
+        SamplingPlan::build_overlapping(conv, epi)
+    } else {
+        SamplingPlan::build(conv, epi)
+    }
+    .unwrap();
+    EpitomeSpec::with_plan(conv, epi, plan).unwrap()
+}
+
+/// The seed's reconstruction: every patch replayed one element at a time,
+/// in plan order, so a later overlapping patch overwrites an earlier one.
+fn reconstruct_by_patch_replay(e: &Epitome) -> Tensor {
+    let mut out = Tensor::zeros(&e.spec().conv().dims());
+    for p in e.spec().plan().patches() {
+        for a in 0..p.size[0] {
+            for b in 0..p.size[1] {
+                for c in 0..p.size[2] {
+                    for d in 0..p.size[3] {
+                        let src = [p.src[0] + a, p.src[1] + b, p.src[2] + c, p.src[3] + d];
+                        let dst = [p.dst[0] + a, p.dst[1] + b, p.dst[2] + c, p.dst[3] + d];
+                        out.set(&dst, e.tensor().at(&src)).unwrap();
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// The patch walk `Epitome::repetition_map` replaced: one increment per
 /// convolution element, at the epitome element it is read from.
 fn repetition_by_patch_walk(spec: &EpitomeSpec) -> Tensor {
@@ -50,19 +84,28 @@ proptest! {
     /// plans and extents that do not divide.
     #[test]
     fn repetition_map_matches_patch_walk((conv, epi) in shape_pair(), overlapping in any::<bool>()) {
-        let plan = if overlapping {
-            SamplingPlan::build_overlapping(conv, epi)
-        } else {
-            SamplingPlan::build(conv, epi)
-        }.unwrap();
-        let spec = EpitomeSpec::with_plan(conv, epi, plan).unwrap();
+        let spec = spec_for(conv, epi, overlapping);
         let e = Epitome::zeros(spec.clone());
         let reps = e.repetition_map();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(reps.shape(), &epi.dims()[..]);
         prop_assert_eq!(bits(&reps), bits(&repetition_by_patch_walk(&spec)));
         let ones = Tensor::ones(&conv.dims());
         prop_assert_eq!(bits(&reps), bits(&e.backprop_weight_grad(&ones).unwrap()));
+    }
+
+    /// `Epitome::reconstruct` (per-ISA kx-run copies) equals the seed's
+    /// element-at-a-time patch replay bit for bit, for replicated and
+    /// overlapping output-channel plans and extents that do not divide.
+    #[test]
+    fn reconstruct_matches_patch_replay(
+        (conv, epi) in shape_pair(),
+        overlapping in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let mut r = rng::seeded(seed);
+        let data = init::uniform(&epi.dims(), -1.0, 1.0, &mut r);
+        let e = Epitome::from_tensor(spec_for(conv, epi, overlapping), data).unwrap();
+        prop_assert_eq!(bits(&e.reconstruct().unwrap()), bits(&reconstruct_by_patch_replay(&e)));
     }
 
     /// Every legal dim plan partitions the destination axis.
@@ -187,4 +230,22 @@ proptest! {
         prop_assert!((lhs - rhs).abs() <= 1e-2 * (1.0 + lhs.abs().max(rhs.abs())),
             "lhs {} rhs {}", lhs, rhs);
     }
+}
+
+/// The paper's uniform epitome for a 512x256x3x3 layer: big enough that
+/// `reconstruct` replays one output-channel band per pool thread when the
+/// pool is wider than one, which no shape above reaches.
+#[test]
+fn paper_scale_reconstruct_matches_patch_replay() {
+    let spec = EpitomeSpec::new(
+        ConvShape::new(512, 256, 3, 3),
+        EpitomeShape::new(256, 256, 2, 2),
+    )
+    .unwrap();
+    let data = init::kaiming_normal(&spec.shape().dims(), &mut rng::seeded(9));
+    let e = Epitome::from_tensor(spec, data).unwrap();
+    assert_eq!(
+        bits(&e.reconstruct().unwrap()),
+        bits(&reconstruct_by_patch_replay(&e))
+    );
 }

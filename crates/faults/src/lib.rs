@@ -153,9 +153,8 @@ impl FaultRule {
 
     /// A rule that never fires (hit threshold beyond any real run).
     ///
-    /// Used by the overhead benchmark: the plan is installed and every
-    /// hook pays the full "armed" bookkeeping cost, but behaviour is
-    /// unchanged.
+    /// An "armed but silent" plan: it is installed and every hook pays
+    /// the full bookkeeping cost, but behaviour is unchanged.
     pub fn never() -> FaultRule {
         FaultRule {
             nth: u64::MAX,

@@ -27,7 +27,7 @@
 //! instead of two) and `epim_tensor`'s GEMM (FMA micro-kernels, split `k`).
 //!
 //! Two kernels compute it. Plain Rust compiles for generic x86-64, i.e.
-//! SSE2, so [`crossbar_mvm_portable`] runs 4-lane code whatever the host;
+//! SSE2, so the portable block runs 4-lane code whatever the host;
 //! the wide kernel is a [`SimdOp`] monomorphized per ISA by `epim-simd`.
 //! [`crossbar_mvm`] picks between them from what it can see: a round
 //! narrower than one AVX-512 vector (the zoo's 2–4 bit lines) has nothing
@@ -100,13 +100,13 @@ pub fn crossbar_mvm(round: CrossbarRound<'_>, out: &mut [f32]) {
 
 /// [`crossbar_mvm`] in plain Rust: an `8 x 8` accumulator block the
 /// compiler keeps in (SSE2) registers, plain loops for a short pixel block
-/// or a narrow bit-line chunk. The kernel for narrow rounds, and the
-/// baseline `bench_kernels` times the wide kernel against.
+/// or a narrow bit-line chunk. The kernel for narrow rounds and for a
+/// host whose only `epim-simd` arm is the one-lane reference.
 ///
 /// # Panics
 ///
 /// Same contract as [`crossbar_mvm`].
-pub fn crossbar_mvm_portable(round: CrossbarRound<'_>, out: &mut [f32]) {
+fn crossbar_mvm_portable(round: CrossbarRound<'_>, out: &mut [f32]) {
     round.check(out);
     let CrossbarRound {
         input,

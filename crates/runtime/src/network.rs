@@ -668,15 +668,6 @@ impl GroupExecutor for PlanExecutor {
         self.plan.run(inputs, tenant)
     }
 
-    fn execute_one(
-        &self,
-        tenant: u32,
-        input: &Tensor,
-    ) -> Result<(Tensor, DataPathStats), RuntimeError> {
-        let (mut outs, stats, _) = self.plan.run(&[input], tenant)?;
-        Ok((outs.pop().expect("one output"), stats))
-    }
-
     fn stage_meta(&self) -> Vec<StageMeta> {
         self.plan.stage_meta()
     }

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 ///
 /// Implementations must be deterministic per input (batching is a
 /// throughput decision, never a semantic one): `execute_batch` must return
-/// outputs bit-identical to `execute_one` per input, with the stats equal
+/// outputs bit-identical to a batch of one per input, with the stats equal
 /// to the per-input sum.
 pub(crate) trait GroupExecutor: Send + Sync + 'static {
     /// Runs a group of same-shaped inputs, returning one output per input,
@@ -65,19 +65,13 @@ pub(crate) trait GroupExecutor: Send + Sync + 'static {
     /// may be empty for executors without stage structure). `tenant` is
     /// this group's tenant index, forwarded so per-stage trace spans can
     /// be tenant-tagged ([`trace::TENANT_NONE`] outside a scheduler).
+    /// The scheduler isolates a failing group by re-running each input as
+    /// a batch of one.
     fn execute_batch(
         &self,
         tenant: u32,
         inputs: &[&Tensor],
     ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError>;
-
-    /// Runs a single input (the per-request fallback used to isolate a
-    /// failing batch).
-    fn execute_one(
-        &self,
-        tenant: u32,
-        input: &Tensor,
-    ) -> Result<(Tensor, DataPathStats), RuntimeError>;
 
     /// Static stage descriptions for this executor's plan, index-aligned
     /// with the `stage_ns` slice `execute_batch` returns (empty for
@@ -1169,7 +1163,9 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
                 let started = Instant::now();
                 let input = &guard.get(i).input;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ten.exec.execute_one(tenant as u32, input)
+                    ten.exec
+                        .execute_batch(tenant as u32, &[input])
+                        .map(|(mut outs, s, _)| (outs.pop().expect("one output per input"), s))
                 }));
                 services.push(started.elapsed());
                 match outcome {
@@ -1295,9 +1291,10 @@ mod tests {
     const PANIC_BATCH: u8 = 2;
     const PANIC_ON_POOL: u8 = 3;
 
-    /// Echoes its inputs after sleeping `cost_ms`; `mode` makes the
-    /// batched path fail or panic, on the scheduler thread or inside a
-    /// pool region (the per-request path always works).
+    /// Echoes its inputs after sleeping `cost_ms`; `mode` makes the next
+    /// call panic, on the scheduler thread or inside a pool region, or
+    /// fail (`FAIL_BATCH` refuses one call, so the per-request retry that
+    /// follows is served).
     struct Stub {
         cost_ms: AtomicU64,
         mode: AtomicU8,
@@ -1326,7 +1323,10 @@ mod tests {
             inputs: &[&Tensor],
         ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError> {
             match self.mode.load(Ordering::SeqCst) {
-                FAIL_BATCH => return Err(RuntimeError::config("stub: batch refused")),
+                FAIL_BATCH => {
+                    self.mode.store(RUN, Ordering::SeqCst);
+                    return Err(RuntimeError::config("stub: batch refused"));
+                }
                 PANIC_BATCH => panic!("stub: batch panicked"),
                 PANIC_ON_POOL => epim_parallel::for_each_chunk_mut(&mut [0u8; 2], 1, |i, _| {
                     panic!("stub: sub-batch {i} panicked")
@@ -1336,15 +1336,6 @@ mod tests {
             self.work();
             let outputs = inputs.iter().map(|&t| t.clone()).collect();
             Ok((outputs, DataPathStats::default(), Vec::new()))
-        }
-
-        fn execute_one(
-            &self,
-            _tenant: u32,
-            input: &Tensor,
-        ) -> Result<(Tensor, DataPathStats), RuntimeError> {
-            self.work();
-            Ok((input.clone(), DataPathStats::default()))
         }
     }
 

@@ -270,8 +270,8 @@ fn queued_request_expiring_behind_slow_batch_is_shed() {
     );
 }
 
-/// Installing a plan whose rules never fire must not change served bits —
-/// the "armed but silent" mode the overhead bench runs in.
+/// Installing a plan whose rules never fire must not change served bits:
+/// every hook takes the armed path, and the arithmetic stays the same.
 #[test]
 fn armed_but_silent_faults_change_no_bits() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);

@@ -416,9 +416,10 @@ fn invalid_configs_rejected_with_typed_errors() {
 
 /// The graph-fusion pass is invisible to callers: a fused tenant and an
 /// unfused one (`NetworkPlan::compile(.., false)` through
-/// `register_plan`) serve bitwise-identical outputs and stats, while the
-/// fused plan runs fewer stages, and both activation arenas stay below
-/// the footprint of every activation kept resident.
+/// `register_plan`) serve bitwise-identical outputs and stats, equal to
+/// sequential reference execution, while the fused plan runs fewer
+/// stages, and both activation arenas stay below the footprint of every
+/// activation kept resident.
 #[test]
 fn fused_engine_matches_unfused_and_shrinks_the_arena() {
     let (net, _) = tiny_resnet_network();
@@ -455,9 +456,16 @@ fn fused_engine_matches_unfused_and_shrinks_the_arena() {
     assert_eq!(fused_outs, raw_outs, "fusion must be bitwise invisible");
     assert_eq!(fused_stats.datapath, raw_stats.datapath);
     assert!(fused_stages < raw_stages, "relu stages must fold away");
+    // The unfused pipeline is itself the sequential reference, bitwise.
+    let raw_prog = net.lower(16, 16).unwrap();
+    for (x, got) in requests.iter().zip(&raw_outs) {
+        let (want, _) = raw_prog
+            .forward_reference(&weights, true, analog, x)
+            .unwrap();
+        assert_eq!(*got, want, "unfused serving diverged from reference");
+    }
     // Both liveness-planned arenas stay strictly below keeping every
     // unfused activation (and the source) resident for a full group.
-    let raw_prog = net.lower(16, 16).unwrap();
     let resident: usize = raw_prog.input_shape().iter().product::<usize>()
         + raw_prog
             .stages()

@@ -1,8 +1,10 @@
 //! Integration test for the observability layer: the trace ring must see
 //! well-nested per-stage spans whose durations sum to (at most, and most
 //! of) the measured wall time, the serving engine must label scheduler
-//! worker lanes, and the Prometheus / chrome-trace exporters must emit
-//! well-formed documents for a real served burst.
+//! worker lanes, outputs computed with tracing on must equal the
+//! `forward_reference` oracle bit for bit, and the Prometheus /
+//! chrome-trace exporters must emit well-formed documents for a real
+//! served burst.
 //!
 //! Tracing is process-global state, so everything runs as **one** `#[test]`
 //! with sequential phases — the default test harness would otherwise
@@ -33,6 +35,19 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
         ..AnalogModel::ideal()
     };
     let cache = PlanCache::new();
+    // Recording spans must never perturb the arithmetic: every output
+    // computed with tracing on equals the sequential oracle bitwise.
+    let program = net.lower(16, 16).unwrap();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let assert_reference = |inputs: &[Tensor], outputs: &[Tensor], what: &str| {
+        assert_eq!(inputs.len(), outputs.len(), "{what}");
+        for (i, (x, got)) in inputs.iter().zip(outputs).enumerate() {
+            let (want, _) = program
+                .forward_reference(&weights, true, analog, x)
+                .unwrap();
+            assert_eq!(bits(got), bits(&want), "{what}: request {i}");
+        }
+    };
 
     // --- Phase 1: direct plan execution on this thread. The per-stage
     // spans land on this thread's lane and their durations must sum to no
@@ -43,7 +58,7 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     obs::set_enabled(true);
     obs::global().clear();
     let t0 = obs::now_ns();
-    plan.execute_batch(&refs).unwrap();
+    let (traced, _) = plan.execute_batch(&refs).unwrap();
     let t1 = obs::now_ns();
     let stages: Vec<_> = obs::global()
         .all_events()
@@ -70,6 +85,7 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
         span_sum * 4 >= wall,
         "stage spans must cover the bulk of execution ({span_sum} of {wall} ns)"
     );
+    assert_reference(&inputs, &traced, "traced plan execution");
 
     // --- Phase 2: a served burst. Scheduler workers occupy labeled
     // lanes; every stage span nests inside a group span on its lane.
@@ -87,10 +103,15 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
         (builder.build().unwrap(), id)
     };
     let (engine, id) = fleet(Duration::ZERO, 2);
-    for res in engine.infer_many(id, burst(8, 13)).unwrap() {
-        res.unwrap();
-    }
+    let requests = burst(8, 13);
+    let served: Vec<Tensor> = engine
+        .infer_many(id, requests.clone())
+        .unwrap()
+        .into_iter()
+        .map(|res| res.unwrap().output)
+        .collect();
     obs::set_enabled(false);
+    assert_reference(&requests, &served, "traced serving");
 
     let ring = obs::global();
     let mut sched_lanes = 0usize;

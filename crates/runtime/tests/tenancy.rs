@@ -24,9 +24,8 @@ fn requests(n: usize, seed: u64) -> Vec<Tensor> {
 /// The tenancy invariant: serving two tenants through one
 /// `MultiEngine` produces, for each tenant, exactly the outputs and
 /// `DataPathStats` rollup of running that tenant alone in a dedicated
-/// one-tenant fleet (itself verified against sequential reference
-/// execution in `tests/network.rs`). Runs serially and, via the CI
-/// matrix, with `EPIM_THREADS=4`.
+/// one-tenant fleet, itself equal to sequential reference execution.
+/// Runs serially and, via the CI matrix, with `EPIM_THREADS=4`.
 #[test]
 fn two_tenant_serving_is_bit_identical_to_dedicated_engines() {
     let (net_a, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
@@ -60,6 +59,11 @@ fn two_tenant_serving_is_bit_identical_to_dedicated_engines() {
             .into_iter()
             .map(|r| r.unwrap().output)
             .collect();
+        let prog = net.lower(16, 16).unwrap();
+        for (x, got) in reqs.iter().zip(&outs) {
+            let (want, _) = prog.forward_reference(weights, true, analog, x).unwrap();
+            assert_eq!(*got, want, "dedicated fleet diverged from reference");
+        }
         (outs, engine.fleet_stats())
     };
     let (want_a, dedicated_a) = dedicated(&net_a, &weights_a, &reqs_a);

@@ -6,9 +6,8 @@
 //! from [`NetworkWeights::random`] with a pinned seed and the analog
 //! model is fixed, any two processes that build the same `FleetConfig`
 //! serve **bit-identical** tenants — which is what lets the load
-//! generator's `--check` mode (and the loopback tests, and the bench
-//! identity gate) compare wire outputs against an in-process fleet with
-//! exact-0 tolerance.
+//! generator's `--check` mode (and the loopback tests) compare wire
+//! outputs against an in-process fleet with exact-0 tolerance.
 //!
 //! Configs come from [`FleetConfig::default_zoo`] or from a TOML-subset
 //! file ([`FleetConfig::parse`]); the workspace vendors no TOML crate, so

@@ -13,7 +13,7 @@
 //! - [`fleet`] — the model zoo a server exposes as tenants:
 //!   deterministic seeds and a pinned analog model make any two builds of
 //!   the same [`fleet::FleetConfig`] bit-identical, which is what the
-//!   load generator's `--check` mode and the bench identity gate compare
+//!   load generator's `--check` mode and the loopback tests compare
 //!   against.
 //! - [`mux`] — the waker-driven completion multiplexer: one writer
 //!   thread parks on a condvar while polling every in-flight

@@ -3,8 +3,8 @@
 //! The polynomial `exp` below is built exclusively from [`Simd`] trait ops
 //! whose lane semantics are pinned (fused `mul_add`, `floor`, exponent-bias
 //! `pow2i`), so the scalar arm and every vector arm produce **bitwise
-//! identical** results by construction — the property the softmax bit-gates
-//! rely on. Accuracy vs `libm` expf is ~2 ulp over the finite range.
+//! identical** results by construction — the property the softmax bitwise
+//! tests rely on. Accuracy vs `libm` expf is ~2 ulp over the finite range.
 
 use crate::vec::Simd;
 

@@ -182,22 +182,6 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-/// Scalar-arm reference for [`softmax_rows`]: same algorithm forced onto
-/// the one-lane arm. Benches and bit-gates diff the dispatched path
-/// against this (the difference must be exactly 0).
-///
-/// # Errors
-///
-/// Returns a rank error for non-matrices.
-pub fn softmax_rows_scalar(x: &Tensor) -> Result<Tensor, TensorError> {
-    let (mut out, k) = softmax_prepare(x)?;
-    epim_simd::run_scalar(SoftmaxRowsOp {
-        data: out.data_mut(),
-        k,
-    });
-    Ok(out)
-}
-
 fn softmax_prepare(x: &Tensor) -> Result<(Tensor, usize), TensorError> {
     if x.rank() != 2 {
         return Err(TensorError::RankMismatch {
@@ -473,11 +457,23 @@ mod tests {
         assert!(y.data()[0] < y.data()[1] && y.data()[1] < y.data()[2]);
     }
 
+    /// [`softmax_rows`] forced onto the one-lane arm: the reference every
+    /// dispatched arm must match bit for bit.
+    fn softmax_rows_scalar(x: &Tensor) -> Result<Tensor, TensorError> {
+        let (mut out, k) = softmax_prepare(x)?;
+        run_scalar(SoftmaxRowsOp {
+            data: out.data_mut(),
+            k,
+        });
+        Ok(out)
+    }
+
     /// Every ISA arm of the softmax matches the scalar arm bitwise, on
-    /// odd row widths (scalar tails), wide dynamic range and ±0 logits.
+    /// odd row widths (scalar tails), wide dynamic range, ±0 logits and a
+    /// classifier-wide row.
     #[test]
     fn softmax_arms_match_scalar_bitwise() {
-        for k in [1usize, 3, 7, 16, 33, 100] {
+        for k in [1usize, 3, 7, 16, 33, 100, 1000] {
             let n = 5;
             let data: Vec<f32> = (0..n * k)
                 .map(|i| match i % 11 {

@@ -688,6 +688,8 @@ mod tests {
             (2usize, 3usize, 4usize, 6usize),
             (16, 8, 16, 7),
             (5, 4, 32, 12),
+            (16, 8, 16, 8),
+            (8, 16, 32, 14),
         ] {
             let x = crate::init::uniform(&[n, c_in, hw, hw], -1.0, 1.0, &mut r);
             let w = crate::init::uniform(&[c_out, c_in, 3, 3], -1.0, 1.0, &mut r);
@@ -844,6 +846,12 @@ mod tests {
             // Padding wider than the kernel: whole runs fall in it.
             (2, 16, 16, 11, 2, 1, 3),
             (3, 16, 9, 9, 2, 2, 3),
+            // The ResNet-50 layers that bracket the network, batch 2: a
+            // 56x56 pointwise and 3x3, the deepest 7x7 3x3, the 224x224 stem.
+            (2, 256, 64, 56, 1, 1, 0),
+            (2, 64, 64, 56, 3, 1, 1),
+            (2, 512, 512, 7, 3, 1, 1),
+            (2, 3, 64, 224, 7, 2, 3),
         ]);
     }
 

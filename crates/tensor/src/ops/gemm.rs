@@ -262,25 +262,6 @@ pub fn gemm_nt_bias_row(
     gemm_nt_opt(m, n, k, a, b, Bias::PerRow(bias), false, c);
 }
 
-/// [`gemm_nt_bias_row`] with the fused ReLU epilogue (bit-identical to the
-/// unfused call followed by a separate ReLU pass).
-///
-/// # Panics
-///
-/// Panics on geometry mismatch, including `bias.len() != m`.
-pub fn gemm_nt_bias_row_relu(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    assert_eq!(bias.len(), m, "row bias length must equal m");
-    gemm_nt_opt(m, n, k, a, b, Bias::PerRow(bias), true, c);
-}
-
 /// [`gemm_nt`] with `bias[j]` added to every element of output column `j`
 /// (the fused linear-layer epilogue: columns are output features).
 ///
@@ -319,14 +300,8 @@ pub fn gemm_nt_bias_col_relu(
     gemm_nt_opt(m, n, k, a, b, Bias::PerCol(bias), true, c);
 }
 
-/// The number of worker threads the kernel layer will use (threshold
-/// permitting) — `epim-parallel`'s pool size, re-exported for reporting.
-pub fn num_threads_in_use() -> usize {
-    epim_parallel::num_threads()
-}
-
-/// The seed repository's ikj matmul, kept verbatim as the benchmark baseline
-/// and as an independent reference for property tests.
+/// The seed repository's ikj matmul, kept verbatim as an independent
+/// reference for property tests.
 pub fn reference_matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     c.fill(0.0);
     for i in 0..m {
@@ -1239,7 +1214,6 @@ mod tests {
         ] {
             let a = dense(m, k, 31 + m as u64);
             let b_t = dense(n, k, 32 + n as u64);
-            let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 1.0).collect();
             let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 2.0).collect();
 
             let mut want = vec![f32::NAN; m * n];
@@ -1248,13 +1222,6 @@ mod tests {
             let mut got = vec![f32::NAN; m * n];
             gemm_nt_relu(m, n, k, &a, &b_t, &mut got);
             assert_eq!(got, want, "gemm_nt_relu {m}x{n}x{k}");
-
-            let mut want = vec![f32::NAN; m * n];
-            gemm_nt_bias_row(m, n, k, &a, &b_t, &row_bias, &mut want);
-            relu_pass(&mut want);
-            let mut got = vec![f32::NAN; m * n];
-            gemm_nt_bias_row_relu(m, n, k, &a, &b_t, &row_bias, &mut got);
-            assert_eq!(got, want, "gemm_nt_bias_row_relu {m}x{n}x{k}");
 
             let mut want = vec![f32::NAN; m * n];
             gemm_nt_bias_col(m, n, k, &a, &b_t, &col_bias, &mut want);

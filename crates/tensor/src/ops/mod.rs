@@ -15,7 +15,6 @@ mod pool;
 
 pub use activation::{
     add_relu_slice, add_slice, relu, relu_backward, relu_slice, sigmoid, softmax_rows,
-    softmax_rows_scalar,
 };
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_direct, conv2d_into, conv2d_out_dims, conv2d_ref,

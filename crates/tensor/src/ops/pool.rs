@@ -661,7 +661,15 @@ mod tests {
     #[test]
     fn pool_arms_match_scalar_core_bitwise() {
         use epim_simd::{dispatch_on, CpuFeatures};
-        let shapes = [(1, 1, 5, 7), (2, 3, 9, 11), (1, 2, 8, 8), (1, 1, 4, 30)];
+        // The last row is wide enough for two full 16-lane vectors at
+        // stride 2, as in a ResNet stem pool.
+        let shapes = [
+            (1, 1, 5, 7),
+            (2, 3, 9, 11),
+            (1, 2, 8, 8),
+            (1, 1, 4, 30),
+            (1, 2, 7, 70),
+        ];
         let cfgs = [
             PoolCfg::new(2, 2),
             PoolCfg::new(3, 1),
