@@ -80,10 +80,10 @@ pub mod runtime {
 
 /// Network serving over TCP: wire protocol, server, client, fleet
 /// config (re-export of `epim-serve`), plus the runtime's submission
-/// types ([`serve::InferRequest`], [`serve::Pending`]) so server-facing
+/// types ([`serve::InferRequest`], [`serve::Inference`]) so server-facing
 /// code imports one module.
 pub mod serve {
-    pub use epim_runtime::{InferRequest, Inference, Pending, CLIENT_NONE};
+    pub use epim_runtime::{InferRequest, Inference, CLIENT_NONE};
     pub use epim_serve::*;
 }
 

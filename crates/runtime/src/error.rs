@@ -33,14 +33,10 @@ pub enum RuntimeError {
         /// The unregistered tenant index.
         id: usize,
     },
-    /// A bounded wait on a [`crate::Pending`] expired before the request
-    /// completed. The request is still in flight: waiting again (or
-    /// polling the `Pending` as a future) can still deliver its result.
-    Timeout,
     /// The request's own deadline ([`crate::InferRequest::deadline`])
-    /// passed before execution started. Unlike [`RuntimeError::Timeout`]
-    /// this is terminal: the scheduler shed the request instead of
-    /// spending a batch slot on an answer nobody is waiting for.
+    /// passed before execution started: the scheduler shed the request
+    /// instead of spending a batch slot on an answer nobody is waiting
+    /// for.
     DeadlineExceeded,
     /// Scheduler workers crashed more times than the restart budget
     /// allows; the fleet shut itself down rather than limp on with a
@@ -51,7 +47,7 @@ pub enum RuntimeError {
     },
     /// An I/O failure on the serving transport (socket read/write, bind,
     /// accept). Wrapped in an [`Arc`] so the error type stays cheaply
-    /// cloneable across per-request delivery slots.
+    /// cloneable when one failure answers many requests.
     Io(Arc<std::io::Error>),
     /// The peer violated the wire protocol (bad magic, unsupported
     /// version, malformed or oversized frame). Protocol errors are
@@ -74,7 +70,6 @@ impl PartialEq for RuntimeError {
         match (self, other) {
             (ShuttingDown, ShuttingDown) => true,
             (ExecutionPanicked, ExecutionPanicked) => true,
-            (Timeout, Timeout) => true,
             (DeadlineExceeded, DeadlineExceeded) => true,
             (CrashLoop { restarts: a }, CrashLoop { restarts: b }) => a == b,
             (InvalidConfig { what: a }, InvalidConfig { what: b }) => a == b,
@@ -124,9 +119,6 @@ impl fmt::Display for RuntimeError {
                     f,
                     "unknown tenant index {id}: not registered with this engine"
                 )
-            }
-            RuntimeError::Timeout => {
-                write!(f, "timed out waiting for the inference to complete")
             }
             RuntimeError::DeadlineExceeded => {
                 write!(f, "request deadline exceeded before execution started")
@@ -229,9 +221,6 @@ mod tests {
         assert!(p.to_string().contains("bad magic"));
         assert_eq!(p, RuntimeError::protocol("bad magic"));
         assert_ne!(p, RuntimeError::protocol("bad version"));
-        assert!(RuntimeError::Timeout.to_string().contains("timed out"));
-        assert_eq!(RuntimeError::Timeout, RuntimeError::Timeout);
-        assert_ne!(RuntimeError::Timeout, RuntimeError::ShuttingDown);
     }
 
     #[test]
@@ -239,11 +228,7 @@ mod tests {
         let d = RuntimeError::DeadlineExceeded;
         assert!(d.to_string().contains("deadline"));
         assert_eq!(d, RuntimeError::DeadlineExceeded);
-        assert_ne!(
-            d,
-            RuntimeError::Timeout,
-            "deadline expiry is terminal, a wait timeout is not"
-        );
+        assert_ne!(d, RuntimeError::ShuttingDown);
 
         let c = RuntimeError::CrashLoop { restarts: 8 };
         assert!(c.to_string().contains("8 restarts"));

@@ -45,10 +45,10 @@
 //!    tenants behind one scheduler. A single network — or a single
 //!    epitome layer, via `epim_models::zoo::epitome_layer` — is a
 //!    one-tenant fleet. Requests are typed ([`InferRequest`]; a bare
-//!    tensor converts) and [`MultiEngine::try_infer`] returns a
-//!    [`Pending`] that supports blocking [`Pending::wait`], bounded
-//!    [`Pending::wait_timeout`] and `await` (it implements
-//!    [`std::future::Future`]).
+//!    tensor converts). [`MultiEngine::infer`] blocks for the result;
+//!    [`MultiEngine::try_infer`] never waits for queue space and hands
+//!    the result to a reply function, which the scheduler calls exactly
+//!    once on one of its threads.
 //!
 //! Serving health is observable through [`RuntimeStats`]: per-tenant
 //! queue-wait / service / end-to-end latency histograms (log-linear, exact
@@ -106,7 +106,7 @@ mod tenancy;
 pub use cache::{PlanCache, PlanCacheStats};
 pub use error::RuntimeError;
 pub use network::NetworkPlan;
-pub use scheduler::{FlowControl, Inference, Pending, TenantConfig, DEFAULT_RESTART_BUDGET};
+pub use scheduler::{FlowControl, Inference, TenantConfig, DEFAULT_RESTART_BUDGET};
 pub use service::{InferRequest, CLIENT_NONE};
 pub use stats::{RuntimeStats, StageRollup};
 pub use tenancy::{MultiEngine, MultiEngineBuilder, TenantId};

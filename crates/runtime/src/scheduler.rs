@@ -35,8 +35,8 @@
 //!    FIFO order and runs it through **that tenant's** executor. Groups
 //!    never mix tenants, which is what keeps every tenant's outputs
 //!    bit-identical to serving it alone.
-//! 4. Results are delivered to per-request slots; every request is
-//!    guaranteed a delivery (success, its own error, or
+//! 4. Each result is handed to its request's reply function, which is
+//!    called exactly once (success, its own error, or
 //!    [`RuntimeError::ExecutionPanicked`]), and a failing batch is retried
 //!    per-request so one bad request cannot poison its batchmates.
 
@@ -178,7 +178,14 @@ pub struct Inference {
     pub latency: Duration,
 }
 
-/// A queued request: the input plus the slot its submitter parks on.
+/// Where a request's result goes. The scheduler calls it exactly once per
+/// accepted request, on a scheduler (or supervisor) thread — sometimes
+/// while holding the queue lock — so it must neither block, panic nor
+/// call back into the engine; handing the result to a channel is the
+/// intended use.
+pub(crate) type Reply = Box<dyn FnOnce(Result<Inference, RuntimeError>) + Send>;
+
+/// A queued request: the input plus the reply its result is handed to.
 struct Request {
     input: Tensor,
     submitted_at: Instant,
@@ -187,162 +194,7 @@ struct Request {
     /// [`RuntimeError::DeadlineExceeded`] instead of occupying a batch
     /// slot.
     deadline: Option<Instant>,
-    slot: Arc<Slot>,
-}
-
-/// What a slot holds between submission and delivery: the eventual
-/// result plus the waker of whatever task is polling the [`Pending`] as a
-/// future. One mutex covers both so a completion racing a `poll` can
-/// never lose a waker (deliver either sees the stored waker, or the
-/// poller re-checks the stored result after registering).
-#[derive(Default)]
-struct SlotState {
-    result: Option<Result<Inference, RuntimeError>>,
-    waker: Option<std::task::Waker>,
-}
-
-/// Rendezvous between a submitter and a scheduler thread. Completion is
-/// broadcast two ways: the condvar (for the blocking `wait` /
-/// `wait_timeout` paths) and the registered [`std::task::Waker`] (for the
-/// future path) — a single slot supports both without busy-polling.
-#[derive(Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn deliver(&self, result: Result<Inference, RuntimeError>) {
-        let waker = {
-            let mut state = lock_recover(&self.state);
-            state.result = Some(result);
-            state.waker.take()
-        };
-        self.ready.notify_one();
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-
-    fn wait(&self) -> Result<Inference, RuntimeError> {
-        let mut guard = lock_recover(&self.state);
-        loop {
-            match guard.result.take() {
-                Some(result) => return result,
-                None => guard = wait_recover(&self.ready, guard),
-            }
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Result<Inference, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = lock_recover(&self.state);
-        loop {
-            if let Some(result) = guard.result.take() {
-                return result;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(RuntimeError::Timeout);
-            }
-            guard = wait_timeout_recover(&self.ready, guard, left).0;
-        }
-    }
-
-    fn poll(
-        &self,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Result<Inference, RuntimeError>> {
-        let mut state = lock_recover(&self.state);
-        match state.result.take() {
-            Some(result) => std::task::Poll::Ready(result),
-            None => {
-                // Replace rather than clone_from: wakers from different
-                // executors must not be mixed up across polls.
-                state.waker = Some(cx.waker().clone());
-                std::task::Poll::Pending
-            }
-        }
-    }
-}
-
-/// An accepted-but-unfinished submission (returned by the non-blocking
-/// submission paths). Dropping it abandons the result; the request still
-/// executes.
-///
-/// The result can be claimed three ways, all built on one condvar+waker
-/// slot filled at completion (never busy-polled):
-///
-/// - **blocking**: [`Pending::wait`] parks the calling thread;
-/// - **bounded**: [`Pending::wait_timeout`] parks up to a deadline and
-///   returns [`RuntimeError::Timeout`] if the request is still in flight
-///   (the `Pending` stays usable — wait again or poll);
-/// - **async**: `Pending` implements [`std::future::Future`], waking the
-///   registered [`std::task::Waker`] on completion, so any runtime-free
-///   executor (see `epim-serve`'s connection multiplexer) can drive many
-///   in-flight requests from one thread.
-pub struct Pending {
-    slot: Arc<Slot>,
-}
-
-impl std::fmt::Debug for Pending {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pending").finish_non_exhaustive()
-    }
-}
-
-impl Pending {
-    /// Blocks until the inference completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request's execution error, or
-    /// [`RuntimeError::ShuttingDown`] if the engine dropped before serving
-    /// it.
-    pub fn wait(self) -> Result<Inference, RuntimeError> {
-        self.slot.wait()
-    }
-
-    /// Blocks until the inference completes or `timeout` expires —
-    /// the bound that keeps a wire session from hanging forever on a
-    /// stuck plan.
-    ///
-    /// On [`RuntimeError::Timeout`] the request is **still in flight**
-    /// and this handle is still live: call `wait_timeout` again, upgrade
-    /// to a blocking [`Pending::wait`], or poll it as a future. Any other
-    /// return (success or error) consumes the result; a later call would
-    /// block on a slot that will never fill again, which is why this
-    /// takes `&mut self` and the result-claiming paths take `self`.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Timeout`] if the deadline passed, otherwise
-    /// exactly [`Pending::wait`]'s contract.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<Inference, RuntimeError> {
-        self.slot.wait_timeout(timeout)
-    }
-
-    /// True once a result (or error) has been delivered and not yet
-    /// claimed. A `true` here means the next `wait`/poll returns
-    /// immediately.
-    pub fn is_ready(&self) -> bool {
-        lock_recover(&self.slot.state).result.is_some()
-    }
-}
-
-impl std::future::Future for Pending {
-    type Output = Result<Inference, RuntimeError>;
-
-    /// Completes with the inference result; wakes the stored waker when
-    /// the scheduler delivers. After returning `Ready` the result is
-    /// claimed — polling again would pend forever, as for any future
-    /// polled after completion.
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        self.slot.poll(cx)
-    }
+    reply: Reply,
 }
 
 /// One registered tenant: its executor, serving knobs and statistics.
@@ -554,30 +406,30 @@ impl<E: GroupExecutor> Scheduler<E> {
         req: crate::InferRequest,
     ) -> Result<Inference, RuntimeError> {
         let flow = self.tenant_ref(tenant)?.config.flow;
-        let slots = self.enqueue(tenant, vec![req.input], flow, req.client, req.deadline)?;
-        slots.into_iter().next().expect("one slot per input").wait()
+        let mut results =
+            self.submit_and_wait(tenant, vec![req.input], flow, req.client, req.deadline)?;
+        results.pop().expect("one result per input")
     }
 
     /// Submits one request to `tenant` without ever waiting for queue
-    /// space.
+    /// space; `reply` gets its result. On `Err` nothing was queued and
+    /// `reply` is dropped uncalled.
     pub fn try_submit(
         &self,
         tenant: usize,
         req: crate::InferRequest,
-    ) -> Result<Pending, RuntimeError> {
+        reply: Reply,
+    ) -> Result<(), RuntimeError> {
         self.check_tenant(tenant)?;
-        let slots = self.enqueue(
+        self.enqueue(
             tenant,
-            vec![req.input],
+            vec![(req.input, reply)],
             FlowControl::Shed {
                 timeout: Duration::ZERO,
             },
             req.client,
             req.deadline,
-        )?;
-        Ok(Pending {
-            slot: slots.into_iter().next().expect("one slot per input"),
-        })
+        )
     }
 
     /// Submits a burst to `tenant` atomically (the whole burst is visible
@@ -589,8 +441,45 @@ impl<E: GroupExecutor> Scheduler<E> {
         inputs: Vec<Tensor>,
     ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
         let flow = self.tenant_ref(tenant)?.config.flow;
-        let slots = self.enqueue(tenant, inputs, flow, crate::CLIENT_NONE, None)?;
-        Ok(slots.into_iter().map(|s| s.wait()).collect())
+        self.submit_and_wait(tenant, inputs, flow, crate::CLIENT_NONE, None)
+    }
+
+    /// Enqueues `inputs` with replies that send into one channel, then
+    /// waits for every result and returns them in input order. The
+    /// channel disconnects once every reply has been called or dropped,
+    /// so a reply that was never called reads as
+    /// [`RuntimeError::ShuttingDown`] instead of a hang.
+    #[allow(clippy::type_complexity)]
+    fn submit_and_wait(
+        &self,
+        tenant: usize,
+        inputs: Vec<Tensor>,
+        flow: FlowControl,
+        client: u64,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
+        let (tx, rx) = mpsc::channel();
+        let count = inputs.len();
+        let requests = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, input)| {
+                let tx = tx.clone();
+                let reply: Reply = Box::new(move |result| {
+                    let _ = tx.send((i, result));
+                });
+                (input, reply)
+            })
+            .collect();
+        drop(tx);
+        self.enqueue(tenant, requests, flow, client, deadline)?;
+        let mut results: Vec<_> = (0..count)
+            .map(|_| Err(RuntimeError::ShuttingDown))
+            .collect();
+        for (i, result) in rx {
+            results[i] = result;
+        }
+        Ok(results)
     }
 
     /// A point-in-time statistics snapshot of one tenant; `plan_cache` is
@@ -650,27 +539,27 @@ impl<E: GroupExecutor> Scheduler<E> {
     fn enqueue(
         &self,
         tenant: usize,
-        inputs: Vec<Tensor>,
+        requests: Vec<(Tensor, Reply)>,
         flow: FlowControl,
         client: u64,
         request_deadline: Option<Instant>,
-    ) -> Result<Vec<Arc<Slot>>, RuntimeError> {
+    ) -> Result<(), RuntimeError> {
         let shared = &self.shared;
         let ten = self.tenant_ref(tenant)?;
         let capacity = ten.config.queue_capacity;
-        if inputs.len() > capacity {
+        let admitted = requests.len();
+        if admitted > capacity {
             return Err(RuntimeError::config(format!(
-                "burst of {} exceeds queue_capacity {capacity}",
-                inputs.len()
+                "burst of {admitted} exceeds queue_capacity {capacity}"
             )));
         }
         let now = Instant::now();
-        let deadline_shed = |count: u64| {
-            lock_recover(&ten.stats).record_deadline_exceeded(count);
+        let deadline_shed = |count: usize| {
+            lock_recover(&ten.stats).record_deadline_exceeded(count as u64);
             RuntimeError::DeadlineExceeded
         };
         if request_deadline.is_some_and(|d| d <= now) {
-            return Err(deadline_shed(inputs.len() as u64));
+            return Err(deadline_shed(admitted));
         }
         let mut queue = lock_recover(&shared.queue);
         // Backpressure: wait (or shed) until the whole submission fits in
@@ -682,11 +571,11 @@ impl<E: GroupExecutor> Scheduler<E> {
             FlowControl::Block => None,
             FlowControl::Shed { timeout } => Some(now + timeout),
         };
-        while !queue.shutdown && queue.pending[tenant].len() + inputs.len() > capacity {
+        while !queue.shutdown && queue.pending[tenant].len() + admitted > capacity {
             let now = Instant::now();
             if request_deadline.is_some_and(|d| d <= now) {
                 drop(queue);
-                return Err(deadline_shed(inputs.len() as u64));
+                return Err(deadline_shed(admitted));
             }
             let bound = match (flow_deadline, request_deadline) {
                 (Some(f), Some(r)) => Some(f.min(r)),
@@ -699,11 +588,11 @@ impl<E: GroupExecutor> Scheduler<E> {
                     // expired bound here is the flow-control timeout.
                     if bound <= now {
                         drop(queue);
-                        lock_recover(&ten.stats).record_shed(inputs.len() as u64);
+                        lock_recover(&ten.stats).record_shed(admitted as u64);
                         trace::instant(
                             trace::SpanKind::Shed,
                             tenant as u32,
-                            inputs.len() as u64,
+                            admitted as u64,
                             capacity as u64,
                         );
                         return Err(RuntimeError::Overloaded {
@@ -718,19 +607,14 @@ impl<E: GroupExecutor> Scheduler<E> {
         if queue.shutdown {
             return Err(RuntimeError::ShuttingDown);
         }
-        let slots: Vec<Arc<Slot>> = inputs
-            .into_iter()
-            .map(|input| {
-                let slot = Arc::new(Slot::default());
-                queue.pending[tenant].push_back(Request {
-                    input,
-                    submitted_at: now,
-                    deadline: request_deadline,
-                    slot: slot.clone(),
-                });
-                slot
-            })
-            .collect();
+        for (input, reply) in requests {
+            queue.pending[tenant].push_back(Request {
+                input,
+                submitted_at: now,
+                deadline: request_deadline,
+                reply,
+            });
+        }
         let depth = queue.pending[tenant].len();
         queue.high_water[tenant] = queue.high_water[tenant].max(depth);
         let total: usize = queue.pending.iter().map(VecDeque::len).sum();
@@ -742,11 +626,11 @@ impl<E: GroupExecutor> Scheduler<E> {
         trace::instant(
             trace::SpanKind::Enqueue,
             tenant as u32,
-            slots.len() as u64,
+            admitted as u64,
             ((client & 0xFFFF_FFFF) << 32) | depth as u64,
         );
         shared.submitted.notify_all();
-        Ok(slots)
+        Ok(())
     }
 }
 
@@ -887,7 +771,7 @@ fn drain_all<E: GroupExecutor>(shared: &Shared<E>, error: RuntimeError) {
     queue.shutdown = true;
     for pending in &mut queue.pending {
         for request in pending.drain(..) {
-            request.slot.deliver(Err(error.clone()));
+            (request.reply)(Err(error.clone()));
         }
     }
     drop(queue);
@@ -931,28 +815,28 @@ fn others_pending(queue: &QueueSet, tenant: usize) -> bool {
 }
 
 /// Sheds every queued request whose deadline has already passed,
-/// delivering the typed [`RuntimeError::DeadlineExceeded`] and recording
-/// per-tenant counters. Returns whether anything was shed (queue space
-/// freed). The caller holds the queue lock; slot delivery and the stats
-/// mutex are leaf locks (nothing takes the queue lock while holding
-/// either), so taking them underneath cannot deadlock.
+/// recording per-tenant counters and handing each the typed
+/// [`RuntimeError::DeadlineExceeded`]. Returns whether anything was shed
+/// (queue space freed). The caller holds the queue lock; the stats mutex
+/// is a leaf lock (nothing takes the queue lock while holding it) and a
+/// reply never calls back into the engine, so neither can deadlock
+/// underneath.
 fn shed_expired<E: GroupExecutor>(queue: &mut QueueSet, shared: &Shared<E>) -> bool {
     let now = Instant::now();
+    let expired = |request: &Request| request.deadline.is_some_and(|d| d <= now);
     let mut any = false;
     for (t, pending) in queue.pending.iter_mut().enumerate() {
-        let mut expired = 0u64;
-        pending.retain(|request| match request.deadline {
-            Some(d) if d <= now => {
-                request.slot.deliver(Err(RuntimeError::DeadlineExceeded));
-                expired += 1;
-                false
-            }
-            _ => true,
-        });
-        if expired > 0 {
-            lock_recover(&shared.tenants[t].stats).record_deadline_exceeded(expired);
-            any = true;
+        if !pending.iter().any(expired) {
+            continue;
         }
+        let (shed, kept): (VecDeque<Request>, VecDeque<Request>) =
+            pending.drain(..).partition(expired);
+        *pending = kept;
+        lock_recover(&shared.tenants[t].stats).record_deadline_exceeded(shed.len() as u64);
+        for request in shed {
+            (request.reply)(Err(RuntimeError::DeadlineExceeded));
+        }
+        any = true;
     }
     any
 }
@@ -1092,7 +976,7 @@ impl DeliveryGuard {
     /// guard's custody.
     fn deliver(&mut self, i: usize, result: Result<Inference, RuntimeError>) {
         if let Some(request) = self.requests[i].take() {
-            request.slot.deliver(result);
+            (request.reply)(result);
         }
     }
 }
@@ -1100,7 +984,7 @@ impl DeliveryGuard {
 impl Drop for DeliveryGuard {
     fn drop(&mut self) {
         for request in self.requests.iter_mut().filter_map(Option::take) {
-            request.slot.deliver(Err(RuntimeError::ExecutionPanicked));
+            (request.reply)(Err(RuntimeError::ExecutionPanicked));
         }
     }
 }
@@ -1137,108 +1021,48 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
                 guard.deliver(i, Err(RuntimeError::ExecutionPanicked));
             }
         }
-        Ok(Ok((outputs, dp_stats, stage_ns))) => {
+        Ok(Ok(executed)) => {
             let service = exec_started.elapsed();
             ten.observe_service(service);
-            record_and_deliver(
-                ten,
-                &mut guard,
-                outputs,
-                &dp_stats,
-                &stage_ns,
-                batch_size,
-                exec_started,
-                &[service],
-            );
+            record_and_deliver(ten, &mut guard, 0, executed, exec_started, service);
         }
         Ok(Err(_)) => {
-            // Defensive fallback: run the group per-request so one bad
-            // request cannot poison its batchmates (each gets its own
-            // error or result).
-            let mut outputs = Vec::with_capacity(batch_size);
-            let mut services = Vec::with_capacity(batch_size);
-            let mut dp_stats = DataPathStats::default();
-            let mut failures: Vec<(usize, RuntimeError)> = Vec::new();
+            // Defensive fallback: rerun the group one request at a time so
+            // one bad request cannot poison its batchmates. Each retry is
+            // a batch of one, recorded with its own statistics, or answered
+            // with its own error.
             for i in 0..batch_size {
                 let started = Instant::now();
                 let input = &guard.get(i).input;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ten.exec
-                        .execute_batch(tenant as u32, &[input])
-                        .map(|(mut outs, s, _)| (outs.pop().expect("one output per input"), s))
+                    ten.exec.execute_batch(tenant as u32, &[input])
                 }));
-                services.push(started.elapsed());
                 match outcome {
-                    Ok(Ok((out, s))) => {
-                        dp_stats.accumulate(&s);
-                        outputs.push(out);
+                    Ok(Ok(executed)) => {
+                        let service = started.elapsed();
+                        record_and_deliver(ten, &mut guard, i, executed, exec_started, service);
                     }
-                    Ok(Err(e)) => {
-                        failures.push((i, e));
-                        outputs.push(Tensor::zeros(&[1]));
-                    }
-                    Err(_) => {
-                        failures.push((i, RuntimeError::ExecutionPanicked));
-                        outputs.push(Tensor::zeros(&[1]));
-                    }
-                }
-            }
-            if failures.is_empty() {
-                record_and_deliver(
-                    ten,
-                    &mut guard,
-                    outputs,
-                    &dp_stats,
-                    &[],
-                    batch_size,
-                    exec_started,
-                    &services,
-                );
-            } else {
-                // Deliver successes as singletons, failures as errors.
-                for i in 0..batch_size {
-                    if let Some((_, e)) = failures.iter().find(|(fi, _)| *fi == i) {
-                        guard.deliver(i, Err(e.clone()));
-                    } else {
-                        let submitted_at = guard.get(i).submitted_at;
-                        let latency = submitted_at.elapsed();
-                        let mut stats = lock_recover(&ten.stats);
-                        stats.record_request(
-                            exec_started.saturating_duration_since(submitted_at),
-                            services[i],
-                            latency,
-                        );
-                        drop(stats);
-                        guard.deliver(
-                            i,
-                            Ok(Inference {
-                                output: outputs[i].clone(),
-                                batch_size: 1,
-                                latency,
-                            }),
-                        );
-                    }
+                    Ok(Err(e)) => guard.deliver(i, Err(e)),
+                    Err(_) => guard.deliver(i, Err(RuntimeError::ExecutionPanicked)),
                 }
             }
         }
     }
 }
 
-/// Records batch statistics into the tenant's accumulator and hands each
-/// request its output. `services` is either one duration shared by the
-/// whole batch or one per request (the fallback path), and `exec_started`
-/// marks the end of each request's queue wait.
-#[allow(clippy::too_many_arguments)]
+/// Records one executed batch — the guard's requests from `first` on, one
+/// per output, which shared `service` of execution time — into the
+/// tenant's statistics, then hands each request its output.
+/// `exec_started` marks the end of each request's queue wait.
 fn record_and_deliver<E>(
     tenant: &Tenant<E>,
     guard: &mut DeliveryGuard,
-    outputs: Vec<Tensor>,
-    dp_stats: &DataPathStats,
-    stage_ns: &[u64],
-    batch_size: usize,
+    first: usize,
+    (outputs, dp_stats, stage_ns): (Vec<Tensor>, DataPathStats, Vec<u64>),
     exec_started: Instant,
-    services: &[Duration],
+    service: Duration,
 ) {
+    let batch_size = outputs.len();
     {
         let mut stats = lock_recover(&tenant.stats);
         // Injected lock-holder panic: unwinds while holding the stats
@@ -1248,22 +1072,17 @@ fn record_and_deliver<E>(
         if faults::fires(faults::FaultPoint::LockPanic) {
             panic!("injected fault: panic while holding the stats lock");
         }
-        stats.record_batch(batch_size, dp_stats, stage_ns);
-        for i in 0..batch_size {
-            let request = guard.get(i);
-            let service = if services.len() == 1 {
-                services[0]
-            } else {
-                services[i]
-            };
+        stats.record_batch(batch_size, &dp_stats, &stage_ns);
+        for i in first..first + batch_size {
+            let submitted_at = guard.get(i).submitted_at;
             stats.record_request(
-                exec_started.saturating_duration_since(request.submitted_at),
+                exec_started.saturating_duration_since(submitted_at),
                 service,
-                request.submitted_at.elapsed(),
+                submitted_at.elapsed(),
             );
         }
     }
-    for (i, output) in outputs.into_iter().enumerate() {
+    for (i, output) in (first..).zip(outputs) {
         let latency = guard.get(i).submitted_at.elapsed();
         guard.deliver(
             i,
@@ -1360,6 +1179,21 @@ mod tests {
         InferRequest::new(Tensor::zeros(&[1]))
     }
 
+    /// Submits without waiting for queue space; the receiver yields the
+    /// result once the scheduler calls the reply.
+    fn submit(
+        sched: &Scheduler<Stub>,
+        tenant: usize,
+        req: InferRequest,
+    ) -> mpsc::Receiver<Result<Inference, RuntimeError>> {
+        let (tx, rx) = mpsc::channel();
+        let reply: Reply = Box::new(move |result| {
+            let _ = tx.send(result);
+        });
+        sched.try_submit(tenant, req, reply).unwrap();
+        rx
+    }
+
     fn estimate(sched: &Scheduler<Stub>) -> u64 {
         sched.shared.tenants[0].service_ns.load(Ordering::Relaxed)
     }
@@ -1413,10 +1247,11 @@ mod tests {
     #[test]
     fn cold_start_holds_for_the_configured_window() {
         let sched = fleet(&[(0, tenant(200, 4))]);
-        let first = sched.try_submit(0, request()).unwrap();
+        let first = submit(&sched, 0, request());
         std::thread::sleep(Duration::from_millis(20));
-        let second = sched.try_submit(0, request()).unwrap();
-        let (first, second) = (first.wait().unwrap(), second.wait().unwrap());
+        let second = submit(&sched, 0, request());
+        let first = first.recv().unwrap().unwrap();
+        let second = second.recv().unwrap().unwrap();
         assert_eq!((first.batch_size, second.batch_size), (2, 2));
         assert!(
             first.latency >= Duration::from_millis(180),
@@ -1497,10 +1332,10 @@ mod tests {
     #[test]
     fn hold_still_yields_to_neighbours_shutdown_and_deadlines() {
         let sched = fleet(&[(0, tenant(400, 4)), (0, tenant(400, 4))]);
-        let held = sched.try_submit(0, request()).unwrap();
+        let held = submit(&sched, 0, request());
         std::thread::sleep(Duration::from_millis(20));
-        let neighbour = sched.try_submit(1, request()).unwrap();
-        let flushed = held.wait().unwrap().latency;
+        let neighbour = submit(&sched, 1, request());
+        let flushed = held.recv().unwrap().unwrap().latency;
         assert!(
             flushed < Duration::from_millis(200),
             "a neighbour's arrival must flush the held group, took {flushed:?}"
@@ -1508,7 +1343,7 @@ mod tests {
         // The neighbour is now the one held (cold, 400 ms); dropping the
         // scheduler flushes and serves it.
         drop(sched);
-        let drained = neighbour.wait().unwrap().latency;
+        let drained = neighbour.recv().unwrap().unwrap().latency;
         assert!(
             drained < Duration::from_millis(200),
             "shutdown must flush the held group, took {drained:?}"
@@ -1516,7 +1351,7 @@ mod tests {
 
         let sched = fleet(&[(0, tenant(100, 4))]);
         let doomed = request().with_deadline(Instant::now() + Duration::from_millis(20));
-        let outcome = sched.try_submit(0, doomed).unwrap().wait();
+        let outcome = submit(&sched, 0, doomed).recv().unwrap();
         assert!(matches!(outcome, Err(RuntimeError::DeadlineExceeded)));
         let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
         assert_eq!(stats.deadline_exceeded, 1);
@@ -1544,6 +1379,21 @@ mod tests {
             (2_000_000..u64::MAX).contains(&measured),
             "a 2 ms batch was measured as {measured} ns"
         );
+    }
+
+    /// A group whose batched execution fails is rerun one request at a
+    /// time, and the statistics count what ran: three batches of one.
+    #[test]
+    fn per_request_retries_are_recorded_as_batches_of_one() {
+        let sched = fleet(&[(0, tenant(0, 4))]);
+        sched.executor(0).mode.store(FAIL_BATCH, Ordering::SeqCst);
+        let results = sched.submit_many(0, vec![Tensor::zeros(&[1]); 3]).unwrap();
+        for result in &results {
+            assert_eq!(result.as_ref().unwrap().batch_size, 1, "{results:?}");
+        }
+        let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
+        assert_eq!((stats.requests, stats.batches), (3, 3));
+        assert_eq!(stats.batch_histogram[0], 3);
     }
 
     /// A batch that panics inside a pool region, where a split group runs

@@ -348,9 +348,9 @@ impl StatsInner {
     }
 
     /// Records one executed batch: size histogram, data-path rollup, and
-    /// the per-stage wall times its executor measured (`stage_ns` may be
-    /// empty — e.g. the per-request fallback path — or index-aligned with
-    /// the stage metadata this accumulator was built with).
+    /// the per-stage wall times its executor measured (`stage_ns` is empty
+    /// for executors without stage structure, otherwise index-aligned
+    /// with the stage metadata this accumulator was built with).
     pub fn record_batch(&mut self, batch_size: usize, stats: &DataPathStats, stage_ns: &[u64]) {
         debug_assert!(batch_size > 0);
         self.batches += 1;

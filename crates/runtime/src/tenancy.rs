@@ -56,9 +56,7 @@
 
 use crate::network::{NetworkPlan, PlanExecutor};
 use crate::scheduler::Scheduler;
-use crate::{
-    InferRequest, Inference, Pending, PlanCache, RuntimeError, RuntimeStats, TenantConfig,
-};
+use crate::{InferRequest, Inference, PlanCache, RuntimeError, RuntimeStats, TenantConfig};
 use epim_models::lower::NetworkWeights;
 use epim_models::network::Network;
 use epim_pim::datapath::AnalogModel;
@@ -314,19 +312,30 @@ impl MultiEngine {
     }
 
     /// Submits to tenant `id` without ever blocking on queue space (full
-    /// queue → shed immediately); the returned [`Pending`] waits for the
-    /// result. Accepts a bare [`Tensor`] or a tagged [`InferRequest`].
+    /// queue → shed immediately) and hands the result — the inference or
+    /// this request's typed error — to `reply`. Accepts a bare [`Tensor`]
+    /// or a tagged [`InferRequest`].
+    ///
+    /// The scheduler calls `reply` exactly once per accepted request, on
+    /// one of its own threads and sometimes while holding the queue lock:
+    /// it must not block, panic or call back into this engine. Sending the
+    /// result into a channel is the intended use.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Overloaded`] when this tenant's queue is
-    /// full, or [`RuntimeError::UnknownTenant`] for a foreign id.
+    /// full, [`RuntimeError::UnknownTenant`] for a foreign id,
+    /// [`RuntimeError::DeadlineExceeded`] for a request whose deadline has
+    /// already passed, or [`RuntimeError::ShuttingDown`] during shutdown.
+    /// On any error nothing was queued and `reply` is dropped uncalled.
     pub fn try_infer(
         &self,
         id: TenantId,
         req: impl Into<InferRequest>,
-    ) -> Result<Pending, RuntimeError> {
-        self.scheduler.try_submit(self.index_of(id)?, req.into())
+        reply: impl FnOnce(Result<Inference, RuntimeError>) + Send + 'static,
+    ) -> Result<(), RuntimeError> {
+        self.scheduler
+            .try_submit(self.index_of(id)?, req.into(), Box::new(reply))
     }
 
     /// Submits a burst to tenant `id` atomically and waits for all

@@ -21,7 +21,7 @@ use epim_runtime::{
     InferRequest, MultiEngine, PlanCache, RuntimeError, RuntimeStats, TenantConfig, TenantId,
 };
 use epim_tensor::{init, rng, Tensor};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serializes tests that install process-global fault plans. Recovers
@@ -243,21 +243,30 @@ fn queued_request_expiring_behind_slow_batch_is_shed() {
         },
     ));
 
-    let slow = engine.try_infer(id, InferRequest::new(slow_input)).unwrap();
+    let (slow_tx, slow) = mpsc::channel();
+    engine
+        .try_infer(id, InferRequest::new(slow_input), move |result| {
+            let _ = slow_tx.send(result);
+        })
+        .unwrap();
     // Wait until the worker has taken the slow request into execution so
     // the doomed one queues behind it instead of coalescing with it.
     wait_queue_empty(&engine);
-    let doomed = engine
+    let (doomed_tx, doomed) = mpsc::channel();
+    engine
         .try_infer(
             id,
             InferRequest::new(doomed_input)
                 .with_deadline(Instant::now() + Duration::from_millis(30)),
+            move |result| {
+                let _ = doomed_tx.send(result);
+            },
         )
         .unwrap();
 
-    let slow_result = slow.wait();
+    let slow_result = slow.recv().unwrap();
     assert!(slow_result.is_ok(), "stalled batch failed: {slow_result:?}");
-    match doomed.wait() {
+    match doomed.recv().unwrap() {
         Err(RuntimeError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }

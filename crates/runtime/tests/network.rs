@@ -280,7 +280,7 @@ fn shed_policy_rejects_under_load() {
         });
         std::thread::sleep(Duration::from_millis(100));
         // The queue is full: try_infer sheds immediately...
-        let shed = engine.try_infer(id, x());
+        let shed = engine.try_infer(id, x(), |_| {});
         assert!(
             matches!(shed, Err(RuntimeError::Overloaded { capacity: 2, .. })),
             "{shed:?}"
@@ -535,9 +535,9 @@ fn heavy_plan_splits_groups_and_stays_bit_identical() {
     assert!(stats.stages.iter().all(|s| s.calls == 2 * width as u64));
 }
 
-/// `try_infer`'s `Pending` handle delivers the same result as `infer`.
+/// `try_infer`'s reply receives the reference output.
 #[test]
-fn try_infer_pending_delivers() {
+fn try_infer_reply_delivers() {
     let (net, _) = tiny_resnet_network();
     let weights = NetworkWeights::random(&net, 71).unwrap();
     let (engine, id) = fleet(
@@ -554,6 +554,11 @@ fn try_infer_pending_delivers() {
     let (want, _) = prog
         .forward_reference(&weights, true, AnalogModel::ideal(), &x)
         .unwrap();
-    let pending = engine.try_infer(id, x).unwrap();
-    assert_eq!(pending.wait().unwrap().output, want);
+    let (tx, rx) = std::sync::mpsc::channel();
+    engine
+        .try_infer(id, x, move |result| {
+            let _ = tx.send(result);
+        })
+        .unwrap();
+    assert_eq!(rx.recv().unwrap().unwrap().output, want);
 }

@@ -1,21 +1,29 @@
-//! Integration tests for the submission surface: [`Pending`] must
-//! deliver results through every one of its three consumption modes —
-//! blocking `wait()`, bounded `wait_timeout()` and `await` under a
-//! runtime-free hand-rolled executor.
+//! Integration tests for the submission surface: `MultiEngine::try_infer`
+//! hands every accepted request's result to its reply function exactly
+//! once — the bits `infer` returns, or the request's typed error — and
+//! drops the reply uncalled when it refuses the request.
+//!
+//! One case installs process-global fault plans, so every test here
+//! serializes on a static mutex.
 
 use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
+use epim_faults::{FaultPlan, FaultPoint, FaultRule};
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
-use epim_runtime::{MultiEngine, Pending, PlanCache, RuntimeError, TenantConfig, TenantId};
+use epim_runtime::{
+    FlowControl, InferRequest, Inference, MultiEngine, PlanCache, RuntimeError, TenantConfig,
+    TenantId, DEFAULT_RESTART_BUDGET,
+};
 use epim_tensor::{init, rng, Tensor};
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+static GATE: Mutex<()> = Mutex::new(());
 
 /// A one-tenant fleet serving one A9/ADC8 epitome layer on 8x8 inputs.
-fn layer_engine(config: TenantConfig) -> (MultiEngine, TenantId) {
+fn layer_engine(config: TenantConfig, restart_budget: u32) -> (MultiEngine, TenantId) {
     let spec = EpitomeSpec::new(ConvShape::new(8, 4, 3, 3), EpitomeShape::new(4, 4, 2, 2)).unwrap();
     let mut r = rng::seeded(5);
     let epi = Epitome::from_tensor(spec, init::uniform(&[4, 4, 2, 2], -1.0, 1.0, &mut r)).unwrap();
@@ -25,174 +33,190 @@ fn layer_engine(config: TenantConfig) -> (MultiEngine, TenantId) {
         dac_bits: Some(9),
         ..AnalogModel::ideal()
     };
-    let mut builder = MultiEngine::builder(&PlanCache::new());
+    let mut builder = MultiEngine::builder(&PlanCache::new()).restart_budget(restart_budget);
     let id = builder
         .register("layer", &net, &weights, (8, 8), true, analog, config)
         .unwrap();
     (builder.build().unwrap(), id)
 }
 
-/// A minimal single-future executor built only on std: parks on a
-/// condvar, woken by the `Waker` the future registers. This is the
-/// acceptance check that `Pending` integrates with *any* runtime, not
-/// that it happens to work with a specific one.
-struct Parker {
-    woken: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Wake for Parker {
-    fn wake(self: Arc<Self>) {
-        let mut woken = self.woken.lock().unwrap();
-        *woken = true;
-        self.cv.notify_one();
-    }
-}
-
-fn block_on<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let parker = Arc::new(Parker {
-        woken: Mutex::new(false),
-        cv: Condvar::new(),
-    });
-    let waker = Waker::from(Arc::clone(&parker));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => {
-                let mut woken = parker.woken.lock().unwrap();
-                while !*woken {
-                    woken = parker.cv.wait(woken).unwrap();
-                }
-                *woken = false;
-            }
-        }
-    }
-}
-
-/// `Pending` as a `Future`: awaiting results under a minimal hand-rolled
-/// executor (no async runtime anywhere in the workspace) matches the
-/// blocking path bitwise, and the waker fires without busy-polling.
-#[test]
-fn pending_resolves_as_future_under_handrolled_executor() {
-    let (engine, id) = layer_engine(TenantConfig {
-        max_batch: 4,
-        batch_window: Duration::from_millis(2),
+fn window(max_batch: usize, ms: u64) -> TenantConfig {
+    TenantConfig {
+        max_batch,
+        batch_window: Duration::from_millis(ms),
         ..TenantConfig::default()
-    });
-    let mut r = rng::seeded(7);
-    let inputs: Vec<Tensor> = (0..6)
+    }
+}
+
+fn inputs(n: usize, seed: u64) -> Vec<Tensor> {
+    let mut r = rng::seeded(seed);
+    (0..n)
         .map(|_| init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r))
-        .collect();
-    let want: Vec<Tensor> = inputs
+        .collect()
+}
+
+/// What one reply was given, and how often it ran.
+struct Probe {
+    calls: Arc<AtomicUsize>,
+    results: Receiver<Result<Inference, RuntimeError>>,
+}
+
+impl Probe {
+    /// A probe and the reply that feeds it.
+    fn new() -> (
+        Probe,
+        impl FnOnce(Result<Inference, RuntimeError>) + Send + 'static,
+    ) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (tx, results) = mpsc::channel();
+        let counter = Arc::clone(&calls);
+        let reply = move |result: Result<Inference, RuntimeError>| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send(result);
+        };
+        (Probe { calls, results }, reply)
+    }
+
+    /// The result the reply was given; it must have run exactly once.
+    fn result(&self) -> Result<Inference, RuntimeError> {
+        let result = self
+            .results
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the reply was never called");
+        assert_eq!(self.calls.load(Ordering::SeqCst), 1);
+        result
+    }
+
+    /// Whether the reply was dropped without running.
+    fn dropped_uncalled(&self) -> bool {
+        self.calls.load(Ordering::SeqCst) == 0
+            && matches!(self.results.try_recv(), Err(TryRecvError::Disconnected))
+    }
+}
+
+/// Every accepted request's reply runs once with the bits `infer`
+/// returns; a refused request's reply never runs; dropping the engine
+/// answers what it still holds.
+#[test]
+fn reply_runs_once_with_the_bits_infer_returns() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    epim_faults::clear();
+
+    let (engine, id) = layer_engine(window(4, 2), DEFAULT_RESTART_BUDGET);
+    let xs = inputs(6, 7);
+    let want: Vec<Tensor> = xs
         .iter()
         .map(|x| engine.infer(id, x.clone()).unwrap().output)
         .collect();
-
-    // Await them one at a time (single-future executor), but submit all
-    // up front so the batcher still coalesces.
-    let pendings: Vec<Pending> = inputs
+    // Submit everything up front, so the batcher still coalesces.
+    let probes: Vec<Probe> = xs
         .iter()
-        .map(|x| engine.try_infer(id, x.clone()).unwrap())
+        .map(|x| {
+            let (probe, reply) = Probe::new();
+            engine.try_infer(id, x.clone(), reply).unwrap();
+            probe
+        })
         .collect();
-    let got: Vec<Tensor> = pendings
-        .into_iter()
-        .map(|p| block_on(p).unwrap().output)
-        .collect();
-    assert_eq!(got, want);
-
-    // A joined pair through one future: poll-driven multiplexing.
-    let p1 = engine.try_infer(id, inputs[0].clone()).unwrap();
-    let p2 = engine.try_infer(id, inputs[1].clone()).unwrap();
-    let joined = block_on(Join2 {
-        a: Some(p1),
-        b: Some(p2),
-        out_a: None,
-        out_b: None,
-    });
-    assert_eq!(joined.0.unwrap().unwrap().output, want[0]);
-    assert_eq!(joined.1.unwrap().unwrap().output, want[1]);
-}
-
-/// A tiny join combinator so the executor test exercises re-polling with
-/// one result ready and the other still pending.
-struct Join2 {
-    a: Option<Pending>,
-    b: Option<Pending>,
-    out_a: Option<Result<epim_runtime::Inference, RuntimeError>>,
-    out_b: Option<Result<epim_runtime::Inference, RuntimeError>>,
-}
-
-impl Future for Join2 {
-    #[allow(clippy::type_complexity)]
-    type Output = (
-        Option<Result<epim_runtime::Inference, RuntimeError>>,
-        Option<Result<epim_runtime::Inference, RuntimeError>>,
-    );
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if this.out_a.is_none() {
-            if let Some(p) = this.a.as_mut() {
-                if let Poll::Ready(r) = Pin::new(p).poll(cx) {
-                    this.out_a = Some(r);
-                    this.a = None;
-                }
-            }
-        }
-        if this.out_b.is_none() {
-            if let Some(p) = this.b.as_mut() {
-                if let Poll::Ready(r) = Pin::new(p).poll(cx) {
-                    this.out_b = Some(r);
-                    this.b = None;
-                }
-            }
-        }
-        if this.out_a.is_some() && this.out_b.is_some() {
-            Poll::Ready((this.out_a.take(), this.out_b.take()))
-        } else {
-            Poll::Pending
-        }
+    for (probe, want) in probes.iter().zip(&want) {
+        let got = probe.result().unwrap().output;
+        assert_eq!(got.shape(), want.shape());
+        assert!(
+            got.data()
+                .iter()
+                .zip(want.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "a reply's output differs from infer's"
+        );
     }
+
+    // A one-slot shedding queue, held open by a long window: the first
+    // request waits in it, the second is refused, and so is an id from
+    // another engine. Neither refused reply ever runs.
+    let (held_engine, held_id) = layer_engine(
+        TenantConfig {
+            queue_capacity: 1,
+            flow: FlowControl::Shed {
+                timeout: Duration::ZERO,
+            },
+            ..window(8, 400)
+        },
+        DEFAULT_RESTART_BUDGET,
+    );
+    let (held, reply) = Probe::new();
+    held_engine
+        .try_infer(held_id, xs[0].clone(), reply)
+        .unwrap();
+    let (shed, reply) = Probe::new();
+    let refused = held_engine.try_infer(held_id, xs[1].clone(), reply);
+    assert!(
+        matches!(refused, Err(RuntimeError::Overloaded { capacity: 1, .. })),
+        "{refused:?}"
+    );
+    assert!(shed.dropped_uncalled());
+    let (foreign, reply) = Probe::new();
+    let refused = held_engine.try_infer(id, xs[1].clone(), reply);
+    assert!(
+        matches!(refused, Err(RuntimeError::UnknownTenant { .. })),
+        "{refused:?}"
+    );
+    assert!(foreign.dropped_uncalled());
+
+    // Dropping the engine flushes the held group and joins its threads:
+    // the reply has run by the time `drop` returns, with the served bits.
+    drop(held_engine);
+    assert_eq!(held.calls.load(Ordering::SeqCst), 1);
+    assert_eq!(held.result().unwrap().output, want[0]);
 }
 
-/// `wait_timeout` against a deliberately stalled worker: a lone request
-/// held open by a long coalescing window times out with
-/// `RuntimeError::Timeout`, leaves the request in flight (the handle
-/// stays usable), and a later unbounded `wait` still delivers the result.
+/// Deadline shedding, a panicking batch and a crash-looped fleet each
+/// reach the reply as their typed error, once.
 #[test]
-fn wait_timeout_returns_timeout_then_result_survives() {
-    // max_batch 8 with a single submission: the batcher holds the
-    // request for the whole window hoping for peers, stalling delivery.
-    let (engine, id) = layer_engine(TenantConfig {
-        max_batch: 8,
-        batch_window: Duration::from_millis(400),
-        ..TenantConfig::default()
-    });
-    let mut r = rng::seeded(8);
-    let x = init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
-    let want = {
-        // Ground truth from a second engine with no stall window.
-        let (fast, fast_id) = layer_engine(TenantConfig::default());
-        fast.infer(fast_id, x.clone()).unwrap().output
-    };
+fn every_failure_reaches_the_reply_as_its_typed_error() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    epim_faults::clear();
+    let xs = inputs(2, 8);
 
-    let mut pending = engine.try_infer(id, x).unwrap();
-    assert!(!pending.is_ready());
-    let err = pending
-        .wait_timeout(Duration::from_millis(30))
-        .expect_err("stalled worker must not deliver within 30ms");
-    assert_eq!(err, RuntimeError::Timeout);
+    // A deadline that expires while the batch window holds the request.
+    let (engine, id) = layer_engine(window(8, 100), DEFAULT_RESTART_BUDGET);
+    let (doomed, reply) = Probe::new();
+    let req =
+        InferRequest::new(xs[0].clone()).with_deadline(Instant::now() + Duration::from_millis(20));
+    engine.try_infer(id, req, reply).unwrap();
+    assert_eq!(doomed.result().unwrap_err(), RuntimeError::DeadlineExceeded);
+    drop(engine);
 
-    // The request is still in flight; an unbounded wait gets the result.
-    let out = pending.wait().unwrap().output;
-    assert_eq!(out, want);
+    // A batch that panics while its results are being recorded.
+    let (engine, id) = layer_engine(window(1, 0), DEFAULT_RESTART_BUDGET);
+    epim_faults::install(
+        FaultPlan::new(42).with_rule(FaultPoint::LockPanic, FaultRule::once_at(1)),
+    );
+    let (panicked, reply) = Probe::new();
+    engine.try_infer(id, xs[0].clone(), reply).unwrap();
+    assert_eq!(
+        panicked.result().unwrap_err(),
+        RuntimeError::ExecutionPanicked
+    );
+    epim_faults::clear();
+    drop(engine);
 
-    // A fresh request against the same engine resolves within a bounded
-    // wait longer than the window: timeout is a deadline, not a poison.
-    let y = init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
-    let mut p2 = engine.try_infer(id, y).unwrap();
-    let inf = p2.wait_timeout(Duration::from_secs(10)).unwrap();
-    assert_eq!(inf.output.shape(), &[1, 8, 8, 8]);
+    // A fleet that may not restart its one worker: after the kill, a
+    // request is either failed with the fleet or refused at the door.
+    let (engine, id) = layer_engine(window(1, 0), 0);
+    epim_faults::install(
+        FaultPlan::new(42).with_rule(FaultPoint::WorkerPanic, FaultRule::once_at(1)),
+    );
+    engine.infer(id, xs[0].clone()).unwrap();
+    let (orphan, reply) = Probe::new();
+    match engine.try_infer(id, xs[1].clone(), reply) {
+        Ok(()) => assert!(
+            matches!(
+                orphan.result(),
+                Err(RuntimeError::CrashLoop { .. } | RuntimeError::ShuttingDown)
+            ),
+            "a queued request outlived its fleet"
+        ),
+        Err(RuntimeError::ShuttingDown) => assert!(orphan.dropped_uncalled()),
+        Err(e) => panic!("unexpected refusal: {e}"),
+    }
+    epim_faults::clear();
 }

@@ -12,6 +12,7 @@ use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim_tensor::{init, rng, Tensor};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn requests(n: usize, seed: u64) -> Vec<Tensor> {
@@ -183,17 +184,20 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
         .unwrap();
     let engine = builder.build().unwrap();
 
-    // Queue the heavy backlog without waiting on it (Pending handles),
-    // then submit one light request from this thread.
+    // Queue the heavy backlog without waiting on it (its replies send
+    // into one channel), then submit one light request from this thread.
     let mut r = rng::seeded(44);
-    let pendings: Vec<_> = (0..HEAVY_BACKLOG)
-        .map(|_| {
-            let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-            engine
-                .try_infer(heavy, x)
-                .expect("heavy queue has capacity")
-        })
-        .collect();
+    let (done_tx, done) = mpsc::channel();
+    for _ in 0..HEAVY_BACKLOG {
+        let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
+        let done_tx = done_tx.clone();
+        engine
+            .try_infer(heavy, x, move |result| {
+                let _ = done_tx.send(result);
+            })
+            .expect("heavy queue has capacity");
+    }
+    drop(done_tx);
     let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
     engine.infer(light, x).expect("light tenant must be served");
 
@@ -206,9 +210,12 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
     );
 
     // Nothing is lost: the heavy backlog fully drains afterwards.
-    for p in pendings {
-        p.wait().expect("heavy requests all complete");
+    let mut answered = 0;
+    for result in done {
+        result.expect("heavy requests all complete");
+        answered += 1;
     }
+    assert_eq!(answered, HEAVY_BACKLOG);
     let heavy_stats = engine.tenant_stats(heavy).unwrap();
     assert_eq!(heavy_stats.requests, HEAVY_BACKLOG as u64);
     assert_eq!(heavy_stats.shed, 0);
@@ -280,12 +287,16 @@ fn shed_tenant_never_drops_block_tenant_requests() {
             .collect();
         // Shed-tenant flood: overflow is rejected with the tenant's name.
         let mut r = rng::seeded(80);
-        let mut pending = Vec::new();
+        let (done_tx, done) = mpsc::channel();
         let mut shed_seen = 0usize;
         for _ in 0..32 {
             let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-            match engine.try_infer(shedding, x) {
-                Ok(p) => pending.push(p),
+            let done_tx = done_tx.clone();
+            let submitted = engine.try_infer(shedding, x, move |result| {
+                let _ = done_tx.send(result);
+            });
+            match submitted {
+                Ok(()) => {}
                 Err(RuntimeError::Overloaded { tenant, capacity }) => {
                     assert_eq!(tenant.as_deref(), Some("shedding"));
                     assert_eq!(capacity, 2);
@@ -295,9 +306,9 @@ fn shed_tenant_never_drops_block_tenant_requests() {
             }
         }
         assert!(shed_seen > 0, "the flood must overflow the tiny queue");
-        for p in pending {
-            let _ = p.wait();
-        }
+        // The channel disconnects once every accepted request's reply ran.
+        drop(done_tx);
+        for _ in done {}
         for h in blockers {
             h.join().unwrap();
         }

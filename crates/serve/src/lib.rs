@@ -15,14 +15,12 @@
 //!   the same [`fleet::FleetConfig`] bit-identical, which is what the
 //!   load generator's `--check` mode and the loopback tests compare
 //!   against.
-//! - [`mux`] — the waker-driven completion multiplexer: one writer
-//!   thread parks on a condvar while polling every in-flight
-//!   [`epim_runtime::Pending`] as a `Future`; the scheduler's delivery
-//!   wakes it. No busy-polling anywhere on the serving path.
 //! - [`server`] — accept loop, per-connection reader/writer session
 //!   threads mapping wire tenants onto [`epim_runtime::MultiEngine`]
 //!   tenants, and graceful drain (stop accepting, answer in-flight,
-//!   goodbye, join).
+//!   goodbye, join). Each finished request's reply sends its result
+//!   into the connection's channel, and the writer blocks on that
+//!   channel: no polling anywhere on the serving path.
 //! - [`client`] — a blocking pipelining client, splittable into
 //!   sender/receiver halves for open-loop load generation, plus
 //!   [`client::ResilientClient`]: automatic reconnection with jittered
@@ -37,12 +35,10 @@
 
 pub mod client;
 pub mod fleet;
-pub mod mux;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientReceiver, ClientSender, Reply, ResilientClient};
 pub use fleet::{FleetConfig, TenantSpec};
-pub use mux::Mux;
 pub use server::{ServeReport, Server};
 pub use wire::{Message, WireError, WireHealth, WireRequest, WireResponse};

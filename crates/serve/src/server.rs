@@ -1,20 +1,19 @@
 //! The TCP serving front-end: accept loop, per-connection session
 //! threads and graceful drain.
 //!
-//! Each accepted connection gets two threads. The **reader** decodes
-//! request frames, resolves the wire tenant name against the fleet and
-//! submits through the non-blocking [`MultiEngine::try_infer`] — tagging
-//! every submission with the connection id, which the scheduler threads
-//! into its `Enqueue` trace spans — then hands the in-flight
-//! [`epim_runtime::Pending`] to the **writer**. The writer multiplexes all of the connection's
-//! in-flight requests through a [`Mux`] (waker-parked, never
-//! busy-polling) and streams responses back in completion order; request
-//! ids, not arrival order, correlate replies. The writer parks in one
-//! place, on the `Mux`'s waker, which both a completion and a reader
-//! hand-off fire — so a reply never waits behind a slower one that was
-//! submitted before it. A full tenant queue turns
-//! into a typed `overloaded` error frame; a malformed frame turns into a
-//! `protocol` error frame and a close.
+//! Each accepted connection gets two threads and one channel. The
+//! **reader** decodes request frames, resolves the wire tenant name
+//! against the fleet and submits through the non-blocking
+//! [`MultiEngine::try_infer`] — tagging every submission with the
+//! connection id, which the scheduler threads into its `Enqueue` trace
+//! spans — with a reply that sends the result into the channel. Health
+//! replies and submission errors go into the same channel. The **writer**
+//! blocks on the channel and writes whatever arrives, so responses stream
+//! back in completion order and a reply never waits behind a slower one
+//! submitted before it; request ids, not arrival order, correlate
+//! replies. A full tenant queue turns into a typed `overloaded` error
+//! frame; a malformed frame turns into a `protocol` error frame and a
+//! close.
 //!
 //! Resilience controls:
 //!
@@ -37,24 +36,24 @@
 //! down the read half of every live connection (the reader sees EOF and
 //! stops taking new work), lets every in-flight request finish and be
 //! answered, sends `Goodbye` frames and joins every session thread
-//! before [`Server::serve`] returns.
+//! before [`Server::serve`] returns. A writer knows it has answered
+//! everything when its channel disconnects: the reader and every pending
+//! reply each hold a sender.
 //!
 //! Fault injection (`epim-faults`, disabled at one relaxed atomic load
 //! per site): `conn_reset` severs a connection instead of writing a
 //! response, `torn_frame` writes half a response frame then severs, and
 //! `accept_stall` delays the accept loop.
 
-use crate::mux::Mux;
 use crate::wire::{self, Message, WireError, WireHealth, WireResponse};
 use epim_faults as faults;
-use epim_runtime::{InferRequest, MultiEngine, RuntimeError, TenantId};
+use epim_runtime::{InferRequest, Inference, MultiEngine, RuntimeError, TenantId};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -332,10 +331,11 @@ struct SessionCtx {
     max_frame: u32,
 }
 
-/// Reader-to-writer handoff for one connection.
+/// What a connection's writer is handed, by the reader and by the replies
+/// of the requests the reader submitted, in the order it arrives.
 enum SessionMsg {
-    /// A submitted request whose completion the writer multiplexes.
-    InFlight(u64, epim_runtime::Pending),
+    /// A submitted request completed: its inference or typed error.
+    Done(u64, Result<Inference, RuntimeError>),
     /// A request that failed at submission: reply immediately.
     Immediate(u64, u16, String),
     /// A health probe: reply with the fleet snapshot.
@@ -345,24 +345,6 @@ enum SessionMsg {
     Fatal(u64, u16, String),
     /// Orderly end of requests: answer what is in flight, say goodbye.
     Bye,
-}
-
-/// The reader's end of the hand-off. Every message is followed by a wake
-/// of the writer's [`Mux`]: a hand-off the writer has not polled yet has
-/// no waker registered, so without it a writer parked on a slow request
-/// would sit on a fast one (or a health reply) handed over meanwhile.
-struct Handoff {
-    tx: Sender<SessionMsg>,
-    waker: Waker,
-}
-
-impl Handoff {
-    fn send(&self, msg: SessionMsg) {
-        // Sending only fails once the writer is gone, and then nobody is
-        // left to answer.
-        let _ = self.tx.send(msg);
-        self.waker.wake_by_ref();
-    }
 }
 
 fn session(ctx: SessionCtx, stream: TcpStream, conn_id: u64) {
@@ -390,32 +372,36 @@ fn session(ctx: SessionCtx, stream: TcpStream, conn_id: u64) {
     }
 
     let (tx, rx) = std::sync::mpsc::channel::<SessionMsg>();
-    let mux = Mux::new();
-    let tx = Handoff {
-        tx,
-        waker: mux.waker(),
-    };
     let writer_counters = Arc::clone(&ctx.counters);
-    let writer_handle = std::thread::spawn(move || writer_loop(writer, rx, mux, writer_counters));
+    let writer_handle = std::thread::spawn(move || writer_loop(writer, rx, writer_counters));
     reader_loop(&ctx, &mut reader, &tx, conn_id);
+    // The writer drains until the channel disconnects: this sender and
+    // the one inside every in-flight request's reply must all be gone.
     drop(tx);
     let _ = writer_handle.join();
 }
 
-fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, conn_id: u64) {
+/// Decodes frames and hands the writer what each one needs. A send
+/// fails only once the writer is gone, and then nobody is left to answer.
+fn reader_loop(
+    ctx: &SessionCtx,
+    reader: &mut impl std::io::Read,
+    tx: &Sender<SessionMsg>,
+    conn_id: u64,
+) {
     loop {
         match Message::read(reader, ctx.max_frame) {
             // Clean close — from the client, or from the server's drain
             // shutting the read half down.
             Ok(None) => {
-                tx.send(SessionMsg::Bye);
+                let _ = tx.send(SessionMsg::Bye);
                 return;
             }
             Ok(Some(Message::Request(req))) => {
                 ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
                 if ctx.shutdown.load(Ordering::SeqCst) {
                     let err = RuntimeError::ShuttingDown;
-                    tx.send(SessionMsg::Immediate(
+                    let _ = tx.send(SessionMsg::Immediate(
                         req.id,
                         wire::error_code(&err),
                         err.to_string(),
@@ -423,7 +409,7 @@ fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, 
                     continue;
                 }
                 let Some(&tid) = ctx.tenants.get(&req.tenant) else {
-                    tx.send(SessionMsg::Immediate(
+                    let _ = tx.send(SessionMsg::Immediate(
                         req.id,
                         wire::code::UNKNOWN_TENANT,
                         format!("unknown tenant `{}`", req.tenant),
@@ -438,23 +424,30 @@ fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, 
                         Instant::now() + Duration::from_millis(req.deadline_ms.into()),
                     );
                 }
-                tx.send(match ctx.engine.try_infer(tid, infer_req) {
-                    Ok(pending) => SessionMsg::InFlight(req.id, pending),
-                    Err(e) => SessionMsg::Immediate(req.id, wire::error_code(&e), e.to_string()),
+                let (id, done) = (req.id, tx.clone());
+                let submitted = ctx.engine.try_infer(tid, infer_req, move |result| {
+                    let _ = done.send(SessionMsg::Done(id, result));
                 });
+                if let Err(e) = submitted {
+                    let _ = tx.send(SessionMsg::Immediate(
+                        id,
+                        wire::error_code(&e),
+                        e.to_string(),
+                    ));
+                }
             }
             Ok(Some(Message::HealthReq)) => {
-                tx.send(SessionMsg::Health(WireHealth {
+                let _ = tx.send(SessionMsg::Health(WireHealth {
                     draining: ctx.shutdown.load(Ordering::SeqCst),
                     tenants: ctx.names.as_ref().clone(),
                 }));
             }
             Ok(Some(Message::Goodbye)) => {
-                tx.send(SessionMsg::Bye);
+                let _ = tx.send(SessionMsg::Bye);
                 return;
             }
             Ok(Some(_)) => {
-                tx.send(SessionMsg::Fatal(
+                let _ = tx.send(SessionMsg::Fatal(
                     wire::NO_REQUEST,
                     wire::code::PROTOCOL,
                     "unexpected frame type from client".to_string(),
@@ -462,7 +455,7 @@ fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, 
                 return;
             }
             Err(RuntimeError::Protocol { reason }) => {
-                tx.send(SessionMsg::Fatal(
+                let _ = tx.send(SessionMsg::Fatal(
                     wire::NO_REQUEST,
                     wire::code::PROTOCOL,
                     reason,
@@ -481,7 +474,7 @@ fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, 
                 ctx.counters
                     .idle_disconnects
                     .fetch_add(1, Ordering::Relaxed);
-                tx.send(SessionMsg::Fatal(
+                let _ = tx.send(SessionMsg::Fatal(
                     wire::NO_REQUEST,
                     wire::code::IO,
                     "idle timeout: no frames received within the configured window".to_string(),
@@ -490,7 +483,7 @@ fn reader_loop(ctx: &SessionCtx, reader: &mut impl std::io::Read, tx: &Handoff, 
             }
             // Transport failure: the peer is gone, nothing to answer.
             Err(_) => {
-                tx.send(SessionMsg::Bye);
+                let _ = tx.send(SessionMsg::Bye);
                 return;
             }
         }
@@ -536,15 +529,14 @@ enum Handled {
     Close,
 }
 
-/// Processes one reader handoff inside [`writer_loop`].
-fn handle_msg(
-    writer: &mut BufWriter<TcpStream>,
-    counters: &Counters,
-    mux: &mut Mux,
-    msg: SessionMsg,
-) -> Handled {
+/// Processes one message inside [`writer_loop`].
+fn handle_msg(writer: &mut BufWriter<TcpStream>, counters: &Counters, msg: SessionMsg) -> Handled {
     match msg {
-        SessionMsg::InFlight(id, pending) => mux.push(id, pending),
+        SessionMsg::Done(id, result) => {
+            if write_result(writer, counters, id, result).is_err() {
+                return Handled::Close;
+            }
+        }
         SessionMsg::Immediate(id, code, message) => {
             counters.error_frames.fetch_add(1, Ordering::Relaxed);
             if write_msg(writer, &Message::Error(WireError { id, code, message })).is_err() {
@@ -573,7 +565,7 @@ fn write_result(
     writer: &mut BufWriter<TcpStream>,
     counters: &Counters,
     id: u64,
-    result: Result<epim_runtime::Inference, RuntimeError>,
+    result: Result<Inference, RuntimeError>,
 ) -> Result<(), RuntimeError> {
     let msg = match result {
         Ok(inference) => Message::Response(WireResponse {
@@ -594,51 +586,30 @@ fn write_result(
     write_msg(writer, &msg)
 }
 
+/// Writes every message in arrival order, flushing once per drained
+/// batch. `recv` fails only once the channel has disconnected: the reader
+/// has exited and every request it submitted has been answered, so
+/// nothing is left to write but the goodbye.
 fn writer_loop(
     mut writer: BufWriter<TcpStream>,
     rx: Receiver<SessionMsg>,
-    mut mux: Mux,
     counters: Arc<Counters>,
 ) {
     let mut saw_bye = false;
-    let mut disconnected = false;
-    loop {
-        // Take everything the reader has handed over so far.
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => match handle_msg(&mut writer, &counters, &mut mux, msg) {
-                    Handled::Continue => {}
-                    Handled::SawBye => saw_bye = true,
-                    Handled::Close => return,
-                },
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        // Answer everything that has completed; polling also registers
-        // the waker with everything that has not.
-        for (id, result) in mux.poll_ready() {
-            if write_result(&mut writer, &counters, id, result).is_err() {
-                return;
+    while let Ok(first) = rx.recv() {
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
+            match handle_msg(&mut writer, &counters, msg) {
+                Handled::Continue => {}
+                Handled::SawBye => saw_bye = true,
+                Handled::Close => return,
             }
         }
         if writer.flush().is_err() {
             return;
         }
-        if (saw_bye || disconnected) && mux.is_empty() {
-            if saw_bye {
-                let _ = Message::Goodbye.write(&mut writer);
-                let _ = writer.flush();
-            }
-            return;
-        }
-        // Every event acted on above wakes the mux (completions through
-        // the polled handles, hand-offs through `Handoff::send`); the
-        // timeout only bounds how long a reader that died without a last
-        // message goes unnoticed.
-        mux.park(Duration::from_millis(50));
+    }
+    if saw_bye {
+        let _ = Message::Goodbye.write(&mut writer);
+        let _ = writer.flush();
     }
 }

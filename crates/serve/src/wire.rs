@@ -64,7 +64,9 @@ pub mod code {
     pub const SHUTTING_DOWN: u16 = 3;
     /// The peer violated the wire protocol; the connection closes.
     pub const PROTOCOL: u16 = 4;
-    /// A bounded wait expired server-side.
+    /// Reserved: once sent when a bounded server-side wait expired. No
+    /// error maps to it any more and it is no longer sent; the number is
+    /// kept so it never takes on another meaning.
     pub const TIMEOUT: u16 = 5;
     /// The request failed inside the execution engine.
     pub const EXECUTION: u16 = 6;
@@ -83,7 +85,6 @@ pub fn error_code(err: &RuntimeError) -> u16 {
         RuntimeError::UnknownTenant { .. } => code::UNKNOWN_TENANT,
         RuntimeError::ShuttingDown => code::SHUTTING_DOWN,
         RuntimeError::Protocol { .. } => code::PROTOCOL,
-        RuntimeError::Timeout => code::TIMEOUT,
         RuntimeError::DeadlineExceeded => code::DEADLINE,
         RuntimeError::Io(_) => code::IO,
         _ => code::EXECUTION,
@@ -639,7 +640,6 @@ mod tests {
             code::UNKNOWN_TENANT
         );
         assert_eq!(error_code(&RuntimeError::ShuttingDown), code::SHUTTING_DOWN);
-        assert_eq!(error_code(&RuntimeError::Timeout), code::TIMEOUT);
         assert_eq!(
             error_code(&RuntimeError::Protocol { reason: "x".into() }),
             code::PROTOCOL

@@ -19,6 +19,7 @@ use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
 use epim::runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim::tensor::{init, rng, Tensor};
+use std::sync::mpsc;
 use std::time::Duration;
 
 const CLIENTS_PER_TENANT: usize = 2;
@@ -187,13 +188,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = builder.build()?;
     let mut accepted = 0usize;
     let mut shed = 0usize;
-    let mut pending = Vec::new();
+    let (done_tx, done) = mpsc::channel();
     for x in standard_reqs.iter().take(8) {
-        match engine.try_infer(standard, x.clone()) {
-            Ok(p) => {
-                accepted += 1;
-                pending.push(p);
-            }
+        let done_tx = done_tx.clone();
+        let submitted = engine.try_infer(standard, x.clone(), move |result| {
+            let _ = done_tx.send(result);
+        });
+        match submitted {
+            Ok(()) => accepted += 1,
             Err(RuntimeError::Overloaded { tenant, .. }) => {
                 assert_eq!(tenant.as_deref(), Some("standard"));
                 shed += 1;
@@ -205,9 +207,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for x in premium_reqs.iter().take(4) {
         engine.infer(premium, x.clone())?;
     }
-    for p in pending {
-        let _ = p.wait();
-    }
+    // Every accepted reply runs once; then the channel disconnects.
+    drop(done_tx);
+    for _ in done {}
     println!(
         "\nshed demo (standard queue_capacity 2): accepted {accepted}, shed {shed} \
          (standard counter: {}, premium counter: {})",
