@@ -14,7 +14,7 @@
 //! | [`search`] | `epim-search` | Algorithm 1 evolutionary layer-wise design |
 //! | [`models`] | `epim-models` | ResNet-50/101 inventories, network simulation, lowering to executable programs, accuracy surrogate, small-scale training |
 //! | [`prune`] | `epim-prune` | the PIM-Prune baseline |
-//! | [`runtime`] | `epim-runtime` | batched inference serving: the `MultiEngine` fleet over compiled network plans, scheduler core with bounded queues/flow control, plan cache, runtime stats |
+//! | [`runtime`] | `epim-runtime` | batched inference serving: the `MultiEngine` fleet over compiled network plans, scheduler core with bounded queues and round-robin draining, plan cache, runtime stats |
 //! | [`serve`] | `epim-serve` | network serving: TCP wire protocol, session threads, fleet config, pipelining client, load generator |
 //! | [`obs`] | `epim-obs` | observability: lock-free trace ring with chrome://tracing export, log-linear latency histograms, Prometheus text exposition |
 //! | [`tensor`] | `epim-tensor` | the ND tensor / NN substrate everything is built on |

@@ -134,11 +134,6 @@ impl AccuracyModel {
         }
     }
 
-    /// A surrogate from explicit calibration constants.
-    pub fn from_calibration(calib: Calibration) -> Self {
-        AccuracyModel { calib }
-    }
-
     /// The calibration constants.
     pub fn calibration(&self) -> &Calibration {
         &self.calib

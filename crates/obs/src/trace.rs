@@ -43,7 +43,7 @@ pub enum SpanKind {
     /// A request burst entered a tenant queue (instant; `a` = requests,
     /// `b` = queue depth after).
     Enqueue = 0,
-    /// Requests rejected by flow control (instant; `a` = requests,
+    /// Requests rejected by a full queue (instant; `a` = requests,
     /// `b` = queue capacity).
     Shed = 1,
     /// A scheduler thread coalescing one request group (span; `a` = group

@@ -44,8 +44,7 @@ use std::sync::Mutex;
 
 /// Number of worker threads to use.
 ///
-/// `EPIM_THREADS` overrides (the canonical knob; `EPIM_NUM_THREADS` is
-/// still honored as an alias), clamped to at least 1 so `EPIM_THREADS=0`
+/// `EPIM_THREADS` overrides, clamped to at least 1 so `EPIM_THREADS=0`
 /// means "serial" rather than "invalid"; otherwise the machine's available
 /// parallelism. Read once and cached — the pool is sized from it.
 pub fn num_threads() -> usize {
@@ -55,7 +54,6 @@ pub fn num_threads() -> usize {
         return cached;
     }
     let n = std::env::var("EPIM_THREADS")
-        .or_else(|_| std::env::var("EPIM_NUM_THREADS"))
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .map(|n| n.max(1))

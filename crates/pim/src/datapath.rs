@@ -132,13 +132,6 @@ pub struct Ifat {
     pub entries: Vec<Vec<IndexRange>>,
 }
 
-impl Ifat {
-    /// Total index pairs stored (hardware table size).
-    pub fn index_pairs(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
-    }
-}
-
 /// Input Feature Row Table: per activation round, for every crossbar word
 /// line either the gathered-input position that drives it or `None`
 /// (word line grounded — its weights are not part of this round).

@@ -17,8 +17,8 @@ pub enum RuntimeError {
     /// The request's batch execution panicked; the engine survives and the
     /// request is reported failed rather than left hanging.
     ExecutionPanicked,
-    /// The bounded submission queue was full and the flow-control policy
-    /// shed the request instead of blocking. Queues (and therefore
+    /// The bounded submission queue was full and a non-waiting submission
+    /// (`try_infer`) was shed instead of blocking. Queues (and therefore
     /// overloads) are per-tenant: only the named tenant's traffic was
     /// affected.
     Overloaded {

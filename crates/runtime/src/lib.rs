@@ -33,22 +33,21 @@
 //!    order and stats sum, so the result is still bit-identical; every
 //!    other group, and every plan below the threshold (the 16×16 zoo
 //!    tenants), runs the one stacked loop.
-//! 4. **Scheduler core**: per-tenant **bounded** queues with
-//!    [`FlowControl`] ([`FlowControl::Block`] backpressure or
-//!    [`FlowControl::Shed`] with a timeout), shape-grouped coalescing
+//! 4. **Scheduler core**: per-tenant **bounded** queues
+//!    ([`TenantConfig::queue_capacity`]), shape-grouped coalescing
 //!    bounded by [`TenantConfig::max_batch`] and
 //!    [`TenantConfig::batch_window`] (an upper bound on the hold: the
 //!    scheduler waits at most the tenant's measured service time),
-//!    weighted-fair draining ([`TenantConfig::weight`]) and supervised
-//!    worker threads.
+//!    round-robin draining across tenants and supervised worker threads.
 //! 5. **The engine** ([`MultiEngine`]): compiled plans registered as
 //!    tenants behind one scheduler. A single network — or a single
 //!    epitome layer, via `epim_models::zoo::epitome_layer` — is a
 //!    one-tenant fleet. Requests are typed ([`InferRequest`]; a bare
-//!    tensor converts). [`MultiEngine::infer`] blocks for the result;
-//!    [`MultiEngine::try_infer`] never waits for queue space and hands
-//!    the result to a reply function, which the scheduler calls exactly
-//!    once on one of its threads.
+//!    tensor converts). [`MultiEngine::infer`] waits for queue space and
+//!    blocks for the result; [`MultiEngine::try_infer`] never waits for
+//!    queue space (a full queue sheds at once) and hands the result to a
+//!    reply function, which the scheduler calls exactly once on one of its
+//!    threads.
 //!
 //! Serving health is observable through [`RuntimeStats`]: per-tenant
 //! queue-wait / service / end-to-end latency histograms (log-linear, exact
@@ -106,7 +105,7 @@ mod tenancy;
 pub use cache::{PlanCache, PlanCacheStats};
 pub use error::RuntimeError;
 pub use network::NetworkPlan;
-pub use scheduler::{FlowControl, Inference, TenantConfig, DEFAULT_RESTART_BUDGET};
+pub use scheduler::{Inference, TenantConfig, DEFAULT_RESTART_BUDGET};
 pub use service::{InferRequest, CLIENT_NONE};
 pub use stats::{RuntimeStats, StageRollup};
 pub use tenancy::{MultiEngine, MultiEngineBuilder, TenantId};

@@ -264,11 +264,6 @@ impl NetworkPlan {
         &self.program
     }
 
-    /// The static activation-arena layout this plan executes into.
-    pub fn arena_plan(&self) -> &ArenaPlan {
-        &self.arena
-    }
-
     /// Peak activation-arena bytes for a group of `images` stacked images.
     pub fn arena_bytes(&self, images: usize) -> u64 {
         (self.arena.total * images * std::mem::size_of::<f32>()) as u64

@@ -2,29 +2,26 @@
 //!
 //! The scheduler is generic over *what a batch executes* (the
 //! [`GroupExecutor`] trait). Each tenant brings its own executor, its own
-//! bounded submission queue with its own [`FlowControl`] and
-//! micro-batching knobs ([`TenantConfig`]), and its own statistics, while
-//! one set of scheduler threads drains all of them under a weighted-fair
-//! policy. [`crate::MultiEngine`] registers one tenant per compiled plan.
+//! bounded submission queue and micro-batching knobs ([`TenantConfig`]),
+//! and its own statistics, while one set of scheduler threads drains all
+//! of them round-robin. [`crate::MultiEngine`] registers one tenant per
+//! compiled plan.
 //!
 //! ## Request flow
 //!
 //! 1. Submitters push requests onto their tenant's **bounded** queue
-//!    ([`TenantConfig::queue_capacity`]). When that queue is full the
-//!    tenant's [`FlowControl`] decides: [`FlowControl::Block`] waits for
-//!    space (no request is ever dropped), [`FlowControl::Shed`] waits up
-//!    to its timeout and then rejects with [`RuntimeError::Overloaded`].
-//!    [`Scheduler::try_submit`] never waits. Flow control is strictly
-//!    per-tenant: one tenant shedding can never drop (or delay the
-//!    admission of) another tenant's requests.
-//! 2. The scheduler threads pull from the queues under **weighted-fair
-//!    draining**: a round-robin cursor walks the tenants, and a tenant
-//!    with [`TenantConfig::weight`] `w` may drain up to `w` request
-//!    groups before the cursor must move on. Because every weight is at
-//!    least 1 and the cursor visits every backlogged tenant once per
-//!    cycle, no tenant can be starved, no matter how heavy its
-//!    neighbours' traffic is; tenants within one weight class are served
-//!    round-robin.
+//!    ([`TenantConfig::queue_capacity`]). When that queue is full,
+//!    [`Scheduler::submit_wait`] and [`Scheduler::submit_many`] wait for
+//!    space (bounded only by the request's deadline), and
+//!    [`Scheduler::try_submit`] rejects at once with
+//!    [`RuntimeError::Overloaded`]. Admission is strictly per-tenant: one
+//!    tenant's full queue never drops (or delays the admission of)
+//!    another tenant's requests.
+//! 2. The scheduler threads pull from the queues **round-robin**: each
+//!    pick serves the first backlogged tenant at or after a cursor, then
+//!    moves the cursor past it, so every backlogged tenant gets one group
+//!    per cycle and none can be starved, no matter how heavy its
+//!    neighbours' traffic is.
 //! 3. Within its turn the thread takes the tenant's queue head's input
 //!    shape, coalesces up to [`TenantConfig::max_batch`] same-shaped
 //!    requests (holding the batch open for at most
@@ -81,27 +78,12 @@ pub(crate) trait GroupExecutor: Send + Sync + 'static {
     }
 }
 
-/// Flow-control policy applied when a bounded submission queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowControl {
-    /// Block the submitter until space frees up. Nothing is ever dropped;
-    /// backpressure propagates to the caller.
-    Block,
-    /// Wait up to `timeout` for space, then reject the submission with
-    /// [`RuntimeError::Overloaded`]. `Duration::ZERO` sheds immediately.
-    Shed {
-        /// How long a submitter may wait for queue space before shedding.
-        timeout: Duration,
-    },
-}
-
 /// Default [`crate::MultiEngineBuilder::restart_budget`]: generous enough
 /// to ride out a burst of poisonous requests, small enough that a
 /// deterministic crash loop fails fast.
 pub const DEFAULT_RESTART_BUDGET: u32 = 8;
 
-/// Per-tenant serving knobs: micro-batching, bounded-queue flow control
-/// and the tenant's weight in the fair-draining policy.
+/// Per-tenant serving knobs: micro-batching and the bounded queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Most requests coalesced into one executed batch for this tenant.
@@ -119,16 +101,6 @@ pub struct TenantConfig {
     pub batch_window: Duration,
     /// This tenant's bounded submission-queue capacity (pending requests).
     pub queue_capacity: usize,
-    /// What happens to this tenant's submissions when its queue is full.
-    /// Strictly per-tenant: a shedding tenant never drops a blocking
-    /// tenant's requests.
-    pub flow: FlowControl,
-    /// Drain weight: how many request groups this tenant may drain per
-    /// round-robin turn before the cursor moves to the next backlogged
-    /// tenant. Must be at least 1 (every tenant with a nonzero weight is
-    /// visited once per cycle, which is what makes draining
-    /// starvation-free).
-    pub weight: u32,
 }
 
 impl Default for TenantConfig {
@@ -137,8 +109,6 @@ impl Default for TenantConfig {
             max_batch: 16,
             batch_window: Duration::from_micros(200),
             queue_capacity: 256,
-            flow: FlowControl::Block,
-            weight: 1,
         }
     }
 }
@@ -153,17 +123,7 @@ impl TenantConfig {
         if self.queue_capacity == 0 {
             return Err(RuntimeError::config("queue_capacity must be at least 1"));
         }
-        if self.weight == 0 {
-            return Err(RuntimeError::config(
-                "tenant weight must be at least 1 (zero would starve the tenant)",
-            ));
-        }
         Ok(())
-    }
-
-    /// This config with `weight` replaced (builder-style convenience).
-    pub fn with_weight(self, weight: u32) -> Self {
-        TenantConfig { weight, ..self }
     }
 }
 
@@ -258,8 +218,8 @@ struct Shared<E: GroupExecutor> {
     restarts: AtomicU64,
 }
 
-/// Every tenant's pending queue plus the weighted-round-robin drain state,
-/// all under one lock so a group drain is atomic against submissions.
+/// Every tenant's pending queue plus the round-robin cursor, all under
+/// one lock so a group drain is atomic against submissions.
 struct QueueSet {
     /// `pending[t]` = tenant `t`'s FIFO backlog.
     pending: Vec<VecDeque<Request>>,
@@ -268,10 +228,8 @@ struct QueueSet {
     high_water: Vec<usize>,
     /// Most requests ever queued at once across all tenants together.
     fleet_high_water: usize,
-    /// The tenant whose turn it currently is.
+    /// The first tenant the next pick considers.
     cursor: usize,
-    /// Groups the cursor tenant may still drain this turn.
-    budget: u64,
     shutdown: bool,
 }
 
@@ -280,20 +238,22 @@ impl QueueSet {
         self.pending.iter().any(|q| !q.is_empty())
     }
 
-    /// Returns one reserved budget unit after a turn was abandoned to a
-    /// multi-worker race (no group was actually drained). Only meaningful
-    /// while the turn is still `tenant`'s — if the cursor has moved on,
-    /// its budget was refilled from the new tenant's weight anyway —
-    /// and capped at `weight` so a stale refund can never mint extra
-    /// turns.
-    fn refund(&mut self, tenant: usize, weight: u32) {
-        if self.cursor == tenant {
-            self.budget = (self.budget + 1).min(u64::from(weight));
-        }
+    /// Round-robin: the first backlogged tenant at or after the cursor,
+    /// which then moves past it. A turn later abandoned to a multi-worker
+    /// race is not given back. The caller guarantees some tenant has
+    /// pending work.
+    fn pick_tenant(&mut self) -> usize {
+        let n = self.pending.len();
+        let tenant = (self.cursor..self.cursor + n)
+            .map(|t| t % n)
+            .find(|&t| !self.pending[t].is_empty())
+            .expect("a tenant has pending work");
+        self.cursor = (tenant + 1) % n;
+        tenant
     }
 }
 
-/// The scheduler core: per-tenant bounded queues, weighted-fair draining,
+/// The scheduler core: per-tenant bounded queues, round-robin draining,
 /// shape-grouped micro-batching worker threads under a supervisor that
 /// respawns crashed workers, per-request delivery. Engines wrap this
 /// around their executor(s).
@@ -314,9 +274,8 @@ enum WorkerExit {
 
 impl<E: GroupExecutor> Scheduler<E> {
     /// Validates every tenant's config and spawns `workers` scheduler
-    /// threads draining all of them under the weighted-fair policy, plus
-    /// a supervisor thread that respawns crashed workers until
-    /// `restart_budget` is exhausted.
+    /// threads draining all of them round-robin, plus a supervisor thread
+    /// that respawns crashed workers until `restart_budget` is exhausted.
     pub fn new(
         tenants: Vec<(String, E, TenantConfig)>,
         workers: usize,
@@ -333,7 +292,6 @@ impl<E: GroupExecutor> Scheduler<E> {
         for (_, _, config) in &tenants {
             config.validate()?;
         }
-        let first_weight = u64::from(tenants[0].2.weight);
         let tenants: Vec<Tenant<E>> = tenants
             .into_iter()
             .map(|(label, exec, config)| {
@@ -353,7 +311,6 @@ impl<E: GroupExecutor> Scheduler<E> {
                 high_water: vec![0; tenants.len()],
                 fleet_high_water: 0,
                 cursor: 0,
-                budget: first_weight,
                 shutdown: false,
             }),
             submitted: Condvar::new(),
@@ -398,16 +355,15 @@ impl<E: GroupExecutor> Scheduler<E> {
         }
     }
 
-    /// Submits one request to `tenant` under its configured flow control
-    /// and waits for its result.
+    /// Submits one request to `tenant`, waiting for queue space if need
+    /// be, and waits for its result.
     pub fn submit_wait(
         &self,
         tenant: usize,
         req: crate::InferRequest,
     ) -> Result<Inference, RuntimeError> {
-        let flow = self.tenant_ref(tenant)?.config.flow;
         let mut results =
-            self.submit_and_wait(tenant, vec![req.input], flow, req.client, req.deadline)?;
+            self.submit_and_wait(tenant, vec![req.input], req.client, req.deadline)?;
         results.pop().expect("one result per input")
     }
 
@@ -420,28 +376,25 @@ impl<E: GroupExecutor> Scheduler<E> {
         req: crate::InferRequest,
         reply: Reply,
     ) -> Result<(), RuntimeError> {
-        self.check_tenant(tenant)?;
         self.enqueue(
             tenant,
             vec![(req.input, reply)],
-            FlowControl::Shed {
-                timeout: Duration::ZERO,
-            },
+            false,
             req.client,
             req.deadline,
         )
     }
 
     /// Submits a burst to `tenant` atomically (the whole burst is visible
-    /// to the coalescers at once) and waits for all results, in order.
+    /// to the coalescers at once), waiting for queue space if need be,
+    /// and waits for all results, in order.
     #[allow(clippy::type_complexity)]
     pub fn submit_many(
         &self,
         tenant: usize,
         inputs: Vec<Tensor>,
     ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
-        let flow = self.tenant_ref(tenant)?.config.flow;
-        self.submit_and_wait(tenant, inputs, flow, crate::CLIENT_NONE, None)
+        self.submit_and_wait(tenant, inputs, crate::CLIENT_NONE, None)
     }
 
     /// Enqueues `inputs` with replies that send into one channel, then
@@ -454,7 +407,6 @@ impl<E: GroupExecutor> Scheduler<E> {
         &self,
         tenant: usize,
         inputs: Vec<Tensor>,
-        flow: FlowControl,
         client: u64,
         deadline: Option<Instant>,
     ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
@@ -472,7 +424,7 @@ impl<E: GroupExecutor> Scheduler<E> {
             })
             .collect();
         drop(tx);
-        self.enqueue(tenant, requests, flow, client, deadline)?;
+        self.enqueue(tenant, requests, true, client, deadline)?;
         let mut results: Vec<_> = (0..count)
             .map(|_| Err(RuntimeError::ShuttingDown))
             .collect();
@@ -532,15 +484,16 @@ impl<E: GroupExecutor> Scheduler<E> {
     /// `client` is the submitting connection's tag
     /// ([`crate::CLIENT_NONE`] in-process), packed into the `Enqueue`
     /// trace span so exported traces attribute request flow per
-    /// connection. `request_deadline` (uniform across the submission)
-    /// bounds the admission wait — under *either* flow policy — and
-    /// rides along on every queued request so the drain loop can shed it
-    /// if it expires before execution.
+    /// connection. A full queue is waited out when `wait` is set and
+    /// rejected at once otherwise. `request_deadline` (uniform across the
+    /// submission) bounds that wait and rides along on every queued
+    /// request so the drain loop can shed it if it expires before
+    /// execution.
     fn enqueue(
         &self,
         tenant: usize,
         requests: Vec<(Tensor, Reply)>,
-        flow: FlowControl,
+        wait: bool,
         client: u64,
         request_deadline: Option<Instant>,
     ) -> Result<(), RuntimeError> {
@@ -564,45 +517,31 @@ impl<E: GroupExecutor> Scheduler<E> {
         let mut queue = lock_recover(&shared.queue);
         // Backpressure: wait (or shed) until the whole submission fits in
         // this tenant's queue. Other tenants' backlogs are invisible here —
-        // flow control is strictly per-tenant. The wait is bounded by the
-        // shed timeout (if any) and the request deadline (if any),
-        // whichever is tighter.
-        let flow_deadline = match flow {
-            FlowControl::Block => None,
-            FlowControl::Shed { timeout } => Some(now + timeout),
-        };
+        // admission is strictly per-tenant.
         while !queue.shutdown && queue.pending[tenant].len() + admitted > capacity {
             let now = Instant::now();
             if request_deadline.is_some_and(|d| d <= now) {
                 drop(queue);
                 return Err(deadline_shed(admitted));
             }
-            let bound = match (flow_deadline, request_deadline) {
-                (Some(f), Some(r)) => Some(f.min(r)),
-                (f, r) => f.or(r),
-            };
-            match bound {
-                None => queue = wait_recover(&shared.space, queue),
-                Some(bound) => {
-                    // The request deadline was checked above, so an
-                    // expired bound here is the flow-control timeout.
-                    if bound <= now {
-                        drop(queue);
-                        lock_recover(&ten.stats).record_shed(admitted as u64);
-                        trace::instant(
-                            trace::SpanKind::Shed,
-                            tenant as u32,
-                            admitted as u64,
-                            capacity as u64,
-                        );
-                        return Err(RuntimeError::Overloaded {
-                            tenant: Some(ten.label.clone()),
-                            capacity,
-                        });
-                    }
-                    queue = wait_timeout_recover(&shared.space, queue, bound - now).0;
-                }
+            if !wait {
+                drop(queue);
+                lock_recover(&ten.stats).record_shed(admitted as u64);
+                trace::instant(
+                    trace::SpanKind::Shed,
+                    tenant as u32,
+                    admitted as u64,
+                    capacity as u64,
+                );
+                return Err(RuntimeError::Overloaded {
+                    tenant: Some(ten.label.clone()),
+                    capacity,
+                });
             }
+            queue = match request_deadline {
+                None => wait_recover(&shared.space, queue),
+                Some(d) => wait_timeout_recover(&shared.space, queue, d - now).0,
+            };
         }
         if queue.shutdown {
             return Err(RuntimeError::ShuttingDown);
@@ -779,30 +718,6 @@ fn drain_all<E: GroupExecutor>(shared: &Shared<E>, error: RuntimeError) {
     shared.space.notify_all();
 }
 
-/// Advances the weighted-round-robin drain state to the next tenant that
-/// may be served, reserving one group's worth of its budget. Reserving at
-/// selection (rather than charging at drain) is what upholds the "at
-/// most `weight` groups per turn" guarantee even with several workers
-/// picking concurrently; a turn later abandoned to a multi-worker race
-/// returns its unit via [`QueueSet::refund`], so races do not burn the
-/// tenant's share either.
-///
-/// The caller must hold the queue lock and guarantee at least one tenant
-/// has pending work; because advancing the cursor refills the budget from
-/// the new tenant's weight (always ≥ 1), the walk reaches a backlogged
-/// tenant within one cycle.
-fn pick_tenant<E: GroupExecutor>(queue: &mut QueueSet, shared: &Shared<E>) -> usize {
-    let n = shared.tenants.len();
-    loop {
-        if queue.budget > 0 && !queue.pending[queue.cursor].is_empty() {
-            queue.budget -= 1;
-            return queue.cursor;
-        }
-        queue.cursor = (queue.cursor + 1) % n;
-        queue.budget = u64::from(shared.tenants[queue.cursor].config.weight);
-    }
-}
-
 /// True if any tenant other than `tenant` has pending work — the signal
 /// for a coalescing thread to flush early instead of sitting on its batch
 /// window while neighbours wait.
@@ -842,7 +757,7 @@ fn shed_expired<E: GroupExecutor>(queue: &mut QueueSet, shared: &Shared<E>) -> b
 }
 
 /// Blocks for the next same-shape request group of some tenant, honoring
-/// the fair-drain policy and the tenant's batch window. Returns `None`
+/// the round-robin drain and the tenant's batch window. Returns `None`
 /// when shut down with every queue empty.
 fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Request>)> {
     let mut queue = lock_recover(&shared.queue);
@@ -869,14 +784,14 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
             continue 'regroup;
         }
 
-        // Weighted-fair tenant selection, then coalesce within that
+        // Round-robin tenant selection, then coalesce within that
         // tenant: hold the batch open for up to its `batch_window` (less
         // when the tenant serves faster than that, see `Tenant::hold`), or
         // until `max_batch` requests of the head's shape have arrived.
         // Shutdown flushes immediately, and so does a backlog on any
         // *other* tenant — one tenant's coalescing knob must not inflate
         // its neighbours' latency while they have runnable work.
-        let tenant = pick_tenant(&mut queue, shared);
+        let tenant = queue.pick_tenant();
         let t_coalesce = trace::start();
         let config = shared.tenants[tenant].config;
         let shape: Vec<usize> = queue.pending[tenant][0].input.shape().to_vec();
@@ -900,10 +815,8 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
                 break;
             }
             // Another worker may have drained this tenant (or its head
-            // shape) while we waited; return the reserved budget unit and
-            // restart the fair-drain walk.
+            // shape) while we waited; restart the pick.
             if queue.pending[tenant].is_empty() || queue.pending[tenant][0].input.shape() != shape {
-                queue.refund(tenant, config.weight);
                 continue 'regroup;
             }
         }
@@ -913,7 +826,6 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
             shared.space.notify_all();
         }
         if queue.pending[tenant].is_empty() {
-            queue.refund(tenant, config.weight);
             continue 'regroup;
         }
 
@@ -929,7 +841,6 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
             }
         }
         if group.is_empty() {
-            queue.refund(tenant, config.weight);
             continue 'regroup;
         }
         drop(queue);
@@ -1113,17 +1024,23 @@ mod tests {
     /// Echoes its inputs after sleeping `cost_ms`; `mode` makes the next
     /// call panic, on the scheduler thread or inside a pool region, or
     /// fail (`FAIL_BATCH` refuses one call, so the per-request retry that
-    /// follows is served).
+    /// follows is served). Each served call first takes `gate`, then
+    /// appends its `tenant` argument to `log`, which every stub of one
+    /// fleet shares.
     struct Stub {
         cost_ms: AtomicU64,
         mode: AtomicU8,
+        gate: Mutex<()>,
+        log: Arc<Mutex<Vec<u32>>>,
     }
 
     impl Stub {
-        fn new(cost_ms: u64) -> Self {
+        fn new(cost_ms: u64, log: Arc<Mutex<Vec<u32>>>) -> Self {
             Stub {
                 cost_ms: AtomicU64::new(cost_ms),
                 mode: AtomicU8::new(RUN),
+                gate: Mutex::new(()),
+                log,
             }
         }
 
@@ -1138,7 +1055,7 @@ mod tests {
     impl GroupExecutor for Stub {
         fn execute_batch(
             &self,
-            _tenant: u32,
+            tenant: u32,
             inputs: &[&Tensor],
         ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError> {
             match self.mode.load(Ordering::SeqCst) {
@@ -1152,6 +1069,8 @@ mod tests {
                 }),
                 _ => {}
             }
+            drop(self.gate.lock().unwrap());
+            self.log.lock().unwrap().push(tenant);
             self.work();
             let outputs = inputs.iter().map(|&t| t.clone()).collect();
             Ok((outputs, DataPathStats::default(), Vec::new()))
@@ -1168,9 +1087,10 @@ mod tests {
 
     /// One worker, no supervision, one tenant per `(cost_ms, config)`.
     fn fleet(tenants: &[(u64, TenantConfig)]) -> Scheduler<Stub> {
+        let log = Arc::new(Mutex::new(Vec::new()));
         let tenants = tenants
             .iter()
-            .map(|&(cost_ms, config)| ("stub".to_string(), Stub::new(cost_ms), config))
+            .map(|&(cost_ms, config)| ("stub".to_string(), Stub::new(cost_ms, log.clone()), config))
             .collect();
         Scheduler::new(tenants, 1, 0).unwrap()
     }
@@ -1394,6 +1314,29 @@ mod tests {
         let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
         assert_eq!((stats.requests, stats.batches), (3, 3));
         assert_eq!(stats.batch_histogram[0], 3);
+    }
+
+    /// Two tenants backlogged behind one worker are drained round-robin,
+    /// one group each in turn. The worker is held in tenant 0's first
+    /// group until both backlogs are queued; whether that first group is
+    /// the plug alone or the plug plus tenant 0's first request, the
+    /// groups alternate from then on.
+    #[test]
+    fn backlogged_tenants_alternate_group_by_group() {
+        const BACKLOG: usize = 6;
+        let sched = fleet(&[(0, tenant(0, 2)), (0, tenant(0, 2))]);
+        let gate = sched.executor(0).gate.lock().unwrap();
+        let mut replies = vec![submit(&sched, 0, request())];
+        for _ in 0..BACKLOG {
+            replies.push(submit(&sched, 0, request()));
+            replies.push(submit(&sched, 1, request()));
+        }
+        drop(gate);
+        for reply in replies {
+            reply.recv().unwrap().unwrap();
+        }
+        let log = sched.executor(0).log.lock().unwrap().clone();
+        assert_eq!(log, [0, 1, 0, 1, 0, 1, 0], "drain order");
     }
 
     /// A batch that panics inside a pool region, where a split group runs

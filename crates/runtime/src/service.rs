@@ -28,9 +28,8 @@ pub struct InferRequest {
     /// Optional completion deadline. A request whose deadline passes
     /// before its batch starts executing is shed with
     /// [`crate::RuntimeError::DeadlineExceeded`] instead of wasting a
-    /// batch slot; admission waits under [`crate::FlowControl::Shed`] and
-    /// [`crate::FlowControl::Block`] are bounded by it too. `None` (the
-    /// default) lets requests wait as long as flow control allows.
+    /// batch slot; a wait for queue space is bounded by it too. `None`
+    /// (the default) lets a request wait for queue space indefinitely.
     pub deadline: Option<Instant>,
 }
 

@@ -1,5 +1,5 @@
 //! Serving-side statistics: latency distributions, batch-size histogram,
-//! per-stage time rollups, queue/flow-control counters, and data-path
+//! per-stage time rollups, queue and shed counters, and data-path
 //! counter rollups — with a Prometheus text exporter.
 //!
 //! Each latency distribution (queue wait, service time, end-to-end) is a
@@ -92,8 +92,8 @@ pub struct RuntimeStats {
     /// Most requests ever waiting in the queue at once (high-water mark)
     /// — with `queue_wait`, the input signal for worker autoscaling.
     pub queue_depth_high_water: usize,
-    /// Requests rejected by flow control (`Shed` timeouts and full-queue
-    /// `try_infer` calls) since engine construction.
+    /// Requests rejected because their tenant's queue was full
+    /// (`try_infer` calls) since engine construction.
     pub shed: u64,
     /// Requests shed because their own deadline passed before execution
     /// started (at admission or in the drain loop) — the
@@ -150,7 +150,7 @@ impl RuntimeStats {
         );
         w.counter(
             "epim_shed_total",
-            "Requests rejected by flow control.",
+            "Requests rejected because the tenant's queue was full.",
             labels,
             self.shed,
         );
@@ -336,7 +336,7 @@ impl StatsInner {
         }
     }
 
-    /// Records requests rejected by flow control.
+    /// Records requests rejected because the tenant's queue was full.
     pub fn record_shed(&mut self, count: u64) {
         self.shed += count;
     }

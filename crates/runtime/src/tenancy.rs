@@ -4,11 +4,10 @@
 //! compressed models sharing one accelerator. In a [`MultiEngine`] several
 //! compiled [`NetworkPlan`]s register as **tenants** sharing one
 //! [`PlanCache`] and one set of scheduler threads, each tenant with its
-//! own bounded submission queue, its own [`crate::FlowControl`] and
-//! micro-batching knobs, and its own [`RuntimeStats`] — drained under the
-//! scheduler core's weighted-fair policy. A single network, or a single
-//! epitome layer (`epim_models::zoo::epitome_layer`), is served as a
-//! one-tenant fleet.
+//! own bounded submission queue and micro-batching knobs, and its own
+//! [`RuntimeStats`] — drained round-robin by the scheduler core. A single
+//! network, or a single epitome layer (`epim_models::zoo::epitome_layer`),
+//! is served as a one-tenant fleet.
 //!
 //! Because request groups never mix tenants and every tenant executes its
 //! own plan, each tenant's outputs and [`DataPathStats`] rollups are
@@ -36,18 +35,18 @@
 //!
 //! let cache = PlanCache::new();
 //! let mut builder = MultiEngine::builder(&cache).workers(2);
-//! let premium = builder.register(
-//!     "premium", &large, &weights_large, (16, 16), true,
-//!     AnalogModel::ideal(), TenantConfig::default().with_weight(3),
+//! let large_id = builder.register(
+//!     "large", &large, &weights_large, (16, 16), true,
+//!     AnalogModel::ideal(), TenantConfig::default(),
 //! )?;
-//! let standard = builder.register(
-//!     "standard", &small, &weights_small, (16, 16), true,
+//! let small_id = builder.register(
+//!     "small", &small, &weights_small, (16, 16), true,
 //!     AnalogModel::ideal(), TenantConfig::default(),
 //! )?;
 //! let engine = builder.build()?;
 //!
 //! // Handles carry their tenant id; per-tenant and fleet stats coexist.
-//! let _ = (premium, standard);
+//! let _ = (large_id, small_id);
 //! let fleet = engine.fleet_stats();
 //! # let _ = fleet;
 //! # Ok(())
@@ -228,7 +227,7 @@ impl MultiEngineBuilder {
 }
 
 /// The serving engine: a fleet of compiled [`NetworkPlan`]s behind one
-/// weighted-fair scheduler, sharing one [`PlanCache`] and one worker
+/// round-robin scheduler, sharing one [`PlanCache`] and one worker
 /// pool. Groups never mix tenants, so each tenant's outputs and
 /// data-path stats are bit-identical to serving it alone.
 pub struct MultiEngine {
@@ -293,16 +292,18 @@ impl MultiEngine {
 
     /// Runs one whole-network inference on tenant `id` (input
     /// `(N, C, H, W)` matching that tenant's program input shape),
-    /// blocking until the execution completes. Concurrent callers of the
-    /// same tenant coalesce into stacked groups; other tenants' traffic
-    /// shares only the scheduler threads, never a batch.
+    /// waiting for queue space if the tenant's queue is full (bounded only
+    /// by the request's deadline) and blocking until the execution
+    /// completes. Concurrent callers of the same tenant coalesce into
+    /// stacked groups; other tenants' traffic shares only the scheduler
+    /// threads, never a batch.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::UnknownTenant`] for a foreign id,
     /// [`RuntimeError::ShuttingDown`] during shutdown,
-    /// [`RuntimeError::Overloaded`] if this tenant's queue shed the
-    /// request, or this request's execution error.
+    /// [`RuntimeError::DeadlineExceeded`] if the request's deadline passed
+    /// first, or this request's execution error.
     pub fn infer(
         &self,
         id: TenantId,
@@ -338,8 +339,9 @@ impl MultiEngine {
             .try_submit(self.index_of(id)?, req.into(), Box::new(reply))
     }
 
-    /// Submits a burst to tenant `id` atomically and waits for all
-    /// results, in order.
+    /// Submits a burst to tenant `id` atomically, waiting for queue space
+    /// as [`MultiEngine::infer`] does, and waits for all results, in
+    /// order.
     ///
     /// # Errors
     ///

@@ -1,8 +1,8 @@
 //! Integration tests for whole-network serving: a one-tenant
 //! `MultiEngine` must be **bit-identical** to sequential per-stage
 //! reference execution (outputs and `DataPathStats` rollup), the bounded
-//! queue must shed or block per policy, and plan-cache warming must make
-//! compilation miss-free.
+//! queue must shed `try_infer` and make `infer` wait, and plan-cache
+//! warming must make compilation miss-free.
 
 use epim_core::{ConvShape, EpitomeDesigner, EpitomeSpec};
 use epim_models::lower::NetworkWeights;
@@ -10,9 +10,7 @@ use epim_models::network::{Network, OperatorChoice};
 use epim_models::resnet::{resnet50, Backbone, LayerInfo};
 use epim_models::zoo;
 use epim_pim::datapath::{AnalogModel, DataPathStats};
-use epim_runtime::{
-    FlowControl, MultiEngine, NetworkPlan, PlanCache, RuntimeError, TenantConfig, TenantId,
-};
+use epim_runtime::{MultiEngine, NetworkPlan, PlanCache, RuntimeError, TenantConfig, TenantId};
 use epim_tensor::{init, rng, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -247,7 +245,8 @@ fn warmed_cache_compiles_with_zero_misses() {
     assert!(stats.plan_cache.hits >= 2);
 }
 
-/// `Shed` rejects when the bounded queue is full; nothing hangs.
+/// `try_infer` sheds at once when the bounded queue is full; nothing
+/// hangs.
 #[test]
 fn shed_policy_rejects_under_load() {
     let (engine, id) = tiny_fleet(
@@ -258,10 +257,6 @@ fn shed_policy_rejects_under_load() {
             // the scheduler waits for the batch to fill.
             batch_window: Duration::from_millis(400),
             queue_capacity: 2,
-            flow: FlowControl::Shed {
-                timeout: Duration::from_millis(10),
-            },
-            weight: 1,
         },
     );
     let x = || init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut rng::seeded(43));
@@ -279,17 +274,10 @@ fn shed_policy_rejects_under_load() {
             move || engine.infer(id, x)
         });
         std::thread::sleep(Duration::from_millis(100));
-        // The queue is full: try_infer sheds immediately...
+        // The queue is full: try_infer sheds immediately.
         let shed = engine.try_infer(id, x(), |_| {});
         assert!(
             matches!(shed, Err(RuntimeError::Overloaded { capacity: 2, .. })),
-            "{shed:?}"
-        );
-        // ...and a blocking infer under the Shed policy gives up after its
-        // timeout instead of waiting forever.
-        let shed = engine.infer(id, x());
-        assert!(
-            matches!(shed, Err(RuntimeError::Overloaded { .. })),
             "{shed:?}"
         );
         // The queued requests still complete once the window expires.
@@ -297,16 +285,12 @@ fn shed_policy_rejects_under_load() {
         assert!(h2.join().unwrap().is_ok());
     });
     let stats = engine.fleet_stats();
-    assert!(
-        stats.shed >= 2,
-        "shed counter must record rejections, got {}",
-        stats.shed
-    );
+    assert_eq!(stats.shed, 1, "shed counter must record the rejection");
     assert_eq!(stats.requests, 2);
     assert_eq!(stats.queue_depth, 0);
 }
 
-/// `Block` applies backpressure but never drops: every submission beyond
+/// `infer` waits for queue space but never drops: every submission beyond
 /// the queue capacity completes.
 #[test]
 fn block_policy_never_drops() {
@@ -316,8 +300,6 @@ fn block_policy_never_drops() {
             max_batch: 2,
             batch_window: Duration::ZERO,
             queue_capacity: 2,
-            flow: FlowControl::Block,
-            weight: 1,
         },
     );
     const CLIENTS: usize = 4;
@@ -329,7 +311,7 @@ fn block_policy_never_drops() {
                 let mut r = rng::seeded(60 + c as u64);
                 for _ in 0..PER_CLIENT {
                     let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-                    engine.infer(id, x).expect("Block policy never sheds");
+                    engine.infer(id, x).expect("infer never sheds");
                 }
             });
         }

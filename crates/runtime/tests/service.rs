@@ -11,8 +11,8 @@ use epim_faults::{FaultPlan, FaultPoint, FaultRule};
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{
-    FlowControl, InferRequest, Inference, MultiEngine, PlanCache, RuntimeError, TenantConfig,
-    TenantId, DEFAULT_RESTART_BUDGET,
+    InferRequest, Inference, MultiEngine, PlanCache, RuntimeError, TenantConfig, TenantId,
+    DEFAULT_RESTART_BUDGET,
 };
 use epim_tensor::{init, rng, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,9 +135,6 @@ fn reply_runs_once_with_the_bits_infer_returns() {
     let (held_engine, held_id) = layer_engine(
         TenantConfig {
             queue_capacity: 1,
-            flow: FlowControl::Shed {
-                timeout: Duration::ZERO,
-            },
             ..window(8, 400)
         },
         DEFAULT_RESTART_BUDGET,

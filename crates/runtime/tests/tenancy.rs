@@ -1,16 +1,16 @@
 //! Integration tests for multi-network tenancy: a fleet of compiled
-//! plans behind one weighted-fair scheduler must serve every tenant
+//! plans behind one round-robin scheduler must serve every tenant
 //! **bit-identically** to a dedicated one-tenant fleet (outputs and
 //! `DataPathStats` rollups), drain fairly (a heavy tenant
-//! cannot starve a light one), isolate flow control per tenant (one
-//! tenant shedding never drops a blocking tenant's requests), and share
-//! compiled plans across tenants with equal `EpitomeSpec`s.
+//! cannot starve a light one), isolate admission per tenant (one
+//! tenant shedding never drops another tenant's waiting requests), and
+//! share compiled plans across tenants with equal `EpitomeSpec`s.
 
 use epim_models::lower::NetworkWeights;
 use epim_models::network::Network;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
-use epim_runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
+use epim_runtime::{MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim_tensor::{init, rng, Tensor};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -77,15 +77,7 @@ fn two_tenant_serving_is_bit_identical_to_dedicated_engines() {
         .register("a", &net_a, &weights_a, (16, 16), true, analog, tenant_cfg)
         .unwrap();
     let id_b = builder
-        .register(
-            "b",
-            &net_b,
-            &weights_b,
-            (16, 16),
-            true,
-            analog,
-            tenant_cfg.with_weight(3),
-        )
+        .register("b", &net_b, &weights_b, (16, 16), true, analog, tenant_cfg)
         .unwrap();
     let engine = builder.build().unwrap();
 
@@ -137,8 +129,8 @@ fn two_tenant_serving_is_bit_identical_to_dedicated_engines() {
 }
 
 /// Starvation-freedom: with a heavy tenant's backlog queued ahead, a
-/// light tenant with nonzero weight still gets served long before the
-/// heavy backlog drains.
+/// light tenant drained round-robin beside it still gets served long
+/// before the heavy backlog drains.
 #[test]
 fn light_tenant_is_not_starved_by_heavy_backlog() {
     const HEAVY_BACKLOG: usize = 300;
@@ -158,8 +150,6 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
                 max_batch: 4,
                 batch_window: Duration::ZERO,
                 queue_capacity: 512,
-                flow: FlowControl::Block,
-                weight: 4,
             },
         )
         .unwrap();
@@ -177,8 +167,6 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
                 max_batch: 4,
                 batch_window: Duration::ZERO,
                 queue_capacity: 16,
-                flow: FlowControl::Block,
-                weight: 1,
             },
         )
         .unwrap();
@@ -221,9 +209,10 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
     assert_eq!(heavy_stats.shed, 0);
 }
 
-/// Flow-control isolation: a tenant under `Shed` pressure rejects its own
-/// overflow, while a `Block` tenant's requests are all served — shedding
-/// on one tenant never drops (or sheds) another tenant's traffic.
+/// Admission isolation: a tenant flooded through `try_infer` rejects its
+/// own overflow, while another tenant's waiting `infer` calls are all
+/// served — shedding on one tenant never drops (or sheds) another
+/// tenant's traffic.
 #[test]
 fn shed_tenant_never_drops_block_tenant_requests() {
     const BLOCK_REQUESTS: usize = 12;
@@ -245,10 +234,6 @@ fn shed_tenant_never_drops_block_tenant_requests() {
                 // flood reliably overflows it.
                 batch_window: Duration::from_millis(50),
                 queue_capacity: 2,
-                flow: FlowControl::Shed {
-                    timeout: Duration::ZERO,
-                },
-                weight: 1,
             },
         )
         .unwrap();
@@ -264,15 +249,13 @@ fn shed_tenant_never_drops_block_tenant_requests() {
                 max_batch: 2,
                 batch_window: Duration::ZERO,
                 queue_capacity: 4,
-                flow: FlowControl::Block,
-                weight: 1,
             },
         )
         .unwrap();
     let engine = builder.build().unwrap();
 
     std::thread::scope(|scope| {
-        // Block-tenant clients: every request must complete.
+        // Waiting clients of the blocking tenant: every request completes.
         let blockers: Vec<_> = (0..3)
             .map(|c| {
                 let engine = &engine;
@@ -280,12 +263,12 @@ fn shed_tenant_never_drops_block_tenant_requests() {
                     let mut r = rng::seeded(70 + c as u64);
                     for _ in 0..BLOCK_REQUESTS / 3 {
                         let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-                        engine.infer(blocking, x).expect("Block tenant never sheds");
+                        engine.infer(blocking, x).expect("infer never sheds");
                     }
                 })
             })
             .collect();
-        // Shed-tenant flood: overflow is rejected with the tenant's name.
+        // Flood on the shedding tenant: overflow is rejected with its name.
         let mut r = rng::seeded(80);
         let (done_tx, done) = mpsc::channel();
         let mut shed_seen = 0usize;
@@ -316,7 +299,7 @@ fn shed_tenant_never_drops_block_tenant_requests() {
 
     let block_stats = engine.tenant_stats(blocking).unwrap();
     assert_eq!(block_stats.requests, BLOCK_REQUESTS as u64);
-    assert_eq!(block_stats.shed, 0, "Block tenant must never shed");
+    assert_eq!(block_stats.shed, 0, "a waiting tenant must never shed");
     let shed_stats = engine.tenant_stats(shedding).unwrap();
     assert!(
         shed_stats.shed > 0,
@@ -385,7 +368,7 @@ fn equal_spec_tenants_compile_one_plan() {
 }
 
 /// Registration and submission reject bad input with typed errors:
-/// foreign tenant ids, duplicate or empty names, zero weights, empty
+/// foreign tenant ids, duplicate or empty names, zero knobs, empty
 /// fleets.
 #[test]
 fn tenancy_misuse_yields_typed_errors() {
@@ -423,10 +406,6 @@ fn tenancy_misuse_yields_typed_errors() {
     ));
     assert!(matches!(
         register(&mut builder, "", TenantConfig::default()),
-        Err(RuntimeError::InvalidConfig { .. })
-    ));
-    assert!(matches!(
-        register(&mut builder, "w0", TenantConfig::default().with_weight(0)),
         Err(RuntimeError::InvalidConfig { .. })
     ));
     assert!(matches!(

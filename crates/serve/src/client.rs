@@ -6,21 +6,16 @@
 //! [`Client::split`] separates the two halves onto different threads for
 //! open-loop load generation.
 //!
-//! [`ResilientClient`] wraps a [`Client`] with automatic reconnection:
-//! a transport failure triggers a jittered-exponential-backoff
-//! reconnect, and every still-unanswered request is resubmitted **with
-//! its original id** — the fleet's outputs are deterministic, so a
-//! re-executed request returns the same bits, and replies that arrive
-//! twice (answered just before the cut, again after the resubmit) are
-//! deduplicated by id.
+//! A broken connection surfaces as [`RuntimeError::Io`] and is not
+//! retried: the caller reconnects and resubmits what went unanswered.
+//! The fleet's outputs are deterministic, so a re-executed request
+//! returns the same bits.
 
 use crate::wire::{self, Message, WireError, WireHealth, WireRequest, WireResponse};
 use epim_runtime::RuntimeError;
 use epim_tensor::Tensor;
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 fn eof() -> RuntimeError {
     RuntimeError::Io(std::sync::Arc::new(std::io::Error::new(
@@ -70,10 +65,10 @@ impl ClientSender {
         Ok(id)
     }
 
-    /// Writes one request frame under a caller-chosen id — the
-    /// resubmission path of [`ResilientClient`], which must reuse the
-    /// original id across reconnects so replies stay correlatable (and
-    /// duplicates detectable). Keeps `next_id` monotonic past `id`.
+    /// Writes one request frame under a caller-chosen id, so a caller that
+    /// tracks its own ids (an open-loop load generator, or one that
+    /// resubmits after a reconnect) can correlate replies. Keeps
+    /// `next_id` monotonic past `id`.
     ///
     /// # Errors
     ///
@@ -125,7 +120,6 @@ impl ClientSender {
 /// The receiving half: reads and decodes reply frames.
 pub struct ClientReceiver {
     reader: BufReader<TcpStream>,
-    max_frame: u32,
 }
 
 impl ClientReceiver {
@@ -140,7 +134,7 @@ impl ClientReceiver {
     /// [`RuntimeError::Protocol`] here: it means the server closed while
     /// the caller still expected replies.
     pub fn recv_reply(&mut self) -> Result<Reply, RuntimeError> {
-        match Message::read(&mut self.reader, self.max_frame)? {
+        match Message::read(&mut self.reader, wire::MAX_FRAME)? {
             None => Err(eof()),
             Some(Message::Response(resp)) => Ok(Ok(resp)),
             Some(Message::Error(err)) => Ok(Err(err)),
@@ -162,7 +156,7 @@ impl ClientReceiver {
     /// Transport failures as [`RuntimeError::Io`]; any frame other than
     /// `Health` as [`RuntimeError::Protocol`].
     pub fn recv_health(&mut self) -> Result<WireHealth, RuntimeError> {
-        match Message::read(&mut self.reader, self.max_frame)? {
+        match Message::read(&mut self.reader, wire::MAX_FRAME)? {
             None => Err(eof()),
             Some(Message::Health(health)) => Ok(health),
             Some(other) => Err(RuntimeError::Protocol {
@@ -180,7 +174,7 @@ impl ClientReceiver {
     /// before `Goodbye` as [`RuntimeError::Io`] (unexpected EOF).
     pub fn await_goodbye(mut self) -> Result<(), RuntimeError> {
         loop {
-            match Message::read(&mut self.reader, self.max_frame)? {
+            match Message::read(&mut self.reader, wire::MAX_FRAME)? {
                 Some(Message::Goodbye) => return Ok(()),
                 Some(_) => continue,
                 None => return Err(eof()),
@@ -203,15 +197,6 @@ impl Client {
     /// Transport failures as [`RuntimeError::Io`]; a bad server hello as
     /// [`RuntimeError::Protocol`].
     pub fn connect(addr: &str) -> Result<Self, RuntimeError> {
-        Self::connect_with_max_frame(addr, wire::MAX_FRAME)
-    }
-
-    /// [`Client::connect`] with a custom reply-frame size cap.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Client::connect`].
-    pub fn connect_with_max_frame(addr: &str, max_frame: u32) -> Result<Self, RuntimeError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         let write_half = stream.try_clone()?;
@@ -221,7 +206,6 @@ impl Client {
         };
         let mut receiver = ClientReceiver {
             reader: BufReader::new(stream),
-            max_frame,
         };
         wire::write_hello(&mut sender.writer)?;
         wire::read_hello(&mut receiver.reader)?;
@@ -313,246 +297,5 @@ impl Client {
         let (sender, receiver) = self.split();
         sender.goodbye()?;
         receiver.await_goodbye()
-    }
-}
-
-/// splitmix64 — a tiny, high-quality mixer for deterministic backoff
-/// jitter (keeps retry storms from synchronizing without pulling a
-/// clock or an RNG dependency into the client).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A [`Client`] that survives connection loss.
-///
-/// On any transport failure — mid-submit or mid-receive — it reconnects
-/// with jittered exponential backoff and resubmits every still-unanswered
-/// request **under its original id**. The fleet's execution is
-/// deterministic, so a re-executed request produces bit-identical output;
-/// a reply that arrives twice (once just before the cut, once after the
-/// resubmission) is dropped by id. The visible contract: every submitted
-/// request eventually yields exactly one reply (response or typed error),
-/// or [`ResilientClient::recv_reply`] returns the final transport error
-/// after the reconnect budget is exhausted.
-pub struct ResilientClient {
-    addr: String,
-    max_frame: u32,
-    client: Option<Client>,
-    next_id: u64,
-    /// Unanswered requests by id: `(tenant, input, deadline_ms)`.
-    inflight: HashMap<u64, (String, Tensor, u32)>,
-    reconnect_budget: u32,
-    backoff_base: Duration,
-    jitter_seed: u64,
-}
-
-impl ResilientClient {
-    /// Connects to `addr` with default resilience settings (8
-    /// reconnects, 10 ms backoff base).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Client::connect`] — the *initial* connection
-    /// is not retried; resilience covers an established session.
-    pub fn connect(addr: &str) -> Result<Self, RuntimeError> {
-        let client = Client::connect(addr)?;
-        Ok(ResilientClient {
-            addr: addr.to_string(),
-            max_frame: wire::MAX_FRAME,
-            client: Some(client),
-            next_id: 1,
-            inflight: HashMap::new(),
-            reconnect_budget: 8,
-            backoff_base: Duration::from_millis(10),
-            jitter_seed: 0x45_50_49_4D, // "EPIM"
-        })
-    }
-
-    /// Caps how many reconnects one failure may consume before the
-    /// transport error is surfaced (builder-style).
-    pub fn with_reconnect_budget(mut self, budget: u32) -> Self {
-        self.reconnect_budget = budget;
-        self
-    }
-
-    /// Sets the backoff base: attempt `k` sleeps
-    /// `base × 2^k` plus a deterministic jitter of up to half that
-    /// (builder-style).
-    pub fn with_backoff_base(mut self, base: Duration) -> Self {
-        self.backoff_base = base;
-        self
-    }
-
-    /// Seeds the deterministic backoff jitter (builder-style) — distinct
-    /// seeds keep a fleet of reconnecting clients from thundering back
-    /// in lockstep.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// How many requests are currently awaiting replies.
-    pub fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self.backoff_base.saturating_mul(1u32 << attempt.min(6));
-        let jitter_ns = mix64(self.jitter_seed ^ u64::from(attempt))
-            % (exp.as_nanos().max(1) as u64 / 2).max(1);
-        exp + Duration::from_nanos(jitter_ns)
-    }
-
-    /// Reconnects and resubmits everything in flight under the original
-    /// ids. Consumes the reconnect budget; returns the last error when
-    /// it runs out.
-    fn reconnect_and_resubmit(&mut self, last: RuntimeError) -> Result<(), RuntimeError> {
-        self.client = None;
-        let mut last = last;
-        for attempt in 0..self.reconnect_budget {
-            std::thread::sleep(self.backoff(attempt));
-            let mut client = match Client::connect_with_max_frame(&self.addr, self.max_frame) {
-                Ok(c) => c,
-                Err(e) => {
-                    last = e;
-                    continue;
-                }
-            };
-            client.sender.next_id = self.next_id;
-            // Resubmit in id order so the server sees a deterministic
-            // stream regardless of HashMap iteration.
-            let mut ids: Vec<u64> = self.inflight.keys().copied().collect();
-            ids.sort_unstable();
-            let mut failed = None;
-            for id in ids {
-                let (tenant, input, deadline_ms) = self.inflight[&id].clone();
-                if let Err(e) = client
-                    .sender
-                    .submit_with_id(id, &tenant, input, deadline_ms)
-                {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            match failed {
-                Some(e) => last = e,
-                None => {
-                    self.client = Some(client);
-                    return Ok(());
-                }
-            }
-        }
-        Err(last)
-    }
-
-    fn client(&mut self) -> Result<&mut Client, RuntimeError> {
-        if self.client.is_none() {
-            self.reconnect_and_resubmit(eof())?;
-        }
-        Ok(self.client.as_mut().expect("reconnect succeeded"))
-    }
-
-    /// Submits one request, reconnecting (and resubmitting everything in
-    /// flight) if the transport fails mid-write.
-    ///
-    /// # Errors
-    ///
-    /// The last transport error once the reconnect budget is exhausted;
-    /// encoding range violations as [`RuntimeError::Protocol`].
-    pub fn submit(&mut self, tenant: &str, input: Tensor) -> Result<u64, RuntimeError> {
-        self.submit_with_deadline(tenant, input, 0)
-    }
-
-    /// [`ResilientClient::submit`] with a relative deadline in
-    /// milliseconds (`0` = none).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ResilientClient::submit`].
-    pub fn submit_with_deadline(
-        &mut self,
-        tenant: &str,
-        input: Tensor,
-        deadline_ms: u32,
-    ) -> Result<u64, RuntimeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        // Record before the write: a failure mid-write leaves the
-        // request in flight for the resubmission pass.
-        self.inflight
-            .insert(id, (tenant.to_string(), input.clone(), deadline_ms));
-        loop {
-            let result =
-                self.client()?
-                    .sender
-                    .submit_with_id(id, tenant, input.clone(), deadline_ms);
-            match result {
-                Ok(()) => return Ok(id),
-                Err(e @ RuntimeError::Protocol { .. }) => {
-                    // Encoding failures are deterministic; retrying or
-                    // resubmitting the same frame cannot help.
-                    self.inflight.remove(&id);
-                    return Err(e);
-                }
-                Err(e) => self.reconnect_and_resubmit(e)?,
-            }
-        }
-    }
-
-    /// Reads the next reply for a still-unanswered request, reconnecting
-    /// (and resubmitting) on transport failure and dropping duplicate
-    /// replies by id.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Protocol`] when nothing is in flight, when the
-    /// server violates the protocol, or the last transport error once
-    /// the reconnect budget is exhausted.
-    pub fn recv_reply(&mut self) -> Result<Reply, RuntimeError> {
-        if self.inflight.is_empty() {
-            return Err(RuntimeError::Protocol {
-                reason: "recv_reply with no requests in flight".to_string(),
-            });
-        }
-        loop {
-            let result = self.client()?.receiver.recv_reply();
-            match result {
-                Ok(reply) => {
-                    let id = match &reply {
-                        Ok(resp) => resp.id,
-                        Err(err) => err.id,
-                    };
-                    // A connection-level error frame (id == NO_REQUEST)
-                    // answers no particular request; surface it as-is.
-                    if id == wire::NO_REQUEST {
-                        return Ok(reply);
-                    }
-                    if self.inflight.remove(&id).is_some() {
-                        return Ok(reply);
-                    }
-                    // Duplicate: this id was answered on an earlier
-                    // connection just before it broke. Drop and read on.
-                }
-                Err(e @ RuntimeError::Protocol { .. }) => return Err(e),
-                Err(e) => self.reconnect_and_resubmit(e)?,
-            }
-        }
-    }
-
-    /// Orderly close. In-flight requests are abandoned (their inputs are
-    /// dropped); call [`ResilientClient::recv_reply`] to drain first if
-    /// every answer matters.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures as [`RuntimeError::Io`].
-    pub fn close(mut self) -> Result<(), RuntimeError> {
-        match self.client.take() {
-            Some(client) => client.close(),
-            None => Ok(()),
-        }
     }
 }

@@ -17,7 +17,7 @@
 use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
-use epim_runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
+use epim_runtime::{MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use std::time::Duration;
 
 /// The input image side length every zoo tenant is lowered for.
@@ -58,10 +58,10 @@ pub struct TenantSpec {
     /// time, and not at all when that is below what a timed wait can
     /// resolve (`epim_runtime::TenantConfig::batch_window`).
     pub batch_window_ms: u64,
-    /// Bounded submission-queue capacity.
+    /// Bounded submission-queue capacity. The wire path submits through
+    /// the non-waiting `try_infer`, so a full queue sheds into a typed
+    /// `overloaded` error frame.
     pub queue_capacity: usize,
-    /// Weighted-fair drain weight.
-    pub weight: u32,
 }
 
 impl TenantSpec {
@@ -76,7 +76,6 @@ impl TenantSpec {
             max_batch: 8,
             batch_window_ms: 1,
             queue_capacity: 64,
-            weight: 1,
         }
     }
 
@@ -85,15 +84,6 @@ impl TenantSpec {
             max_batch: self.max_batch,
             batch_window: Duration::from_millis(self.batch_window_ms),
             queue_capacity: self.queue_capacity,
-            // The wire path always submits through the non-blocking
-            // `try_infer`, so a full queue sheds into a typed
-            // `overloaded` error frame regardless of this policy; keep
-            // the policy explicit anyway for in-process users of the
-            // same fleet.
-            flow: FlowControl::Shed {
-                timeout: Duration::ZERO,
-            },
-            weight: self.weight,
         }
     }
 }
@@ -127,7 +117,8 @@ impl FleetConfig {
     /// `workers = N`, then one `[[tenant]]` section per tenant with
     /// `name` (string, required) and optional integer keys `stem`,
     /// `mid`, `classes`, `seed`, `max_batch`, `batch_window_ms`,
-    /// `queue_capacity`, `weight`. `#` starts a comment.
+    /// `queue_capacity`. `#` starts a comment outside the quotes of a
+    /// `name`.
     ///
     /// # Errors
     ///
@@ -142,7 +133,7 @@ impl FleetConfig {
         };
         let mut current: Option<TenantSpec> = None;
         for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
+            let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
@@ -174,13 +165,16 @@ impl FleetConfig {
                     )))
                 }
                 (Some(t), "name") => {
-                    let v = value.trim_matches('"');
-                    if v == value {
+                    let quoted = value
+                        .strip_prefix('"')
+                        .and_then(|v| v.strip_suffix('"'))
+                        .filter(|v| !v.contains('"'));
+                    let Some(v) = quoted else {
                         return Err(bad(format!(
                             "fleet config line {}: `name` wants a quoted string",
                             lineno + 1
                         )));
-                    }
+                    };
                     t.name = v.to_string();
                 }
                 (Some(t), "stem") => t.stem = int(value)? as usize,
@@ -190,7 +184,6 @@ impl FleetConfig {
                 (Some(t), "max_batch") => t.max_batch = int(value)? as usize,
                 (Some(t), "batch_window_ms") => t.batch_window_ms = int(value)?,
                 (Some(t), "queue_capacity") => t.queue_capacity = int(value)? as usize,
-                (Some(t), "weight") => t.weight = int(value)? as u32,
                 (Some(_), other) => {
                     return Err(bad(format!(
                         "fleet config line {}: unknown tenant key `{other}`",
@@ -252,6 +245,19 @@ impl FleetConfig {
     }
 }
 
+/// `line` up to its first `#` outside double quotes.
+fn strip_comment(line: &str) -> &str {
+    let mut quoted = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '"' => quoted = !quoted,
+            '#' if !quoted => return &line[..i],
+            _ => {}
+        }
+    }
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,7 +296,6 @@ mod tests {
             max_batch = 4
             batch_window_ms = 2
             queue_capacity = 16
-            weight = 2
 
             [[tenant]]
             name = "b"  # trailing comment
@@ -302,10 +307,27 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.tenants.len(), 2);
         assert_eq!(cfg.tenants[0].name, "a");
-        assert_eq!(cfg.tenants[0].weight, 2);
         assert_eq!(cfg.tenants[0].queue_capacity, 16);
         assert_eq!(cfg.tenants[1].name, "b");
         assert_eq!(cfg.tenants[1].mid, 8);
+    }
+
+    #[test]
+    fn a_quoted_name_keeps_its_hash() {
+        let cfg = FleetConfig::parse("[[tenant]]\nname = \"a#b\"  # comment").unwrap();
+        assert_eq!(cfg.tenants[0].name, "a#b");
+    }
+
+    #[test]
+    fn an_unterminated_name_is_rejected_on_its_line() {
+        for text in [
+            "[[tenant]]\nname = \"abc",
+            "[[tenant]]\nname = \"abc # no closing quote",
+            "[[tenant]]\nname = \"",
+        ] {
+            let err = FleetConfig::parse(text).unwrap_err();
+            assert!(err.to_string().contains("line 2"), "{text:?}: {err}");
+        }
     }
 
     #[test]

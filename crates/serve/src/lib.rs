@@ -22,10 +22,9 @@
 //!   into the connection's channel, and the writer blocks on that
 //!   channel: no polling anywhere on the serving path.
 //! - [`client`] — a blocking pipelining client, splittable into
-//!   sender/receiver halves for open-loop load generation, plus
-//!   [`client::ResilientClient`]: automatic reconnection with jittered
-//!   exponential backoff and id-stable resubmission of unanswered
-//!   requests.
+//!   sender/receiver halves for open-loop load generation. A broken
+//!   connection surfaces as a typed I/O error; reconnecting is the
+//!   caller's move.
 //!
 //! Binaries: `epim_serve` (the server) and `load_gen` (closed- or
 //! open-loop load with QPS + p50/p99/p999 reporting and a `--check` mode
@@ -38,7 +37,7 @@ pub mod fleet;
 pub mod server;
 pub mod wire;
 
-pub use client::{Client, ClientReceiver, ClientSender, Reply, ResilientClient};
+pub use client::{Client, ClientReceiver, ClientSender, Reply};
 pub use fleet::{FleetConfig, TenantSpec};
 pub use server::{ServeReport, Server};
 pub use wire::{Message, WireError, WireHealth, WireRequest, WireResponse};

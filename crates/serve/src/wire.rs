@@ -395,10 +395,14 @@ impl Message {
                 e.u8(TYPE_ERROR);
                 e.u64(err.id);
                 e.u16(err.code);
-                let msg = err.message.as_bytes();
-                let take = msg.len().min(u16::MAX as usize);
+                // Truncate to the u16 length field at a char boundary:
+                // the peer rejects a message that is not UTF-8.
+                let mut take = err.message.len().min(u16::MAX as usize);
+                while !err.message.is_char_boundary(take) {
+                    take -= 1;
+                }
                 e.u16(take as u16);
-                e.buf.extend_from_slice(&msg[..take]);
+                e.buf.extend_from_slice(&err.message.as_bytes()[..take]);
             }
             Message::Goodbye => e.u8(TYPE_GOODBYE),
             Message::HealthReq => e.u8(TYPE_HEALTH_REQ),
@@ -559,6 +563,22 @@ mod tests {
             tenants: Vec::new(),
         });
         assert_eq!(roundtrip(&health), health);
+    }
+
+    /// An error message over the `u16` length field is cut at a char
+    /// boundary, so the frame still decodes.
+    #[test]
+    fn long_multibyte_error_message_truncates_to_utf8() {
+        let msg = Message::Error(WireError {
+            id: 7,
+            code: code::UNKNOWN_TENANT,
+            message: "é".repeat(40_000),
+        });
+        let Message::Error(err) = roundtrip(&msg) else {
+            panic!("an error frame decodes as an error frame");
+        };
+        assert_eq!((err.id, err.code), (7, code::UNKNOWN_TENANT));
+        assert_eq!(err.message, "é".repeat(usize::from(u16::MAX) / 2));
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! a static mutex.
 
 use epim_faults::{FaultPlan, FaultPoint, FaultRule};
-use epim_serve::client::{Client, ResilientClient};
+use epim_runtime::{MultiEngine, RuntimeError, TenantId};
+use epim_serve::client::Client;
 use epim_serve::fleet::{FleetConfig, TenantSpec, INPUT_SHAPE};
 use epim_serve::server::{ServeReport, Server};
 use epim_serve::wire::{self, Message};
 use epim_tensor::{init, rng, Tensor};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,10 +52,62 @@ fn inputs(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// An injected connection reset mid-reply-stream: the resilient client
-/// reconnects, resubmits everything unanswered under the original ids,
-/// and every request still yields output bitwise-equal to an in-process
-/// fleet built from the same config.
+/// Reads replies until the injected cut: each reply read before it must
+/// be bitwise-equal to `reference` and is removed from `unanswered`; the
+/// cut itself must surface as a transport error, never as a decoded
+/// reply.
+fn read_until_cut(
+    client: &mut Client,
+    unanswered: &mut HashMap<u64, Tensor>,
+    reference: &MultiEngine,
+    tid: TenantId,
+) {
+    while !unanswered.is_empty() {
+        match client.recv_reply() {
+            Ok(reply) => {
+                let resp = reply.expect("no error frames expected");
+                let input = unanswered.remove(&resp.id).expect("known, unanswered id");
+                let want = reference.infer(tid, input).unwrap().output;
+                assert_eq!(want.data(), resp.output.data());
+            }
+            Err(RuntimeError::Io(_)) => return,
+            Err(e) => panic!("the cut must surface as an I/O error, got {e:?}"),
+        }
+    }
+    panic!("every request was answered: the cut never surfaced");
+}
+
+/// Resubmits every unanswered input on a fresh connection and checks each
+/// reply bitwise against `reference`.
+fn resubmit_and_check(
+    addr: SocketAddr,
+    unanswered: HashMap<u64, Tensor>,
+    reference: &MultiEngine,
+    tid: TenantId,
+) {
+    let mut client = Client::connect(&addr.to_string()).unwrap();
+    let mut by_id = HashMap::new();
+    for input in unanswered.into_values() {
+        let id = client.submit("t", input.clone()).unwrap();
+        by_id.insert(id, input);
+    }
+    while !by_id.is_empty() {
+        let resp = client.recv_reply().unwrap().expect("no error frames");
+        let input = by_id.remove(&resp.id).expect("known, unanswered id");
+        let want = reference.infer(tid, input).unwrap().output;
+        assert_eq!(
+            want.data(),
+            resp.output.data(),
+            "resubmitted reply diverged from in-process reference"
+        );
+    }
+    client.close().unwrap();
+}
+
+/// An injected connection reset mid-reply-stream reaches the client as an
+/// I/O error; resubmitting everything unanswered on a new connection
+/// yields output bitwise-equal to an in-process fleet built from the same
+/// config.
 #[test]
 fn conn_reset_is_survived_bit_identically() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
@@ -69,41 +123,30 @@ fn conn_reset_is_survived_bit_identically() {
         FaultPlan::new(42).with_rule(FaultPoint::ConnReset, FaultRule::once_at(2)),
     );
 
-    let mut client = ResilientClient::connect(&addr.to_string()).unwrap();
+    let mut client = Client::connect(&addr.to_string()).unwrap();
     let xs = inputs(4, 1100);
-    let mut by_id = std::collections::HashMap::new();
+    let mut unanswered = HashMap::new();
     for x in &xs {
         let id = client.submit("t", x.clone()).unwrap();
-        by_id.insert(id, x.clone());
+        unanswered.insert(id, x.clone());
     }
-    for _ in 0..xs.len() {
-        let resp = client
-            .recv_reply()
-            .unwrap()
-            .expect("no error frames expected");
-        let input = by_id.remove(&resp.id).expect("known, unanswered id");
-        let want = reference.infer(tid, input).unwrap().output;
-        assert_eq!(
-            want.data(),
-            resp.output.data(),
-            "reply after reconnect diverged from in-process reference"
-        );
-    }
+    read_until_cut(&mut client, &mut unanswered, &reference, tid);
+    assert!(unanswered.len() >= xs.len() - 1, "the second reply was cut");
     let fired = epim_faults::fire_count(FaultPoint::ConnReset);
     epim_faults::clear();
-
     assert_eq!(fired, 1, "the reset must have actually been injected");
-    assert_eq!(client.inflight(), 0);
-    client.close().unwrap();
+
+    drop(client);
+    resubmit_and_check(addr, unanswered, &reference, tid);
     flag.store(true, Ordering::SeqCst);
     let report = server.join().unwrap();
-    // The reconnect shows up as a second accepted connection.
-    assert!(report.connections >= 2, "report: {report:?}");
+    assert_eq!(report.connections, 2, "report: {report:?}");
 }
 
 /// A frame torn mid-body (length prefix promises more bytes than
 /// arrive) must be detected as a transport failure — never decoded into
-/// wrong bits — and the resilient client recovers the answer exactly.
+/// wrong bits — and resubmission on a new connection recovers every
+/// answer exactly.
 #[test]
 fn torn_frame_is_detected_and_recovered() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
@@ -119,24 +162,21 @@ fn torn_frame_is_detected_and_recovered() {
         FaultPlan::new(42).with_rule(FaultPoint::TornFrame, FaultRule::once_at(1)),
     );
 
-    let mut client = ResilientClient::connect(&addr.to_string()).unwrap();
+    let mut client = Client::connect(&addr.to_string()).unwrap();
     let xs = inputs(3, 1200);
-    let mut by_id = std::collections::HashMap::new();
+    let mut unanswered = HashMap::new();
     for x in &xs {
         let id = client.submit("t", x.clone()).unwrap();
-        by_id.insert(id, x.clone());
+        unanswered.insert(id, x.clone());
     }
-    for _ in 0..xs.len() {
-        let resp = client.recv_reply().unwrap().expect("no error frames");
-        let input = by_id.remove(&resp.id).unwrap();
-        let want = reference.infer(tid, input).unwrap().output;
-        assert_eq!(want.data(), resp.output.data());
-    }
+    read_until_cut(&mut client, &mut unanswered, &reference, tid);
+    assert_eq!(unanswered.len(), xs.len(), "the first reply was torn");
     let fired = epim_faults::fire_count(FaultPoint::TornFrame);
     epim_faults::clear();
-
     assert_eq!(fired, 1);
-    client.close().unwrap();
+
+    drop(client);
+    resubmit_and_check(addr, unanswered, &reference, tid);
     flag.store(true, Ordering::SeqCst);
     server.join().unwrap();
 }

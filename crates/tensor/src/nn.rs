@@ -103,18 +103,6 @@ impl Conv2d {
         }
     }
 
-    /// Creates a convolution from an explicit weight tensor
-    /// `(C_out, C_in, KH, KW)`.
-    pub fn from_weight(weight: Tensor, cfg: Conv2dCfg) -> Self {
-        let c_out = weight.shape()[0];
-        Conv2d {
-            weight: Param::new(weight),
-            bias: Param::new(Tensor::zeros(&[c_out])),
-            cfg,
-            cached_input: None,
-        }
-    }
-
     /// Read access to the current weight.
     pub fn weight(&self) -> &Tensor {
         &self.weight.value

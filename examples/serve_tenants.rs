@@ -2,14 +2,15 @@
 //! scheduler.
 //!
 //! Builds two distinct epitome-compressed networks from the model zoo,
-//! registers them as tenants of one `MultiEngine` — a *premium* tenant
-//! with drain weight 3 and a *standard* tenant with weight 1 — and
-//! serves concurrent client fleets for both through the shared scheduler
-//! threads and plan cache. Along the way it verifies the house
-//! invariant: each tenant's outputs are bit-identical to sequential
-//! per-request reference execution of its network. A final act
-//! shows per-tenant flow control: the standard tenant sheds its overflow
-//! while the premium tenant's `Block` traffic all completes.
+//! registers them as tenants of one `MultiEngine` — *large* and *small* —
+//! and serves concurrent client fleets for both through the shared
+//! scheduler threads (which drain the two queues round-robin) and plan
+//! cache. Along the way it verifies the house invariant: each tenant's
+//! outputs are bit-identical to sequential per-request reference
+//! execution of its network. A final act shows per-tenant admission: the
+//! small tenant, flooded through the non-waiting `try_infer`, sheds its
+//! overflow while the large tenant's waiting `infer` traffic all
+//! completes.
 //!
 //! Run with: `cargo run --release -p epim --example serve_tenants`
 //! Knobs: `EPIM_THREADS` pins the worker pool width.
@@ -17,7 +18,7 @@
 use epim::models::lower::NetworkWeights;
 use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
-use epim::runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
+use epim::runtime::{MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim::tensor::{init, rng, Tensor};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -28,10 +29,10 @@ const REQUESTS_PER_CLIENT: usize = 8;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two structurally distinct small networks (inner widths 8 and 4),
     // each with both 3x3 convolutions epitome-compressed.
-    let (premium_net, _) = zoo::tiny_epitome_network(8, 8, 10)?;
-    let (standard_net, _) = zoo::tiny_epitome_network(8, 4, 10)?;
-    let premium_weights = NetworkWeights::random(&premium_net, 7)?;
-    let standard_weights = NetworkWeights::random(&standard_net, 8)?;
+    let (large_net, _) = zoo::tiny_epitome_network(8, 8, 10)?;
+    let (small_net, _) = zoo::tiny_epitome_network(8, 4, 10)?;
+    let large_weights = NetworkWeights::random(&large_net, 7)?;
+    let small_weights = NetworkWeights::random(&small_net, 8)?;
     let analog = AnalogModel {
         adc_bits: Some(8),
         dac_bits: Some(9),
@@ -46,20 +47,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..TenantConfig::default()
     };
     let mut builder = MultiEngine::builder(&cache).workers(2);
-    let premium = builder.register(
-        "premium",
-        &premium_net,
-        &premium_weights,
+    let large = builder.register(
+        "large",
+        &large_net,
+        &large_weights,
         (16, 16),
         true,
         analog,
-        // Weight 3: up to three request groups per fair-drain turn.
-        tenant_cfg.with_weight(3),
+        tenant_cfg,
     )?;
-    let standard = builder.register(
-        "standard",
-        &standard_net,
-        &standard_weights,
+    let small = builder.register(
+        "small",
+        &small_net,
+        &small_weights,
         (16, 16),
         true,
         analog,
@@ -79,10 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
             .collect()
     };
-    let premium_reqs = gen(CLIENTS_PER_TENANT * REQUESTS_PER_CLIENT);
-    let standard_reqs = gen(CLIENTS_PER_TENANT * REQUESTS_PER_CLIENT);
+    let large_reqs = gen(CLIENTS_PER_TENANT * REQUESTS_PER_CLIENT);
+    let small_reqs = gen(CLIENTS_PER_TENANT * REQUESTS_PER_CLIENT);
 
-    let (premium_outs, standard_outs): (Vec<Tensor>, Vec<Tensor>) = std::thread::scope(|scope| {
+    let (large_outs, small_outs): (Vec<Tensor>, Vec<Tensor>) = std::thread::scope(|scope| {
         let serve = |id, reqs: &[Tensor]| {
             let engine = &engine;
             let chunks: Vec<Vec<Tensor>> = reqs
@@ -99,11 +99,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 outs
             })
         };
-        let hp = serve(premium, &premium_reqs);
-        let hs = serve(standard, &standard_reqs);
+        let hl = serve(large, &large_reqs);
+        let hs = serve(small, &small_reqs);
         (
-            hp.join().expect("premium clients"),
-            hs.join().expect("standard clients"),
+            hl.join().expect("large clients"),
+            hs.join().expect("small clients"),
         )
     });
 
@@ -121,16 +121,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         Ok(outs)
     };
-    let premium_ref = reference(&premium_net, &premium_weights, &premium_reqs)?;
-    let standard_ref = reference(&standard_net, &standard_weights, &standard_reqs)?;
-    let exact = premium_outs == premium_ref && standard_outs == standard_ref;
+    let large_ref = reference(&large_net, &large_weights, &large_reqs)?;
+    let small_ref = reference(&small_net, &small_weights, &small_reqs)?;
+    let exact = large_outs == large_ref && small_outs == small_ref;
     println!("tenants == forward_reference, bitwise: {exact}");
     assert!(
         exact,
         "multi-tenant serving must be bit-identical per tenant"
     );
 
-    for (name, id) in [("premium", premium), ("standard", standard)] {
+    for (name, id) in [("large", large), ("small", small)] {
         let s = engine.tenant_stats(id)?;
         println!(
             "{name:>9}: {} requests in {} batches (mean {:.2}), p50 {} us, p99 {} us, \
@@ -155,23 +155,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleet.plan_cache,
     );
 
-    // Per-tenant flow control: rebuild the fleet with a tiny shedding
-    // queue for the standard tenant. Its overflow is rejected with a
-    // typed, tenant-tagged error; premium Block traffic never drops.
+    // Per-tenant admission: rebuild the fleet with a tiny queue for the
+    // small tenant and flood it through `try_infer`. Its overflow is
+    // rejected with a typed, tenant-tagged error; the large tenant's
+    // `infer` calls wait for space and never drop.
     let mut builder = MultiEngine::builder(&cache).workers(1);
-    let premium = builder.register(
-        "premium",
-        &premium_net,
-        &premium_weights,
+    let large = builder.register(
+        "large",
+        &large_net,
+        &large_weights,
         (16, 16),
         true,
         analog,
-        tenant_cfg.with_weight(3),
+        tenant_cfg,
     )?;
-    let standard = builder.register(
-        "standard",
-        &standard_net,
-        &standard_weights,
+    let small = builder.register(
+        "small",
+        &small_net,
+        &small_weights,
         (16, 16),
         true,
         analog,
@@ -179,43 +180,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_batch: 4,
             batch_window: Duration::from_millis(50),
             queue_capacity: 2,
-            flow: FlowControl::Shed {
-                timeout: Duration::ZERO,
-            },
-            weight: 1,
         },
     )?;
     let engine = builder.build()?;
     let mut accepted = 0usize;
     let mut shed = 0usize;
     let (done_tx, done) = mpsc::channel();
-    for x in standard_reqs.iter().take(8) {
+    for x in small_reqs.iter().take(8) {
         let done_tx = done_tx.clone();
-        let submitted = engine.try_infer(standard, x.clone(), move |result| {
+        let submitted = engine.try_infer(small, x.clone(), move |result| {
             let _ = done_tx.send(result);
         });
         match submitted {
             Ok(()) => accepted += 1,
             Err(RuntimeError::Overloaded { tenant, .. }) => {
-                assert_eq!(tenant.as_deref(), Some("standard"));
+                assert_eq!(tenant.as_deref(), Some("small"));
                 shed += 1;
             }
             Err(e) => return Err(e.into()),
         }
     }
-    // Premium requests ride through untouched while standard sheds.
-    for x in premium_reqs.iter().take(4) {
-        engine.infer(premium, x.clone())?;
+    // Large-tenant requests ride through untouched while small sheds.
+    for x in large_reqs.iter().take(4) {
+        engine.infer(large, x.clone())?;
     }
     // Every accepted reply runs once; then the channel disconnects.
     drop(done_tx);
     for _ in done {}
     println!(
-        "\nshed demo (standard queue_capacity 2): accepted {accepted}, shed {shed} \
-         (standard counter: {}, premium counter: {})",
-        engine.tenant_stats(standard)?.shed,
-        engine.tenant_stats(premium)?.shed,
+        "\nshed demo (small queue_capacity 2): accepted {accepted}, shed {shed} \
+         (small counter: {}, large counter: {})",
+        engine.tenant_stats(small)?.shed,
+        engine.tenant_stats(large)?.shed,
     );
-    assert_eq!(engine.tenant_stats(premium)?.shed, 0);
+    assert_eq!(engine.tenant_stats(large)?.shed, 0);
     Ok(())
 }
