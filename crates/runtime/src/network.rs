@@ -17,18 +17,24 @@
 //! allocates; the arena's size is reported in
 //! [`crate::RuntimeStats::arena_bytes`].
 //!
+//! Compilation packs every dense convolution and classifier weight once
+//! ([`PackedWeights`], in the layout its products take), so no request
+//! repacks a weight and the plan keeps no raw copy beside the packed one.
+//!
 //! Execution stacks a whole request group into the arena's source slot
 //! and streams it through the stages: epitome stages run on the batched
-//! data path (packed round panels amortized over every image of every
-//! request), dense convolutions run one implicit GEMM over the stacked
-//! images with their fused ReLU epilogue, and elementwise stages run the vectorized
-//! slice kernels. The result is **bit-identical** to executing each
-//! request alone through `NetworkProgram::forward_reference` on the
-//! *unoptimized* program — every fused epilogue clamps the exact value
-//! the unfused kernel writes, and every stage's per-image arithmetic is
-//! independent of the batch around it (the classifier GEMM, whose row
-//! dimension *is* the batch, is deliberately executed per-request to
-//! keep that true) — with the [`DataPathStats`] rollup equal to the
+//! data path (weight rows and activations read in place, every image of
+//! every request in one pass), dense convolutions run one implicit GEMM
+//! over the stacked images with their fused ReLU epilogue, and elementwise
+//! stages run the vectorized slice kernels. The result is
+//! **bit-identical** to executing each request alone through
+//! `NetworkProgram::forward_reference` on the *unoptimized* program —
+//! every fused epilogue clamps the exact value the unfused kernel writes,
+//! and every stage's per-image arithmetic is independent of the batch
+//! around it (the classifier runs one `W · xᵀ` per request, a column per
+//! image: whether a GEMM takes the serial small path depends on its
+//! column count, so folding requests together could change an element's
+//! arithmetic) — with the [`DataPathStats`] rollup equal to the
 //! per-request sum.
 //!
 //! A heavy plan runs a group whose size is a multiple of the pool width as
@@ -45,9 +51,10 @@ use epim_models::network::Network;
 use epim_models::optimize::{ArenaPlan, ArenaSlot};
 use epim_obs::trace;
 use epim_pim::datapath::{AnalogModel, DataPath, DataPathStats, PARALLEL_OUTPUTS};
+use epim_tensor::ops::gemm::{PackedWeights, PARALLEL_FLOPS};
 use epim_tensor::ops::{
-    add_relu_slice, add_slice, conv2d_into, gemm, global_avg_pool_into, max_pool2d_into,
-    relu_slice, Conv2dCfg, PoolCfg,
+    add_relu_slice, add_slice, conv2d_packed_into, global_avg_pool_into, linear_packed_into,
+    max_pool2d_into, relu_slice, Conv2dCfg, PoolCfg,
 };
 use epim_tensor::Tensor;
 use std::ops::Range;
@@ -57,7 +64,10 @@ use std::time::Instant;
 /// One executable stage: the program op with its weights bound.
 enum PlannedOp {
     Conv {
-        weight: Tensor,
+        /// The `(c_out, c_in·kh·kw)` matrix, packed for the stage's pixels.
+        weight: PackedWeights,
+        /// `(kh, kw)`.
+        kernel: (usize, usize),
         bias: Option<Tensor>,
         cfg: Conv2dCfg,
         relu: bool,
@@ -70,7 +80,8 @@ enum PlannedOp {
     MaxPool(PoolCfg),
     GlobalAvgPool,
     Linear {
-        weight: Tensor,
+        /// The `(out, in)` matrix, packed for one column per image.
+        weight: PackedWeights,
         bias: Option<Tensor>,
         relu: bool,
     },
@@ -105,9 +116,7 @@ impl PlannedOp {
     fn forks_alone(&self, out_shape: &[usize]) -> bool {
         let outputs: usize = out_shape.iter().product();
         match self {
-            PlannedOp::Conv { weight, .. } => {
-                outputs * (weight.len() / weight.shape()[0]) >= gemm::PARALLEL_FLOPS
-            }
+            PlannedOp::Conv { weight, .. } => outputs * weight.k() >= PARALLEL_FLOPS,
             PlannedOp::Epitome { .. } => outputs >= PARALLEL_OUTPUTS,
             _ => false,
         }
@@ -202,8 +211,19 @@ impl NetworkPlan {
             let op = match &stage.op {
                 StageOp::Conv { layer, cfg, relu } => {
                     let (w, b) = weights.dense(*layer, &stage.name)?;
+                    if w.rank() != 4 {
+                        return Err(RuntimeError::config(format!(
+                            "stage {}: conv weight must be rank 4, got {:?}",
+                            stage.name,
+                            w.shape()
+                        )));
+                    }
+                    let (c_out, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
+                    let k = w.shape()[1..].iter().product();
+                    let pixels = stage.out_shape[1..].iter().product();
                     PlannedOp::Conv {
-                        weight: w.clone(),
+                        weight: PackedWeights::new(w.data(), c_out, k, pixels),
+                        kernel: (kh, kw),
                         bias: b.cloned(),
                         cfg: *cfg,
                         relu: *relu,
@@ -224,11 +244,9 @@ impl NetworkPlan {
                 StageOp::GlobalAvgPool => PlannedOp::GlobalAvgPool,
                 StageOp::Linear { layer, relu } => {
                     let (w, b) = weights.dense(*layer, &stage.name)?;
-                    let wmat = w
-                        .reshape(&[w.shape()[0], w.len() / w.shape()[0]])
-                        .map_err(|e| RuntimeError::config(format!("fc weight: {e}")))?;
+                    let k = w.shape()[1..].iter().product();
                     PlannedOp::Linear {
-                        weight: wmat,
+                        weight: PackedWeights::new(w.data(), w.shape()[0], k, 1),
                         bias: b.cloned(),
                         relu: *relu,
                     }
@@ -462,15 +480,17 @@ impl NetworkPlan {
             match op {
                 PlannedOp::Conv {
                     weight,
+                    kernel,
                     bias,
                     cfg,
                     relu,
                 } => {
                     let (out, reads) = stage_views(arena, out_range, &[in_range]);
-                    conv2d_into(
+                    conv2d_packed_into(
                         reads[0],
                         (images, in_shape[0], in_shape[1], in_shape[2]),
                         weight,
+                        *kernel,
                         bias.as_ref(),
                         *cfg,
                         *relu,
@@ -514,50 +534,18 @@ impl NetworkPlan {
                     .map_err(epim_pim::PimError::Tensor)?;
                 }
                 PlannedOp::Linear { weight, bias, relu } => {
-                    // Per-request GEMMs: the row dimension of this product
-                    // is the batch itself, so folding requests together
-                    // would change each row's kernel path. Request-sized
-                    // row blocks run the exact calls `ops::linear` makes —
-                    // bit-identical to per-request reference execution —
-                    // reading and writing the arena in place.
+                    // One product per request, `W · xᵀ` with a column per
+                    // image: the small-path choice depends on the column
+                    // count, so folding requests together could change an
+                    // element's arithmetic.
                     let feats: usize = in_shape.iter().product();
-                    let out_f = weight.shape()[0];
-                    if feats != weight.shape()[1] {
-                        return Err(RuntimeError::config(format!(
-                            "classifier expects {} features, got {feats}",
-                            weight.shape()[1]
-                        )));
-                    }
+                    let out_f = weight.m();
                     let (out, reads) = stage_views(arena, out_range, &[in_range]);
                     for g in 0..inputs.len() {
                         let rows = &reads[0][g * n_per * feats..(g + 1) * n_per * feats];
                         let dst = &mut out[g * n_per * out_f..(g + 1) * n_per * out_f];
-                        match (bias, relu) {
-                            (Some(b), false) => gemm::gemm_nt_bias_col(
-                                n_per,
-                                out_f,
-                                feats,
-                                rows,
-                                weight.data(),
-                                b.data(),
-                                dst,
-                            ),
-                            (Some(b), true) => gemm::gemm_nt_bias_col_relu(
-                                n_per,
-                                out_f,
-                                feats,
-                                rows,
-                                weight.data(),
-                                b.data(),
-                                dst,
-                            ),
-                            (None, false) => {
-                                gemm::gemm_nt(n_per, out_f, feats, rows, weight.data(), dst)
-                            }
-                            (None, true) => {
-                                gemm::gemm_nt_relu(n_per, out_f, feats, rows, weight.data(), dst)
-                            }
-                        }
+                        linear_packed_into(rows, n_per, weight, bias.as_ref(), *relu, dst)
+                            .map_err(epim_pim::PimError::Tensor)?;
                     }
                 }
                 PlannedOp::Add { with, relu } => {

@@ -517,6 +517,45 @@ fn heavy_plan_splits_groups_and_stays_bit_identical() {
     assert!(stats.stages.iter().all(|s| s.calls == 2 * width as u64));
 }
 
+/// The paper's baseline row served: dense ResNet-50 at 64×64, in groups
+/// of 1 to twice the pool width, equals per-request reference execution
+/// bit for bit. Its classifier is the 1000×2048 product on packed weights,
+/// and its stage-4 3×3 convolutions (K = 4608) span 18 `KC` slices.
+#[test]
+fn dense_resnet50_serves_bit_identically() {
+    let net = Network::baseline(resnet50());
+    let weights = NetworkWeights::random(&net, 93).unwrap();
+    let width = epim_parallel::num_threads();
+    let analog = AnalogModel::ideal();
+    let (engine, id) = fleet(&net, &weights, (64, 64), analog, window(2 * width, 0), 1);
+    let prog = net.lower(64, 64).unwrap();
+    let mut r = rng::seeded(94);
+    let inputs: Vec<Tensor> = (0..2 * width)
+        .map(|_| init::uniform(&[1, 3, 64, 64], -1.0, 1.0, &mut r))
+        .collect();
+    let wants: Vec<Tensor> = inputs
+        .iter()
+        .map(|x| prog.forward_reference(&weights, true, analog, x).unwrap().0)
+        .collect();
+    for group in 1..=2 * width {
+        let results = engine.infer_many(id, inputs[..group].to_vec()).unwrap();
+        for (want, res) in wants.iter().zip(results) {
+            let inference = res.unwrap();
+            assert_eq!(inference.batch_size, group, "one burst is one group");
+            assert_eq!(inference.output.shape(), &[1, 1000]);
+            assert!(
+                inference
+                    .output
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "group of {group} diverged from reference"
+            );
+        }
+    }
+}
+
 /// `try_infer`'s reply receives the reference output.
 #[test]
 fn try_infer_reply_delivers() {

@@ -10,7 +10,9 @@
 //!   each with a hand-written backward pass.
 //! - A tiny layer/trainer stack in [`nn`] sufficient to train small CNNs on
 //!   the synthetic datasets in [`data`] — this is the substitute for the
-//!   paper's ImageNet training runs (see `DESIGN.md` §2).
+//!   paper's ImageNet training runs (the module docs of
+//!   `epim_models::accuracy` give the reason and the surrogate used for
+//!   the paper's tables).
 //!
 //! Correctness and reproducibility come first — everything is deterministic
 //! given a seed — but the compute spine is no longer naive: all matrix

@@ -1,10 +1,11 @@
 //! A tiny layer/trainer stack for the small-scale training experiments.
 //!
 //! The EPIM paper trains ResNet-50/101 on ImageNet; that is out of scope for
-//! an offline reproduction (see `DESIGN.md` §2). This module supplies the
-//! substitute: enough machinery to train small CNNs on synthetic data so the
-//! *relative* accuracy behaviour of conv vs. epitome vs. quantized epitome
-//! can be demonstrated with real gradient descent.
+//! an offline reproduction (see the module docs of `epim_models::accuracy`,
+//! which renders the paper's accuracy column analytically instead). This
+//! module supplies the substitute: enough machinery to train small CNNs on
+//! synthetic data so the *relative* accuracy behaviour of conv vs. epitome
+//! vs. quantized epitome can be demonstrated with real gradient descent.
 //!
 //! Layers follow a classic cache-and-backprop design: `forward` stores
 //! whatever the backward pass needs, `backward` consumes the upstream

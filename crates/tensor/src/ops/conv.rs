@@ -1,7 +1,8 @@
 //! 2-D convolution: implicit-GEMM forward, direct reference, and backward
 //! passes.
 //!
-//! The production path ([`conv2d`], [`conv2d_into`]) is one GEMM over the
+//! The production path ([`conv2d`], [`conv2d_into`], and
+//! [`conv2d_packed_into`] on a weight packed once) is one GEMM over the
 //! whole stacked batch, `out (C_out x N·OH·OW) = W_mat · cols + bias`, whose
 //! B operand is a `gemm::ConvWindow`: the GEMM packs its panels straight
 //! from the `NCHW` activation and writes straight into the `NCHW` output, so
@@ -11,7 +12,7 @@
 //! [`conv2d_direct`] (naive 7-loop) and [`conv2d_ref`] (the seed's unfused
 //! im2col → matmul → rearrange pipeline).
 
-use crate::ops::gemm;
+use crate::ops::gemm::{self, PackedWeights};
 use crate::{Tensor, TensorError};
 
 /// Stride/padding configuration for [`conv2d`].
@@ -338,7 +339,7 @@ pub fn conv2d(
 /// invalid, or a slice is too short.
 pub fn conv2d_into(
     xd: &[f32],
-    (n, c_in, h, w): (usize, usize, usize, usize),
+    dims: (usize, usize, usize, usize),
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
@@ -358,13 +359,74 @@ pub fn conv2d_into(
         weight.shape()[2],
         weight.shape()[3],
     );
-    if wc_in != c_in {
+    if wc_in != dims.1 {
         return Err(TensorError::ShapeMismatch {
-            expected: vec![c_in],
+            expected: vec![dims.1],
             actual: vec![wc_in],
             op: "conv2d_into (input channels)",
         });
     }
+    let weights = gemm::Weights::rows(weight.data(), wc_in * kh * kw);
+    conv_gemm(xd, dims, (c_out, kh, kw), weights, bias, cfg, relu, out)
+}
+
+/// [`conv2d_into`] on a weight packed once — the `(c_out, c_in·kh·kw)`
+/// matrix of a `kh x kw` kernel as [`PackedWeights`] for `oh·ow` pixels —
+/// for executors that run the same layer on every request. Bit-identical
+/// to [`conv2d_into`] with the unpacked weight.
+///
+/// # Errors
+///
+/// Same contract as [`conv2d_into`]; the packed weight's K must be
+/// `c_in·kh·kw`.
+///
+/// # Panics
+///
+/// Panics if `weight` was packed for more pixels than the convolution has.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_packed_into(
+    xd: &[f32],
+    dims: (usize, usize, usize, usize),
+    weight: &PackedWeights,
+    (kh, kw): (usize, usize),
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    relu: bool,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    if weight.k() != dims.1 * kh * kw {
+        return Err(TensorError::ShapeMismatch {
+            expected: vec![dims.1 * kh * kw],
+            actual: vec![weight.k()],
+            op: "conv2d_packed_into (input channels x kernel)",
+        });
+    }
+    let weights = gemm::Weights::Packed(weight);
+    conv_gemm(
+        xd,
+        dims,
+        (weight.m(), kh, kw),
+        weights,
+        bias,
+        cfg,
+        relu,
+        out,
+    )
+}
+
+/// Shared body of the slice-based convolutions: checks the bias and the
+/// slices, then runs one GEMM whose B operand is the window over `xd`.
+#[allow(clippy::too_many_arguments)]
+fn conv_gemm(
+    xd: &[f32],
+    (n, c_in, h, w): (usize, usize, usize, usize),
+    (c_out, kh, kw): (usize, usize, usize),
+    weights: gemm::Weights,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    relu: bool,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     if let Some(b) = bias {
         if b.shape() != [c_out] {
             return Err(TensorError::ShapeMismatch {
@@ -381,10 +443,9 @@ pub fn conv2d_into(
     if out.len() < n * c_out * oh * ow {
         return Err(TensorError::invalid("conv2d_into: output slice too short"));
     }
-    // One GEMM whose B operand is the window over `xd`.
     let window = gemm::ConvWindow::new(xd, (n, c_in, h, w), (kh, kw), cfg, (oh, ow));
     let bias = bias.map(Tensor::data);
-    gemm::gemm_conv(c_out, weight.data(), window, bias, relu, out);
+    gemm::gemm_conv(c_out, weights, window, bias, relu, out);
     Ok(())
 }
 

@@ -12,13 +12,19 @@
 //!   blocks to keep the pool busy); tasks are distributed over threads via
 //!   `epim-parallel` when the problem is large enough — their parts of C are
 //!   disjoint, so no synchronization is needed, and one product is one
-//!   fork-join;
+//!   fork-join (plus one to pack an A of 2^20 floats or more);
 //! - inside a task the K dimension is processed in `KC`-sized slices; for
 //!   each slice the task packs its own B block into `NR`-wide column panels
 //!   (`bp[p * NR + j]`) in a per-thread buffer that is reused across calls;
-//! - the task's rows are swept in `MR`-row bands, each packing its A rows
-//!   into a `MR`-wide panel (`ap[p * MR + i]`, zero-padded at the edges) and
-//!   driving an `MR x NR` register-blocked micro-kernel over the panels.
+//! - the task's rows are swept in `MR`-row bands, each reading its `MR`-wide
+//!   A panel (`ap[p * MR + i]`, zero-padded at the edges) from a matrix
+//!   packed once per product and driving an `MR x NR` register-blocked
+//!   micro-kernel over the panels.
+//!
+//! A is packed once: a served layer's weight when its plan is compiled
+//! ([`PackedWeights`], laid out for the path its products take), any other
+//! operand once per call by the one-shot entry points. The nest reads A
+//! only as packed panels.
 //!
 //! B has two sources. [`gemm_tn`] and [`gemm_nt`] read A or B through
 //! transposed strides during packing, so callers never materialize an
@@ -28,12 +34,12 @@
 //! images) — the lowered im2col matrix is never stored. Bias addition is
 //! fused into the first slice's writeback (per output row or per output
 //! column), which lets the convolution and linear layers skip their separate
-//! bias passes. A ReLU epilogue (`_relu` variants) clamps each output
-//! element with `v.max(0.0)` at its **final** writeback — the pre-clamp sum
-//! is the same arithmetic as the unfused GEMM, so the fused result is
-//! bit-identical to a GEMM followed by a separate ReLU pass. No element's
-//! arithmetic depends on the blocking, on its place in a panel or on the
-//! thread count.
+//! bias passes. A ReLU epilogue (the convolutions and `gemm_packed_nt`)
+//! clamps each output element with `v.max(0.0)` at its **final** writeback
+//! — the pre-clamp sum is the same arithmetic as the unfused GEMM, so the
+//! fused result is bit-identical to a GEMM followed by a separate ReLU pass.
+//! No element's arithmetic depends on the blocking, on its place in a panel
+//! or on the thread count.
 //!
 //! The binary stays portable (generic x86-64, same target the seed used):
 //! the micro-kernel is selected **at runtime** from the cached
@@ -47,12 +53,12 @@ use crate::ops::conv::{copy_receptive_runs, Conv2dCfg};
 use epim_parallel::for_each_chunk_mut;
 use std::cell::RefCell;
 
-/// Largest micro-kernel row count across variants (A-panel sizing).
+/// Largest micro-kernel row count across variants (tile sizing).
 const MR_MAX: usize = 8;
 /// Largest micro-kernel column count across variants (tile sizing).
 const NR_MAX: usize = 32;
-/// K-dimension cache block: the A panel (`MR_MAX * KC` floats) stays L1
-/// resident while B panels stream from L2.
+/// K-dimension cache block: an A panel (at most `MR_MAX * KC` floats)
+/// stays L1 resident while B panels stream from L2.
 const KC: usize = 256;
 /// N-dimension cache block: a task's packed B block (`KC * NC` floats,
 /// 512 KB) stays L2 resident while the task's row bands sweep it. A multiple
@@ -106,11 +112,13 @@ fn kernel_kind() -> KernelKind {
 const SMALL_FLOPS: usize = 1 << 15;
 /// Problems below this many multiply-adds never cross threads.
 pub const PARALLEL_FLOPS: usize = 1 << 21;
+/// Matrices of at least this many floats are packed on the pool.
+const PARALLEL_PACK: usize = 1 << 20;
 
 /// A read-only matrix view with explicit row/column strides, so the same
 /// packing code serves normal and transposed operands.
 #[derive(Clone, Copy)]
-struct MatRef<'a> {
+pub(crate) struct MatRef<'a> {
     data: &'a [f32],
     rs: usize,
     cs: usize,
@@ -134,30 +142,171 @@ enum Bias<'a> {
     PerCol(&'a [f32]),
 }
 
+/// How a [`PackedWeights`] stores its matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Row-major, read in place by the small path.
+    Rows,
+    /// The `kind` micro-kernel's A panels: per `KC` slice of K, per `MR`-row
+    /// band, k-major (`ap[p * MR + i]`), the last band's rows past `m` zero.
+    Panels(KernelKind),
+}
+
+/// A fixed `m x k` left operand laid out once for every product it takes
+/// part in: a served layer's weight matrix, packed when its plan is
+/// compiled.
+///
+/// The layout follows the path those products take — the micro-kernel's
+/// panels when they run the blocked nest, row-major when they are small
+/// enough for the serial loops — so the nest never packs it again. Every
+/// output element gets the same arithmetic as from the one-shot entry
+/// points, bit for bit; only where the nest reads its A panels from moves.
+#[derive(Debug)]
+pub struct PackedWeights {
+    m: usize,
+    k: usize,
+    layout: Layout,
+    data: Vec<f32>,
+}
+
+impl PackedWeights {
+    /// Packs the row-major `m x k` matrix `a` for products with `pixels`
+    /// output columns per image — the fewest any of its products has (a
+    /// classifier's single column per image).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is shorter than `m * k`.
+    pub fn new(a: &[f32], m: usize, k: usize, pixels: usize) -> Self {
+        assert!(a.len() >= m * k, "weight slice too short for {m}x{k}");
+        if m * pixels * k <= SMALL_FLOPS {
+            return PackedWeights {
+                m,
+                k,
+                layout: Layout::Rows,
+                data: a[..m * k].to_vec(),
+            };
+        }
+        let a = MatRef {
+            data: a,
+            rs: k,
+            cs: 1,
+        };
+        Self::panels(a, m, k, kernel_kind())
+    }
+
+    /// Rows of the matrix: the product's M (output channels or features).
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Columns of the matrix: the product's K.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Packs `a` into `kind`'s panels in one pass over the destination, one
+    /// `KC` slice per pool task when the matrix is large.
+    fn panels(a: MatRef, m: usize, k: usize, kind: KernelKind) -> Self {
+        let mr = kind.mr();
+        let mp = m.div_ceil(mr) * mr;
+        // Zeroed, so the last band's rows past `m` are its padding.
+        let mut data = vec![0.0f32; mp * k];
+        let pack_slice = |s: usize, slice: &mut [f32]| {
+            let (pc, kc) = (s * KC, slice.len() / mp);
+            for (band, panel) in slice.chunks_mut(kc * mr).enumerate() {
+                let rows = mr.min(m - band * mr);
+                // Full bands of contiguous rows take the unrolled packer;
+                // the padded last band and strided operands (`gemm_tn`)
+                // the generic loop.
+                match (a.cs, rows, mr) {
+                    (1, 8, 8) => pack_band::<8>(panel, a, band * mr, pc, kc),
+                    (1, 6, 6) => pack_band::<6>(panel, a, band * mr, pc, kc),
+                    _ => {
+                        for i in 0..rows {
+                            for (p, v) in panel[i..].iter_mut().step_by(mr).enumerate() {
+                                *v = a.at(band * mr + i, pc + p);
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        if data.len() >= PARALLEL_PACK {
+            for_each_chunk_mut(&mut data, KC * mp, pack_slice);
+        } else {
+            data.chunks_mut(KC * mp)
+                .enumerate()
+                .for_each(|(s, slice)| pack_slice(s, slice));
+        }
+        PackedWeights {
+            m,
+            k,
+            layout: Layout::Panels(kind),
+            data,
+        }
+    }
+}
+
+/// Packs the full band of `MR` rows `row0..` of a unit-column-stride `a`
+/// (columns `pc..pc + kc`) into `panel` in one pass over the panel; with
+/// the rows as a fixed-size array the row loop unrolls.
+fn pack_band<const MR: usize>(panel: &mut [f32], a: MatRef, row0: usize, pc: usize, kc: usize) {
+    let rows: [&[f32]; MR] = std::array::from_fn(|i| &a.data[(row0 + i) * a.rs + pc..][..kc]);
+    for (p, col) in panel.chunks_exact_mut(MR).enumerate() {
+        for (v, row) in col.iter_mut().zip(&rows) {
+            *v = row[p];
+        }
+    }
+}
+
+/// Where the nest reads its `m x k` operand from.
+#[derive(Clone, Copy)]
+pub(crate) enum Weights<'a> {
+    /// A caller's strided matrix: read in place by the small path, packed
+    /// once for the call by the nest.
+    Mat(MatRef<'a>),
+    /// A matrix packed ahead of time.
+    Packed(&'a PackedWeights),
+}
+
+impl<'a> Weights<'a> {
+    /// The row-major `m x k` matrix `a`, read in place.
+    pub(crate) fn rows(a: &'a [f32], k: usize) -> Self {
+        Weights::Mat(MatRef {
+            data: a,
+            rs: k,
+            cs: 1,
+        })
+    }
+
+    /// The matrix as a strided view, or as its panels when it is packed
+    /// into them.
+    fn view(self) -> Result<MatRef<'a>, &'a PackedWeights> {
+        match self {
+            Weights::Mat(a) => Ok(a),
+            Weights::Packed(w) if w.layout == Layout::Rows => Ok(MatRef {
+                data: &w.data,
+                rs: w.k,
+                cs: 1,
+            }),
+            Weights::Packed(w) => Err(w),
+        }
+    }
+}
+
 /// `C = A · B` for row-major `A (m x k)`, `B (k x n)`, `C (m x n)`.
 ///
 /// # Panics
 ///
 /// Panics if a slice is shorter than its `m`/`n`/`k` geometry implies.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_strided(
-        m,
-        n,
-        k,
-        MatRef {
-            data: a,
-            rs: k,
-            cs: 1,
-        },
-        MatRef {
-            data: b,
-            rs: n,
-            cs: 1,
-        },
-        Bias::None,
-        false,
-        c,
-    );
+    let b = MatRef {
+        data: b,
+        rs: n,
+        cs: 1,
+    };
+    gemm_strided(m, n, k, Weights::rows(a, k), b, Bias::None, false, c);
 }
 
 /// `C = Aᵀ · B` where `A` is *stored* row-major as `(k x m)`.
@@ -169,24 +318,17 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 ///
 /// Panics if a slice is shorter than its geometry implies.
 pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_strided(
-        m,
-        n,
-        k,
-        MatRef {
-            data: a,
-            rs: 1,
-            cs: m,
-        },
-        MatRef {
-            data: b,
-            rs: n,
-            cs: 1,
-        },
-        Bias::None,
-        false,
-        c,
-    );
+    let a = MatRef {
+        data: a,
+        rs: 1,
+        cs: m,
+    };
+    let b = MatRef {
+        data: b,
+        rs: n,
+        cs: 1,
+    };
+    gemm_strided(m, n, k, Weights::Mat(a), b, Bias::None, false, c);
 }
 
 /// `C = A · Bᵀ` where `B` is *stored* row-major as `(n x k)`.
@@ -197,50 +339,17 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 ///
 /// Panics if a slice is shorter than its geometry implies.
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_opt(m, n, k, a, b, Bias::None, false, c);
-}
-
-/// [`gemm_nt`] with the fused ReLU epilogue: every output element is
-/// clamped with `v.max(0.0)` at its final writeback. Bit-identical to
-/// [`gemm_nt`] followed by a separate elementwise ReLU.
-///
-/// # Panics
-///
-/// Panics if a slice is shorter than its geometry implies.
-pub fn gemm_nt_relu(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_opt(m, n, k, a, b, Bias::None, true, c);
+    gemm_nt_opt(m, n, k, a, b, Bias::None, c);
 }
 
 /// Shared body of the `gemm_nt*` entry points.
-#[allow(clippy::too_many_arguments)]
-fn gemm_nt_opt(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: Bias,
-    relu: bool,
-    c: &mut [f32],
-) {
-    gemm_strided(
-        m,
-        n,
-        k,
-        MatRef {
-            data: a,
-            rs: k,
-            cs: 1,
-        },
-        MatRef {
-            data: b,
-            rs: 1,
-            cs: k,
-        },
-        bias,
-        relu,
-        c,
-    );
+fn gemm_nt_opt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: Bias, c: &mut [f32]) {
+    let b = MatRef {
+        data: b,
+        rs: 1,
+        cs: k,
+    };
+    gemm_strided(m, n, k, Weights::rows(a, k), b, bias, false, c);
 }
 
 /// [`gemm_nt`] with `bias[i]` added to every element of output row `i`
@@ -259,7 +368,7 @@ pub fn gemm_nt_bias_row(
     c: &mut [f32],
 ) {
     assert_eq!(bias.len(), m, "row bias length must equal m");
-    gemm_nt_opt(m, n, k, a, b, Bias::PerRow(bias), false, c);
+    gemm_nt_opt(m, n, k, a, b, Bias::PerRow(bias), c);
 }
 
 /// [`gemm_nt`] with `bias[j]` added to every element of output column `j`
@@ -278,26 +387,45 @@ pub fn gemm_nt_bias_col(
     c: &mut [f32],
 ) {
     assert_eq!(bias.len(), n, "column bias length must equal n");
-    gemm_nt_opt(m, n, k, a, b, Bias::PerCol(bias), false, c);
+    gemm_nt_opt(m, n, k, a, b, Bias::PerCol(bias), c);
 }
 
-/// [`gemm_nt_bias_col`] with the fused ReLU epilogue (bit-identical to the
-/// unfused call followed by a separate ReLU pass).
+/// `C (m x n) = W · Xᵀ` for a packed `W (m x k)` and `X (n x k)` stored
+/// row-major, with `bias[i]` (optional, length `m`) added to every element
+/// of output row `i` and `relu` clamping each element at its final
+/// writeback: a classifier over `n` images, one column per image.
+///
+/// Each element gets the arithmetic [`gemm_nt_bias_col`] gives it in
+/// `X · Wᵀ` — the same products (`fma` and `*` are commutative), in the same
+/// `KC` slices and order, on the same path — so `C` is that result's
+/// transpose, bit for bit.
 ///
 /// # Panics
 ///
-/// Panics on geometry mismatch, including `bias.len() != n`.
-pub fn gemm_nt_bias_col_relu(
-    m: usize,
+/// Panics if a slice is shorter than its geometry implies, if `bias` is
+/// not `m` long, or if `w` was packed for more than `n` columns.
+pub(crate) fn gemm_packed_nt(
+    w: &PackedWeights,
     n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
+    x: &[f32],
+    bias: Option<&[f32]>,
+    relu: bool,
     c: &mut [f32],
 ) {
-    assert_eq!(bias.len(), n, "column bias length must equal n");
-    gemm_nt_opt(m, n, k, a, b, Bias::PerCol(bias), true, c);
+    let (m, k) = (w.m, w.k);
+    let bias = match bias {
+        Some(bias) => {
+            assert_eq!(bias.len(), m, "row bias length must equal m");
+            Bias::PerRow(bias)
+        }
+        None => Bias::None,
+    };
+    let x = MatRef {
+        data: x,
+        rs: 1,
+        cs: k,
+    };
+    gemm_strided(m, n, k, Weights::Packed(w), x, bias, relu, c);
 }
 
 /// The seed repository's ikj matmul, kept verbatim as an independent
@@ -548,18 +676,13 @@ impl<'a> ConvWindow<'a> {
 /// Panics if a slice is shorter than its geometry implies.
 pub(crate) fn gemm_conv(
     m: usize,
-    a: &[f32],
+    a: Weights,
     win: ConvWindow,
     bias: Option<&[f32]>,
     relu: bool,
     out: &mut [f32],
 ) {
     let k = win.c_in * win.kh * win.kw;
-    let a = MatRef {
-        data: a,
-        rs: k,
-        cs: 1,
-    };
     let bias = match bias {
         Some(bias) => {
             assert_eq!(bias.len(), m, "row bias length must equal m");
@@ -576,7 +699,7 @@ fn gemm_strided(
     m: usize,
     n: usize,
     k: usize,
-    a: MatRef,
+    a: Weights,
     b: MatRef,
     bias: Bias,
     relu: bool,
@@ -605,7 +728,7 @@ fn gemm_nest(
     images: usize,
     pixels: usize,
     k: usize,
-    a: MatRef,
+    a: Weights,
     b: BSource,
     bias: Bias,
     relu: bool,
@@ -616,11 +739,13 @@ fn gemm_nest(
         c.len() >= m * n,
         "output slice too short for {m}x{pixels}x{images}"
     );
-    if m > 0 && k > 0 {
-        assert!(
+    match a {
+        Weights::Mat(a) if m > 0 && k > 0 => assert!(
             a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs,
             "A slice too short for its geometry"
-        );
+        ),
+        Weights::Mat(_) => {}
+        Weights::Packed(w) => assert!(w.m == m && w.k == k, "packed weights are not {m}x{k}"),
     }
     if m == 0 || n == 0 {
         return;
@@ -628,6 +753,9 @@ fn gemm_nest(
     let c = &mut c[..m * n];
 
     if m * pixels * k <= SMALL_FLOPS {
+        let Ok(a) = a.view() else {
+            panic!("weights packed for a larger product than this one");
+        };
         // Plain serial loops per group (none for `k == 0`: the output is
         // the prefilled bias). They accumulate in place, so clamping
         // afterwards is bit-identical to a separate ReLU pass.
@@ -664,6 +792,20 @@ fn gemm_nest(
     }
 
     let kind = kernel_kind();
+    // Pack A now unless it already is: once per product, not per task.
+    let packed;
+    let a = match a.view() {
+        Ok(a) => {
+            packed = PackedWeights::panels(a, m, k, kind);
+            &packed
+        }
+        Err(w) => w,
+    };
+    assert_eq!(
+        a.layout,
+        Layout::Panels(kind),
+        "weights packed for another micro-kernel"
+    );
     let mr_k = kind.mr();
     // One task per cell of a grid over C: even column blocks of at most `NC`
     // columns, cut into row blocks only while there are fewer cells than
@@ -737,7 +879,8 @@ struct Nest<'a> {
     /// Columns per output group.
     pixels: usize,
     k: usize,
-    a: MatRef<'a>,
+    /// A in `kind`'s panels.
+    a: &'a PackedWeights,
     b: BSource<'a>,
     bias: Bias<'a>,
     relu: bool,
@@ -757,26 +900,29 @@ struct Task<'c> {
 
 impl Nest<'_> {
     /// Computes one task: per K slice, packs the task's B block into the
-    /// thread's buffer, then sweeps the task's row bands over it.
+    /// thread's buffer, then sweeps the task's row bands' A panels over it.
     fn run(&self, task: &mut Task) {
         let (mr_k, nr_k) = (self.kind.mr(), self.kind.nr());
         let panels = task.ncols.div_ceil(nr_k);
+        // Padded rows of A: the panels of one K slice take `mp * kc` floats.
+        let mp = self.a.data.len() / self.k;
         PACK_BUF.with_borrow_mut(|buf| {
             let need = panels * nr_k * KC.min(self.k);
             if buf.len() < need {
                 buf.resize(need, 0.0);
             }
-            let mut apanel = [0.0f32; MR_MAX * KC];
             let mut tile = [0.0f32; MR_MAX * NR_MAX];
             for pc in (0..self.k).step_by(KC) {
                 let kc = KC.min(self.k - pc);
                 let bpack = &mut buf[..panels * nr_k * kc];
                 self.b.pack(bpack, pc, kc, task.col0, task.ncols, nr_k);
+                let aslice = &self.a.data[pc * mp..(pc + kc) * mp];
                 for i0 in (0..task.nrows).step_by(mr_k) {
                     let mr = mr_k.min(task.nrows - i0);
-                    pack_a(&mut apanel, self.a, task.row0 + i0, mr, pc, kc, mr_k);
+                    let band = (task.row0 + i0) / mr_k;
+                    let apanel = &aslice[band * kc * mr_k..(band + 1) * kc * mr_k];
                     for (jp, bpanel) in bpack.chunks(nr_k * kc).enumerate() {
-                        run_kernel(self.kind, kc, &apanel, bpanel, &mut tile);
+                        run_kernel(self.kind, kc, apanel, bpanel, &mut tile);
                         self.write_back(task, &tile, (i0, mr), jp * nr_k, pc);
                     }
                 }
@@ -851,16 +997,16 @@ fn relu_pass(c: &mut [f32]) {
 fn run_kernel(
     kind: KernelKind,
     kc: usize,
-    apanel: &[f32; MR_MAX * KC],
+    apanel: &[f32],
     bpanel: &[f32],
     tile: &mut [f32; MR_MAX * NR_MAX],
 ) {
-    assert!(kc <= KC && bpanel.len() >= kc * kind.nr());
+    assert!(apanel.len() >= kc * kind.mr() && bpanel.len() >= kc * kind.nr());
     match kind {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `kernel_kind()` verified avx512f at runtime; the
         // pointers cover `kc * 8` / `kc * 32` / `8 * 32` floats by the
-        // array types and the assertion above.
+        // assertion above and the tile's array type.
         KernelKind::Avx512 => unsafe {
             kernel_8x32_avx512(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
         },
@@ -949,36 +1095,6 @@ fn kernel_8x8_generic(kc: usize, apanel: &[f32], bpanel: &[f32], tile: &mut [f32
     }
     for (i, acc_row) in acc.iter().enumerate() {
         tile[i * 8..i * 8 + 8].copy_from_slice(acc_row);
-    }
-}
-
-/// Packs `mr` rows of A (`rows row0..row0+mr`, columns `pc..pc+kc`) into a
-/// k-major `mr_k`-wide panel, zero-padding the row remainder.
-#[inline]
-fn pack_a(
-    apanel: &mut [f32; MR_MAX * KC],
-    a: MatRef,
-    row0: usize,
-    mr: usize,
-    pc: usize,
-    kc: usize,
-    mr_k: usize,
-) {
-    if mr < mr_k {
-        apanel[..kc * mr_k].fill(0.0);
-    }
-    for i in 0..mr {
-        let base = (row0 + i) * a.rs + pc * a.cs;
-        if a.cs == 1 {
-            let src = &a.data[base..base + kc];
-            for (p, &v) in src.iter().enumerate() {
-                apanel[p * mr_k + i] = v;
-            }
-        } else {
-            for p in 0..kc {
-                apanel[p * mr_k + i] = a.data[base + p * a.cs];
-            }
-        }
     }
 }
 
@@ -1191,19 +1307,31 @@ mod tests {
         };
         let mut c: Vec<f32> = vec![7.0; 4];
         let window = ConvWindow::new(&[], (0, 3, 2, 2), (1, 1), cfg, (2, 2));
-        gemm_conv(2, &[0.0; 6], window, None, false, &mut c);
+        gemm_conv(2, Weights::rows(&[0.0; 6], 3), window, None, false, &mut c);
         assert_eq!(c, vec![7.0; 4]);
         // No output channels is a no-op too, not a zero-sized-chunk panic.
         let window = ConvWindow::new(&[0.0; 24], (2, 3, 2, 2), (1, 1), cfg, (2, 2));
-        gemm_conv(0, &[], window, None, false, &mut c);
+        gemm_conv(0, Weights::rows(&[], 3), window, None, false, &mut c);
         assert_eq!(c, vec![7.0; 4]);
+    }
+
+    /// `C` (`rows x cols`) transposed, as bits.
+    fn transposed_bits(c: &[f32], rows: usize, cols: usize) -> Vec<u32> {
+        (0..cols)
+            .flat_map(|j| (0..rows).map(move |i| c[i * cols + j].to_bits()))
+            .collect()
+    }
+
+    fn bits(c: &[f32]) -> Vec<u32> {
+        c.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn relu_epilogue_bit_identical_to_post_pass() {
         // Sizes straddling the small/blocked and serial/parallel
         // thresholds, plus k crossing the KC boundary (the epilogue must
-        // fire only on the final K slice).
+        // fire only on the final K slice). The fused epilogue is the
+        // packed classifier product's: `W · Xᵀ` against `X · Wᵀ`.
         for &(m, n, k) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
@@ -1214,21 +1342,26 @@ mod tests {
         ] {
             let a = dense(m, k, 31 + m as u64);
             let b_t = dense(n, k, 32 + n as u64);
+            let w = PackedWeights::new(&b_t, n, k, 1);
             let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 2.0).collect();
 
             let mut want = vec![f32::NAN; m * n];
             gemm_nt(m, n, k, &a, &b_t, &mut want);
             relu_pass(&mut want);
-            let mut got = vec![f32::NAN; m * n];
-            gemm_nt_relu(m, n, k, &a, &b_t, &mut got);
-            assert_eq!(got, want, "gemm_nt_relu {m}x{n}x{k}");
+            let mut got = vec![f32::NAN; n * m];
+            gemm_packed_nt(&w, m, &a, None, true, &mut got);
+            assert_eq!(bits(&got), transposed_bits(&want, m, n), "relu {m}x{n}x{k}");
 
             let mut want = vec![f32::NAN; m * n];
             gemm_nt_bias_col(m, n, k, &a, &b_t, &col_bias, &mut want);
             relu_pass(&mut want);
-            let mut got = vec![f32::NAN; m * n];
-            gemm_nt_bias_col_relu(m, n, k, &a, &b_t, &col_bias, &mut got);
-            assert_eq!(got, want, "gemm_nt_bias_col_relu {m}x{n}x{k}");
+            let mut got = vec![f32::NAN; n * m];
+            gemm_packed_nt(&w, m, &a, Some(&col_bias), true, &mut got);
+            assert_eq!(
+                bits(&got),
+                transposed_bits(&want, m, n),
+                "bias+relu {m}x{n}x{k}"
+            );
         }
     }
 
@@ -1244,11 +1377,12 @@ mod tests {
                 padding: 1,
             };
             let window = ConvWindow::new(&x, (images, c_in, hw, hw), (3, 3), cfg, (hw, hw));
+            let a = Weights::rows(&a, c_in * 9);
             let mut want = vec![f32::NAN; images * m * hw * hw];
-            gemm_conv(m, &a, window, Some(&bias), false, &mut want);
+            gemm_conv(m, a, window, Some(&bias), false, &mut want);
             relu_pass(&mut want);
             let mut got = vec![f32::NAN; images * m * hw * hw];
-            gemm_conv(m, &a, window, Some(&bias), true, &mut got);
+            gemm_conv(m, a, window, Some(&bias), true, &mut got);
             assert_eq!(got, want, "batched relu {images}x{m}x{c_in}x{hw}");
         }
 
@@ -1260,12 +1394,160 @@ mod tests {
         let mut want = vec![f32::NAN; m * n];
         gemm_nt_bias_col(m, n, 0, &[], &[], &bias, &mut want);
         relu_pass(&mut want);
-        let mut got = vec![f32::NAN; m * n];
-        gemm_nt_bias_col_relu(m, n, 0, &[], &[], &bias, &mut got);
-        assert_eq!(
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        let mut got = vec![f32::NAN; n * m];
+        let w = PackedWeights::new(&[], n, 0, 1);
+        gemm_packed_nt(&w, m, &[], Some(&bias), true, &mut got);
+        assert_eq!(bits(&got), transposed_bits(&want, m, n));
+    }
+
+    /// The arithmetic the GEMM gives element `(i, j)` of `A · Bᵀ` for
+    /// row-major `a (m x k)`, `b (n x k)` and a row bias, one scalar at a
+    /// time: the small path's single dot product, or the nest's
+    /// per-`KC`-slice sums (fused multiply-adds on the SIMD arms) added to
+    /// the bias in slice order.
+    fn exact_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: &[f32]) -> Vec<f32> {
+        let fused = kernel_kind() != KernelKind::Generic;
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let (ar, br) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                let mut v = bias[i];
+                if m * n * k <= SMALL_FLOPS {
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in ar.iter().zip(br) {
+                        acc += x * y;
+                    }
+                    v += acc;
+                } else {
+                    for (sa, sb) in ar.chunks(KC).zip(br.chunks(KC)) {
+                        let mut t = 0.0f32;
+                        for (&x, &y) in sa.iter().zip(sb) {
+                            t = if fused { x.mul_add(y, t) } else { t + x * y };
+                        }
+                        v += t;
+                    }
+                }
+                c[i * n + j] = v;
+            }
+        }
+        c
+    }
+
+    /// A served layer's packed weight gives the one-shot op's bits, for
+    /// every row count that leaves a padded band at `MR` 6, K on both sides
+    /// of one `KC` slice and across 18, and pixel counts of ResNet-50's
+    /// last stages — on the small path and the nest.
+    #[test]
+    fn packed_weights_bit_identical_to_one_shot_conv_and_linear() {
+        let (mut small, mut nest) = (0, 0);
+        for m in [1usize, 5, 7, 1000] {
+            for k in [KC - 1, KC, KC + 1, 4608] {
+                for pixels in [1usize, 49, 3136] {
+                    // The largest products cost seconds on the scalar arm
+                    // and add no layout case the rest do not cover.
+                    if m == 1000 && pixels == 3136 && k != KC + 1 {
+                        continue;
+                    }
+                    let seed = (m * k + pixels) as u64;
+                    // 4608 = 512 x 3 x 3; other K are 1x1 kernels.
+                    let (c_in, kh) = if k == 4608 { (512, 3) } else { (k, 1) };
+                    let side = (pixels as f64).sqrt() as usize;
+                    let images = if pixels < 3136 { 2 } else { 1 };
+                    let x = init::uniform(
+                        &[images, c_in, side, side],
+                        -1.0,
+                        1.0,
+                        &mut rng::seeded(seed),
+                    );
+                    let w =
+                        init::uniform(&[m, c_in, kh, kh], -1.0, 1.0, &mut rng::seeded(seed + 1));
+                    let b = init::uniform(&[m], -1.0, 1.0, &mut rng::seeded(seed + 2));
+                    let cfg = Conv2dCfg {
+                        stride: 1,
+                        padding: kh / 2,
+                    };
+                    let packed = PackedWeights::new(w.data(), m, k, pixels);
+                    match packed.layout {
+                        Layout::Rows => small += 1,
+                        Layout::Panels(_) => nest += 1,
+                    }
+                    let want = crate::ops::conv2d(&x, &w, Some(&b), cfg).unwrap();
+                    let mut got = vec![f32::NAN; want.len()];
+                    let dims = (images, c_in, side, side);
+                    crate::ops::conv2d_packed_into(
+                        x.data(),
+                        dims,
+                        &packed,
+                        (kh, kh),
+                        Some(&b),
+                        cfg,
+                        false,
+                        &mut got,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        bits(want.data()),
+                        "conv m={m} k={k} pixels={pixels}"
+                    );
+
+                    // The classifier: one column per image, packed for one.
+                    let w = w.reshape(&[m, k]).unwrap();
+                    let x = init::uniform(&[pixels, k], -1.0, 1.0, &mut rng::seeded(seed + 3));
+                    let want = crate::ops::linear(&x, &w, Some(&b)).unwrap();
+                    let packed = PackedWeights::new(w.data(), m, k, 1);
+                    let mut got = vec![f32::NAN; want.len()];
+                    crate::ops::linear_packed_into(
+                        x.data(),
+                        pixels,
+                        &packed,
+                        Some(&b),
+                        false,
+                        &mut got,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        bits(want.data()),
+                        "linear m={m} k={k} n={pixels}"
+                    );
+                    // Both sides above share the panel packer; this oracle
+                    // does not.
+                    if m * k * pixels <= 1 << 25 {
+                        let exact = exact_nt(m, pixels, k, w.data(), x.data(), b.data());
+                        assert_eq!(
+                            bits(&got),
+                            transposed_bits(&exact, m, pixels),
+                            "linear m={m} k={k} n={pixels} against the scalar oracle"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(small > 0 && nest > 0, "small {small}, nest {nest}");
+    }
+
+    #[test]
+    #[should_panic(expected = "packed for another micro-kernel")]
+    fn panels_of_another_kernel_are_rejected() {
+        let (m, n, k) = (16, 16, 300);
+        let other = match kernel_kind() {
+            KernelKind::Fma => KernelKind::Generic,
+            _ => KernelKind::Fma,
+        };
+        let a = dense(m, k, 51);
+        let w = PackedWeights::panels(
+            MatRef {
+                data: &a,
+                rs: k,
+                cs: 1,
+            },
+            m,
+            k,
+            other,
         );
+        let mut c = vec![0.0f32; m * n];
+        gemm_packed_nt(&w, n, &dense(n, k, 52), None, false, &mut c);
     }
 
     #[test]

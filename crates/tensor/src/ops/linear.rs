@@ -1,6 +1,6 @@
 //! Fully-connected (linear) layer.
 
-use crate::ops::gemm;
+use crate::ops::gemm::{self, PackedWeights};
 use crate::{Tensor, TensorError};
 
 /// Linear layer forward: `y = x W^T + b`.
@@ -69,6 +69,65 @@ pub fn linear(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<Tens
         ),
     }
     Tensor::from_vec(y, &[n, out_features])
+}
+
+/// Slice-based [`linear`] on a weight packed once ([`PackedWeights`] of
+/// the `(Out, In)` matrix for one pixel per image), with an optional fused
+/// ReLU epilogue, for executors that run the same layer on every request.
+///
+/// `x` holds `n` rows of `In` features and `out` receives the `(n, Out)`
+/// result. The product runs as `W · xᵀ`, one column per row of `x`, and is
+/// transposed into place when `n > 1`: every element gets the arithmetic
+/// [`linear`] gives it, so the result is bit-identical to [`linear`]
+/// (followed by a separate ReLU when `relu` is set).
+///
+/// # Errors
+///
+/// Returns shape errors when `x`, `bias` or `out` disagree with the
+/// weight.
+pub fn linear_packed_into(
+    x: &[f32],
+    n: usize,
+    weight: &PackedWeights,
+    bias: Option<&Tensor>,
+    relu: bool,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    let (out_features, in_features) = (weight.m(), weight.k());
+    if x.len() != n * in_features {
+        return Err(TensorError::ShapeMismatch {
+            expected: vec![n, in_features],
+            actual: vec![x.len()],
+            op: "linear_packed_into",
+        });
+    }
+    if let Some(b) = bias {
+        if b.shape() != [out_features] {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![out_features],
+                actual: b.shape().to_vec(),
+                op: "linear_packed_into (bias)",
+            });
+        }
+    }
+    if out.len() < n * out_features {
+        return Err(TensorError::invalid(
+            "linear_packed_into: output slice too short",
+        ));
+    }
+    let bias = bias.map(Tensor::data);
+    if n == 1 {
+        gemm::gemm_packed_nt(weight, 1, x, bias, relu, out);
+        return Ok(());
+    }
+    let mut y_t = vec![0.0f32; out_features * n];
+    gemm::gemm_packed_nt(weight, n, x, bias, relu, &mut y_t);
+    for (o, col) in y_t.chunks(n).enumerate() {
+        for (i, &v) in col.iter().enumerate() {
+            out[i * out_features + o] = v;
+        }
+    }
+    Ok(())
 }
 
 /// Gradients produced by [`linear_backward`].
