@@ -1,16 +1,17 @@
 //! 2-D convolution: implicit-GEMM forward, direct reference, and backward
 //! passes.
 //!
-//! The production path ([`conv2d`], [`conv2d_into`], and
-//! [`conv2d_packed_into`] on a weight packed once) is one GEMM over the
-//! whole stacked batch, `out (C_out x N·OH·OW) = W_mat · cols + bias`, whose
-//! B operand is a `gemm::ConvWindow`: the GEMM packs its panels straight
-//! from the `NCHW` activation and writes straight into the `NCHW` output, so
-//! the lowered `cols` matrix is never materialized and there is no separate
-//! output-rearrange or bias pass. [`im2col`] itself stays for the backward
-//! pass and for two reference implementations kept for tests and benchmarks:
-//! [`conv2d_direct`] (naive 7-loop) and [`conv2d_ref`] (the seed's unfused
-//! im2col → matmul → rearrange pipeline).
+//! The production path is [`conv2d_packed_into`], one GEMM over the whole
+//! stacked batch, `out (C_out x N·OH·OW) = W_mat · cols + bias`, on a weight
+//! packed once ([`PackedWeights`]: a served layer's at plan compile,
+//! [`conv2d`]'s per call). Its B operand is a `gemm::ConvWindow`: the GEMM
+//! packs its panels straight from the `NCHW` activation and writes straight
+//! into the `NCHW` output, so the lowered `cols` matrix is never
+//! materialized and there is no separate output-rearrange or bias pass.
+//! [`im2col`] itself stays for the backward pass and for two reference
+//! implementations kept for tests and benchmarks: [`conv2d_direct`] (naive
+//! 7-loop) and [`conv2d_ref`] (the seed's unfused im2col → matmul →
+//! rearrange pipeline).
 
 use crate::ops::gemm::{self, PackedWeights};
 use crate::{Tensor, TensorError};
@@ -297,13 +298,14 @@ fn check_conv_operands(
 /// `x` is `(N, C_in, H, W)`, `weight` is `(C_out, C_in, KH, KW)`, `bias`
 /// (optional) is `(C_out)`. Returns `(N, C_out, OH, OW)`.
 ///
-/// Implemented as one implicit GEMM over the stacked batch that writes
-/// **directly into the `NCHW` output layout** with the bias folded into the
-/// GEMM epilogue: `out[n] (C_out x OH*OW) = W_mat · cols_n + b`, the
-/// columns packed from `x` as the GEMM consumes them. Each image's result
-/// is bit-identical to convolving it alone. Unlike the seed implementation
-/// there is no lowered matrix, no second rearrange pass over the output and
-/// no per-pixel bias lookup.
+/// Packs the weight for this call and runs [`conv2d_packed_into`]: one
+/// implicit GEMM over the stacked batch that writes **directly into the
+/// `NCHW` output layout** with the bias folded into the GEMM epilogue,
+/// `out[n] (C_out x OH*OW) = W_mat · cols_n + b`, the columns packed from
+/// `x` as the GEMM consumes them. Each image's result is bit-identical to
+/// convolving it alone. Unlike the seed implementation there is no lowered
+/// matrix, no second rearrange pass over the output and no per-pixel bias
+/// lookup.
 ///
 /// # Errors
 ///
@@ -320,65 +322,36 @@ pub fn conv2d(
     let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
     let (oh, ow) = conv2d_out_dims(dims.2, dims.3, kh, kw, cfg)?;
     let mut out = Tensor::zeros(&[dims.0, c_out, oh, ow]);
-    conv2d_into(x.data(), dims, weight, bias, cfg, false, out.data_mut())?;
+    let packed = PackedWeights::new(weight.data(), c_out, dims.1 * kh * kw, oh * ow);
+    conv2d_packed_into(
+        x.data(),
+        dims,
+        &packed,
+        (kh, kw),
+        bias,
+        cfg,
+        false,
+        out.data_mut(),
+    )?;
     Ok(out)
 }
 
-/// Slice-based [`conv2d`] with an optional fused ReLU epilogue, for
-/// arena-backed executors that own the activation storage.
+/// Slice-based [`conv2d`] on a weight packed once — the `(c_out,
+/// c_in·kh·kw)` matrix of a `kh x kw` kernel as [`PackedWeights`] for
+/// `oh·ow` pixels — with an optional fused ReLU epilogue, for executors
+/// that own the activation storage and run the same layer on every request.
 ///
 /// `xd` holds an `(n, c_in, h, w)` NCHW image block and `out` receives the
 /// `(n, c_out, oh, ow)` result (stale contents are fine — every element is
-/// overwritten). With `relu` set, every output element is clamped via the
-/// GEMM kernels' fused epilogue — bit-identical to [`conv2d`] followed by a
-/// separate elementwise ReLU.
+/// overwritten). Bit-identical to [`conv2d`]; with `relu` set, every output
+/// element is clamped via the GEMM kernels' fused epilogue, bit-identical
+/// to [`conv2d`] followed by a separate elementwise ReLU.
 ///
 /// # Errors
 ///
-/// Returns rank/shape errors if operands disagree, the geometry is
-/// invalid, or a slice is too short.
-pub fn conv2d_into(
-    xd: &[f32],
-    dims: (usize, usize, usize, usize),
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    cfg: Conv2dCfg,
-    relu: bool,
-    out: &mut [f32],
-) -> Result<(), TensorError> {
-    if weight.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: weight.rank(),
-            op: "conv2d_into",
-        });
-    }
-    let (c_out, wc_in, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
-    if wc_in != dims.1 {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![dims.1],
-            actual: vec![wc_in],
-            op: "conv2d_into (input channels)",
-        });
-    }
-    let weights = gemm::Weights::rows(weight.data(), wc_in * kh * kw);
-    conv_gemm(xd, dims, (c_out, kh, kw), weights, bias, cfg, relu, out)
-}
-
-/// [`conv2d_into`] on a weight packed once — the `(c_out, c_in·kh·kw)`
-/// matrix of a `kh x kw` kernel as [`PackedWeights`] for `oh·ow` pixels —
-/// for executors that run the same layer on every request. Bit-identical
-/// to [`conv2d_into`] with the unpacked weight.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_into`]; the packed weight's K must be
-/// `c_in·kh·kw`.
+/// Returns shape errors if the packed weight's K is not `c_in·kh·kw` or
+/// `bias` is not `c_out` long, and invalid-argument errors if the geometry
+/// is invalid or a slice is too short.
 ///
 /// # Panics
 ///
@@ -386,7 +359,7 @@ pub fn conv2d_into(
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_packed_into(
     xd: &[f32],
-    dims: (usize, usize, usize, usize),
+    (n, c_in, h, w): (usize, usize, usize, usize),
     weight: &PackedWeights,
     (kh, kw): (usize, usize),
     bias: Option<&Tensor>,
@@ -394,58 +367,36 @@ pub fn conv2d_packed_into(
     relu: bool,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
-    if weight.k() != dims.1 * kh * kw {
+    let c_out = weight.m();
+    if weight.k() != c_in * kh * kw {
         return Err(TensorError::ShapeMismatch {
-            expected: vec![dims.1 * kh * kw],
+            expected: vec![c_in * kh * kw],
             actual: vec![weight.k()],
             op: "conv2d_packed_into (input channels x kernel)",
         });
     }
-    let weights = gemm::Weights::Packed(weight);
-    conv_gemm(
-        xd,
-        dims,
-        (weight.m(), kh, kw),
-        weights,
-        bias,
-        cfg,
-        relu,
-        out,
-    )
-}
-
-/// Shared body of the slice-based convolutions: checks the bias and the
-/// slices, then runs one GEMM whose B operand is the window over `xd`.
-#[allow(clippy::too_many_arguments)]
-fn conv_gemm(
-    xd: &[f32],
-    (n, c_in, h, w): (usize, usize, usize, usize),
-    (c_out, kh, kw): (usize, usize, usize),
-    weights: gemm::Weights,
-    bias: Option<&Tensor>,
-    cfg: Conv2dCfg,
-    relu: bool,
-    out: &mut [f32],
-) -> Result<(), TensorError> {
     if let Some(b) = bias {
         if b.shape() != [c_out] {
             return Err(TensorError::ShapeMismatch {
                 expected: vec![c_out],
                 actual: b.shape().to_vec(),
-                op: "conv2d_into (bias)",
+                op: "conv2d_packed_into (bias)",
             });
         }
     }
     let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg)?;
     if xd.len() < n * c_in * h * w {
-        return Err(TensorError::invalid("conv2d_into: input slice too short"));
+        return Err(TensorError::invalid(
+            "conv2d_packed_into: input slice too short",
+        ));
     }
     if out.len() < n * c_out * oh * ow {
-        return Err(TensorError::invalid("conv2d_into: output slice too short"));
+        return Err(TensorError::invalid(
+            "conv2d_packed_into: output slice too short",
+        ));
     }
     let window = gemm::ConvWindow::new(xd, (n, c_in, h, w), (kh, kw), cfg, (oh, ow));
-    let bias = bias.map(Tensor::data);
-    gemm::gemm_conv(c_out, weights, window, bias, relu, out);
+    gemm::gemm_conv(weight, window, bias.map(Tensor::data), relu, out);
     Ok(())
 }
 
@@ -780,8 +731,8 @@ mod tests {
 
     #[test]
     fn conv2d_into_bit_identical_and_fuses_relu() {
-        // The slice-based entry (stale output) must match
-        // the allocating path bitwise, and its fused ReLU must match a
+        // The slice-based entry on a weight packed once (stale output) must
+        // match the allocating path bitwise, and its fused ReLU must match a
         // separate ReLU pass bitwise.
         let mut r = crate::rng::seeded(61);
         for &(n, c_in, c_out, hw, stride, padding) in &[
@@ -797,9 +748,13 @@ mod tests {
             let (oh, ow) = conv2d_out_dims(hw, hw, 3, 3, cfg).unwrap();
             let out_len = n * c_out * oh * ow;
             let dims = (n, c_in, hw, hw);
+            let packed = PackedWeights::new(w.data(), c_out, c_in * 9, oh * ow);
+            let conv = |relu: bool, out: &mut [f32]| {
+                conv2d_packed_into(x.data(), dims, &packed, (3, 3), Some(&b), cfg, relu, out)
+            };
 
             let mut out = vec![f32::NAN; out_len];
-            conv2d_into(x.data(), dims, &w, Some(&b), cfg, false, &mut out).unwrap();
+            conv(false, &mut out).unwrap();
             assert_eq!(out, want.data(), "unfused into-path diverged");
 
             let mut relu_want = want.clone();
@@ -807,14 +762,14 @@ mod tests {
                 *v = v.max(0.0);
             }
             out.fill(f32::NAN);
-            conv2d_into(x.data(), dims, &w, Some(&b), cfg, true, &mut out).unwrap();
+            conv(true, &mut out).unwrap();
             assert_eq!(out, relu_want.data(), "fused relu diverged");
         }
     }
 
     /// The materialised pipeline the implicit GEMM replaced, kept as the
-    /// oracle: lower every patch with [`im2col`], then one `gemm_nt` per
-    /// image against its block of the lowered matrix.
+    /// oracle: lower every patch with [`im2col`], then one `W · colsᵀ` GEMM
+    /// per image against its block of the lowered matrix.
     fn conv2d_materialised(
         x: &Tensor,
         weight: &Tensor,
@@ -826,21 +781,15 @@ mod tests {
         let cols = im2col(x, kh, kw, cfg).unwrap();
         let ckk = cols.shape()[1];
         let pixels = cols.shape()[0] / x.shape()[0];
+        let packed = PackedWeights::new(weight.data(), c_out, ckk, pixels);
+        let bias = bias.map_or(gemm::Bias::None, |b| gemm::Bias::PerRow(b.data()));
         let mut out = vec![f32::NAN; x.shape()[0] * c_out * pixels];
-        for (ni, out_n) in out.chunks_mut(c_out * pixels).enumerate() {
-            let cols_n = &cols.data()[ni * pixels * ckk..(ni + 1) * pixels * ckk];
-            match bias {
-                Some(b) => gemm::gemm_nt_bias_row(
-                    c_out,
-                    pixels,
-                    ckk,
-                    weight.data(),
-                    cols_n,
-                    b.data(),
-                    out_n,
-                ),
-                None => gemm::gemm_nt(c_out, pixels, ckk, weight.data(), cols_n, out_n),
-            }
+        for (cols_n, out_n) in cols
+            .data()
+            .chunks(pixels * ckk)
+            .zip(out.chunks_mut(c_out * pixels))
+        {
+            gemm::gemm_packed_nt(&packed, pixels, cols_n, bias, false, out_n);
         }
         if relu {
             for v in &mut out {
@@ -854,7 +803,7 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// `conv2d` and `conv2d_into` (bias and ReLU on and off) against the
+    /// `conv2d` and `conv2d_packed_into` (bias and ReLU on and off) against the
     /// materialised oracle, bit for bit, for `(batch, c_in, c_out, h, kernel,
     /// stride, padding)` cases on square inputs.
     fn assert_matches_materialised(cases: &[(usize, usize, usize, usize, usize, usize, usize)]) {
@@ -869,12 +818,28 @@ mod tests {
                 let want = conv2d_materialised(&x, &w, bias, cfg, false);
                 let got = conv2d(&x, &w, bias, cfg).unwrap();
                 assert_eq!(bits(got.data()), bits(&want), "conv2d {case}");
+                let (oh, ow) = conv2d_out_dims(hw, hw, kk, kk, cfg).unwrap();
+                let packed = PackedWeights::new(w.data(), c_out, c_in * kk * kk, oh * ow);
                 for relu in [false, true] {
                     let want = conv2d_materialised(&x, &w, bias, cfg, relu);
                     let mut out = vec![f32::NAN; want.len()];
                     let dims = (n, c_in, hw, hw);
-                    conv2d_into(x.data(), dims, &w, bias, cfg, relu, &mut out).unwrap();
-                    assert_eq!(bits(&out), bits(&want), "conv2d_into relu={relu} {case}");
+                    conv2d_packed_into(
+                        x.data(),
+                        dims,
+                        &packed,
+                        (kk, kk),
+                        bias,
+                        cfg,
+                        relu,
+                        &mut out,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want),
+                        "conv2d_packed_into relu={relu} {case}"
+                    );
                 }
             }
         }
@@ -934,6 +899,35 @@ mod tests {
                 (n, 4, 10, 3, 3, 1, 0),
                 (n, 2, 3, 5, 2, 1, 3),
             ]);
+        }
+    }
+
+    #[test]
+    fn conv2d_packed_into_names_itself_in_errors() {
+        // Its errors reach wire clients: each must name the served entry.
+        let packed = PackedWeights::new(&[0.0; 2 * 3 * 9], 2, 3 * 9, 9);
+        let dims = (1, 3, 5, 5);
+        let cfg = Conv2dCfg::default();
+        let x = vec![0.0; 3 * 5 * 5];
+        let mut out = vec![0.0; 2 * 3 * 3];
+        let bias = Tensor::zeros(&[3]);
+        let err = conv2d_packed_into(&x, dims, &packed, (3, 3), Some(&bias), cfg, false, &mut out)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TensorError::ShapeMismatch {
+                    op: "conv2d_packed_into (bias)",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        for (x_len, out_len) in [(x.len() - 1, out.len()), (x.len(), out.len() - 1)] {
+            let out = &mut out[..out_len];
+            let err = conv2d_packed_into(&x[..x_len], dims, &packed, (3, 3), None, cfg, false, out)
+                .unwrap_err();
+            assert!(err.to_string().contains("conv2d_packed_into"), "{err}");
         }
     }
 

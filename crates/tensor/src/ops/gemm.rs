@@ -21,17 +21,18 @@
 //!   packed once per product and driving an `MR x NR` register-blocked
 //!   micro-kernel over the panels.
 //!
-//! A is packed once: a served layer's weight when its plan is compiled
-//! ([`PackedWeights`], laid out for the path its products take), any other
-//! operand once per call by the one-shot entry points. The nest reads A
-//! only as packed panels.
+//! A reaches the nest one way, as a [`PackedWeights`] laid out for the
+//! path its products take: a served layer's weight packed when its plan is
+//! compiled, any other operand packed once per call by the one-shot entry
+//! points ([`gemm`], [`gemm_tn`], `ops::conv2d`, `ops::linear`). Only
+//! [`gemm_tn`]'s A is gathered through strides.
 //!
-//! B has two sources. [`gemm_tn`] and [`gemm_nt`] read A or B through
-//! transposed strides during packing, so callers never materialize an
-//! explicit `transpose()` copy; and the convolutions hand in a
-//! `ConvWindow`, whose panels are packed straight from the NCHW
-//! activation (the stacked batch is one N axis, so a panel may span two
-//! images) — the lowered im2col matrix is never stored. Bias addition is
+//! B has two sources: a matrix, row-major or (for the `W · Xᵀ` products of
+//! the linear layers) stored transposed and packed through its strides, so
+//! callers never materialize an explicit `transpose()` copy; and the
+//! convolutions' `ConvWindow`, whose panels are packed straight from the
+//! NCHW activation (the stacked batch is one N axis, so a panel may span
+//! two images) — the lowered im2col matrix is never stored. Bias addition is
 //! fused into the first slice's writeback (per output row or per output
 //! column), which lets the convolution and linear layers skip their separate
 //! bias passes. A ReLU epilogue (the convolutions and `gemm_packed_nt`)
@@ -124,7 +125,16 @@ pub(crate) struct MatRef<'a> {
     cs: usize,
 }
 
-impl MatRef<'_> {
+impl<'a> MatRef<'a> {
+    /// The row-major matrix whose rows hold `cols` floats.
+    fn rows(data: &'a [f32], cols: usize) -> Self {
+        MatRef {
+            data,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
@@ -133,7 +143,7 @@ impl MatRef<'_> {
 
 /// Fused bias: the value every output element's accumulation starts from.
 #[derive(Clone, Copy)]
-enum Bias<'a> {
+pub(crate) enum Bias<'a> {
     /// No bias: start from zero.
     None,
     /// `bias[i]` is added to every element of output row `i` (length `m`).
@@ -152,15 +162,14 @@ enum Layout {
     Panels(KernelKind),
 }
 
-/// A fixed `m x k` left operand laid out once for every product it takes
-/// part in: a served layer's weight matrix, packed when its plan is
-/// compiled.
+/// The `m x k` left operand of every product, laid out for the path its
+/// products take — the micro-kernel's panels when they run the blocked
+/// nest, row-major when they are small enough for the serial loops.
 ///
-/// The layout follows the path those products take — the micro-kernel's
-/// panels when they run the blocked nest, row-major when they are small
-/// enough for the serial loops — so the nest never packs it again. Every
-/// output element gets the same arithmetic as from the one-shot entry
-/// points, bit for bit; only where the nest reads its A panels from moves.
+/// A served layer's weight is packed once, when its plan is compiled, so
+/// the nest never packs it again; the one-shot entry points pack their A
+/// once per call. Every output element gets the same arithmetic either
+/// way, bit for bit.
 #[derive(Debug)]
 pub struct PackedWeights {
     m: usize,
@@ -178,21 +187,35 @@ impl PackedWeights {
     ///
     /// Panics if `a` is shorter than `m * k`.
     pub fn new(a: &[f32], m: usize, k: usize, pixels: usize) -> Self {
-        assert!(a.len() >= m * k, "weight slice too short for {m}x{k}");
-        if m * pixels * k <= SMALL_FLOPS {
-            return PackedWeights {
-                m,
-                k,
-                layout: Layout::Rows,
-                data: a[..m * k].to_vec(),
-            };
+        Self::of(MatRef::rows(a, k), m, k, pixels)
+    }
+
+    /// Packs the `m x k` view `a` for products with `pixels` output columns
+    /// per image: row-major when `m·pixels·k` takes the small path (a copy
+    /// of a row-major view, a gather of a strided one), panels otherwise.
+    fn of(a: MatRef, m: usize, k: usize, pixels: usize) -> Self {
+        if m > 0 && k > 0 {
+            assert!(
+                a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs,
+                "A slice too short for {m}x{k}"
+            );
         }
-        let a = MatRef {
-            data: a,
-            rs: k,
-            cs: 1,
+        if m * pixels * k > SMALL_FLOPS {
+            return Self::panels(a, m, k, kernel_kind());
+        }
+        let data = if (a.rs, a.cs) == (k, 1) {
+            a.data[..m * k].to_vec()
+        } else {
+            (0..m)
+                .flat_map(|i| (0..k).map(move |p| a.at(i, p)))
+                .collect()
         };
-        Self::panels(a, m, k, kernel_kind())
+        PackedWeights {
+            m,
+            k,
+            layout: Layout::Rows,
+            data,
+        }
     }
 
     /// Rows of the matrix: the product's M (output channels or features).
@@ -260,53 +283,14 @@ fn pack_band<const MR: usize>(panel: &mut [f32], a: MatRef, row0: usize, pc: usi
     }
 }
 
-/// Where the nest reads its `m x k` operand from.
-#[derive(Clone, Copy)]
-pub(crate) enum Weights<'a> {
-    /// A caller's strided matrix: read in place by the small path, packed
-    /// once for the call by the nest.
-    Mat(MatRef<'a>),
-    /// A matrix packed ahead of time.
-    Packed(&'a PackedWeights),
-}
-
-impl<'a> Weights<'a> {
-    /// The row-major `m x k` matrix `a`, read in place.
-    pub(crate) fn rows(a: &'a [f32], k: usize) -> Self {
-        Weights::Mat(MatRef {
-            data: a,
-            rs: k,
-            cs: 1,
-        })
-    }
-
-    /// The matrix as a strided view, or as its panels when it is packed
-    /// into them.
-    fn view(self) -> Result<MatRef<'a>, &'a PackedWeights> {
-        match self {
-            Weights::Mat(a) => Ok(a),
-            Weights::Packed(w) if w.layout == Layout::Rows => Ok(MatRef {
-                data: &w.data,
-                rs: w.k,
-                cs: 1,
-            }),
-            Weights::Packed(w) => Err(w),
-        }
-    }
-}
-
 /// `C = A · B` for row-major `A (m x k)`, `B (k x n)`, `C (m x n)`.
 ///
 /// # Panics
 ///
 /// Panics if a slice is shorter than its `m`/`n`/`k` geometry implies.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let b = MatRef {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
-    gemm_strided(m, n, k, Weights::rows(a, k), b, Bias::None, false, c);
+    let b = MatRef::rows(b, n);
+    gemm_strided(&PackedWeights::new(a, m, k, n), n, b, Bias::None, false, c);
 }
 
 /// `C = Aᵀ · B` where `A` is *stored* row-major as `(k x m)`.
@@ -323,128 +307,39 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
         rs: 1,
         cs: m,
     };
-    let b = MatRef {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
-    gemm_strided(m, n, k, Weights::Mat(a), b, Bias::None, false, c);
-}
-
-/// `C = A · Bᵀ` where `B` is *stored* row-major as `(n x k)`.
-///
-/// Used by [`crate::ops::linear`] (`y = x · Wᵀ`).
-///
-/// # Panics
-///
-/// Panics if a slice is shorter than its geometry implies.
-pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_opt(m, n, k, a, b, Bias::None, c);
-}
-
-/// Shared body of the `gemm_nt*` entry points.
-fn gemm_nt_opt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: Bias, c: &mut [f32]) {
-    let b = MatRef {
-        data: b,
-        rs: 1,
-        cs: k,
-    };
-    gemm_strided(m, n, k, Weights::rows(a, k), b, bias, false, c);
-}
-
-/// [`gemm_nt`] with `bias[i]` added to every element of output row `i`
-/// (the fused convolution epilogue: rows are output channels).
-///
-/// # Panics
-///
-/// Panics on geometry mismatch, including `bias.len() != m`.
-pub fn gemm_nt_bias_row(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    assert_eq!(bias.len(), m, "row bias length must equal m");
-    gemm_nt_opt(m, n, k, a, b, Bias::PerRow(bias), c);
-}
-
-/// [`gemm_nt`] with `bias[j]` added to every element of output column `j`
-/// (the fused linear-layer epilogue: columns are output features).
-///
-/// # Panics
-///
-/// Panics on geometry mismatch, including `bias.len() != n`.
-pub fn gemm_nt_bias_col(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    assert_eq!(bias.len(), n, "column bias length must equal n");
-    gemm_nt_opt(m, n, k, a, b, Bias::PerCol(bias), c);
+    let b = MatRef::rows(b, n);
+    gemm_strided(&PackedWeights::of(a, m, k, n), n, b, Bias::None, false, c);
 }
 
 /// `C (m x n) = W · Xᵀ` for a packed `W (m x k)` and `X (n x k)` stored
-/// row-major, with `bias[i]` (optional, length `m`) added to every element
-/// of output row `i` and `relu` clamping each element at its final
-/// writeback: a classifier over `n` images, one column per image.
+/// row-major, with `bias` fused and `relu` clamping each element at its
+/// final writeback: a classifier over `n` images, one column per image
+/// (`bias` per row), or a one-shot `linear` with its input packed as `W`
+/// (`bias` per column).
 ///
-/// Each element gets the arithmetic [`gemm_nt_bias_col`] gives it in
-/// `X · Wᵀ` — the same products (`fma` and `*` are commutative), in the same
-/// `KC` slices and order, on the same path — so `C` is that result's
+/// An element of `W · Xᵀ` gets the same products (`fma` and `*` are
+/// commutative) in the same `KC` slices and order, on the same path, as
+/// the matching element of `X · Wᵀ`, so the two results are each other's
 /// transpose, bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if a slice is shorter than its geometry implies, if `bias` is
-/// not `m` long, or if `w` was packed for more than `n` columns.
+/// Panics if a slice is shorter than its geometry implies, if `bias` does
+/// not match its axis, or if `w` was packed for more than `n` columns.
 pub(crate) fn gemm_packed_nt(
     w: &PackedWeights,
     n: usize,
     x: &[f32],
-    bias: Option<&[f32]>,
+    bias: Bias,
     relu: bool,
     c: &mut [f32],
 ) {
-    let (m, k) = (w.m, w.k);
-    let bias = match bias {
-        Some(bias) => {
-            assert_eq!(bias.len(), m, "row bias length must equal m");
-            Bias::PerRow(bias)
-        }
-        None => Bias::None,
-    };
     let x = MatRef {
         data: x,
         rs: 1,
-        cs: k,
+        cs: w.k,
     };
-    gemm_strided(m, n, k, Weights::Packed(w), x, bias, relu, c);
-}
-
-/// The seed repository's ikj matmul, kept verbatim as an independent
-/// reference for property tests.
-pub fn reference_matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    c.fill(0.0);
-    for i in 0..m {
-        for kk in 0..k {
-            let av = a[i * k + kk];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * n..(kk + 1) * n];
-            let orow = &mut c[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
+    gemm_strided(w, n, x, bias, relu, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -667,51 +562,40 @@ impl<'a> ConvWindow<'a> {
 /// `out[g] (m x oh·ow) = A · window_g (+ bias)` for every stacked image `g`
 /// of `win`: the convolution as one product whose N axis runs over all
 /// images' pixels, written straight into the `(images, m, oh, ow)` layout.
-/// `a` is the `(m x c_in·kh·kw)` weight matrix; `bias` (optional, length
-/// `m`) is added to every element of its output channel and `relu` clamps
-/// each element at its final writeback.
+/// `a` is the packed `(m x c_in·kh·kw)` weight matrix; `bias` (optional,
+/// length `m`) is added to every element of its output channel and `relu`
+/// clamps each element at its final writeback.
 ///
 /// # Panics
 ///
-/// Panics if a slice is shorter than its geometry implies.
+/// Panics if a slice is shorter than its geometry implies or `a` is not
+/// `c_in·kh·kw` wide.
 pub(crate) fn gemm_conv(
-    m: usize,
-    a: Weights,
+    a: &PackedWeights,
     win: ConvWindow,
     bias: Option<&[f32]>,
     relu: bool,
     out: &mut [f32],
 ) {
-    let k = win.c_in * win.kh * win.kw;
-    let bias = match bias {
-        Some(bias) => {
-            assert_eq!(bias.len(), m, "row bias length must equal m");
-            Bias::PerRow(bias)
-        }
-        None => Bias::None,
-    };
+    assert_eq!(
+        a.k,
+        win.c_in * win.kh * win.kw,
+        "weights are not c_in·kh·kw wide"
+    );
     let (images, pixels) = (win.images, win.oh * win.ow);
-    gemm_nest(m, images, pixels, k, a, BSource::Conv(win), bias, relu, out);
+    let bias = bias.map_or(Bias::None, Bias::PerRow);
+    gemm_nest(a, images, pixels, BSource::Conv(win), bias, relu, out);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_strided(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: Weights,
-    b: MatRef,
-    bias: Bias,
-    relu: bool,
-    c: &mut [f32],
-) {
-    if k > 0 && n > 0 {
+/// `C (m x n) = A · B (+ bias)` for a `k x n` matrix `B`.
+fn gemm_strided(a: &PackedWeights, n: usize, b: MatRef, bias: Bias, relu: bool, c: &mut [f32]) {
+    if a.k > 0 && n > 0 {
         assert!(
-            b.data.len() > (k - 1) * b.rs + (n - 1) * b.cs,
+            b.data.len() > (a.k - 1) * b.rs + (n - 1) * b.cs,
             "B slice too short for its geometry"
         );
     }
-    gemm_nest(m, 1, n, k, a, BSource::Mat(b), bias, relu, c);
+    gemm_nest(a, 1, n, BSource::Mat(b), bias, relu, c);
 }
 
 /// The one loop nest: `C[g] (m x pixels) = A · B[:, g·pixels..] (+ bias)`
@@ -722,30 +606,24 @@ fn gemm_strided(
 /// `c + tile`, the tile an accumulation from zero over the slice in order,
 /// clamped on the last slice when `relu` is set — whatever the blocking,
 /// the element's place in a panel, or the thread count.
-#[allow(clippy::too_many_arguments)]
 fn gemm_nest(
-    m: usize,
+    a: &PackedWeights,
     images: usize,
     pixels: usize,
-    k: usize,
-    a: Weights,
     b: BSource,
     bias: Bias,
     relu: bool,
     c: &mut [f32],
 ) {
-    let n = images * pixels;
+    let (m, k, n) = (a.m, a.k, images * pixels);
     assert!(
         c.len() >= m * n,
         "output slice too short for {m}x{pixels}x{images}"
     );
-    match a {
-        Weights::Mat(a) if m > 0 && k > 0 => assert!(
-            a.data.len() > (m - 1) * a.rs + (k - 1) * a.cs,
-            "A slice too short for its geometry"
-        ),
-        Weights::Mat(_) => {}
-        Weights::Packed(w) => assert!(w.m == m && w.k == k, "packed weights are not {m}x{k}"),
+    match bias {
+        Bias::None => {}
+        Bias::PerRow(bias) => assert_eq!(bias.len(), m, "row bias length must equal m"),
+        Bias::PerCol(bias) => assert_eq!(bias.len(), n, "column bias length must equal n"),
     }
     if m == 0 || n == 0 {
         return;
@@ -753,16 +631,17 @@ fn gemm_nest(
     let c = &mut c[..m * n];
 
     if m * pixels * k <= SMALL_FLOPS {
-        let Ok(a) = a.view() else {
-            panic!("weights packed for a larger product than this one");
-        };
+        assert!(
+            a.layout == Layout::Rows,
+            "weights packed for a larger product than this one"
+        );
         // Plain serial loops per group (none for `k == 0`: the output is
         // the prefilled bias). They accumulate in place, so clamping
         // afterwards is bit-identical to a separate ReLU pass.
         let group = |g: usize, c_g: &mut [f32]| {
             prefill(m, pixels, bias, c_g);
             match b {
-                BSource::Mat(b) => gemm_small(m, pixels, k, a, b, c_g),
+                BSource::Mat(b) => gemm_small(m, pixels, k, &a.data, b, c_g),
                 BSource::Conv(win) => PACK_BUF.with_borrow_mut(|buf| {
                     if buf.len() < pixels * k {
                         buf.resize(pixels * k, 0.0);
@@ -774,7 +653,7 @@ fn gemm_nest(
                         rs: 1,
                         cs: k,
                     };
-                    gemm_small(m, pixels, k, a, b, c_g);
+                    gemm_small(m, pixels, k, &a.data, b, c_g);
                 }),
             }
             if relu {
@@ -792,14 +671,14 @@ fn gemm_nest(
     }
 
     let kind = kernel_kind();
-    // Pack A now unless it already is: once per product, not per task.
+    // A row-major A in a product larger than it was packed for: pack its
+    // panels for this call.
     let packed;
-    let a = match a.view() {
-        Ok(a) => {
-            packed = PackedWeights::panels(a, m, k, kind);
-            &packed
-        }
-        Err(w) => w,
+    let a = if a.layout == Layout::Rows {
+        packed = PackedWeights::panels(MatRef::rows(&a.data, k), m, k, kind);
+        &packed
+    } else {
+        a
     };
     assert_eq!(
         a.layout,
@@ -1116,19 +995,19 @@ fn prefill(m: usize, n: usize, bias: Bias, c: &mut [f32]) {
     }
 }
 
-/// Serial path for tiny problems: no packing, no threads.
-fn gemm_small(m: usize, n: usize, k: usize, a: MatRef, b: MatRef, c: &mut [f32]) {
+/// Serial path for tiny problems: no packing, no threads. `a` is the
+/// row-major `m x k` operand; `b` is row-major or stored transposed.
+fn gemm_small(m: usize, n: usize, k: usize, a: &[f32], b: MatRef, c: &mut [f32]) {
     if k == 0 {
         // An empty sum adds nothing — not even the `+ 0.0` that would turn a
         // `-0.0` bias into `+0.0`.
         return;
     }
+    let rows = a.chunks_exact(k).zip(c.chunks_exact_mut(n)).take(m);
     if b.cs == 1 {
         // Inner loop walks contiguous B rows (ikj / axpy).
-        for i in 0..m {
-            let crow = &mut c[i * n..(i + 1) * n];
-            for p in 0..k {
-                let av = a.at(i, p);
+        for (arow, crow) in rows {
+            for (p, &av) in arow.iter().enumerate() {
                 if av == 0.0 {
                     continue;
                 }
@@ -1138,11 +1017,10 @@ fn gemm_small(m: usize, n: usize, k: usize, a: MatRef, b: MatRef, c: &mut [f32])
                 }
             }
         }
-    } else if b.rs == 1 && a.cs == 1 {
-        // A rows and (transposed) B rows are both contiguous: plain dots.
-        for i in 0..m {
-            let arow = &a.data[i * a.rs..i * a.rs + k];
-            let crow = &mut c[i * n..(i + 1) * n];
+    } else {
+        // B stored transposed (`rs == 1`): A rows and B columns are both
+        // contiguous, so each element is one dot product.
+        for (arow, crow) in rows {
             for (j, co) in crow.iter_mut().enumerate() {
                 let brow = &b.data[j * b.cs..j * b.cs + k];
                 let mut acc = 0.0f32;
@@ -1150,16 +1028,6 @@ fn gemm_small(m: usize, n: usize, k: usize, a: MatRef, b: MatRef, c: &mut [f32])
                     acc += av * bv;
                 }
                 *co += acc;
-            }
-        }
-    } else {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a.at(i, p) * b.at(p, j);
-                }
-                c[i * n + j] += acc;
             }
         }
     }
@@ -1234,18 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_seed_reference() {
-        let (m, n, k) = (33, 29, 41);
-        let a = dense(m, k, 3);
-        let b = dense(k, n, 4);
-        let mut want = vec![0.0f32; m * n];
-        reference_matmul(m, n, k, &a, &b, &mut want);
-        let mut c = vec![0.0f32; m * n];
-        gemm(m, n, k, &a, &b, &mut c);
-        assert!(max_abs_diff(&c, &want) < 1e-4);
-    }
-
-    #[test]
     fn tn_matches_explicit_transpose() {
         for &(m, n, k) in &[(5usize, 9usize, 13usize), (32, 17, 300), (65, 70, 129)] {
             // A stored (k x m).
@@ -1266,8 +1122,9 @@ mod tests {
             let b_t = dense(n, k, 8);
             let want = reference_strided(m, n, k, &a, (k, 1), &b_t, (1, k));
             let mut c = vec![0.0f32; m * n];
-            gemm_nt(m, n, k, &a, &b_t, &mut c);
-            assert!(max_abs_diff(&c, &want) < 1e-4, "gemm_nt {m}x{n}x{k}");
+            let a = PackedWeights::new(&a, m, k, n);
+            gemm_packed_nt(&a, n, &b_t, Bias::None, false, &mut c);
+            assert!(max_abs_diff(&c, &want) < 1e-4, "gemm_packed_nt {m}x{n}x{k}");
         }
     }
 
@@ -1279,9 +1136,10 @@ mod tests {
         let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 1.0).collect();
         let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 2.0).collect();
         let base = reference_strided(m, n, k, &a, (k, 1), &b_t, (1, k));
+        let a = PackedWeights::new(&a, m, k, n);
 
         let mut c = vec![0.0f32; m * n];
-        gemm_nt_bias_row(m, n, k, &a, &b_t, &row_bias, &mut c);
+        gemm_packed_nt(&a, n, &b_t, Bias::PerRow(&row_bias), false, &mut c);
         for i in 0..m {
             for j in 0..n {
                 let want = base[i * n + j] + row_bias[i];
@@ -1290,7 +1148,7 @@ mod tests {
         }
 
         let mut c = vec![0.0f32; m * n];
-        gemm_nt_bias_col(m, n, k, &a, &b_t, &col_bias, &mut c);
+        gemm_packed_nt(&a, n, &b_t, Bias::PerCol(&col_bias), false, &mut c);
         for i in 0..m {
             for j in 0..n {
                 let want = base[i * n + j] + col_bias[j];
@@ -1307,11 +1165,18 @@ mod tests {
         };
         let mut c: Vec<f32> = vec![7.0; 4];
         let window = ConvWindow::new(&[], (0, 3, 2, 2), (1, 1), cfg, (2, 2));
-        gemm_conv(2, Weights::rows(&[0.0; 6], 3), window, None, false, &mut c);
+        let a = PackedWeights::new(&[0.0; 6], 2, 3, 4);
+        gemm_conv(&a, window, None, false, &mut c);
         assert_eq!(c, vec![7.0; 4]);
         // No output channels is a no-op too, not a zero-sized-chunk panic.
         let window = ConvWindow::new(&[0.0; 24], (2, 3, 2, 2), (1, 1), cfg, (2, 2));
-        gemm_conv(0, Weights::rows(&[], 3), window, None, false, &mut c);
+        gemm_conv(
+            &PackedWeights::new(&[], 0, 3, 4),
+            window,
+            None,
+            false,
+            &mut c,
+        );
         assert_eq!(c, vec![7.0; 4]);
     }
 
@@ -1343,20 +1208,21 @@ mod tests {
             let a = dense(m, k, 31 + m as u64);
             let b_t = dense(n, k, 32 + n as u64);
             let w = PackedWeights::new(&b_t, n, k, 1);
+            let x = PackedWeights::new(&a, m, k, n);
             let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 2.0).collect();
 
             let mut want = vec![f32::NAN; m * n];
-            gemm_nt(m, n, k, &a, &b_t, &mut want);
+            gemm_packed_nt(&x, n, &b_t, Bias::None, false, &mut want);
             relu_pass(&mut want);
             let mut got = vec![f32::NAN; n * m];
-            gemm_packed_nt(&w, m, &a, None, true, &mut got);
+            gemm_packed_nt(&w, m, &a, Bias::None, true, &mut got);
             assert_eq!(bits(&got), transposed_bits(&want, m, n), "relu {m}x{n}x{k}");
 
             let mut want = vec![f32::NAN; m * n];
-            gemm_nt_bias_col(m, n, k, &a, &b_t, &col_bias, &mut want);
+            gemm_packed_nt(&x, n, &b_t, Bias::PerCol(&col_bias), false, &mut want);
             relu_pass(&mut want);
             let mut got = vec![f32::NAN; n * m];
-            gemm_packed_nt(&w, m, &a, Some(&col_bias), true, &mut got);
+            gemm_packed_nt(&w, m, &a, Bias::PerRow(&col_bias), true, &mut got);
             assert_eq!(
                 bits(&got),
                 transposed_bits(&want, m, n),
@@ -1377,12 +1243,12 @@ mod tests {
                 padding: 1,
             };
             let window = ConvWindow::new(&x, (images, c_in, hw, hw), (3, 3), cfg, (hw, hw));
-            let a = Weights::rows(&a, c_in * 9);
+            let a = PackedWeights::new(&a, m, c_in * 9, hw * hw);
             let mut want = vec![f32::NAN; images * m * hw * hw];
-            gemm_conv(m, a, window, Some(&bias), false, &mut want);
+            gemm_conv(&a, window, Some(&bias), false, &mut want);
             relu_pass(&mut want);
             let mut got = vec![f32::NAN; images * m * hw * hw];
-            gemm_conv(m, a, window, Some(&bias), true, &mut got);
+            gemm_conv(&a, window, Some(&bias), true, &mut got);
             assert_eq!(got, want, "batched relu {images}x{m}x{c_in}x{hw}");
         }
 
@@ -1392,45 +1258,137 @@ mod tests {
         let mut bias: Vec<f32> = (0..n).map(|j| j as f32 - 2.0).collect();
         bias[1] = -0.0;
         let mut want = vec![f32::NAN; m * n];
-        gemm_nt_bias_col(m, n, 0, &[], &[], &bias, &mut want);
+        let x = PackedWeights::new(&[], m, 0, n);
+        gemm_packed_nt(&x, n, &[], Bias::PerCol(&bias), false, &mut want);
         relu_pass(&mut want);
         let mut got = vec![f32::NAN; n * m];
         let w = PackedWeights::new(&[], n, 0, 1);
-        gemm_packed_nt(&w, m, &[], Some(&bias), true, &mut got);
+        gemm_packed_nt(&w, m, &[], Bias::PerRow(&bias), true, &mut got);
         assert_eq!(bits(&got), transposed_bits(&want, m, n));
     }
 
-    /// The arithmetic the GEMM gives element `(i, j)` of `A · Bᵀ` for
-    /// row-major `a (m x k)`, `b (n x k)` and a row bias, one scalar at a
-    /// time: the small path's single dot product, or the nest's
-    /// per-`KC`-slice sums (fused multiply-adds on the SIMD arms) added to
-    /// the bias in slice order.
-    fn exact_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: &[f32]) -> Vec<f32> {
+    /// The arithmetic the GEMM gives element `(i, j)` of an `m x n` product
+    /// over `k`, one scalar at a time, from `a(i, p)`, `b(p, j)` and the
+    /// starting value `bias(i, j)`. On the small path that is the axpy
+    /// loop's in-place sum when B is row-major (`b_rows`), or one dot
+    /// product added to the bias when B is stored transposed; on the nest
+    /// it is the per-`KC`-slice sums (fused multiply-adds on the SIMD arms)
+    /// added to the bias in slice order.
+    fn exact(
+        (m, n, k): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+        bias: impl Fn(usize, usize) -> f32,
+        b_rows: bool,
+    ) -> Vec<f32> {
         let fused = kernel_kind() != KernelKind::Generic;
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                let (ar, br) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                let mut v = bias[i];
-                if m * n * k <= SMALL_FLOPS {
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in ar.iter().zip(br) {
-                        acc += x * y;
-                    }
-                    v += acc;
-                } else {
-                    for (sa, sb) in ar.chunks(KC).zip(br.chunks(KC)) {
+                let mut v = bias(i, j);
+                if m * n * k > SMALL_FLOPS {
+                    for p0 in (0..k).step_by(KC) {
                         let mut t = 0.0f32;
-                        for (&x, &y) in sa.iter().zip(sb) {
+                        for p in p0..k.min(p0 + KC) {
+                            let (x, y) = (a(i, p), b(p, j));
                             t = if fused { x.mul_add(y, t) } else { t + x * y };
                         }
                         v += t;
                     }
+                } else if b_rows {
+                    for p in (0..k).filter(|&p| a(i, p) != 0.0) {
+                        v += a(i, p) * b(p, j);
+                    }
+                } else {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += a(i, p) * b(p, j);
+                    }
+                    v += acc;
                 }
                 c[i * n + j] = v;
             }
         }
         c
+    }
+
+    /// Every orientation the one operand type carries gives the scalar
+    /// oracle's bits, on both sides of `SMALL_FLOPS`: one-shot `linear`
+    /// (`X · Wᵀ`, its input packed, column bias on and off), `gemm_tn`
+    /// (its strided A gathered for the small path, panel-packed for the
+    /// nest), and a row-major weight in a larger product than it was
+    /// packed for (the nest packs it per call).
+    #[test]
+    fn one_operand_bit_identical_to_scalar_oracle() {
+        let (mut small, mut nest) = (0, 0);
+        let mut count = |flops: usize| match flops > SMALL_FLOPS {
+            false => small += 1,
+            true => nest += 1,
+        };
+        for n in [1usize, 3, 64] {
+            for out in [10usize, 1000] {
+                for k in [33usize, KC + 44] {
+                    let seed = (n * out + k) as u64;
+                    let x = init::uniform(&[n, k], -1.0, 1.0, &mut rng::seeded(seed));
+                    let w = init::uniform(&[out, k], -1.0, 1.0, &mut rng::seeded(seed + 1));
+                    let b = init::uniform(&[out], -1.0, 1.0, &mut rng::seeded(seed + 2));
+                    let (xd, wd, bd) = (x.data(), w.data(), b.data());
+                    count(n * out * k);
+                    for bias in [None, Some(&b)] {
+                        let got = crate::ops::linear(&x, &w, bias).unwrap();
+                        let want = exact(
+                            (n, out, k),
+                            |i, p| xd[i * k + p],
+                            |p, j| wd[j * k + p],
+                            |_, j| bias.map_or(0.0, |_| bd[j]),
+                            false,
+                        );
+                        let case = format!("linear n={n} out={out} k={k} bias={}", bias.is_some());
+                        assert_eq!(bits(got.data()), bits(&want), "{case}");
+                    }
+                }
+            }
+        }
+        for (m, n, k) in [
+            (5usize, 9usize, 13usize),
+            (7, 3, 600),
+            (33, 70, 300),
+            (9, 40, 513),
+        ] {
+            let a_t = dense(k, m, 61 + m as u64);
+            let b = dense(k, n, 62 + n as u64);
+            count(m * n * k);
+            let mut got = vec![f32::NAN; m * n];
+            gemm_tn(m, n, k, &a_t, &b, &mut got);
+            let want = exact(
+                (m, n, k),
+                |i, p| a_t[p * m + i],
+                |p, j| b[p * n + j],
+                |_, _| 0.0,
+                true,
+            );
+            assert_eq!(bits(&got), bits(&want), "gemm_tn {m}x{n}x{k}");
+        }
+        for (m, n, k) in [(10usize, 64usize, 300usize), (7, 500, 40)] {
+            let a = dense(m, k, 71);
+            let x = dense(n, k, 72);
+            let bias = dense(1, m, 73);
+            let w = PackedWeights::new(&a, m, k, 1);
+            assert_eq!(w.layout, Layout::Rows, "{m}x{k} packed for one column");
+            assert!(m * n * k > SMALL_FLOPS, "{m}x{n}x{k} takes the nest");
+            count(m * n * k);
+            let mut got = vec![f32::NAN; m * n];
+            gemm_packed_nt(&w, n, &x, Bias::PerRow(&bias), false, &mut got);
+            let want = exact(
+                (m, n, k),
+                |i, p| a[i * k + p],
+                |p, j| x[j * k + p],
+                |i, _| bias[i],
+                false,
+            );
+            assert_eq!(bits(&got), bits(&want), "rows weight {m}x{n}x{k}");
+        }
+        assert!(small > 0 && nest > 0, "small {small}, nest {nest}");
     }
 
     /// A served layer's packed weight gives the one-shot op's bits, for
@@ -1514,7 +1472,14 @@ mod tests {
                     // Both sides above share the panel packer; this oracle
                     // does not.
                     if m * k * pixels <= 1 << 25 {
-                        let exact = exact_nt(m, pixels, k, w.data(), x.data(), b.data());
+                        let (wd, xd, bd) = (w.data(), x.data(), b.data());
+                        let exact = exact(
+                            (m, pixels, k),
+                            |i, p| wd[i * k + p],
+                            |p, j| xd[j * k + p],
+                            |i, _| bd[i],
+                            false,
+                        );
                         assert_eq!(
                             bits(&got),
                             transposed_bits(&exact, m, pixels),
@@ -1536,18 +1501,9 @@ mod tests {
             _ => KernelKind::Fma,
         };
         let a = dense(m, k, 51);
-        let w = PackedWeights::panels(
-            MatRef {
-                data: &a,
-                rs: k,
-                cs: 1,
-            },
-            m,
-            k,
-            other,
-        );
+        let w = PackedWeights::panels(MatRef::rows(&a, k), m, k, other);
         let mut c = vec![0.0f32; m * n];
-        gemm_packed_nt(&w, n, &dense(n, k, 52), None, false, &mut c);
+        gemm_packed_nt(&w, n, &dense(n, k, 52), Bias::None, false, &mut c);
     }
 
     #[test]
@@ -1555,7 +1511,8 @@ mod tests {
         let (m, n) = (4, 6);
         let bias: Vec<f32> = (0..n).map(|j| j as f32).collect();
         let mut c = vec![f32::NAN; m * n];
-        gemm_nt_bias_col(m, n, 0, &[], &[], &bias, &mut c);
+        let a = PackedWeights::new(&[], m, 0, n);
+        gemm_packed_nt(&a, n, &[], Bias::PerCol(&bias), false, &mut c);
         for row in c.chunks(n) {
             assert_eq!(row, &bias[..]);
         }

@@ -1,6 +1,6 @@
 //! Fully-connected (linear) layer.
 
-use crate::ops::gemm::{self, PackedWeights};
+use crate::ops::gemm::{self, Bias, PackedWeights};
 use crate::{Tensor, TensorError};
 
 /// Linear layer forward: `y = x W^T + b`.
@@ -8,9 +8,10 @@ use crate::{Tensor, TensorError};
 /// `x` is `(N, In)`, `weight` is `(Out, In)`, `bias` (optional) `(Out)`.
 /// Returns `(N, Out)`.
 ///
-/// Runs on the stride-aware GEMM kernel: `Wᵀ` is read through strides (no
-/// transpose copy) and the bias is fused into the output prefill instead of
-/// a second pass.
+/// One GEMM `x · Wᵀ` with `x` packed as its left operand — the smaller one
+/// for a classifier over a few images — and `Wᵀ` read through strides (no
+/// transpose copy); the bias is fused into the output prefill instead of a
+/// second pass.
 ///
 /// # Errors
 ///
@@ -49,25 +50,9 @@ pub fn linear(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<Tens
         }
     }
     let mut y = vec![0.0f32; n * out_features];
-    match bias {
-        Some(b) => gemm::gemm_nt_bias_col(
-            n,
-            out_features,
-            in_features,
-            x.data(),
-            weight.data(),
-            b.data(),
-            &mut y,
-        ),
-        None => gemm::gemm_nt(
-            n,
-            out_features,
-            in_features,
-            x.data(),
-            weight.data(),
-            &mut y,
-        ),
-    }
+    let x_packed = PackedWeights::new(x.data(), n, in_features, out_features);
+    let bias = bias.map_or(Bias::None, |b| Bias::PerCol(b.data()));
+    gemm::gemm_packed_nt(&x_packed, out_features, weight.data(), bias, false, &mut y);
     Tensor::from_vec(y, &[n, out_features])
 }
 
@@ -115,7 +100,7 @@ pub fn linear_packed_into(
             "linear_packed_into: output slice too short",
         ));
     }
-    let bias = bias.map(Tensor::data);
+    let bias = bias.map_or(Bias::None, |b| Bias::PerRow(b.data()));
     if n == 1 {
         gemm::gemm_packed_nt(weight, 1, x, bias, relu, out);
         return Ok(());

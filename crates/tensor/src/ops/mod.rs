@@ -17,8 +17,8 @@ pub use activation::{
     add_relu_slice, add_slice, relu, relu_backward, relu_slice, sigmoid, softmax_rows,
 };
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_direct, conv2d_into, conv2d_out_dims,
-    conv2d_packed_into, conv2d_ref, im2col, Conv2dCfg, Conv2dGrads,
+    col2im, conv2d, conv2d_backward, conv2d_direct, conv2d_out_dims, conv2d_packed_into,
+    conv2d_ref, im2col, Conv2dCfg, Conv2dGrads,
 };
 pub use linear::{linear, linear_backward, linear_packed_into, LinearGrads};
 pub use loss::{cross_entropy, CrossEntropyOutput};

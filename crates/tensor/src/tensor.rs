@@ -497,49 +497,6 @@ impl Tensor {
             data: out,
         })
     }
-
-    /// Matrix–vector product: `self (m x k) * v (k) -> (m)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
-    /// on geometry violations.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matvec",
-            });
-        }
-        if v.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: v.rank(),
-                op: "matvec",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        if v.len() != k {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![k],
-                actual: vec![v.len()],
-                op: "matvec",
-            });
-        }
-        let mut out = vec![0.0f32; m];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.data[i * k..(i + 1) * k]
-                .iter()
-                .zip(v.data())
-                .map(|(&a, &b)| a * b)
-                .sum();
-        }
-        Ok(Tensor {
-            shape: Shape::from(vec![m]),
-            data: out,
-        })
-    }
 }
 
 impl fmt::Display for Tensor {
@@ -606,15 +563,6 @@ mod tests {
         assert!(a.matmul(&b).is_err());
         let v = Tensor::zeros(&[3]);
         assert!(v.matmul(&a).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let v = Tensor::from_vec(vec![1.0, 0.5, -1.0], &[3]).unwrap();
-        let got = a.matvec(&v).unwrap();
-        let want = a.matmul(&v.reshape(&[3, 1]).unwrap()).unwrap();
-        assert_eq!(got.data(), want.data());
     }
 
     #[test]

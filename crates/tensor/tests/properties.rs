@@ -50,18 +50,8 @@ proptest! {
             "gemm {}x{}x{} diff {}", m, n, k, max_abs_diff(got.data(), &want));
     }
 
-    /// The seed's ikj loop and the blocked kernel agree.
-    #[test]
-    fn gemm_matches_seed_ikj((m, n, k, seed) in (1usize..64, 1usize..64, 1usize..200, 0u64..1000)) {
-        let a = tensor(&[m, k], seed);
-        let b = tensor(&[k, n], seed ^ 2);
-        let mut want = vec![0.0f32; m * n];
-        gemm::reference_matmul(m, n, k, a.data(), b.data(), &mut want);
-        let got = a.matmul(&b).unwrap();
-        prop_assert!(max_abs_diff(got.data(), &want) < 1e-4);
-    }
-
-    /// gemm_tn/gemm_nt match explicitly materialized transposes.
+    /// gemm_tn and linear's `x · Wᵀ` match explicitly materialized
+    /// transposes.
     #[test]
     fn transposed_variants_match((m, n, k, seed) in (1usize..48, 1usize..48, 1usize..200, 0u64..1000)) {
         // gemm_tn: A stored (k x m).
@@ -72,13 +62,12 @@ proptest! {
         let want = a_t.transpose().unwrap().matmul(&b).unwrap();
         prop_assert!(max_abs_diff(&got, want.data()) < 1e-4, "gemm_tn {}x{}x{}", m, n, k);
 
-        // gemm_nt: B stored (n x k).
+        // linear: W stored (n x k).
         let a = tensor(&[m, k], seed ^ 4);
         let b_t = tensor(&[n, k], seed ^ 5);
-        let mut got = vec![0.0f32; m * n];
-        gemm::gemm_nt(m, n, k, a.data(), b_t.data(), &mut got);
+        let got = linear(&a, &b_t, None).unwrap();
         let want = a.matmul(&b_t.transpose().unwrap()).unwrap();
-        prop_assert!(max_abs_diff(&got, want.data()) < 1e-4, "gemm_nt {}x{}x{}", m, n, k);
+        prop_assert!(max_abs_diff(got.data(), want.data()) < 1e-4, "linear {}x{}x{}", m, n, k);
     }
 
     /// The fused conv path matches the naive direct reference across odd
