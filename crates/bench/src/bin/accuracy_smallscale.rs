@@ -1,6 +1,7 @@
 //! The ImageNet-substitution experiment: trains conv vs epitome vs
-//! quantized-epitome CNNs on synthetic data with real SGD (DESIGN.md §2)
-//! and reports test accuracies.
+//! quantized-epitome CNNs on synthetic data with real SGD (the stand-in for
+//! ImageNet training; see `epim_models::accuracy`) and reports test
+//! accuracies.
 //!
 //! `cargo run -p epim-bench --release --bin accuracy_smallscale`
 

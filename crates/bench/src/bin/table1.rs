@@ -40,6 +40,6 @@ fn main() {
     }
     println!("Table 1: Experimental results of EPIM on ImageNet (simulated)");
     println!("{}", t.render());
-    println!("note: accuracy column is the calibrated surrogate (DESIGN.md §2);");
+    println!("note: accuracy column is the calibrated surrogate (epim_models::accuracy);");
     println!("      hardware columns are measured by the behavior-level simulator.");
 }

@@ -1,4 +1,4 @@
-//! Ablation studies over the design choices DESIGN.md calls out:
+//! Ablation studies over the paper's design choices:
 //! crossbar alignment (§4.1), channel wrapping (§5.3), the overlap-weight
 //! hyperparameter `w1` (Eq. 4–5), and robustness of the data path to
 //! analog non-idealities (programming noise, finite ADC precision).

@@ -7,7 +7,7 @@
 //! whose epitome barely saves parameters but costs full extra rounds, a
 //! middle stage-3 layer, and a late stage-4 layer where the epitome
 //! removes ~1M parameters at modest extra latency/energy — reproducing
-//! the figure's contrast (see EXPERIMENTS.md for the exact mapping).
+//! the figure's contrast ([`fig3`] lists the exact mapping).
 
 use epim::models::resnet::{resnet50, LayerInfo};
 use epim::pim::Precision;

@@ -1,6 +1,7 @@
 //! Table 1: main experimental results of EPIM on ImageNet.
 //!
-//! Columns reproduced: accuracy (calibrated surrogate — see DESIGN.md §2),
+//! Columns reproduced: accuracy (calibrated surrogate — see
+//! `epim_models::accuracy`),
 //! #XBs, crossbar compression rate, latency, energy, memristor utilization
 //! (all simulated by the `epim-pim` cost model).
 

@@ -1,4 +1,7 @@
-//! Property-based tests for the epitome invariants listed in DESIGN.md §5.
+//! Property-based tests for the epitome invariants: sampling plans
+//! partition the convolution weight, reconstruction equals the patch
+//! replay and is adjoint to its backward pass, repetition mass is
+//! conserved, designer output is legal, and wrapping implies periodicity.
 
 use epim_core::{
     wrapping_factor, ConvShape, DimPlan, Epitome, EpitomeDesigner, EpitomeShape, EpitomeSpec,

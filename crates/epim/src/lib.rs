@@ -9,7 +9,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `epim-core` | the epitome operator, sampling plans, designer, channel wrapping |
-//! | [`pim`] | `epim-pim` | behavior-level crossbar simulator, IFAT/IFRT/OFAT data path, cost model |
+//! | [`pim`] | `epim-pim` | behavior-level crossbar simulator, data path with the IFAT/IFRT/OFAT tables compiled into per-round word-line lists, cost model |
 //! | [`quant`] | `epim-quant` | Eq. 2–5 quantization: per-crossbar scales, overlap-weighted ranges, mixed precision |
 //! | [`search`] | `epim-search` | Algorithm 1 evolutionary layer-wise design |
 //! | [`models`] | `epim-models` | ResNet-50/101 inventories, network simulation, lowering to executable programs, accuracy surrogate, small-scale training |

@@ -2,7 +2,7 @@
 //!
 //! **This module does not train anything.** The paper's accuracy column
 //! comes from multi-GPU ImageNet training runs that cannot be reproduced
-//! offline (see DESIGN.md §2). What *can* be reproduced is the functional
+//! offline: there is no dataset and no GPU. What *can* be reproduced is the functional
 //! chain — epitome reconstruction, fake-quantized training, overlap-aware
 //! ranges — which [`crate::training`] exercises at small scale with real
 //! gradient descent. For rendering the paper's tables, this module supplies

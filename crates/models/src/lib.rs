@@ -10,7 +10,7 @@
 //!   per-layer operators (convolution or epitome) and driving the
 //!   `epim-pim` cost model over whole networks.
 //! - [`accuracy`]: the **calibrated accuracy surrogate** standing in for
-//!   ImageNet training (see DESIGN.md §2) — an analytic model of top-1
+//!   ImageNet training, which cannot run offline — an analytic model of top-1
 //!   accuracy as a function of epitome compression, quantization bit
 //!   width/method and pruning ratio, with all constants calibrated
 //!   against the paper's published tables and documented inline.

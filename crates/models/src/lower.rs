@@ -234,7 +234,8 @@ impl NetworkProgram {
     /// the output and the [`DataPathStats`] rollup bit for bit.
     ///
     /// Epitome stages run a fresh [`DataPath`]'s serving executor at a batch
-    /// of one (its oracle is [`DataPath::execute_reference`]).
+    /// of one (its oracle is the per-pixel table walk in
+    /// `crates/pim/tests/oracle`).
     ///
     /// # Errors
     ///

@@ -17,25 +17,29 @@
 //!   module adds partials with identical ranges and concatenates
 //!   sequential ones.
 //!
-//! [`DataPath`] runs a layer through this machinery with one executor.
-//! [`DataPath::execute`] (one tensor), [`DataPath::execute_batch`] (several
-//! equal-shaped tensors) and [`DataPath::execute_stacked_into`] (a stacked
-//! slice, the serving path) are thin entry points over it, so a request's
-//! output bits and [`DataPathStats`] do not depend on which entry served it
-//! or what shared its batch. [`DataPath::execute_reference`], the seed's
-//! per-pixel table walk, is the oracle they are tested against bit for bit.
-//! Against a plain convolution with [`epim_core::Epitome::reconstruct`]'s
-//! weight the output agrees to float tolerance (the sums run in a
-//! different order).
+//! [`CompiledPlan`] compiles the three tables into one list per round:
+//! the word lines the round drives, each paired with the receptive-field
+//! element that drives it (IFAT ∘ IFRT), plus the round's output range
+//! (OFAT). [`DataPath`] runs a layer through these rounds with one
+//! executor. [`DataPath::execute`] (one tensor), [`DataPath::execute_batch`]
+//! (several equal-shaped tensors) and [`DataPath::execute_stacked_into`] (a
+//! stacked slice, the serving path) are thin entry points over it, so a
+//! request's output bits and [`DataPathStats`] do not depend on which entry
+//! served it or what shared its batch. The seed's per-pixel walk over the
+//! tables themselves lives in `crates/pim/tests/oracle`, the oracle the
+//! executor is tested against bit for bit. Against a plain convolution
+//! with [`epim_core::Epitome::reconstruct`]'s weight the output agrees to
+//! float tolerance (the sums run in a different order).
 
 use crate::mvm::{crossbar_mvm, CrossbarRound, MVM_TB};
-use crate::quantize::{quantize_slice, quantize_value};
+use crate::quantize::quantize_slice;
 use crate::PimError;
 use epim_core::{wrapping_factor, ChannelWrapping, Epitome, EpitomeSpec};
 use epim_obs::trace;
 use epim_tensor::ops::{conv2d_out_dims, Conv2dCfg};
 use epim_tensor::{rng, Tensor};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A batched call whose output holds fewer elements than this computes its
@@ -102,65 +106,6 @@ impl Default for AnalogModel {
     }
 }
 
-/// A half-open index range `[start, stop)` as stored in IFAT/OFAT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct IndexRange {
-    /// Inclusive start.
-    pub start: usize,
-    /// Exclusive stop.
-    pub stop: usize,
-}
-
-impl IndexRange {
-    /// Range length.
-    pub fn len(&self) -> usize {
-        self.stop - self.start
-    }
-
-    /// Whether the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.stop == self.start
-    }
-}
-
-/// Input Feature Address Table: per activation round, the ranges of the
-/// (flattened `c_in × kh × kw`) receptive-field vector that must be fetched
-/// from the buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Ifat {
-    /// One entry (a list of contiguous ranges) per activation round.
-    pub entries: Vec<Vec<IndexRange>>,
-}
-
-/// Input Feature Row Table: per activation round, for every crossbar word
-/// line either the gathered-input position that drives it or `None`
-/// (word line grounded — its weights are not part of this round).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Ifrt {
-    /// `sequences[round][word_line] -> Option<input position>`.
-    pub sequences: Vec<Vec<Option<usize>>>,
-    /// Word lines per crossbar (sequence length).
-    pub word_lines: usize,
-}
-
-/// Output Feature Address Table entry: where a round's partial result lands
-/// in the output-channel vector, and whether the joint module accumulates
-/// (same range seen before) or concatenates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OfatEntry {
-    /// Destination range in the output-channel vector.
-    pub range: IndexRange,
-    /// Offset of the source bit lines within the epitome's column space.
-    pub src_col_start: usize,
-}
-
-/// Output Feature Address Table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Ofat {
-    /// One entry per activation round.
-    pub entries: Vec<OfatEntry>,
-}
-
 /// Statistics accumulated by a functional execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DataPathStats {
@@ -209,32 +154,29 @@ struct Round {
     active: Vec<(usize, usize)>,
     /// Number of IFAT index pairs this round consumes (stats bookkeeping).
     ifat_pairs: u64,
-    range: IndexRange,
+    /// Destination range among the output channels (the OFAT entry).
+    range: Range<usize>,
     src_col_start: usize,
 }
 
-/// The index tables and per-round word-line lists for one epitome spec,
-/// compiled once and shared.
+/// The per-round word-line lists for one epitome spec, compiled once and
+/// shared.
 ///
 /// Everything here derives from the sampling plan alone — it depends on
 /// neither the epitome's tensor values nor the analog model — so a serving
 /// runtime can compile a spec's plan once and share it (behind an [`Arc`])
 /// across every [`DataPath`] programmed for that spec. This is the artifact
-/// `epim-runtime`'s plan cache memoizes; `DataPath::new` used to recompile
-/// it on every construction.
+/// `epim-runtime`'s plan cache memoizes.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     spec: EpitomeSpec,
-    ifat: Ifat,
-    ifrt: Ifrt,
-    ofat: Ofat,
-    /// Per-round execution plan compiled from the three tables.
     rounds: Vec<Round>,
 }
 
 impl CompiledPlan {
-    /// Compiles the IFAT/IFRT/OFAT tables and the fused per-round word-line
-    /// lists for `spec`.
+    /// Compiles the per-round word-line lists for `spec`: one round per
+    /// sampled patch, with the IFAT/IFRT/OFAT tables of paper §4.3
+    /// composed into it.
     ///
     /// # Errors
     ///
@@ -243,87 +185,39 @@ impl CompiledPlan {
         spec.plan().verify()?;
         let conv = spec.conv();
         let eshape = spec.shape();
-        let rows_e = eshape.matrix_rows();
-
-        let mut ifat_entries = Vec::new();
-        let mut ifrt_sequences = Vec::new();
-        let mut ofat_entries = Vec::new();
-        let mut rounds = Vec::new();
-
-        for patch in spec.plan().patches() {
-            // IFAT: contiguous ranges of the flattened receptive field
-            // (c_in, ky, kx) that this patch consumes. A run over kx of
-            // length patch.size[3] is contiguous.
-            let mut ranges = Vec::new();
-            for ci in 0..patch.size[1] {
-                for ky in 0..patch.size[2] {
-                    let base = ((patch.dst[1] + ci) * conv.kh + (patch.dst[2] + ky)) * conv.kw
-                        + patch.dst[3];
-                    ranges.push(IndexRange {
-                        start: base,
-                        stop: base + patch.size[3],
-                    });
-                }
-            }
-            ifat_entries.push(ranges);
-
-            // IFRT: word line -> position within the gathered inputs.
-            // Word line index of epitome element (ci_e, y_e, x_e):
-            //   (ci_e * h + y_e) * w + x_e.
-            let mut seq = vec![None; rows_e];
-            let mut active = Vec::with_capacity(patch.size[1] * patch.size[2] * patch.size[3]);
-            let mut gathered = 0usize;
-            for ci in 0..patch.size[1] {
-                for ky in 0..patch.size[2] {
-                    for kx in 0..patch.size[3] {
-                        let wl = ((patch.src[1] + ci) * eshape.h + (patch.src[2] + ky)) * eshape.w
-                            + (patch.src[3] + kx);
-                        seq[wl] = Some(gathered);
-                        gathered += 1;
-                        // Composed IFAT ∘ IFRT: the gathered position maps
-                        // straight back to a receptive-field index.
-                        let rf = ((patch.dst[1] + ci) * conv.kh + (patch.dst[2] + ky)) * conv.kw
-                            + patch.dst[3]
-                            + kx;
-                        active.push((wl, rf));
+        let rounds = spec
+            .plan()
+            .patches()
+            .iter()
+            .map(|patch| {
+                // Word line of epitome element (ci_e, y_e, x_e) is
+                // (ci_e * h + y_e) * w + x_e; the receptive-field index of
+                // conv element (ci, ky, kx) is (ci * kh + ky) * kw + kx. The
+                // IFAT holds one contiguous run over kx per (ci, ky).
+                let mut active = Vec::with_capacity(patch.size[1] * patch.size[2] * patch.size[3]);
+                for ci in 0..patch.size[1] {
+                    for ky in 0..patch.size[2] {
+                        for kx in 0..patch.size[3] {
+                            let wl = ((patch.src[1] + ci) * eshape.h + (patch.src[2] + ky))
+                                * eshape.w
+                                + (patch.src[3] + kx);
+                            let rf = ((patch.dst[1] + ci) * conv.kh + (patch.dst[2] + ky))
+                                * conv.kw
+                                + (patch.dst[3] + kx);
+                            active.push((wl, rf));
+                        }
                     }
                 }
-            }
-            let ifat_pairs = ifat_entries
-                .last()
-                .map(|r: &Vec<IndexRange>| r.len())
-                .unwrap_or(0);
-            ifrt_sequences.push(seq);
-
-            // OFAT: where the partial result lands among output channels.
-            let range = IndexRange {
-                start: patch.dst[0],
-                stop: patch.dst[0] + patch.size[0],
-            };
-            ofat_entries.push(OfatEntry {
-                range,
-                src_col_start: patch.src[0],
-            });
-            rounds.push(Round {
-                active,
-                ifat_pairs: ifat_pairs as u64,
-                range,
-                src_col_start: patch.src[0],
-            });
-        }
-
+                Round {
+                    active,
+                    ifat_pairs: (patch.size[1] * patch.size[2]) as u64,
+                    range: patch.dst[0]..patch.dst[0] + patch.size[0],
+                    src_col_start: patch.src[0],
+                }
+            })
+            .collect();
         Ok(CompiledPlan {
             spec: spec.clone(),
-            ifat: Ifat {
-                entries: ifat_entries,
-            },
-            ifrt: Ifrt {
-                sequences: ifrt_sequences,
-                word_lines: rows_e,
-            },
-            ofat: Ofat {
-                entries: ofat_entries,
-            },
             rounds,
         })
     }
@@ -331,21 +225,6 @@ impl CompiledPlan {
     /// The spec this plan was compiled for.
     pub fn spec(&self) -> &EpitomeSpec {
         &self.spec
-    }
-
-    /// The IFAT table.
-    pub fn ifat(&self) -> &Ifat {
-        &self.ifat
-    }
-
-    /// The IFRT table.
-    pub fn ifrt(&self) -> &Ifrt {
-        &self.ifrt
-    }
-
-    /// The OFAT table.
-    pub fn ofat(&self) -> &Ofat {
-        &self.ofat
     }
 
     /// Activation rounds per output pixel.
@@ -357,8 +236,8 @@ impl CompiledPlan {
 /// The functional EPIM data path for one layer.
 #[derive(Debug, Clone)]
 pub struct DataPath {
-    /// Index tables + per-round word-line lists, shareable across data
-    /// paths for the same spec.
+    /// Per-round word-line lists, shareable across data paths for the
+    /// same spec.
     plan: Arc<CompiledPlan>,
     conv_cfg: Conv2dCfg,
     /// Epitome flattened to `(rows_e, cout_e)` matrix form, with
@@ -373,7 +252,7 @@ pub struct DataPath {
 }
 
 impl DataPath {
-    /// Builds the data path (index tables + crossbar matrix) for an
+    /// Builds the data path (compiled plan + crossbar matrix) for an
     /// epitome layer with ideal analog behavior.
     ///
     /// # Errors
@@ -388,7 +267,7 @@ impl DataPath {
     }
 
     /// Builds the data path with an explicit analog non-ideality model,
-    /// compiling the plan tables from scratch.
+    /// compiling the plan from scratch.
     ///
     /// # Errors
     ///
@@ -491,21 +370,6 @@ impl DataPath {
         self.analog
     }
 
-    /// The IFAT table.
-    pub fn ifat(&self) -> &Ifat {
-        &self.plan.ifat
-    }
-
-    /// The IFRT table.
-    pub fn ifrt(&self) -> &Ifrt {
-        &self.plan.ifrt
-    }
-
-    /// The OFAT table.
-    pub fn ofat(&self) -> &Ofat {
-        &self.plan.ofat
-    }
-
     /// The layer's epitome spec.
     pub fn spec(&self) -> &EpitomeSpec {
         &self.plan.spec
@@ -526,9 +390,10 @@ impl DataPath {
     /// returning the output `(N, C_out, OH, OW)` and execution statistics.
     ///
     /// Every output pixel walks the activation rounds as the hardware
-    /// would: its inputs are gathered via IFAT and placed on word lines via
-    /// IFRT, the (emulated, analog) crossbar MVM runs over the active lines,
-    /// and partial sums are routed through OFAT and the joint module. With
+    /// would: each round drives its word lines with the receptive-field
+    /// elements the IFAT and IFRT select, the (emulated, analog) crossbar
+    /// MVM runs over the active lines, and partial sums are routed to the
+    /// round's OFAT range through the joint module. With
     /// wrapping enabled, rounds whose output-channel block is not the first
     /// are skipped and their outputs replicated (Eq. 9). This is a batch of
     /// one on the executor [`DataPath::execute_batch`] describes.
@@ -551,9 +416,10 @@ impl DataPath {
     ///
     /// This is the data path's one executor: [`DataPath::execute`] and
     /// [`DataPath::execute_stacked_into`] run it on a batch of one. Each
-    /// output is bit-identical to [`DataPath::execute_reference`] on its
-    /// input, whatever else shares the batch, and the stats are the sum of
-    /// the per-input reference stats. The speed comes from restructuring
+    /// output is bit-identical to the seed's per-pixel table walk (the
+    /// oracle in `crates/pim/tests/oracle`) on its input, whatever else
+    /// shares the batch, and the stats are the sum of the per-input oracle
+    /// stats. The speed comes from restructuring
     /// the walk, not from reassociating any floating-point arithmetic:
     ///
     /// - the whole batch is staged once as the on-chip input buffer would
@@ -665,7 +531,7 @@ impl DataPath {
         let pixels = oh * ow;
         let images = inputs.len() * n;
         let rows = images * pixels;
-        let word_lines = self.plan.ifrt.word_lines as u64;
+        let word_lines = self.plan.spec.shape().matrix_rows() as u64;
         let adc = self.adc_params();
         let md = self.matrix.data();
         let rounds: Vec<&Round> = self
@@ -784,7 +650,7 @@ impl DataPath {
                 }
                 // Joint module: accumulate into the output range.
                 for (out_vec, acc_row) in chunk.chunks_mut(cw).zip(accs.chunks(width)) {
-                    let out_vec = &mut out_vec[round.range.start..round.range.stop];
+                    let out_vec = &mut out_vec[round.range.clone()];
                     for (slot, &a) in out_vec.iter_mut().zip(acc_row) {
                         *slot += a;
                     }
@@ -863,110 +729,6 @@ impl DataPath {
         })
     }
 
-    /// The seed repository's per-pixel execution loop, kept verbatim as the
-    /// oracle the executor behind [`DataPath::execute`] is tested against
-    /// (outputs bit for bit, stats exactly) and as the benchmark baseline.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DataPath::execute`].
-    pub fn execute_reference(&self, input: &Tensor) -> Result<(Tensor, DataPathStats), PimError> {
-        let (n, h, w, oh, ow) = self.check_input(input)?;
-        let conv = self.plan.spec.conv();
-        let mut out = Tensor::zeros(&[n, conv.cout, oh, ow]);
-        let mut stats = DataPathStats::default();
-        let wrap_on = self.wrapping_enabled && self.wrapping.is_effective();
-        let rf_len = conv.matrix_rows();
-        let mut receptive = vec![0.0f32; rf_len];
-        let mut out_vec = vec![0.0f32; conv.cout];
-        let md = self.matrix.data();
-        let cout_e = self.plan.spec.shape().cout;
-
-        for ni in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for ci in 0..conv.cin {
-                        for ky in 0..conv.kh {
-                            let iy = (oy * self.conv_cfg.stride + ky) as isize
-                                - self.conv_cfg.padding as isize;
-                            for kx in 0..conv.kw {
-                                let ix = (ox * self.conv_cfg.stride + kx) as isize
-                                    - self.conv_cfg.padding as isize;
-                                let v = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize
-                                {
-                                    0.0
-                                } else {
-                                    input.at(&[ni, ci, iy as usize, ix as usize])
-                                };
-                                receptive[(ci * conv.kh + ky) * conv.kw + kx] = v;
-                            }
-                        }
-                    }
-
-                    out_vec.iter_mut().for_each(|v| *v = 0.0);
-                    let mut gathered: Vec<f32> = Vec::new();
-                    for ((ifat_ranges, ifrt_seq), ofat) in self
-                        .plan
-                        .ifat
-                        .entries
-                        .iter()
-                        .zip(&self.plan.ifrt.sequences)
-                        .zip(&self.plan.ofat.entries)
-                    {
-                        if wrap_on && ofat.range.start != 0 {
-                            continue;
-                        }
-                        stats.rounds += 1;
-                        gathered.clear();
-                        for r in ifat_ranges {
-                            gathered.extend_from_slice(&receptive[r.start..r.stop]);
-                            stats.table_lookups += 1;
-                        }
-                        stats.buffer_reads += gathered.len() as u64;
-                        if let Some((step, limit)) = self.dac_params() {
-                            quantize_slice(&mut gathered, step, limit);
-                        }
-                        stats.table_lookups += self.plan.ifrt.word_lines as u64;
-                        let active_wls: Vec<(usize, f32)> = ifrt_seq
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(wl, &pos)| pos.map(|p| (wl, gathered[p])))
-                            .collect();
-                        stats.word_line_activations += active_wls.len() as u64;
-                        let width = ofat.range.len();
-                        stats.bit_line_activations += width as u64;
-                        stats.table_lookups += 1;
-                        for j in 0..width {
-                            let col = ofat.src_col_start + j;
-                            let mut acc = 0.0f32;
-                            for &(wl, v) in &active_wls {
-                                acc += v * md[wl * cout_e + col];
-                            }
-                            if let Some((step, limit)) = self.adc_params() {
-                                acc = quantize_value(acc, step, limit);
-                            }
-                            out_vec[ofat.range.start + j] += acc;
-                            stats.joint_adds += 1;
-                            stats.buffer_writes += 1;
-                        }
-                    }
-                    if wrap_on {
-                        let c = self.wrapping.block;
-                        for x in c..out_vec.len() {
-                            out_vec[x] = out_vec[x % c];
-                            stats.wrapped_elements += 1;
-                        }
-                    }
-                    for (co, &v) in out_vec.iter().enumerate() {
-                        out.set(&[ni, co, oy, ox], v)
-                            .expect("output index in range");
-                    }
-                }
-            }
-        }
-        Ok((out, stats))
-    }
-
     /// Validates the input tensor and returns `(n, h, w, oh, ow)`.
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize, usize, usize), PimError> {
         if input.rank() != 4 {
@@ -1013,8 +775,8 @@ mod tests {
         Epitome::from_tensor(spec, data).unwrap()
     }
 
-    /// The core invariant from DESIGN.md: data path output == conv2d with
-    /// the reconstructed weight.
+    /// The core invariant: data path output == conv2d with the
+    /// reconstructed weight.
     fn assert_equivalent(conv: ConvShape, eshape: EpitomeShape, cfg: Conv2dCfg, seed: u64) {
         let epi = random_epitome(conv, eshape, seed);
         let mut r = rng::seeded(seed ^ 0xabcd);
@@ -1121,21 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn ifrt_sequences_have_crossbar_length() {
-        let conv = ConvShape::new(8, 4, 3, 3);
-        let epi = random_epitome(conv, EpitomeShape::new(4, 2, 2, 2), 8);
-        let dp = DataPath::new(&epi, Conv2dCfg::default(), false).unwrap();
-        let rows_e = epi.spec().shape().matrix_rows();
-        for seq in &dp.ifrt().sequences {
-            assert_eq!(seq.len(), rows_e);
-        }
-        // Number of sequences == number of sampled patches (paper §4.3).
-        assert_eq!(dp.ifrt().sequences.len(), epi.spec().plan().patches().len());
-        // IFAT and OFAT have one entry per round too.
-        assert_eq!(dp.ifat().entries.len(), dp.ofat().entries.len());
-    }
-
-    #[test]
     fn stats_word_lines_match_patch_sizes() {
         let conv = ConvShape::new(4, 4, 3, 3);
         let epi = random_epitome(conv, EpitomeShape::new(4, 2, 2, 2), 9);
@@ -1170,39 +917,6 @@ mod tests {
         let x = Tensor::zeros(&[1, 3, 5, 5]);
         assert!(dp.execute(&x).is_err());
         assert!(dp.execute(&Tensor::zeros(&[5, 5])).is_err());
-    }
-
-    #[test]
-    fn execute_matches_seed_reference_loop() {
-        // The executor must agree with the seed's original per-pixel
-        // pipeline bit for bit (every sum runs in the reference's order),
-        // stats exactly.
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        let conv = ConvShape::new(8, 6, 3, 3);
-        let epi = random_epitome(conv, EpitomeShape::new(4, 3, 2, 2), 40);
-        let mut r = rng::seeded(41);
-        let x = init::uniform(&[2, 6, 7, 7], -1.0, 1.0, &mut r);
-        for wrapping in [false, true] {
-            for analog in [
-                AnalogModel::ideal(),
-                AnalogModel {
-                    weight_noise_std: 0.02,
-                    adc_bits: Some(8),
-                    dac_bits: Some(9),
-                    ..AnalogModel::ideal()
-                },
-            ] {
-                let cfg = Conv2dCfg {
-                    stride: 2,
-                    padding: 1,
-                };
-                let dp = DataPath::with_analog(&epi, cfg, wrapping, analog).unwrap();
-                let (fast, fast_stats) = dp.execute(&x).unwrap();
-                let (slow, slow_stats) = dp.execute_reference(&x).unwrap();
-                assert_eq!(bits(&fast), bits(&slow), "wrapping={wrapping}");
-                assert_eq!(fast_stats, slow_stats, "wrapping={wrapping}");
-            }
-        }
     }
 
     #[test]
@@ -1390,122 +1104,6 @@ mod tests {
             ..AnalogModel::ideal()
         };
         assert!(DataPath::with_analog(&epi, cfg, false, bad_fs).is_err());
-    }
-
-    #[test]
-    fn execute_batch_bit_identical_to_sequential_execute() {
-        let conv = ConvShape::new(8, 6, 3, 3);
-        let epi = random_epitome(conv, EpitomeShape::new(4, 3, 2, 2), 50);
-        let mut r = rng::seeded(51);
-        for wrapping in [false, true] {
-            for analog in [
-                AnalogModel::ideal(),
-                AnalogModel {
-                    weight_noise_std: 0.02,
-                    adc_bits: Some(8),
-                    dac_bits: Some(9),
-                    ..AnalogModel::ideal()
-                },
-            ] {
-                let cfg = Conv2dCfg {
-                    stride: 1,
-                    padding: 1,
-                };
-                let dp = DataPath::with_analog(&epi, cfg, wrapping, analog).unwrap();
-                // Mixed per-request image counts: shapes must match, N may
-                // exceed 1 per request.
-                let xs: Vec<Tensor> = (0..5)
-                    .map(|_| init::uniform(&[2, 6, 7, 7], -1.0, 1.0, &mut r))
-                    .collect();
-                let refs: Vec<&Tensor> = xs.iter().collect();
-                let (batched, batch_stats) = dp.execute_batch(&refs).unwrap();
-                assert_eq!(batched.len(), xs.len());
-                let mut want_stats = DataPathStats::default();
-                for (x, got) in xs.iter().zip(&batched) {
-                    let (want, s) = dp.execute_reference(x).unwrap();
-                    assert_eq!(got, &want, "wrapping={wrapping}");
-                    want_stats.accumulate(&s);
-                }
-                assert_eq!(batch_stats, want_stats, "wrapping={wrapping}");
-            }
-        }
-    }
-
-    #[test]
-    fn execute_batch_bit_identical_to_reference() {
-        let conv = ConvShape::new(8, 4, 3, 3);
-        let epi = random_epitome(conv, EpitomeShape::new(4, 4, 2, 2), 52);
-        let cfg = Conv2dCfg {
-            stride: 2,
-            padding: 1,
-        };
-        let analog = AnalogModel {
-            adc_bits: Some(8),
-            dac_bits: Some(9),
-            ..AnalogModel::ideal()
-        };
-        let dp = DataPath::with_analog(&epi, cfg, true, analog).unwrap();
-        let mut r = rng::seeded(53);
-        let xs: Vec<Tensor> = (0..3)
-            .map(|_| init::uniform(&[1, 4, 6, 6], -1.0, 1.0, &mut r))
-            .collect();
-        let refs: Vec<&Tensor> = xs.iter().collect();
-        let (batched, batch_stats) = dp.execute_batch(&refs).unwrap();
-        let mut ref_stats = DataPathStats::default();
-        for (x, got) in xs.iter().zip(&batched) {
-            let (want, s) = dp.execute_reference(x).unwrap();
-            assert_eq!(got, &want);
-            ref_stats.accumulate(&s);
-        }
-        assert_eq!(batch_stats, ref_stats);
-    }
-
-    /// Paper-scale rounds (64–256 bit lines, up to 256 word lines) reach
-    /// the wide MVM tile, several tiles with a ragged last one and the
-    /// parallel paths; the shapes above are too narrow to.
-    #[test]
-    fn paper_shaped_layers_bit_identical_across_all_paths() {
-        let analog = AnalogModel {
-            adc_bits: Some(8),
-            dac_bits: Some(9),
-            ..AnalogModel::ideal()
-        };
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        let designer = EpitomeDesigner::new(128, 128);
-        let mut r = rng::seeded(60);
-        for (conv, padding) in [
-            (ConvShape::new(64, 64, 3, 3), 1),
-            (ConvShape::new(1024, 256, 1, 1), 0),
-        ] {
-            let spec = designer.design(conv, 1024, 256).unwrap();
-            let data = init::uniform(&spec.shape().dims(), -0.5, 0.5, &mut r);
-            let epi = Epitome::from_tensor(spec, data).unwrap();
-            let cfg = Conv2dCfg { stride: 1, padding };
-            let xs: Vec<Tensor> = (0..2)
-                .map(|_| init::uniform(&[1, conv.cin, 14, 14], -1.0, 1.0, &mut r))
-                .collect();
-            for wrapping in [false, true] {
-                let dp = DataPath::with_analog(&epi, cfg, wrapping, analog).unwrap();
-                for batch in [1, 2] {
-                    let refs: Vec<&Tensor> = xs[..batch].iter().collect();
-                    let (batched, batch_stats) = dp.execute_batch(&refs).unwrap();
-                    let mut want_stats = DataPathStats::default();
-                    for (x, got) in refs.iter().zip(&batched) {
-                        let (single, single_stats) = dp.execute(x).unwrap();
-                        let (oracle, s) = dp.execute_reference(x).unwrap();
-                        assert_eq!(bits(&single), bits(&oracle), "{conv} wrapping={wrapping}");
-                        assert_eq!(single_stats, s, "{conv} wrapping={wrapping}");
-                        assert_eq!(
-                            bits(got),
-                            bits(&oracle),
-                            "{conv} wrapping={wrapping} batch={batch}"
-                        );
-                        want_stats.accumulate(&s);
-                    }
-                    assert_eq!(batch_stats, want_stats, "{conv} wrapping={wrapping}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! The simulator has two faces:
 //!
 //! 1. **Functional** ([`datapath`]): the modified data path — Input Feature
-//!    Address Table ([`datapath::Ifat`]), Input Feature Row Table
-//!    ([`datapath::Ifrt`]), Output Feature Address Table
-//!    ([`datapath::Ofat`]) and the joint module — executed element-by-
+//!    Address Table (IFAT), Input Feature Row Table (IFRT), Output Feature
+//!    Address Table (OFAT) and the joint module — executed element by
 //!    element so that an epitome layer running "on the crossbars" can be
-//!    checked bit-for-bit against a plain convolution with the
-//!    reconstructed weight.
+//!    checked against a plain convolution with the reconstructed weight.
+//!    The three tables are compiled into per-round word-line lists
+//!    ([`datapath::CompiledPlan`]); the seed's walk over the tables
+//!    themselves is the test oracle in `crates/pim/tests/oracle`.
 //! 2. **Analytic** ([`CostModel`]): a lookup-table cost model (latency, energy,
 //!    crossbar count, memristor utilization) for whole layers and networks,
 //!    following the paper's statement that the simulator "maintains a

@@ -129,8 +129,8 @@ mod tests {
 
     #[test]
     fn epitome_never_more_crossbars_than_conv() {
-        // DESIGN.md invariant: epitome mapping uses no more crossbars than
-        // the conv it replaces.
+        // Invariant: epitome mapping uses no more crossbars than the conv
+        // it replaces.
         use epim_core::{ConvShape, EpitomeDesigner};
         let conv = ConvShape::new(512, 256, 3, 3);
         let d = EpitomeDesigner::new(128, 128);

@@ -17,7 +17,8 @@
 //! 4. **Mixed precision** ([`MixedPrecision`]): a HAWQ-style sensitivity-
 //!    ranked bit allocation used for the paper's `W3mp` rows. The
 //!    sensitivity signal here is an analytic quantization-perturbation
-//!    proxy rather than an ImageNet Hessian trace (see DESIGN.md §2).
+//!    proxy rather than an ImageNet Hessian trace, which needs the
+//!    dataset (see `epim_models::accuracy`).
 //!
 //! ## The slice kernel
 //!

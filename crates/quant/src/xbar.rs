@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn per_crossbar_never_worse_than_per_tensor() {
-        // DESIGN.md invariant: finer granularity cannot increase MSE.
+        // Invariant: finer granularity cannot increase MSE.
         //
         // Deterministic construction (no RNG): how clearly per-tile scales
         // win depends on where zero falls in the whole-tensor grid, which a

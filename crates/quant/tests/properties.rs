@@ -1,4 +1,8 @@
-//! Property-based tests for the quantization invariants (DESIGN.md §5).
+//! Property-based tests for the quantization invariants: idempotent fake
+//! quantization, MSE monotone in bits, per-crossbar no worse than
+//! per-tensor, overlap ranges inside the min/max envelope, mixed precision
+//! within its budget, and the slice kernels bit-identical to their
+//! per-element oracle.
 
 use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
 use epim_quant::{

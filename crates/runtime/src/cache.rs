@@ -1,8 +1,8 @@
 //! The compiled-plan cache.
 //!
-//! `DataPath` construction has two parts: compiling the IFAT/IFRT/OFAT
-//! tables and per-round word-line lists (a function of the
-//! [`EpitomeSpec`] alone), and programming the crossbar matrix (a function
+//! `DataPath` construction has two parts: compiling the per-round
+//! word-line lists that compose the IFAT/IFRT/OFAT tables (a function of
+//! the [`EpitomeSpec`] alone), and programming the crossbar matrix (a function
 //! of the epitome's tensor values and the [`AnalogModel`]). [`PlanCache`]
 //! memoizes the first part — one [`CompiledPlan`] per spec, shared behind
 //! an [`Arc`] — so rebuilding a fleet, serving the same layer shape in
@@ -13,7 +13,7 @@
 //! stand-in has no `Hash` derive, and the canonical JSON doubles as a
 //! stable, collision-free identity for `(conv, epitome shape, sampling
 //! plan)`). The analog model is deliberately *not* part of the key: it
-//! never influences the tables, and keying on it would only manufacture
+//! never influences the plan, and keying on it would only manufacture
 //! misses — it parameterizes `DataPath::with_plan` instead.
 
 use crate::RuntimeError;

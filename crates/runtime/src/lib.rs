@@ -8,8 +8,9 @@
 //! 1. **Persistent worker pool** (lives in `epim-parallel`): every
 //!    fork-join region in the workspace dispatches onto
 //!    `num_threads() - 1` parked workers. `EPIM_THREADS` pins the width.
-//! 2. **Compiled-plan cache** ([`PlanCache`]): the IFAT/IFRT/OFAT tables
-//!    and per-round word-line lists depend only on the `EpitomeSpec`, so
+//! 2. **Compiled-plan cache** ([`PlanCache`]): the per-round word-line
+//!    lists (the IFAT/IFRT/OFAT tables, composed) depend only on the
+//!    `EpitomeSpec`, so
 //!    they are compiled once and shared across layers, networks and
 //!    tenants ([`PlanCache::warm_network`] precompiles every epitome
 //!    choice of an `epim_models::Network`).

@@ -253,10 +253,11 @@ fn drop_joins_batcher() {
 }
 
 /// A one-tenant fleet over the zoo's one-layer network is the single-layer
-/// data path: outputs and `DataPathStats` equal the seed-style reference
-/// loop bit for bit, ideal and A9/ADC8, with and without channel wrapping.
+/// data path: outputs and `DataPathStats` equal `DataPath::execute` (which
+/// `epim-pim`'s suite pins to the seed's per-pixel walk) bit for bit, ideal
+/// and A9/ADC8, with and without channel wrapping.
 #[test]
-fn one_layer_fleet_equals_execute_reference() {
+fn one_layer_fleet_equals_execute() {
     for (seed, analog, wrapping) in [
         (12, AnalogModel::ideal(), true),
         (13, AnalogModel::ideal(), false),
@@ -273,7 +274,7 @@ fn one_layer_fleet_equals_execute_reference() {
         let mut want_stats = DataPathStats::default();
         let results = engine.infer_many(id, inputs.clone()).unwrap();
         for (x, res) in inputs.iter().zip(results) {
-            let (want, s) = dp.execute_reference(x).unwrap();
+            let (want, s) = dp.execute(x).unwrap();
             want_stats.accumulate(&s);
             assert_eq!(res.unwrap().output, want, "wrapping {wrapping}, {analog:?}");
         }

@@ -8,10 +8,9 @@
 //! packs its panels straight from the `NCHW` activation and writes straight
 //! into the `NCHW` output, so the lowered `cols` matrix is never
 //! materialized and there is no separate output-rearrange or bias pass.
-//! [`im2col`] itself stays for the backward pass and for two reference
-//! implementations kept for tests and benchmarks: [`conv2d_direct`] (naive
-//! 7-loop) and [`conv2d_ref`] (the seed's unfused im2col → matmul →
-//! rearrange pipeline).
+//! [`im2col`] itself stays for the backward pass. The naive 7-loop direct
+//! convolution the forward path is checked against lives in this module's
+//! tests.
 
 use crate::ops::gemm::{self, PackedWeights};
 use crate::{Tensor, TensorError};
@@ -400,89 +399,6 @@ pub fn conv2d_packed_into(
     Ok(())
 }
 
-/// The seed's unfused convolution pipeline (im2col → matmul → rearrange),
-/// kept as a cross-check for the fused path and as the benchmark baseline.
-///
-/// The per-channel bias lookup is hoisted out of the pixel loop (the seed
-/// resolved `bias[co]` once per output *pixel*).
-///
-/// # Errors
-///
-/// Same contract as [`conv2d`].
-pub fn conv2d_ref(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    cfg: Conv2dCfg,
-) -> Result<Tensor, TensorError> {
-    check_conv_operands(x, weight, bias)?;
-    let (n, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-    let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg)?;
-    let cols = im2col(x, kh, kw, cfg)?;
-    let wmat = weight.reshape(&[c_out, c_in * kh * kw])?;
-    let out_mat = cols.matmul(&wmat.transpose()?)?; // (N*OH*OW, C_out)
-
-    // Rearrange (N*OH*OW, C_out) -> (N, C_out, OH, OW), adding bias.
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    let od = out.data_mut();
-    let md = out_mat.data();
-    for ni in 0..n {
-        for co in 0..c_out {
-            // Hoisted: one bias resolve per (image, channel) plane.
-            let b = bias.map(|bb| bb.data()[co]).unwrap_or(0.0);
-            let plane = &mut od[(ni * c_out + co) * oh * ow..(ni * c_out + co + 1) * oh * ow];
-            for (p, slot) in plane.iter_mut().enumerate() {
-                let row = ni * oh * ow + p;
-                *slot = md[row * c_out + co] + b;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Naive 7-loop direct convolution — the ground-truth reference for
-/// property tests (no im2col, no GEMM, f32 accumulation in source order).
-///
-/// # Errors
-///
-/// Same contract as [`conv2d`].
-pub fn conv2d_direct(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    cfg: Conv2dCfg,
-) -> Result<Tensor, TensorError> {
-    check_conv_operands(x, weight, bias)?;
-    let (n, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-    let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg)?;
-    let out = Tensor::from_fn(&[n, c_out, oh, ow], |idx| {
-        let (ni, co, oy, ox) = (idx[0], idx[1], idx[2], idx[3]);
-        let mut acc = bias.map(|bb| bb.data()[co]).unwrap_or(0.0);
-        for ci in 0..c_in {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                    let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                        continue;
-                    }
-                    acc += x.at(&[ni, ci, iy as usize, ix as usize]) * w_at(weight, co, ci, ky, kx);
-                }
-            }
-        }
-        acc
-    });
-    Ok(out)
-}
-
-#[inline]
-fn w_at(weight: &Tensor, co: usize, ci: usize, ky: usize, kx: usize) -> f32 {
-    let s = weight.shape();
-    weight.data()[((co * s[1] + ci) * s[2] + ky) * s[3] + kx]
-}
-
 /// Gradients produced by [`conv2d_backward`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
@@ -581,9 +497,31 @@ pub fn conv2d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn direct_conv(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
-        conv2d_direct(x, w, None, cfg).expect("valid geometry")
+    /// Naive 7-loop direct convolution — the ground truth for the forward
+    /// path (no im2col, no GEMM, f32 accumulation in source order).
+    fn conv2d_direct(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, cfg: Conv2dCfg) -> Tensor {
+        let (n, c_in, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (c_out, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
+        let (oh, ow) = conv2d_out_dims(h, wd, kh, kw, cfg).expect("valid geometry");
+        Tensor::from_fn(&[n, c_out, oh, ow], |idx| {
+            let (ni, co, oy, ox) = (idx[0], idx[1], idx[2], idx[3]);
+            let mut acc = bias.map(|b| b.data()[co]).unwrap_or(0.0);
+            for ci in 0..c_in {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
+                        let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
+                        if iy < 0 || ix < 0 || iy >= h as isize || ix >= wd as isize {
+                            continue;
+                        }
+                        acc += x.at(&[ni, ci, iy as usize, ix as usize]) * w.at(&[co, ci, ky, kx]);
+                    }
+                }
+            }
+            acc
+        })
     }
 
     #[test]
@@ -654,7 +592,7 @@ mod tests {
             },
         ] {
             let got = conv2d(&x, &w, None, cfg).unwrap();
-            let want = direct_conv(&x, &w, cfg);
+            let want = conv2d_direct(&x, &w, None, cfg);
             assert!(got.allclose(&want, 1e-4).unwrap(), "cfg {cfg:?}");
         }
     }
@@ -684,8 +622,8 @@ mod tests {
             },
         ] {
             let fused = conv2d(&x, &w, Some(&b), cfg).unwrap();
-            let unfused = conv2d_ref(&x, &w, Some(&b), cfg).unwrap();
-            assert!(fused.allclose(&unfused, 1e-4).unwrap(), "cfg {cfg:?}");
+            let direct = conv2d_direct(&x, &w, Some(&b), cfg);
+            assert!(fused.allclose(&direct, 1e-4).unwrap(), "cfg {cfg:?}");
         }
     }
 
@@ -950,8 +888,6 @@ mod tests {
         let x = Tensor::zeros(&[1, 3, 5, 5]);
         let w = Tensor::zeros(&[2, 4, 3, 3]);
         assert!(conv2d(&x, &w, None, Conv2dCfg::default()).is_err());
-        assert!(conv2d_ref(&x, &w, None, Conv2dCfg::default()).is_err());
-        assert!(conv2d_direct(&x, &w, None, Conv2dCfg::default()).is_err());
     }
 
     #[test]
@@ -1052,7 +988,39 @@ mod tests {
             padding: 3,
         };
         let got = conv2d(&x, &w, None, cfg).unwrap();
-        let want = direct_conv(&x, &w, cfg);
+        let want = conv2d_direct(&x, &w, None, cfg);
         assert!(got.allclose(&want, 1e-4).unwrap());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused conv path matches the naive direct reference across
+        /// odd geometries: stride 2, padding 1, 1x1 kernels, non-square
+        /// inputs.
+        #[test]
+        fn fused_conv_matches_direct(
+            (n, cin, cout, seed) in (1usize..3, 1usize..6, 1usize..9, 0u64..1000),
+            (k, stride, padding) in (1usize..=4, 1usize..=2, 0usize..=2),
+            (h, w) in (4usize..11, 4usize..11),
+        ) {
+            // Skip geometries where the kernel does not fit.
+            if k > h + 2 * padding || k > w + 2 * padding {
+                return Ok(());
+            }
+            let cfg = Conv2dCfg { stride, padding };
+            let tensor = |shape: &[usize], seed: u64| {
+                crate::init::uniform(shape, -1.0, 1.0, &mut crate::rng::seeded(seed))
+            };
+            let x = tensor(&[n, cin, h, w], seed);
+            let wt = tensor(&[cout, cin, k, k], seed ^ 6);
+            let b = tensor(&[cout], seed ^ 7);
+
+            let fused = conv2d(&x, &wt, Some(&b), cfg).unwrap();
+            let direct = conv2d_direct(&x, &wt, Some(&b), cfg);
+            prop_assert!(fused.allclose(&direct, 1e-4).unwrap(),
+                "conv n={} cin={} cout={} k={} s={} p={} {}x{} mse={}",
+                n, cin, cout, k, stride, padding, h, w, fused.mse(&direct).unwrap());
+        }
     }
 }

@@ -3,9 +3,7 @@
 //! reference across adversarial shapes (non-multiples of the tile sizes,
 //! degenerate dimensions, strides, padding, 1x1 kernels).
 
-use epim_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_direct, conv2d_ref, gemm, linear, linear_backward, Conv2dCfg,
-};
+use epim_tensor::ops::{conv2d, conv2d_backward, gemm, linear, linear_backward, Conv2dCfg};
 use epim_tensor::{init, rng, Tensor};
 use proptest::prelude::*;
 
@@ -68,34 +66,6 @@ proptest! {
         let got = linear(&a, &b_t, None).unwrap();
         let want = a.matmul(&b_t.transpose().unwrap()).unwrap();
         prop_assert!(max_abs_diff(got.data(), want.data()) < 1e-4, "linear {}x{}x{}", m, n, k);
-    }
-
-    /// The fused conv path matches the naive direct reference across odd
-    /// geometries: stride 2, padding 1, 1x1 kernels, non-square inputs.
-    #[test]
-    fn fused_conv_matches_direct(
-        (n, cin, cout, seed) in (1usize..3, 1usize..6, 1usize..9, 0u64..1000),
-        (k, stride, padding) in (1usize..=4, 1usize..=2, 0usize..=2),
-        (h, w) in (4usize..11, 4usize..11),
-    ) {
-        // Skip geometries where the kernel does not fit.
-        if k > h + 2 * padding || k > w + 2 * padding {
-            return Ok(());
-        }
-        let cfg = Conv2dCfg { stride, padding };
-        let x = tensor(&[n, cin, h, w], seed);
-        let wt = tensor(&[cout, cin, k, k], seed ^ 6);
-        let b = tensor(&[cout], seed ^ 7);
-
-        let fused = conv2d(&x, &wt, Some(&b), cfg).unwrap();
-        let direct = conv2d_direct(&x, &wt, Some(&b), cfg).unwrap();
-        prop_assert!(fused.allclose(&direct, 1e-4).unwrap(),
-            "conv n={} cin={} cout={} k={} s={} p={} {}x{} mse={}",
-            n, cin, cout, k, stride, padding, h, w, fused.mse(&direct).unwrap());
-
-        // And the seed's unfused pipeline agrees too.
-        let unfused = conv2d_ref(&x, &wt, Some(&b), cfg).unwrap();
-        prop_assert!(fused.allclose(&unfused, 1e-4).unwrap());
     }
 
     /// Fused linear (bias folded into the GEMM prefill) matches the

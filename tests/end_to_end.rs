@@ -47,7 +47,10 @@ fn figure2a_pipeline_single_layer() {
         padding: 1,
     };
     let dp = DataPath::new(&qepi, cfg, true).unwrap();
-    assert_eq!(dp.ifat().entries.len(), spec.plan().patches().len());
+    assert_eq!(
+        dp.compiled_plan().rounds_per_pixel(),
+        spec.plan().patches().len()
+    );
 
     // (5) Deploy: execute and measure.
     let x = init::uniform(&[1, 64, 10, 10], -1.0, 1.0, &mut r);
