@@ -167,11 +167,6 @@ impl Epitome {
         &self.data
     }
 
-    /// Mutable access to the parameter tensor (for training/quantization).
-    pub fn tensor_mut(&mut self) -> &mut Tensor {
-        &mut self.data
-    }
-
     /// Replaces the parameter tensor (e.g. with a quantized copy).
     ///
     /// # Errors
@@ -553,8 +548,9 @@ mod tests {
         let base = epi.reconstruct().unwrap().mse(&w).unwrap();
         for &flat in &[0usize, 3, 17, 31] {
             for delta in [0.05f32, -0.05] {
-                let mut e2 = epi.clone();
-                e2.tensor_mut().data_mut()[flat] += delta;
+                let mut t = epi.tensor().clone();
+                t.data_mut()[flat] += delta;
+                let e2 = Epitome::from_tensor(epi.spec().clone(), t).unwrap();
                 let m = e2.reconstruct().unwrap().mse(&w).unwrap();
                 assert!(m >= base - 1e-7, "perturbation improved MSE: {m} < {base}");
             }

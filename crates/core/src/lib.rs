@@ -60,7 +60,7 @@ mod wrap;
 pub use designer::EpitomeDesigner;
 pub use epitome::{Epitome, EpitomeSpec};
 pub use error::EpitomeError;
-pub use metrics::{CompressionReport, MappedMatrix};
+pub use metrics::MappedMatrix;
 pub use plan::{DimPlan, DimSegment, Patch, SamplingPlan};
 pub use shapes::{ConvShape, EpitomeShape};
 pub use wrap::{wrapping_factor, ChannelWrapping};

@@ -1,6 +1,7 @@
-//! Compression accounting shared across the workspace.
+//! The crossbar matrix a weight tensor maps to, shared across the
+//! workspace.
 
-use crate::{ConvShape, EpitomeShape, EpitomeSpec};
+use crate::{ConvShape, EpitomeShape};
 use serde::{Deserialize, Serialize};
 
 /// The matrix a weight tensor maps to on memristor crossbars: input
@@ -48,34 +49,9 @@ impl std::fmt::Display for MappedMatrix {
     }
 }
 
-/// Parameter-level compression summary for one epitome replacement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CompressionReport {
-    /// Parameters in the original convolution.
-    pub conv_params: usize,
-    /// Parameters in the epitome.
-    pub epitome_params: usize,
-    /// `conv_params / epitome_params`.
-    pub rate: f64,
-}
-
-impl CompressionReport {
-    /// Builds the report for a spec.
-    pub fn for_spec(spec: &EpitomeSpec) -> Self {
-        let conv_params = spec.conv().params();
-        let epitome_params = spec.shape().params();
-        CompressionReport {
-            conv_params,
-            epitome_params,
-            rate: conv_params as f64 / epitome_params as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EpitomeSpec;
 
     #[test]
     fn mapped_matrix_from_shapes() {
@@ -88,19 +64,5 @@ mod tests {
         let me = MappedMatrix::from_epitome(e);
         assert_eq!((me.rows, me.cols), (1024, 256));
         assert_eq!(me.to_string(), "1024x256");
-    }
-
-    #[test]
-    fn compression_report_consistent() {
-        let spec = EpitomeSpec::new(
-            ConvShape::new(512, 256, 3, 3),
-            EpitomeShape::new(256, 256, 2, 2),
-        )
-        .unwrap();
-        let r = CompressionReport::for_spec(&spec);
-        assert_eq!(r.conv_params, 512 * 256 * 9);
-        assert_eq!(r.epitome_params, 256 * 256 * 4);
-        assert!((r.rate - spec.param_compression()).abs() < 1e-12);
-        assert!(r.rate > 4.0);
     }
 }

@@ -9,16 +9,20 @@
 //! pass fake-quantizes the reconstructed weight, giving quantization-aware
 //! training with any of the §4.2 range schemes.
 //!
-//! [`run_small_scale_experiment`] trains three variants of the same CNN on
-//! a synthetic dataset — plain conv, epitome, quantized epitome — and
-//! reports test accuracies, demonstrating the paper's qualitative claim
-//! (epitome ≈ conv; overlap-aware low-bit quantization recovers most of
-//! the naive-quantization loss) with real training rather than the
-//! surrogate of [`crate::accuracy`].
+//! [`run_small_scale_experiment`] trains four variants of the same CNN on
+//! a synthetic dataset — plain conv, epitome, and the epitome under naive
+//! and under overlap-aware quantization-aware training — through one
+//! optimizer and one batch loop, and reports test accuracies. They show
+//! the paper's qualitative claim (epitome ≈ conv; overlap-aware low-bit
+//! quantization recovers most of the naive-quantization loss) with real
+//! training rather than the surrogate of [`crate::accuracy`].
 
 use epim_core::{ConvShape, Epitome, EpitomeError, EpitomeShape, EpitomeSpec};
 use epim_quant::{quantize_epitome, QuantGranularity, RangeEstimator};
-use epim_tensor::nn::{evaluate, AvgPool, Flatten, Layer, Linear, Param, Relu, Sequential, Sgd};
+use epim_tensor::nn::{
+    evaluate, small_cnn, train_epoch, AvgPool, Conv2d, Flatten, Layer, Linear, Param, Relu,
+    Sequential, Sgd,
+};
 use epim_tensor::ops::{conv2d, conv2d_backward, Conv2dCfg};
 use epim_tensor::{data, init, rng, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
@@ -40,9 +44,12 @@ pub enum QatMode {
 }
 
 /// A trainable epitome convolution layer.
+///
+/// The epitome values are an ordinary [`Param`], stepped by the same
+/// optimizer as every other weight of the network.
 pub struct EpitomeConv2d {
-    epitome: Epitome,
-    grad: Tensor,
+    spec: EpitomeSpec,
+    epitome: Param,
     bias: Param,
     cfg: Conv2dCfg,
     qat: QatMode,
@@ -52,7 +59,7 @@ pub struct EpitomeConv2d {
 
 impl std::fmt::Debug for EpitomeConv2d {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "EpitomeConv2d({})", self.epitome.spec().shape())
+        write!(f, "EpitomeConv2d({})", self.spec.shape())
     }
 }
 
@@ -60,14 +67,12 @@ impl EpitomeConv2d {
     /// Creates a layer with a Kaiming-initialized epitome.
     pub fn new(spec: EpitomeSpec, cfg: Conv2dCfg, seed: u64) -> Self {
         let mut r = rng::seeded(seed);
-        let dims = spec.shape().dims();
-        let cout = spec.conv().cout;
-        let data = init::kaiming_normal(&dims, &mut r);
-        let epitome = Epitome::from_tensor(spec, data).expect("shape matches spec");
+        let epitome = Param::new(init::kaiming_normal(&spec.shape().dims(), &mut r));
+        let bias = Param::new(Tensor::zeros(&[spec.conv().cout]));
         EpitomeConv2d {
-            grad: Tensor::zeros(&dims),
+            spec,
             epitome,
-            bias: Param::new(Tensor::zeros(&[cout])),
+            bias,
             cfg,
             qat: QatMode::Off,
             cached_input: None,
@@ -81,21 +86,22 @@ impl EpitomeConv2d {
         self
     }
 
-    /// The current epitome.
-    pub fn epitome(&self) -> &Epitome {
-        &self.epitome
+    /// The epitome holding the current parameter values.
+    fn current_epitome(&self) -> Result<Epitome, EpitomeError> {
+        Epitome::from_tensor(self.spec.clone(), self.epitome.value.clone())
     }
 
     /// The (possibly fake-quantized) weight used in the forward pass.
     fn effective_weight(&self) -> Result<Tensor, EpitomeError> {
+        let epitome = self.current_epitome()?;
         match self.qat {
-            QatMode::Off => self.epitome.reconstruct(),
+            QatMode::Off => epitome.reconstruct(),
             QatMode::FakeQuant {
                 bits,
                 granularity,
                 range,
             } => {
-                let (q, _) = quantize_epitome(&self.epitome, bits, granularity, &range)
+                let (q, _) = quantize_epitome(&epitome, bits, granularity, &range)
                     .map_err(|e| EpitomeError::plan(format!("qat failed: {e}")))?;
                 q.reconstruct()
             }
@@ -127,44 +133,24 @@ impl Layer for EpitomeConv2d {
         // Straight-through estimator across fake-quant: route dW through
         // the sampling plan's adjoint onto the epitome parameters.
         let epi_grad = self
-            .epitome
-            .backprop_weight_grad(&g.dw)
+            .current_epitome()
+            .and_then(|e| e.backprop_weight_grad(&g.dw))
             .map_err(|e| TensorError::invalid(e.to_string()))?;
-        self.grad.axpy(1.0, &epi_grad)?;
+        self.epitome.grad.axpy(1.0, &epi_grad)?;
         self.bias.grad.axpy(1.0, &g.db)?;
         Ok(g.dx)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        // Only the bias flows through the generic Param/Sgd machinery; the
-        // epitome tensor keeps its own gradient buffer and is stepped via
-        // `apply_grads` (reached through the `as_any_mut` downcast hook).
-        vec![&mut self.bias]
+        vec![&mut self.epitome, &mut self.bias]
     }
 
     fn describe(&self) -> String {
         format!(
             "EpitomeConv2d({} -> conv {})",
-            self.epitome.spec().shape(),
-            self.epitome.spec().conv()
+            self.spec.shape(),
+            self.spec.conv()
         )
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-impl EpitomeConv2d {
-    /// Applies one SGD step to the epitome parameters and clears the
-    /// gradient. Call after each `backward`.
-    pub fn apply_grads(&mut self, lr: f32) {
-        let g = self.grad.clone();
-        self.epitome
-            .tensor_mut()
-            .axpy(-lr, &g)
-            .expect("gradient shape matches epitome");
-        self.grad.map_inplace(|_| 0.0);
     }
 }
 
@@ -237,36 +223,42 @@ pub struct SmallScaleResults {
 /// The CNN used by all variants: conv(8)-relu-pool-conv(16)-relu-pool-fc.
 /// `epitome` selects the middle layer's operator; `qat` its quantization.
 fn build_net(cfg: &SmallScaleConfig, epitome: bool, qat: QatMode) -> (Sequential, Option<f64>) {
+    if !epitome {
+        return (small_cnn(1, cfg.image_size, cfg.classes, cfg.seed), None);
+    }
+    // `small_cnn` with the second conv (16x8x3x3) replaced by the
+    // configured epitome shape; the other layers draw from the same RNG
+    // stream in the same order.
     let mut r = rng::seeded(cfg.seed);
     let conv_cfg = Conv2dCfg {
         stride: 1,
         padding: 1,
     };
+    let conv = ConvShape::new(16, 8, 3, 3);
+    let (co, ci, h, w) = cfg.epitome_shape;
+    let spec = EpitomeSpec::new(conv, EpitomeShape::new(co, ci, h, w)).expect("legal spec");
+    let compression = spec.param_compression();
     let mut net = Sequential::new();
-    net.push(epim_tensor::nn::Conv2d::new(1, 8, 3, conv_cfg, &mut r));
+    net.push(Conv2d::new(1, 8, 3, conv_cfg, &mut r));
     net.push(Relu::new());
     net.push(AvgPool::new(2, 2));
-    let mut compression = None;
-    if epitome {
-        // Second conv 16x8x3x3 replaced by the configured epitome shape
-        // (default 8x4x2x2, ~9x fewer params).
-        let conv = ConvShape::new(16, 8, 3, 3);
-        let (co, ci, h, w) = cfg.epitome_shape;
-        let spec = EpitomeSpec::new(conv, EpitomeShape::new(co, ci, h, w)).expect("legal spec");
-        compression = Some(spec.param_compression());
-        net.push(EpitomeConv2d::new(spec, conv_cfg, cfg.seed ^ 1).with_qat(qat));
-    } else {
-        net.push(epim_tensor::nn::Conv2d::new(8, 16, 3, conv_cfg, &mut r));
-    }
+    net.push(EpitomeConv2d::new(spec, conv_cfg, cfg.seed ^ 1).with_qat(qat));
     net.push(Relu::new());
     net.push(AvgPool::new(2, 2));
     net.push(Flatten::new());
     let side = cfg.image_size / 4;
     net.push(Linear::new(16 * side * side, cfg.classes, &mut r));
-    (net, compression)
+    (net, Some(compression))
 }
 
-fn train_variant(cfg: &SmallScaleConfig, epitome: bool, qat: QatMode) -> (f32, Option<f64>) {
+/// Builds one variant and trains it on the config's training split;
+/// returns the trained net, the held-out split and the epitome's
+/// parameter compression (`None` for the conv arm).
+fn train_net(
+    cfg: &SmallScaleConfig,
+    epitome: bool,
+    qat: QatMode,
+) -> (Sequential, data::Dataset, Option<f64>) {
     let ds = match cfg.dataset {
         SyntheticDataset::Blobs => {
             data::blobs(cfg.classes, 1, cfg.image_size, cfg.per_class, cfg.seed)
@@ -278,45 +270,16 @@ fn train_variant(cfg: &SmallScaleConfig, epitome: bool, qat: QatMode) -> (f32, O
     let (train, test) = ds.split(0.25);
     let (mut net, compression) = build_net(cfg, epitome, qat);
     let mut opt = Sgd::new(cfg.lr, 0.9);
-    let batch = 16usize;
-    let n = train.labels.len();
-    let per = train.images.len() / n.max(1);
     for _ in 0..cfg.epochs {
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch).min(n);
-            let bsz = end - start;
-            let mut shape = train.images.shape().to_vec();
-            shape[0] = bsz;
-            let images =
-                Tensor::from_vec(train.images.data()[start * per..end * per].to_vec(), &shape)
-                    .expect("batch slice matches shape");
-            net.zero_grad();
-            let logits = net.forward(&images).expect("forward pass");
-            let out =
-                epim_tensor::ops::cross_entropy(&logits, &train.labels[start..end]).expect("loss");
-            net.backward(&out.dlogits).expect("backward pass");
-            opt.step(&mut net.params_mut()).expect("optimizer step");
-            // Epitome layers keep their own gradient buffer; step it with
-            // the rest of the parameters, every batch.
-            for i in 0..net.len() {
-                if let Some(layer) = net.layer_mut(i) {
-                    if let Some(epi) = layer_as_epitome(layer) {
-                        epi.apply_grads(cfg.lr);
-                    }
-                }
-            }
-            start = end;
-        }
+        train_epoch(&mut net, &mut opt, &train.images, &train.labels, 16).expect("training epoch");
     }
-    let stats = evaluate(&mut net, &test.images, &test.labels).expect("evaluation");
-    (stats.accuracy, compression)
+    (net, test, compression)
 }
 
-/// Downcast helper: `Sequential` stores `Box<dyn Layer>`, and the epitome
-/// layer needs its extra `apply_grads` entry point after each step.
-fn layer_as_epitome(layer: &mut Box<dyn Layer>) -> Option<&mut EpitomeConv2d> {
-    layer.as_any_mut()?.downcast_mut::<EpitomeConv2d>()
+fn train_variant(cfg: &SmallScaleConfig, epitome: bool, qat: QatMode) -> (f32, Option<f64>) {
+    let (mut net, test, compression) = train_net(cfg, epitome, qat);
+    let stats = evaluate(&mut net, &test.images, &test.labels).expect("evaluation");
+    (stats.accuracy, compression)
 }
 
 /// Runs the experiment over `n_seeds` consecutive seeds and averages the
@@ -405,6 +368,7 @@ mod tests {
             padding: 1,
         };
         let mut layer = EpitomeConv2d::new(spec, cfg, 3);
+        let mut opt = Sgd::new(0.02, 0.0);
         let mut r = rng::seeded(9);
         let x = init::uniform(&[4, 2, 5, 5], -1.0, 1.0, &mut r);
         let target = init::uniform(&[4, 4, 5, 5], -0.5, 0.5, &mut r);
@@ -418,18 +382,84 @@ mod tests {
             // dLoss/dy for loss = mean squared error.
             let dy = diff.scale(2.0 / diff.len() as f32);
             layer.backward(&dy).unwrap();
-            layer.apply_grads(0.02);
-            for p in layer.params_mut() {
-                let g = p.grad.clone();
-                p.value.axpy(-0.02, &g).unwrap();
-                p.zero_grad();
-            }
+            opt.step(&mut layer.params_mut()).unwrap();
+            layer.params_mut().into_iter().for_each(Param::zero_grad);
         }
         assert!(
             last_loss < first_loss.unwrap() * 0.5,
             "loss {} -> {last_loss}",
             first_loss.unwrap()
         );
+    }
+
+    #[test]
+    fn epitome_param_steps_by_the_momentum_formula() {
+        // Two `Sgd` steps at momentum 0.9 move the epitome exactly as
+        // v <- 0.9 v - lr g; w <- w + v does, on the gradients the layer
+        // accumulated.
+        let spec =
+            EpitomeSpec::new(ConvShape::new(4, 2, 3, 3), EpitomeShape::new(2, 2, 2, 2)).unwrap();
+        let cfg = Conv2dCfg {
+            stride: 1,
+            padding: 1,
+        };
+        let (lr, momentum) = (0.05f32, 0.9f32);
+        let mut layer = EpitomeConv2d::new(spec, cfg, 7);
+        let mut opt = Sgd::new(lr, momentum);
+        let mut r = rng::seeded(8);
+        let x = init::uniform(&[2, 2, 5, 5], -1.0, 1.0, &mut r);
+        let dy = init::uniform(&[2, 4, 5, 5], -1.0, 1.0, &mut r);
+        let mut w = layer.params_mut()[0].value.data().to_vec();
+        let mut v = vec![0.0f32; w.len()];
+        for _ in 0..2 {
+            layer.forward(&x).unwrap();
+            layer.backward(&dy).unwrap();
+            let g = layer.params_mut()[0].grad.data().to_vec();
+            assert!(
+                g.iter().any(|&gi| gi != 0.0),
+                "no gradient reached the epitome"
+            );
+            for ((wi, vi), gi) in w.iter_mut().zip(&mut v).zip(&g) {
+                *vi = *vi * momentum + -lr * gi;
+                *wi += *vi;
+            }
+            opt.step(&mut layer.params_mut()).unwrap();
+            layer.params_mut().into_iter().for_each(Param::zero_grad);
+        }
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(layer.params_mut()[0].value.data()), bits(&w));
+    }
+
+    /// FNV-1a over the bits of every parameter, in `params_mut` order.
+    fn fnv_params(net: &mut Sequential) -> u64 {
+        net.params_mut()
+            .iter()
+            .flat_map(|p| {
+                p.value
+                    .data()
+                    .iter()
+                    .flat_map(|v| v.to_bits().to_le_bytes())
+            })
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The conv arm's trained weights, hashed with the build that trained
+    /// it through its own inline batch loop: routing it through
+    /// `small_cnn` and `train_epoch` moved no bit. Training reaches kernels
+    /// whose scalar arm rounds differently from the vector arms, so the
+    /// scalar arm has its own value.
+    #[test]
+    fn conv_arm_trains_to_pinned_weights() {
+        let (mut net, _, compression) =
+            train_net(&SmallScaleConfig::default(), false, QatMode::Off);
+        assert_eq!(compression, None);
+        let expected = match epim_simd::isa() {
+            epim_simd::Isa::Scalar => 0xc6e6_f4a0_0936_8ee9,
+            _ => 0x8337_3860_508d_cdff,
+        };
+        assert_eq!(fnv_params(&mut net), expected);
     }
 
     #[test]

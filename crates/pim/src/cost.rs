@@ -288,59 +288,6 @@ impl CostModel {
     }
 }
 
-/// One-time cost of programming a layer's weights onto crossbars.
-///
-/// The paper's motivation in a number: "PIM accelerators typically require
-/// loading all neural network weights onto memristor crossbars prior to
-/// conducting computations", and writing is far slower than reading — so
-/// the crossbar compression the epitome buys also shrinks deployment
-/// (weight-loading) time and energy proportionally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProgrammingCosts {
-    /// Write latency, ns. Cells in one physical row program together, so
-    /// the latency is `rows-of-cells-to-write × t_cell_write`.
-    pub latency_ns: f64,
-    /// Write energy, pJ (every programmed cell pays the write energy).
-    pub energy_pj: f64,
-    /// Cells programmed.
-    pub cells: usize,
-}
-
-impl CostModel {
-    /// One-time programming cost of a convolution layer's weights.
-    pub fn conv_programming(&self, conv: ConvShape, prec: Precision) -> ProgrammingCosts {
-        let mapping = Mapping::new(MappedMatrix::from_conv(conv), self.cfg.crossbar, prec)
-            .expect("valid conv mapping");
-        self.programming(&mapping)
-    }
-
-    /// One-time programming cost of an epitome layer's weights.
-    pub fn epitome_programming(&self, spec: &EpitomeSpec, prec: Precision) -> ProgrammingCosts {
-        let mapping = Mapping::new(
-            MappedMatrix::from_epitome(spec.shape()),
-            self.cfg.crossbar,
-            prec,
-        )
-        .expect("valid epitome mapping");
-        self.programming(&mapping)
-    }
-
-    fn programming(&self, mapping: &Mapping) -> ProgrammingCosts {
-        let cells = mapping.used_cells();
-        // Row-parallel programming: one write pulse per occupied physical
-        // row per crossbar; different crossbars program sequentially on a
-        // shared write driver.
-        let rows_to_write = mapping.matrix.rows.min(self.cfg.crossbar.rows) as f64
-            * mapping.row_tiles as f64
-            * mapping.col_tiles as f64;
-        ProgrammingCosts {
-            latency_ns: rows_to_write * self.lut.t_cell_write_ns,
-            energy_pj: cells as f64 * self.lut.e_cell_write_pj,
-            cells,
-        }
-    }
-}
-
 impl Default for CostModel {
     fn default() -> Self {
         CostModel::new(AcceleratorConfig::default())
@@ -485,35 +432,6 @@ mod tests {
         let cs = m.epitome_layer(&small, 196, prec);
         assert!(cs.rounds_per_pixel > cb.rounds_per_pixel);
         assert!(cs.latency_ns > cb.latency_ns);
-    }
-
-    #[test]
-    fn programming_cost_shrinks_with_epitome() {
-        // The motivation claim: compressed weights are also cheaper to
-        // deploy (write) onto the crossbars.
-        let m = model(false);
-        let prec = Precision::new(9, 9);
-        let conv = ConvShape::new(512, 256, 3, 3);
-        let spec = paper_spec();
-        let pc = m.conv_programming(conv, prec);
-        let pe = m.epitome_programming(&spec, prec);
-        assert!(pe.cells < pc.cells);
-        assert!(pe.energy_pj < pc.energy_pj);
-        assert!(pe.latency_ns < pc.latency_ns);
-        // Ratio tracks the cell compression.
-        let cell_ratio = pc.cells as f64 / pe.cells as f64;
-        let energy_ratio = pc.energy_pj / pe.energy_pj;
-        assert!((cell_ratio - energy_ratio).abs() < 1e-9);
-    }
-
-    #[test]
-    fn programming_cost_scales_with_bits() {
-        let m = model(false);
-        let conv = ConvShape::new(128, 64, 3, 3);
-        let w3 = m.conv_programming(conv, Precision::new(3, 9));
-        let w9 = m.conv_programming(conv, Precision::new(9, 9));
-        assert!(w9.cells > w3.cells);
-        assert!(w9.latency_ns > w3.latency_ns);
     }
 
     #[test]

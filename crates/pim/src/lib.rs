@@ -47,7 +47,7 @@ mod network;
 pub mod quantize;
 
 pub use config::{AcceleratorConfig, CrossbarConfig, Precision};
-pub use cost::{CostModel, LayerCosts, ProgrammingCosts};
+pub use cost::{CostModel, LayerCosts};
 pub use error::PimError;
 pub use lut::HardwareLut;
 pub use mapping::Mapping;

@@ -38,12 +38,6 @@ pub struct HardwareLut {
     /// Slices are merged serially, which is why lower weight precision
     /// shortens rounds (Table 1's latency trend across W9..W3).
     pub t_shift_add_slice_ns: f64,
-    /// Memristor cell programming (write) latency, ns per cell. Writing
-    /// is far slower than reading (the paper's motivation: "the writing
-    /// latency of the memristor crossbar cell is multiple times larger
-    /// than the reading latency"); cells in one row program together, so
-    /// layer programming latency scales with rows x slices.
-    pub t_cell_write_ns: f64,
 
     /// Energy per active cell per activation round, pJ.
     pub e_cell_pj: f64,
@@ -61,8 +55,6 @@ pub struct HardwareLut {
     pub e_index_lookup_pj: f64,
     /// Joint-module add energy per output element, pJ.
     pub e_joint_add_pj: f64,
-    /// Memristor cell programming (write) energy, pJ per cell.
-    pub e_cell_write_pj: f64,
 }
 
 impl HardwareLut {
@@ -74,7 +66,6 @@ impl HardwareLut {
             t_adc_col_ns: 1.0 / 128.0,
             t_buffer_elem_ns: 0.1,
             t_shift_add_slice_ns: 20.0,
-            t_cell_write_ns: 1000.0, // ~10x the read round, RRAM set/reset
             e_cell_pj: 0.002,
             e_dac_row_pj: 0.004,
             e_adc_col_pj: 2.0,
@@ -83,7 +74,6 @@ impl HardwareLut {
             e_buffer_write_pj: 1.5,
             e_index_lookup_pj: 0.1,
             e_joint_add_pj: 0.05,
-            e_cell_write_pj: 10.0, // RRAM set/reset ~1-100 pJ
         }
     }
 
@@ -110,7 +100,6 @@ impl HardwareLut {
             t_adc_col_ns: self.t_adc_col_ns * latency_scale,
             t_buffer_elem_ns: self.t_buffer_elem_ns * latency_scale,
             t_shift_add_slice_ns: self.t_shift_add_slice_ns * latency_scale,
-            t_cell_write_ns: self.t_cell_write_ns * latency_scale,
             e_cell_pj: self.e_cell_pj * energy_scale,
             e_dac_row_pj: self.e_dac_row_pj * energy_scale,
             e_adc_col_pj: self.e_adc_col_pj * energy_scale,
@@ -119,7 +108,6 @@ impl HardwareLut {
             e_buffer_write_pj: self.e_buffer_write_pj * energy_scale,
             e_index_lookup_pj: self.e_index_lookup_pj * energy_scale,
             e_joint_add_pj: self.e_joint_add_pj * energy_scale,
-            e_cell_write_pj: self.e_cell_write_pj * energy_scale,
         }
     }
 
@@ -131,7 +119,6 @@ impl HardwareLut {
             self.t_adc_col_ns,
             self.t_buffer_elem_ns,
             self.t_shift_add_slice_ns,
-            self.t_cell_write_ns,
             self.e_cell_pj,
             self.e_dac_row_pj,
             self.e_adc_col_pj,
@@ -140,7 +127,6 @@ impl HardwareLut {
             self.e_buffer_write_pj,
             self.e_index_lookup_pj,
             self.e_joint_add_pj,
-            self.e_cell_write_pj,
         ]
         .iter()
         .all(|v| v.is_finite() && *v >= 0.0)

@@ -68,14 +68,6 @@ pub trait Layer {
 
     /// A short human-readable description.
     fn describe(&self) -> String;
-
-    /// Downcast hook for layers that keep parameter state outside the
-    /// [`Param`] mechanism (e.g. an epitome tensor with its own gradient
-    /// buffer). Layers that need post-step processing return `Some(self)`;
-    /// the default is `None`.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
 /// 2-D convolution layer.
@@ -102,25 +94,6 @@ impl Conv2d {
             cfg,
             cached_input: None,
         }
-    }
-
-    /// Read access to the current weight.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    /// Replaces the weight value (e.g. with a fake-quantized copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shape changes.
-    pub fn set_weight(&mut self, w: Tensor) -> Result<(), TensorError> {
-        self.weight
-            .value
-            .shape_obj()
-            .ensure_same(w.shape_obj(), "set_weight")?;
-        self.weight.value = w;
-        Ok(())
     }
 }
 
@@ -364,11 +337,6 @@ impl Sequential {
     /// Whether the stack has no layers.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Mutable access to layer `i` (to swap weights, fake-quantize, ...).
-    pub fn layer_mut(&mut self, i: usize) -> Option<&mut Box<dyn Layer>> {
-        self.layers.get_mut(i)
     }
 
     /// Forward pass through every layer.
