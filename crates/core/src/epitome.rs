@@ -286,7 +286,8 @@ impl Epitome {
 }
 
 /// [`Epitome::replay_patches_into`] as a dispatched op: the kx-run copies
-/// monomorphize per ISA through [`slice::copy`].
+/// monomorphize per ISA through [`slice::copy_raw`], with bounds proven
+/// once per patch.
 struct ReplayOp<'a> {
     spec: &'a EpitomeSpec,
     band: &'a mut [f32],

@@ -66,12 +66,6 @@ pub fn num_threads() -> usize {
     n
 }
 
-/// Number of persistent pool workers backing the current process
-/// (`num_threads() - 1`; `0` means every helper runs serially).
-pub fn pool_workers() -> usize {
-    num_threads().saturating_sub(1)
-}
-
 /// The calling thread's persistent pool-worker index (`1..num_threads()`),
 /// or `None` when called from any thread that is not a pool worker — the
 /// hook observability layers use to label per-worker trace lanes.
@@ -184,6 +178,14 @@ mod tests {
 
     #[test]
     fn pool_workers_consistent_with_num_threads() {
-        assert_eq!(pool_workers(), num_threads() - 1);
+        // `num_threads() - 1` persistent workers, labelled
+        // `1..num_threads()`, join the calling thread, which is none of
+        // them. (A busy pool runs the job on the caller alone.)
+        let seen = std::sync::Mutex::new(Vec::new());
+        pool::run(&|idx| seen.lock().unwrap().push((idx, current_worker())));
+        for (idx, worker) in seen.into_inner().unwrap() {
+            assert!(idx < num_threads());
+            assert_eq!(worker, (idx > 0).then_some(idx));
+        }
     }
 }

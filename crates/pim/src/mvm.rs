@@ -182,7 +182,6 @@ impl SimdOp for MvmOp<'_> {
             let windows: [*const f32; MVM_TB] = std::array::from_fn(|ti| {
                 round.input[origins[ti.min(origins.len() - 1)]..].as_ptr()
             });
-            let out = out.as_mut_ptr();
             let mut j = 0;
             // SAFETY: `CrossbarRound::check` held before dispatch: every
             // tap offset from every origin is inside `input`; every word
@@ -191,22 +190,15 @@ impl SimdOp for MvmOp<'_> {
             // * LANES` columns from `j`, within `width`.
             unsafe {
                 while j + 2 * S::LANES <= width {
-                    tile::<S, 2>(s, &windows, origins.len(), round, j, out.add(j));
+                    tile::<S, 2>(s, &windows, origins.len(), round, j, out);
                     j += 2 * S::LANES;
                 }
                 while j + S::LANES <= width {
-                    tile::<S, 1>(s, &windows, origins.len(), round, j, out.add(j));
+                    tile::<S, 1>(s, &windows, origins.len(), round, j, out);
                     j += S::LANES;
                 }
                 while j < width {
-                    tile::<ScalarSimd, 1>(
-                        ScalarSimd,
-                        &windows,
-                        origins.len(),
-                        round,
-                        j,
-                        out.add(j),
-                    );
+                    tile::<ScalarSimd, 1>(ScalarSimd, &windows, origins.len(), round, j, out);
                     j += 1;
                 }
             }
@@ -216,14 +208,13 @@ impl SimdOp for MvmOp<'_> {
 
 /// One register tile: `MVM_TB` pixels × `NV` vectors of bit lines starting
 /// at column `j`, every tap in order, the first `tb` rows stored to `out`
-/// (row stride `round.width`).
+/// (row stride `round.width`) at columns `j..j + NV * S::LANES`.
 ///
 /// # Safety
 ///
 /// `round` must pass [`CrossbarRound::check`], every pointer in `windows`
 /// must be readable at every tap offset of `round`, `j + NV * S::LANES <=
-/// round.width`, and `out` must be writable at `ti * round.width + (0..NV *
-/// S::LANES)` for `ti < tb`.
+/// round.width`, and `out` must hold `tb` rows of `round.width`.
 #[inline(always)]
 unsafe fn tile<S: Simd, const NV: usize>(
     s: S,
@@ -231,13 +222,15 @@ unsafe fn tile<S: Simd, const NV: usize>(
     tb: usize,
     round: &CrossbarRound<'_>,
     j: usize,
-    out: *mut f32,
+    out: &mut [f32],
 ) {
-    let base = round.matrix.as_ptr().add(round.col0 + j);
     let mut acc = [[s.splat(0.0); NV]; MVM_TB];
     for &(wl, at) in round.taps {
-        let row = base.add(wl * round.ld);
-        let b: [S::V; NV] = std::array::from_fn(|v| s.load(row.add(v * S::LANES)));
+        let row = wl * round.ld + round.col0 + j;
+        let b: [S::V; NV] = std::array::from_fn(|v| {
+            let lane0 = row + v * S::LANES;
+            s.load(round.matrix.get_unchecked(lane0..lane0 + S::LANES))
+        });
         for (acc_row, window) in acc.iter_mut().zip(windows) {
             let v = s.splat(*window.add(at));
             for (acc, &b) in acc_row.iter_mut().zip(&b) {
@@ -247,7 +240,8 @@ unsafe fn tile<S: Simd, const NV: usize>(
     }
     for (ti, acc_row) in acc.iter().enumerate().take(tb) {
         for (v, &acc) in acc_row.iter().enumerate() {
-            s.store(out.add(ti * round.width + v * S::LANES), acc);
+            let lane0 = ti * round.width + j + v * S::LANES;
+            s.store(out.get_unchecked_mut(lane0..lane0 + S::LANES), acc);
         }
     }
 }

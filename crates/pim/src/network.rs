@@ -82,11 +82,6 @@ impl NetworkCosts {
         self.total().energy_mj()
     }
 
-    /// Total energy-delay product (mJ·ms).
-    pub fn edp_mj_ms(&self) -> f64 {
-        self.latency_ms() * self.energy_mj()
-    }
-
     /// Total crossbars.
     pub fn crossbars(&self) -> usize {
         self.total().crossbars
@@ -141,7 +136,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         let n = demo_net();
-        assert!((n.edp_mj_ms() - n.latency_ms() * n.energy_mj()).abs() < 1e-12);
         assert!(n.utilization_pct() <= 100.0);
     }
 

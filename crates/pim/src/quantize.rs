@@ -19,17 +19,11 @@
 //! (NaN propagation differs between `clamp` and SIMD min/max); the data
 //! path only produces finite values.
 
-use epim_simd::{dispatch, Simd, SimdOp};
+use epim_simd::{dispatch, slice, Simd, SimdOp};
 
-/// Quantizes one value: `round(v / step)` clamped to `[-limit, limit]`
-/// levels, times `step`. The scalar ground truth for the vector kernels.
-#[inline]
-pub fn quantize_value(v: f32, step: f32, limit: f32) -> f32 {
-    (v / step).round().clamp(-limit, limit) * step
-}
-
-/// Quantizes every element of `vals` in place (DAC/ADC sweep), bit-exactly
-/// matching [`quantize_value`] per element in every ISA arm.
+/// Quantizes every element of `vals` in place (DAC/ADC sweep): `round(v /
+/// step)` clamped to `[-limit, limit]` levels, times `step`, bit-exactly
+/// the same in every ISA arm.
 pub fn quantize_slice(vals: &mut [f32], step: f32, limit: f32) {
     dispatch(QuantizeOp { vals, step, limit });
 }
@@ -44,18 +38,17 @@ impl SimdOp for QuantizeOp<'_> {
     type Output = ();
     #[inline(always)]
     fn eval<S: Simd>(self, s: S) {
-        let n = self.vals.len();
-        let ptr = self.vals.as_mut_ptr();
         let vstep = s.splat(self.step);
         let vhalf = s.splat(0.5);
         let vone = s.splat(1.0);
         let vlim = s.splat(self.limit);
         let vneg = s.splat(-self.limit);
-        let mut i = 0;
-        // SAFETY: i + LANES <= n on every vector iteration.
-        unsafe {
-            while i + S::LANES <= n {
-                let t = s.div(s.load(ptr.add(i)), vstep);
+        slice::map_in_place(
+            s,
+            self.vals,
+            #[inline(always)]
+            |v| {
+                let t = s.div(v, vstep);
                 let sign = s.sign_bits(t);
                 let a = s.abs(t);
                 let r = s.trunc(a);
@@ -64,14 +57,9 @@ impl SimdOp for QuantizeOp<'_> {
                 let r = s.select(s.ge(frac, vhalf), s.add(r, vone), r);
                 let r = s.or_bits(r, sign);
                 let r = s.min(s.max(r, vneg), vlim);
-                s.store(ptr.add(i), s.mul(r, vstep));
-                i += S::LANES;
-            }
-        }
-        while i < n {
-            self.vals[i] = quantize_value(self.vals[i], self.step, self.limit);
-            i += 1;
-        }
+                s.mul(r, vstep)
+            },
+        );
     }
 }
 
@@ -79,6 +67,12 @@ impl SimdOp for QuantizeOp<'_> {
 mod tests {
     use super::*;
     use epim_simd::{dispatch_on, CpuFeatures};
+
+    /// Quantizes one value: `round(v / step)` clamped to `[-limit, limit]`
+    /// levels, times `step`. The scalar ground truth for every arm.
+    fn quantize_value(v: f32, step: f32, limit: f32) -> f32 {
+        (v / step).round().clamp(-limit, limit) * step
+    }
 
     /// Values chosen to break naive rounding emulations: just-below-half
     /// fractions (where `trunc(x + 0.5)` rounds up incorrectly), exact

@@ -98,13 +98,6 @@ pub struct BitAllocation {
     pub avg_bits: f64,
 }
 
-impl BitAllocation {
-    /// Number of layers at the high bit width.
-    pub fn high_count(&self, high_bits: u8) -> usize {
-        self.bits.iter().filter(|&&b| b == high_bits).count()
-    }
-}
-
 /// The mixed-precision allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MixedPrecision {
@@ -224,7 +217,7 @@ mod tests {
         assert_eq!(alloc.bits[1], 5);
         assert!(alloc.avg_bits <= 4.0 + 1e-9);
         // Budget of 4 with 3/5 mix allows exactly half the params at 5.
-        assert_eq!(alloc.high_count(5), 2);
+        assert_eq!(alloc.bits.iter().filter(|&&b| b == 5).count(), 2);
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! multiplies and the offset adds in two roundings, never a fused one.
 //!
 //! Weights are assumed finite and the range's width and step normal
-//! floats: a NaN weight quantizes to `α` in scalar code and stays NaN in a
-//! vector lane, and a step that underflows to zero divides to infinity.
+//! floats: a NaN weight quantizes to `α` through the scalar pair and stays
+//! NaN through the slice op, and a step that underflows to zero divides to
+//! infinity.
 
 use crate::{QuantError, RangeEstimator};
-use epim_simd::{dispatch, Simd, SimdOp};
+use epim_simd::{dispatch, slice, Simd, SimdOp};
 use epim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -89,22 +90,6 @@ impl Quantizer {
     /// bits; estimator-specific errors propagate.
     pub fn fit(tensor: &Tensor, bits: u8, range: &RangeEstimator) -> Result<Self, QuantError> {
         let (alpha, beta) = range.estimate(tensor, None)?;
-        Self::from_range(bits, alpha, beta)
-    }
-
-    /// Fits a quantizer using a repetition map for overlap weighting
-    /// (required by [`RangeEstimator::OverlapWeighted`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimator errors (e.g. shape mismatch).
-    pub fn fit_with_repetition(
-        tensor: &Tensor,
-        repetition: &Tensor,
-        bits: u8,
-        range: &RangeEstimator,
-    ) -> Result<Self, QuantError> {
-        let (alpha, beta) = range.estimate(tensor, Some(repetition))?;
         Self::from_range(bits, alpha, beta)
     }
 
@@ -187,28 +172,21 @@ impl SimdOp for FakeQuantOp<'_> {
     #[inline(always)]
     fn eval<S: Simd>(self, s: S) {
         let q = self.q;
-        let n = self.vals.len();
-        let ptr = self.vals.as_mut_ptr();
         let (alpha, beta, scale) = (s.splat(q.alpha), s.splat(q.beta), s.splat(q.scale));
         let (half, one) = (s.splat(0.5), s.splat(1.0));
-        let mut i = 0;
-        // SAFETY: i + LANES <= n on every vector iteration.
-        unsafe {
-            while i + S::LANES <= n {
-                let v = s.load(ptr.add(i));
+        slice::map_in_place(
+            s,
+            self.vals,
+            #[inline(always)]
+            |v| {
                 let clipped = s.min(beta, s.max(alpha, v));
                 let t = s.div(s.sub(clipped, alpha), scale);
                 let code = s.trunc(t);
                 let up = s.ge(s.sub(t, code), half);
                 let code = s.select(up, s.add(code, one), code);
-                s.store(ptr.add(i), s.add(s.mul(code, scale), alpha));
-                i += S::LANES;
-            }
-        }
-        while i < n {
-            self.vals[i] = q.dequantize(q.quantize(self.vals[i]));
-            i += 1;
-        }
+                s.add(s.mul(code, scale), alpha)
+            },
+        );
     }
 }
 
@@ -333,7 +311,7 @@ mod tests {
         let all = adversarial_values();
         for q in quantizers {
             assert_eq!(q.step(), q.scale());
-            // Lengths around the lane counts hit every scalar tail.
+            // Lengths around the lane counts hit every remainder length.
             for len in (0..=33).chain([all.len()]) {
                 let vals = &all[all.len() - len..];
                 let want: Vec<f32> = vals.iter().map(|&v| q.dequantize(q.quantize(v))).collect();

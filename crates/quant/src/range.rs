@@ -18,10 +18,9 @@ pub enum RangeEstimator {
     /// β = w1·max(overlap) + w2·max(others)
     /// ```
     ///
-    /// Requires a repetition map (pass it to
-    /// [`crate::Quantizer::fit_with_repetition`]). An element belongs to
-    /// the overlap region when its repetition count exceeds the minimum
-    /// count in the tensor.
+    /// Requires a repetition map (pass it to [`RangeEstimator::estimate`]).
+    /// An element belongs to the overlap region when its repetition count
+    /// exceeds the minimum count in the tensor.
     OverlapWeighted {
         /// Weight of the overlap (highly repeated, more important) region.
         w1: f32,

@@ -10,6 +10,9 @@
 //! (next request after the previous reply) by default, or open-loop at a
 //! fixed aggregate submission rate with `--rate` (pipelined: a sender
 //! thread paces submissions while a receiver thread collects replies).
+//! An open-loop request's latency runs from when its schedule made it
+//! due, not from when it was sent, so a sender that falls behind shows
+//! in the percentiles instead of hiding (no coordinated omission).
 //! Requests round-robin over the fleet's tenants with deterministic
 //! seeded inputs. Reports sustained QPS and p50/p99/p999 end-to-end
 //! latency, as a human summary plus one machine-readable JSON line.
@@ -172,20 +175,20 @@ fn drive_open_loop(
     let client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let (mut sender, mut receiver) = client.split();
     let n = workload.len();
-    // Ids are monotonic from 1 in submission order, so id -> input index
-    // and submit timestamp are plain vectors under one lock.
-    let send_times = std::sync::Arc::new(std::sync::Mutex::new(vec![None::<Instant>; n]));
-    let times_tx = std::sync::Arc::clone(&send_times);
+    // Request `k` is due at `epoch + k·interval` and timed from then, not
+    // from when the sender got it out: a sender that falls behind delays
+    // every later submission, and a client arriving at this rate would
+    // wait that delay too. Ids are monotonic from 1 in submission order,
+    // so the receiver recovers `k` (and the due time) from the reply id.
+    let epoch = Instant::now();
+    let due = |k: usize| epoch + interval.mul_f64(k as f64);
 
     std::thread::scope(|scope| {
         let send = scope.spawn(move || -> Result<_, String> {
-            let epoch = Instant::now();
             for (k, (tenant, input)) in workload.into_iter().enumerate() {
-                let due = epoch + interval.mul_f64(k as f64);
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                if let Some(wait) = due(k).checked_duration_since(Instant::now()) {
                     std::thread::sleep(wait);
                 }
-                times_tx.lock().unwrap()[k] = Some(Instant::now());
                 sender
                     .submit_with_deadline(&tenant, input, deadline_ms)
                     .map_err(|e| format!("submit {k}: {e}"))?;
@@ -202,12 +205,8 @@ fn drive_open_loop(
                     Err(err) => (err.id, None, Some((err.code, err.message))),
                 };
                 let k = (id.wrapping_sub(1)) as usize;
-                let sent = send_times.lock().unwrap().get(k).copied().flatten();
-                let latency = sent
-                    .map(|t0| done.duration_since(t0))
-                    .unwrap_or(Duration::ZERO);
                 samples.push(Sample {
-                    latency,
+                    latency: done.saturating_duration_since(due(k)),
                     input_idx: k,
                     output,
                     error,

@@ -9,7 +9,7 @@
 //! and one new match arm in `isa_dispatch!`, not a new dispatch stack.
 //!
 //! ```
-//! use epim_simd::{dispatch, Simd, SimdOp};
+//! use epim_simd::{dispatch, slice, Simd, SimdOp};
 //!
 //! struct Scale<'a> {
 //!     data: &'a mut [f32],
@@ -20,20 +20,9 @@
 //!     type Output = ();
 //!     #[inline(always)]
 //!     fn eval<S: Simd>(self, s: S) {
-//!         let (n, kv) = (self.data.len(), s.splat(self.k));
-//!         let p = self.data.as_mut_ptr();
-//!         let mut i = 0;
-//!         // SAFETY: i + LANES <= n on every vector iteration.
-//!         unsafe {
-//!             while i + S::LANES <= n {
-//!                 s.store(p.add(i), s.mul(s.load(p.add(i)), kv));
-//!                 i += S::LANES;
-//!             }
-//!         }
-//!         while i < n {
-//!             self.data[i] *= self.k;
-//!             i += 1;
-//!         }
+//!         let kv = s.splat(self.k);
+//!         // One lane body for every element, the last `len % LANES` too.
+//!         slice::map_in_place(s, self.data, #[inline(always)] |v| s.mul(v, kv));
 //!     }
 //! }
 //!
@@ -169,17 +158,16 @@ mod tests {
         type Output = ();
         #[inline(always)]
         fn eval<S: Simd>(self, s: S) {
-            let n = self.dst.len();
-            let (sp, dp) = (self.src.as_ptr(), self.dst.as_mut_ptr());
             let half = s.splat(0.5);
             let one = s.splat(1.0);
             let lim = s.splat(3.0);
             let nlim = s.splat(-3.0);
-            let mut i = 0;
-            // SAFETY: i + LANES <= n; src and dst are both n long.
-            unsafe {
-                while i + S::LANES <= n {
-                    let v = s.load(sp.add(i));
+            slice::map(
+                s,
+                self.src,
+                self.dst,
+                #[inline(always)]
+                |v| {
                     let sign = s.sign_bits(v);
                     let a = s.abs(v);
                     let r = s.trunc(a);
@@ -188,24 +176,9 @@ mod tests {
                     let q = s.or_bits(bumped, sign);
                     let q = s.min(s.max(q, nlim), lim);
                     let q = s.mul_add(q, half, s.floor(v));
-                    s.store(dp.add(i), s.div(q, s.max(a, one)));
-                    i += S::LANES;
-                }
-            }
-            let s1 = ScalarSimd;
-            while i < n {
-                let v = self.src[i];
-                let sign = s1.sign_bits(v);
-                let a = s1.abs(v);
-                let r = s1.trunc(a);
-                let frac = s1.sub(a, r);
-                let bumped = s1.select(s1.ge(frac, 0.5), s1.add(r, 1.0), r);
-                let q = s1.or_bits(bumped, sign);
-                let q = s1.min(s1.max(q, -3.0), 3.0);
-                let q = s1.mul_add(q, 0.5, s1.floor(v));
-                self.dst[i] = s1.div(q, s1.max(a, 1.0));
-                i += 1;
-            }
+                    s.div(q, s.max(a, one))
+                },
+            );
         }
     }
 
@@ -228,7 +201,7 @@ mod tests {
             3.0,
             -3.0,
         ];
-        // Odd length so every arm exercises its scalar tail.
+        // Odd length so every vector arm runs a padded remainder.
         for i in 0..61 {
             v.push((i as f32 - 30.0) * 0.37);
         }
@@ -272,13 +245,11 @@ mod tests {
         type Output = ();
         #[inline(always)]
         fn eval<S: Simd>(self, s: S) {
-            assert!(self.dst.len() >= S::LANES);
-            assert!(self.src.len() > (S::LANES - 1) * self.stride);
-            // SAFETY: lengths asserted above.
-            unsafe {
-                let v = s.load_strided(self.src.as_ptr(), self.stride);
-                s.store(self.dst.as_mut_ptr(), v);
-            }
+            // An allocation of exactly the span, so a load past it is a
+            // heap overflow the sanitizer reports.
+            let span = self.src[..(S::LANES - 1) * self.stride + 1].to_vec();
+            let v = s.load_strided(&span, self.stride);
+            s.store(&mut self.dst[..S::LANES], v);
         }
     }
 
@@ -312,20 +283,13 @@ mod tests {
         type Output = ();
         #[inline(always)]
         fn eval<S: Simd>(self, s: S) {
-            let n = self.dst.len();
-            let (sp, dp) = (self.src.as_ptr(), self.dst.as_mut_ptr());
-            let mut i = 0;
-            // SAFETY: i + LANES <= n; src and dst are both n long.
-            unsafe {
-                while i + S::LANES <= n {
-                    s.store(dp.add(i), math::exp(s, s.load(sp.add(i))));
-                    i += S::LANES;
-                }
-            }
-            while i < n {
-                self.dst[i] = math::exp(ScalarSimd, self.src[i]);
-                i += 1;
-            }
+            slice::map(
+                s,
+                self.src,
+                self.dst,
+                #[inline(always)]
+                |v| math::exp(s, v),
+            );
         }
     }
 
@@ -376,33 +340,107 @@ mod tests {
         assert!(s.max(1.0, f32::NAN).is_nan());
     }
 
+    /// A wrong-length slice panics in every arm instead of reading past
+    /// it.
     #[test]
-    fn slice_helpers_match_plain_loops() {
-        for isa in CpuFeatures::get().available() {
-            struct Run<'a> {
-                a: &'a mut [f32],
-                b: &'a [f32],
-            }
-            impl SimdOp for Run<'_> {
-                type Output = ();
-                #[inline(always)]
-                fn eval<S: Simd>(self, s: S) {
-                    let mid = self.a.len() / 2;
-                    let (lo, hi) = self.a.split_at_mut(mid);
-                    slice::copy(s, &self.b[..mid], lo);
-                    slice::add_assign(s, hi, &self.b[mid..self.b.len()]);
-                    slice::add_splat(s, lo, 1.5);
+    fn loads_and_stores_check_their_lengths() {
+        struct Misuse(usize);
+        impl SimdOp for Misuse {
+            type Output = ();
+            fn eval<S: Simd>(self, s: S) {
+                let mut buf = [1.0f32; 64];
+                match self.0 {
+                    0 => {
+                        let _ = s.load(&buf[..S::LANES + 1]);
+                    }
+                    1 => s.store(&mut buf[..S::LANES - 1], s.splat(0.0)),
+                    _ => {
+                        let _ = s.load_strided(&buf[..2 * (S::LANES - 1)], 2);
+                    }
                 }
             }
-            let b: Vec<f32> = (0..53).map(|i| i as f32 * 0.5).collect();
-            let mut a = vec![2.0; 53];
-            let mid = a.len() / 2;
-            dispatch_on(isa, Run { a: &mut a, b: &b });
-            for i in 0..mid {
-                assert_eq!(a[i], b[i] + 1.5, "arm {isa:?} copy+add_splat idx {i}");
+        }
+        for isa in CpuFeatures::get().available() {
+            for misuse in 0..3 {
+                let caught = std::panic::catch_unwind(|| dispatch_on(isa, Misuse(misuse)));
+                assert!(caught.is_err(), "arm {isa:?} misuse {misuse} did not panic");
             }
-            for i in mid..a.len() {
-                assert_eq!(a[i], 2.0 + b[i], "arm {isa:?} add_assign idx {i}");
+        }
+    }
+
+    #[test]
+    fn slice_helpers_match_plain_loops() {
+        struct Run<'a> {
+            a: &'a [f32],
+            b: &'a [f32],
+            out: &'a mut [Vec<f32>; 6],
+        }
+        impl SimdOp for Run<'_> {
+            type Output = ();
+            #[inline(always)]
+            fn eval<S: Simd>(self, s: S) {
+                let (k, c) = (s.splat(1.5), s.splat(0.25));
+                let [m, mi, z, zi, aa, sp] = self.out;
+                slice::map(
+                    s,
+                    self.a,
+                    m,
+                    #[inline(always)]
+                    |v| s.add(s.mul(v, k), c),
+                );
+                slice::map_in_place(
+                    s,
+                    mi,
+                    #[inline(always)]
+                    |v| s.add(s.mul(v, k), c),
+                );
+                slice::zip_map(
+                    s,
+                    self.a,
+                    self.b,
+                    z,
+                    #[inline(always)]
+                    |x, y| s.div(x, s.sub(y, c)),
+                );
+                slice::zip_map_in_place(
+                    s,
+                    zi,
+                    self.b,
+                    #[inline(always)]
+                    |d, y| s.div(d, s.sub(y, c)),
+                );
+                slice::add_assign(s, aa, self.b);
+                slice::add_splat(s, sp, 1.5);
+            }
+        }
+        for len in 0..=33 {
+            let a: Vec<f32> = (0..len).map(|i| i as f32 * 0.37 - 3.0).collect();
+            let b: Vec<f32> = (0..len).map(|i| 2.5 - i as f32 * 0.5).collect();
+            let want = [
+                a.iter().map(|&x| x * 1.5 + 0.25).collect::<Vec<_>>(),
+                a.iter().map(|&x| x * 1.5 + 0.25).collect(),
+                a.iter().zip(&b).map(|(&x, &y)| x / (y - 0.25)).collect(),
+                a.iter().zip(&b).map(|(&x, &y)| x / (y - 0.25)).collect(),
+                a.iter().zip(&b).map(|(&x, &y)| x + y).collect(),
+                a.iter().map(|&x| x + 1.5).collect(),
+            ];
+            for isa in CpuFeatures::get().available() {
+                let mut out: [Vec<f32>; 6] = std::array::from_fn(|_| a.clone());
+                out[0].fill(f32::NAN);
+                out[2].fill(f32::NAN);
+                dispatch_on(
+                    isa,
+                    Run {
+                        a: &a,
+                        b: &b,
+                        out: &mut out,
+                    },
+                );
+                for (helper, (got, want)) in out.iter().zip(&want).enumerate() {
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "arm {isa:?} len {len} helper {helper}");
+                }
             }
         }
     }

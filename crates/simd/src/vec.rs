@@ -48,27 +48,27 @@ pub trait Simd: Copy {
     /// All lanes set to `x`.
     fn splat(self, x: f32) -> Self::V;
 
-    /// Load `LANES` consecutive floats.
+    /// Load `src`, which must be exactly `LANES` floats.
     ///
-    /// # Safety
-    /// `ptr..ptr + LANES` must be readable.
-    unsafe fn load(self, ptr: *const f32) -> Self::V;
+    /// # Panics
+    /// Panics if `src.len() != LANES`.
+    fn load(self, src: &[f32]) -> Self::V;
 
-    /// Store `LANES` consecutive floats.
+    /// Store `v` into `dst`, which must be exactly `LANES` floats.
     ///
-    /// # Safety
-    /// `ptr..ptr + LANES` must be writable.
-    unsafe fn store(self, ptr: *mut f32, v: Self::V);
+    /// # Panics
+    /// Panics if `dst.len() != LANES`.
+    fn store(self, dst: &mut [f32], v: Self::V);
 
-    /// Load lanes `ptr[0], ptr[stride], …, ptr[(LANES-1)*stride]`.
+    /// Load lanes `src[0], src[stride], …, src[(LANES-1)*stride]`.
     ///
     /// Strides 1 and 2 use contiguous loads plus shuffles; anything wider
     /// becomes a gather (x86) or scalar picks.
     ///
-    /// # Safety
-    /// `ptr..ptr + (LANES-1)*stride + 1` must be readable and
-    /// `(LANES-1)*stride` must fit in `i32`.
-    unsafe fn load_strided(self, ptr: *const f32, stride: usize) -> Self::V;
+    /// # Panics
+    /// Panics unless `src.len() == (LANES-1)*stride + 1` and
+    /// `(LANES-1)*stride` fits in `i32` (the gather's lane offsets).
+    fn load_strided(self, src: &[f32], stride: usize) -> Self::V;
 
     /// Lanewise `a + b`.
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
@@ -103,6 +103,19 @@ pub trait Simd: Copy {
     fn pow2i(self, n: Self::V) -> Self::V;
 }
 
+/// [`Simd::load_strided`]'s one length check: `src` is exactly
+/// `(LANES-1)*stride + 1` floats and the last lane's offset fits in `i32`.
+#[inline(always)]
+fn check_strided<S: Simd>(src: &[f32], stride: usize) {
+    let last = (S::LANES - 1).checked_mul(stride);
+    assert!(
+        last.is_some_and(|last| last <= i32::MAX as usize && src.len() == last + 1),
+        "load_strided: {} floats do not span {} lanes at stride {stride}",
+        src.len(),
+        S::LANES
+    );
+}
+
 /// One-lane portable arm; the bitwise ground truth for every vector arm.
 /// Freely constructible — plain `f32` arithmetic needs no CPU capability.
 #[derive(Clone, Copy, Debug, Default)]
@@ -124,18 +137,21 @@ impl Simd for ScalarSimd {
     }
 
     #[inline(always)]
-    unsafe fn load(self, ptr: *const f32) -> f32 {
-        *ptr
+    fn load(self, src: &[f32]) -> f32 {
+        assert_eq!(src.len(), 1);
+        src[0]
     }
 
     #[inline(always)]
-    unsafe fn store(self, ptr: *mut f32, v: f32) {
-        *ptr = v;
+    fn store(self, dst: &mut [f32], v: f32) {
+        assert_eq!(dst.len(), 1);
+        dst[0] = v;
     }
 
     #[inline(always)]
-    unsafe fn load_strided(self, ptr: *const f32, _stride: usize) -> f32 {
-        *ptr
+    fn load_strided(self, src: &[f32], stride: usize) -> f32 {
+        check_strided::<Self>(src, stride);
+        src[0]
     }
 
     #[inline(always)]
@@ -251,34 +267,45 @@ impl Simd for Avx2Simd {
     }
 
     #[inline(always)]
-    unsafe fn load(self, ptr: *const f32) -> __m256 {
-        _mm256_loadu_ps(ptr)
+    fn load(self, src: &[f32]) -> __m256 {
+        assert_eq!(src.len(), Self::LANES);
+        // SAFETY: src holds exactly 8 floats.
+        unsafe { _mm256_loadu_ps(src.as_ptr()) }
     }
 
     #[inline(always)]
-    unsafe fn store(self, ptr: *mut f32, v: __m256) {
-        _mm256_storeu_ps(ptr, v)
+    fn store(self, dst: &mut [f32], v: __m256) {
+        assert_eq!(dst.len(), Self::LANES);
+        // SAFETY: dst holds exactly 8 floats.
+        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) }
     }
 
     #[inline(always)]
-    unsafe fn load_strided(self, ptr: *const f32, stride: usize) -> __m256 {
-        debug_assert!((Self::LANES - 1) * stride <= i32::MAX as usize);
-        match stride {
-            1 => _mm256_loadu_ps(ptr),
-            2 => {
-                // Even-lane extraction from two contiguous loads: cheaper
-                // than a gather for the stride the pooling kernels hit most.
-                let v0 = _mm256_loadu_ps(ptr);
-                let v1 = _mm256_loadu_ps(ptr.add(8));
-                // [x0 x2 x8 x10 | x4 x6 x12 x14]
-                let even = _mm256_shuffle_ps::<0b10_00_10_00>(v0, v1);
-                let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-                _mm256_permutevar8x32_ps(even, order)
-            }
-            _ => {
-                let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-                let idx = _mm256_mullo_epi32(iota, _mm256_set1_epi32(stride as i32));
-                _mm256_i32gather_ps::<4>(ptr, idx)
+    fn load_strided(self, src: &[f32], stride: usize) -> __m256 {
+        check_strided::<Self>(src, stride);
+        let ptr = src.as_ptr();
+        // SAFETY: src holds 7*stride + 1 floats and 7*stride fits in i32
+        // (checked above); every load below stays inside it.
+        unsafe {
+            match stride {
+                1 => _mm256_loadu_ps(ptr),
+                2 => {
+                    // Lanes from two contiguous loads, x0..x7 and x7..x14:
+                    // cheaper than a gather for the stride the pooling
+                    // kernels hit most.
+                    let v0 = _mm256_loadu_ps(ptr);
+                    let v1 = _mm256_loadu_ps(ptr.add(7));
+                    // Even lanes of v0, odd lanes of v1:
+                    // [x0 x2 x8 x10 | x4 x6 x12 x14]
+                    let picked = _mm256_shuffle_ps::<0b11_01_10_00>(v0, v1);
+                    let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
+                    _mm256_permutevar8x32_ps(picked, order)
+                }
+                _ => {
+                    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                    let idx = _mm256_mullo_epi32(iota, _mm256_set1_epi32(stride as i32));
+                    _mm256_i32gather_ps::<4>(ptr, idx)
+                }
             }
         }
     }
@@ -385,31 +412,44 @@ impl Simd for Avx512Simd {
     }
 
     #[inline(always)]
-    unsafe fn load(self, ptr: *const f32) -> __m512 {
-        _mm512_loadu_ps(ptr)
+    fn load(self, src: &[f32]) -> __m512 {
+        assert_eq!(src.len(), Self::LANES);
+        // SAFETY: src holds exactly 16 floats.
+        unsafe { _mm512_loadu_ps(src.as_ptr()) }
     }
 
     #[inline(always)]
-    unsafe fn store(self, ptr: *mut f32, v: __m512) {
-        _mm512_storeu_ps(ptr, v)
+    fn store(self, dst: &mut [f32], v: __m512) {
+        assert_eq!(dst.len(), Self::LANES);
+        // SAFETY: dst holds exactly 16 floats.
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) }
     }
 
     #[inline(always)]
-    unsafe fn load_strided(self, ptr: *const f32, stride: usize) -> __m512 {
-        debug_assert!((Self::LANES - 1) * stride <= i32::MAX as usize);
-        match stride {
-            1 => _mm512_loadu_ps(ptr),
-            2 => {
-                let v0 = _mm512_loadu_ps(ptr);
-                let v1 = _mm512_loadu_ps(ptr.add(16));
-                let idx =
-                    _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-                _mm512_permutex2var_ps(v0, idx, v1)
-            }
-            _ => {
-                let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-                let idx = _mm512_mullo_epi32(iota, _mm512_set1_epi32(stride as i32));
-                _mm512_i32gather_ps::<4>(idx, ptr)
+    fn load_strided(self, src: &[f32], stride: usize) -> __m512 {
+        check_strided::<Self>(src, stride);
+        let ptr = src.as_ptr();
+        // SAFETY: src holds 15*stride + 1 floats and 15*stride fits in i32
+        // (checked above); every load below stays inside it.
+        unsafe {
+            match stride {
+                1 => _mm512_loadu_ps(ptr),
+                2 => {
+                    // x0..x15 and x15..x30: even lanes of the first, odd
+                    // lanes of the second.
+                    let v0 = _mm512_loadu_ps(ptr);
+                    let v1 = _mm512_loadu_ps(ptr.add(15));
+                    let idx = _mm512_setr_epi32(
+                        0, 2, 4, 6, 8, 10, 12, 14, 17, 19, 21, 23, 25, 27, 29, 31,
+                    );
+                    _mm512_permutex2var_ps(v0, idx, v1)
+                }
+                _ => {
+                    let iota =
+                        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+                    let idx = _mm512_mullo_epi32(iota, _mm512_set1_epi32(stride as i32));
+                    _mm512_i32gather_ps::<4>(idx, ptr)
+                }
             }
         }
     }

@@ -20,7 +20,7 @@
 //! which is bitwise identical across arms by construction.
 
 use crate::{Tensor, TensorError};
-use epim_simd::{dispatch, math, ScalarSimd, Simd, SimdOp};
+use epim_simd::{dispatch, math, slice, ScalarSimd, Simd, SimdOp};
 
 /// Rectified linear unit, elementwise.
 pub fn relu(x: &Tensor) -> Tensor {
@@ -86,23 +86,14 @@ impl SimdOp for ReluOp<'_> {
     type Output = ();
     #[inline(always)]
     fn eval<S: Simd>(self, s: S) {
-        let n = self.dst.len();
-        let (sp, dp) = (self.src.as_ptr(), self.dst.as_mut_ptr());
         let zero = s.splat(0.0);
-        let mut i = 0;
-        // SAFETY: i + LANES <= n on every vector iteration; both slices
-        // are n long.
-        unsafe {
-            while i + S::LANES <= n {
-                s.store(dp.add(i), s.max(s.load(sp.add(i)), zero));
-                i += S::LANES;
-            }
-        }
-        let t = ScalarSimd;
-        while i < n {
-            self.dst[i] = t.max(self.src[i], 0.0);
-            i += 1;
-        }
+        slice::map(
+            s,
+            self.src,
+            self.dst,
+            #[inline(always)]
+            |v| s.max(v, zero),
+        );
     }
 }
 
@@ -116,20 +107,14 @@ impl SimdOp for AddOp<'_> {
     type Output = ();
     #[inline(always)]
     fn eval<S: Simd>(self, s: S) {
-        let n = self.dst.len();
-        let (ap, bp, dp) = (self.a.as_ptr(), self.b.as_ptr(), self.dst.as_mut_ptr());
-        let mut i = 0;
-        // SAFETY: i + LANES <= n; all three slices are n long.
-        unsafe {
-            while i + S::LANES <= n {
-                s.store(dp.add(i), s.add(s.load(ap.add(i)), s.load(bp.add(i))));
-                i += S::LANES;
-            }
-        }
-        while i < n {
-            self.dst[i] = self.a[i] + self.b[i];
-            i += 1;
-        }
+        slice::zip_map(
+            s,
+            self.a,
+            self.b,
+            self.dst,
+            #[inline(always)]
+            |a, b| s.add(a, b),
+        );
     }
 }
 
@@ -143,23 +128,15 @@ impl SimdOp for AddReluOp<'_> {
     type Output = ();
     #[inline(always)]
     fn eval<S: Simd>(self, s: S) {
-        let n = self.dst.len();
-        let (ap, bp, dp) = (self.a.as_ptr(), self.b.as_ptr(), self.dst.as_mut_ptr());
         let zero = s.splat(0.0);
-        let mut i = 0;
-        // SAFETY: i + LANES <= n; all three slices are n long.
-        unsafe {
-            while i + S::LANES <= n {
-                let sum = s.add(s.load(ap.add(i)), s.load(bp.add(i)));
-                s.store(dp.add(i), s.max(sum, zero));
-                i += S::LANES;
-            }
-        }
-        let t = ScalarSimd;
-        while i < n {
-            self.dst[i] = t.max(self.a[i] + self.b[i], 0.0);
-            i += 1;
-        }
+        slice::zip_map(
+            s,
+            self.a,
+            self.b,
+            self.dst,
+            #[inline(always)]
+            |a, b| s.max(s.add(a, b), zero),
+        );
     }
 }
 
@@ -212,37 +189,24 @@ impl SimdOp for SoftmaxRowsOp<'_> {
             for &v in row.iter() {
                 m = t.max(v, m);
             }
-            let p = row.as_mut_ptr();
             let mv = s.splat(m);
-            let mut i = 0;
-            // SAFETY: i + LANES <= k inside the row.
-            unsafe {
-                while i + S::LANES <= k {
-                    s.store(p.add(i), math::exp(s, s.sub(s.load(p.add(i)), mv)));
-                    i += S::LANES;
-                }
-            }
-            while i < k {
-                row[i] = math::exp(t, row[i] - m);
-                i += 1;
-            }
+            slice::map_in_place(
+                s,
+                row,
+                #[inline(always)]
+                |v| math::exp(s, s.sub(v, mv)),
+            );
             let mut z = 0.0;
             for &v in row.iter() {
                 z += v;
             }
             let zv = s.splat(z);
-            let mut i = 0;
-            // SAFETY: i + LANES <= k inside the row.
-            unsafe {
-                while i + S::LANES <= k {
-                    s.store(p.add(i), s.div(s.load(p.add(i)), zv));
-                    i += S::LANES;
-                }
-            }
-            while i < k {
-                row[i] /= z;
-                i += 1;
-            }
+            slice::map_in_place(
+                s,
+                row,
+                #[inline(always)]
+                |v| s.div(v, zv),
+            );
         }
     }
 }
@@ -469,8 +433,8 @@ mod tests {
     }
 
     /// Every ISA arm of the softmax matches the scalar arm bitwise, on
-    /// odd row widths (scalar tails), wide dynamic range, ±0 logits and a
-    /// classifier-wide row.
+    /// odd row widths (padded remainders), wide dynamic range, ±0 logits
+    /// and a classifier-wide row.
     #[test]
     fn softmax_arms_match_scalar_bitwise() {
         for k in [1usize, 3, 7, 16, 33, 100, 1000] {

@@ -1040,7 +1040,7 @@ mod tests {
 
     fn dense(m: usize, n: usize, seed: u64) -> Vec<f32> {
         let mut r = rng::seeded(seed);
-        init::uniform(&[m, n], -1.0, 1.0, &mut r).into_vec()
+        init::uniform(&[m, n], -1.0, 1.0, &mut r).data().to_vec()
     }
 
     fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {

@@ -103,12 +103,11 @@ fn pool_out_dims(h: usize, w: usize, cfg: PoolCfg) -> Result<(usize, usize), Ten
 }
 
 /// In-place window reduction: `init`, fold one value at a time, `finish`.
-/// The scalar and vector hooks are lane-for-lane the same FP sequence, so
-/// reducing one output per lane is bitwise equal to the scalar fold.
+/// Written once over the lane trait: the scalar arm's one-lane fold is the
+/// same FP sequence as each lane of a vector arm, so reducing one output
+/// per lane is bitwise equal to the scalar fold.
 trait PoolReduce: Copy {
     fn init(&self) -> f32;
-    fn accum1(&self, acc: f32, v: f32) -> f32;
-    fn finish1(&self, acc: f32) -> f32;
     fn vaccum<S: Simd>(&self, s: S, acc: S::V, v: S::V) -> S::V;
     fn vfinish<S: Simd>(&self, s: S, acc: S::V) -> S::V;
 }
@@ -122,17 +121,8 @@ impl PoolReduce for MaxReduce {
         f32::NEG_INFINITY
     }
     #[inline(always)]
-    fn accum1(&self, acc: f32, v: f32) -> f32 {
-        // `if v > acc { v } else { acc }`: ties keep the accumulator,
-        // matching the vector `maxps(v, acc)` exactly.
-        ScalarSimd.max(v, acc)
-    }
-    #[inline(always)]
-    fn finish1(&self, acc: f32) -> f32 {
-        acc
-    }
-    #[inline(always)]
     fn vaccum<S: Simd>(&self, s: S, acc: S::V, v: S::V) -> S::V {
+        // `if v > acc { v } else { acc }`: ties keep the accumulator.
         s.max(v, acc)
     }
     #[inline(always)]
@@ -154,14 +144,6 @@ impl PoolReduce for AvgReduce {
         0.0
     }
     #[inline(always)]
-    fn accum1(&self, acc: f32, v: f32) -> f32 {
-        acc + v
-    }
-    #[inline(always)]
-    fn finish1(&self, acc: f32) -> f32 {
-        acc / self.area
-    }
-    #[inline(always)]
     fn vaccum<S: Simd>(&self, s: S, acc: S::V, v: S::V) -> S::V {
         s.add(acc, v)
     }
@@ -172,7 +154,7 @@ impl PoolReduce for AvgReduce {
 }
 
 /// One pooled output, reduced **in place** in the documented ky-then-kx
-/// pad-skipping order (no window gather buffer).
+/// pad-skipping order (no window gather buffer), on the one-lane arm.
 #[inline(always)]
 fn pool_window_scalar<R: PoolReduce>(
     plane: &[f32],
@@ -181,6 +163,7 @@ fn pool_window_scalar<R: PoolReduce>(
     (oy, ox): (usize, usize),
     red: &R,
 ) -> f32 {
+    let s = ScalarSimd;
     let mut acc = red.init();
     for ky in 0..cfg.window {
         let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
@@ -192,38 +175,17 @@ fn pool_window_scalar<R: PoolReduce>(
             if ix < 0 || ix >= w as isize {
                 continue;
             }
-            acc = red.accum1(acc, plane[iy as usize * w + ix as usize]);
+            acc = red.vaccum(s, acc, plane[iy as usize * w + ix as usize]);
         }
     }
-    red.finish1(acc)
-}
-
-/// The scalar reduction core: one output element per `(ni, ci, oy, ox)` in
-/// row-major order, each window reduced in place in `ky`-then-`kx` order
-/// with pads skipped — the bitwise reference for every vector arm.
-fn pool_into_core<R: PoolReduce>(
-    xd: &[f32],
-    (n, c, h, w): (usize, usize, usize, usize),
-    cfg: PoolCfg,
-    (oh, ow): (usize, usize),
-    out: &mut [f32],
-    red: &R,
-) {
-    let mut idx = 0usize;
-    for plane in xd[..n * c * h * w].chunks_exact(h * w) {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                out[idx] = pool_window_scalar(plane, (h, w), cfg, (oy, ox), red);
-                idx += 1;
-            }
-        }
-    }
+    red.vfinish(s, acc)
 }
 
 /// The dispatched pooling op: vectorizes across output columns (one output
 /// per lane, so each output's FP reduction sequence is unchanged) over the
 /// interior column range where the whole window is in-bounds; edge columns
-/// and sub-lane remainders fall back to [`pool_window_scalar`].
+/// and sub-lane remainders run the same reduction one lane wide
+/// ([`pool_window_scalar`]).
 struct Pool2dOp<'a, R> {
     xd: &'a [f32],
     dims: (usize, usize, usize, usize),
@@ -241,11 +203,6 @@ impl<R: PoolReduce> SimdOp for Pool2dOp<'_, R> {
         let (oh, ow) = self.odims;
         let cfg = self.cfg;
         let red = self.red;
-        if S::LANES == 1 {
-            // The scalar arm IS the reference core.
-            pool_into_core(self.xd, self.dims, cfg, self.odims, self.out, &red);
-            return;
-        }
         let (win, st, pad) = (cfg.window, cfg.stride, cfg.padding);
         // Columns where every kx lands in-bounds: ox*st >= pad and
         // ox*st + win - 1 - pad <= w - 1.
@@ -255,6 +212,8 @@ impl<R: PoolReduce> SimdOp for Pool2dOp<'_, R> {
             0
         };
         let ox_lo = pad.div_ceil(st).min(ox_hi);
+        // Floats one strided load of LANES outputs spans.
+        let span = (S::LANES - 1) * st + 1;
         let mut idx = 0usize;
         for plane in self.xd[..n * c * h * w].chunks_exact(h * w) {
             for oy in 0..oh {
@@ -262,31 +221,28 @@ impl<R: PoolReduce> SimdOp for Pool2dOp<'_, R> {
                 // range is uniform across ox.
                 let ky_lo = pad.saturating_sub(oy * st);
                 let ky_hi = win.min(h + pad - oy * st);
-                for ox in 0..ox_lo {
-                    self.out[idx + ox] = pool_window_scalar(plane, (h, w), cfg, (oy, ox), &red);
+                let out = &mut self.out[idx..idx + ow];
+                for (ox, o) in out[..ox_lo].iter_mut().enumerate() {
+                    *o = pool_window_scalar(plane, (h, w), cfg, (oy, ox), &red);
                 }
                 let mut ox = ox_lo;
                 while ox + S::LANES <= ox_hi {
                     let mut acc = s.splat(red.init());
                     for ky in ky_lo..ky_hi {
                         let iy = oy * st + ky - pad;
-                        let row = plane[iy * w..(iy + 1) * w].as_ptr();
+                        let row = &plane[iy * w..(iy + 1) * w];
                         for kx in 0..win {
-                            // SAFETY: interior columns: the last lane reads
-                            // iy*w + (ox + LANES - 1)*st + kx - pad, which is
-                            // < iy*w + w by the ox_hi bound.
-                            let v = unsafe { s.load_strided(row.add(ox * st + kx - pad), st) };
+                            // Interior columns: the last lane reads
+                            // (ox + LANES - 1)*st + kx - pad < w.
+                            let v = s.load_strided(&row[ox * st + kx - pad..][..span], st);
                             acc = red.vaccum(s, acc, v);
                         }
                     }
-                    // SAFETY: idx + ox + LANES <= plane's output row end.
-                    unsafe {
-                        s.store(self.out.as_mut_ptr().add(idx + ox), red.vfinish(s, acc));
-                    }
+                    s.store(&mut out[ox..ox + S::LANES], red.vfinish(s, acc));
                     ox += S::LANES;
                 }
-                for ox in ox..ow {
-                    self.out[idx + ox] = pool_window_scalar(plane, (h, w), cfg, (oy, ox), &red);
+                for (ox, o) in out.iter_mut().enumerate().skip(ox) {
+                    *o = pool_window_scalar(plane, (h, w), cfg, (oy, ox), &red);
                 }
                 idx += ow;
             }
@@ -462,33 +418,30 @@ impl SimdOp for GlobalAvgPoolOp<'_> {
         if hw == 0 {
             return;
         }
-        let inv = 1.0 / (hw as f32);
-        let xp = self.xd.as_ptr();
-        let vinv = s.splat(inv);
-        let mut ci = 0;
-        // SAFETY: lane l of iteration (ci, i) reads (ci + l)*hw + i
-        // < nc*hw; stores cover out[ci..ci + LANES] with ci + LANES <= nc.
-        unsafe {
-            while ci + S::LANES <= nc {
-                let mut acc = s.splat(0.0);
-                let base = xp.add(ci * hw);
-                for i in 0..hw {
-                    acc = s.add(acc, s.load_strided(base.add(i), hw));
-                }
-                s.store(self.out.as_mut_ptr().add(ci), s.mul(acc, vinv));
-                ci += S::LANES;
-            }
+        let vector = nc - nc % S::LANES;
+        let (head, tail) = self.out[..nc].split_at_mut(vector);
+        gap_channels(s, &self.xd[..vector * hw], hw, head);
+        gap_channels(ScalarSimd, &self.xd[vector * hw..nc * hw], hw, tail);
+    }
+}
+
+/// Channel means of the `out.len()` planes of `hw` floats in `xd`,
+/// `LANES` channels at a time: lane `l` sums channel `l`'s plane in
+/// element order, gathered at stride `hw`. `out.len()` is a multiple of
+/// `LANES`.
+#[inline(always)]
+fn gap_channels<S: Simd>(s: S, xd: &[f32], hw: usize, out: &mut [f32]) {
+    let vinv = s.splat(1.0 / (hw as f32));
+    let span = (S::LANES - 1) * hw + 1;
+    for (planes, out) in xd
+        .chunks_exact(S::LANES * hw)
+        .zip(out.chunks_exact_mut(S::LANES))
+    {
+        let mut acc = s.splat(0.0);
+        for i in 0..hw {
+            acc = s.add(acc, s.load_strided(&planes[i..i + span], hw));
         }
-        for (slot, plane) in self.out[ci..nc]
-            .iter_mut()
-            .zip(self.xd[ci * hw..].chunks(hw))
-        {
-            let mut acc = 0.0;
-            for &v in plane {
-                acc += v;
-            }
-            *slot = acc * inv;
-        }
+        s.store(out, s.mul(acc, vinv));
     }
 }
 
@@ -599,6 +552,28 @@ mod tests {
         // Short slices are rejected, not silently truncated.
         assert!(max_pool2d_into(&x.data()[1..], dims, cfg, &mut got).is_err());
         assert!(global_avg_pool_into(x.data(), dims, &mut got[..1]).is_err());
+    }
+
+    /// The scalar reduction core: one output element per `(ni, ci, oy, ox)`
+    /// in row-major order, each window reduced in place in `ky`-then-`kx`
+    /// order with pads skipped — the bitwise reference for every arm.
+    fn pool_into_core<R: PoolReduce>(
+        xd: &[f32],
+        (n, c, h, w): (usize, usize, usize, usize),
+        cfg: PoolCfg,
+        (oh, ow): (usize, usize),
+        out: &mut [f32],
+        red: &R,
+    ) {
+        let mut idx = 0usize;
+        for plane in xd[..n * c * h * w].chunks_exact(h * w) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    out[idx] = pool_window_scalar(plane, (h, w), cfg, (oy, ox), red);
+                    idx += 1;
+                }
+            }
+        }
     }
 
     /// The pre-refactor reduction core: gathers each window into a Vec in
@@ -774,7 +749,7 @@ mod tests {
     }
 
     /// Every ISA arm of the global average pool matches the scalar loop
-    /// bitwise, including channel counts that exercise the lane tail.
+    /// bitwise, including channel counts that leave leftover channels.
     #[test]
     fn global_avg_pool_arms_match_scalar_bitwise() {
         use epim_simd::{dispatch_on, CpuFeatures};

@@ -121,11 +121,6 @@ impl Tensor {
         self.shape.dims()
     }
 
-    /// The shape object (with stride helpers).
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.shape.rank()
@@ -149,11 +144,6 @@ impl Tensor {
     /// Mutable access to the underlying flat data.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Value at a multi-index.
