@@ -27,8 +27,8 @@
 //!   weight binding ([`lower::NetworkWeights`]) and the sequential
 //!   reference executor the serving runtime is verified against.
 //! - [`optimize`]: the graph-fusion pass over lowered programs — fused
-//!   ReLU epilogues, identity folds (all bit-identity-safe by
-//!   construction) — plus the liveness-planned activation arena
+//!   ReLU epilogues, bit-identity-safe by construction — plus the
+//!   liveness-planned activation arena
 //!   ([`optimize::ArenaPlan`]) the serving runtime executes into.
 
 #![deny(missing_docs)]

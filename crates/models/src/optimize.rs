@@ -1,29 +1,22 @@
-//! Graph optimization for [`NetworkProgram`]: fused epilogues, identity
-//! folds and a liveness-planned activation arena.
+//! Graph optimization for [`NetworkProgram`]: fused ReLU epilogues and a
+//! liveness-planned activation arena.
 //!
 //! Lowering (see [`crate::lower`]) emits a deliberately naive program —
-//! one stage per backbone op, a separate `Relu` stage after every
+//! one stage per backbone op, a separate `Relu` stage right after every
 //! convolution and residual add. [`NetworkProgram::optimize`] rewrites
-//! that program into the one the serving runtime actually executes:
+//! that program into the one the serving runtime actually executes: a
+//! `Relu` whose producer is a `Conv`, `Epitome`, `Linear` or `Add` stage
+//! that *no other stage reads pre-activation* is folded into the
+//! producer's epilogue (`relu: true` on the [`StageOp`]). The fused
+//! kernels clamp at the final writeback of the exact same accumulated
+//! value, so fusion is **bit-identity-safe by construction** — not "close
+//! enough", bitwise equal.
 //!
-//! 1. **ReLU fusion** — a `Relu` whose producer is a `Conv`, `Epitome`,
-//!    `Linear` or `Add` stage that *no other stage reads pre-activation*
-//!    is folded into the producer's epilogue (`relu: true` on the
-//!    [`StageOp`]). The fused kernels clamp at the final writeback of the
-//!    exact same accumulated value, so fusion is **bit-identity-safe by
-//!    construction** — not "close enough", bitwise equal.
-//! 2. **Idempotent ReLU folds** — `relu(relu(x))` is bitwise `relu(x)`,
-//!    so a `Relu` reading an already-rectified value becomes an alias.
-//! 3. **Identity folds** — a `MaxPool` with a 1×1 window, stride 1 and no
-//!    padding copies its input; a `GlobalAvgPool` over a 1×1 map computes
-//!    `s * 1.0` per channel, which is bitwise `s`. Both become aliases.
-//!
-//! The pass never removes a stage whose *value* someone still needs — an
-//! alias just remaps readers — and it never drops `Epitome` stages, so
-//! the program's [`DataPathStats`](epim_pim::datapath::DataPathStats)
-//! rollups are unchanged. The final stage is special: the program output
-//! is the last stage's value, so an alias at the tail is only taken when
-//! its target *is* the new tail.
+//! The pass never drops `Epitome` stages, so the program's
+//! [`DataPathStats`](epim_pim::datapath::DataPathStats) rollups are
+//! unchanged. Because each `Relu` directly follows its producer, a fused
+//! final `Relu`'s producer is the new final stage, whose value is the
+//! program output.
 //!
 //! [`NetworkProgram::plan_arena`] then computes per-stage liveness over
 //! the (optimized) program and packs every activation into one static
@@ -33,8 +26,8 @@
 use crate::lower::{NetworkProgram, Stage, StageInput, StageOp};
 
 impl NetworkProgram {
-    /// Returns the optimized program: fused ReLU epilogues, idempotent
-    /// ReLU folds and identity-pool folds applied.
+    /// Returns the optimized program, with every fusable ReLU folded into
+    /// its producer's epilogue.
     ///
     /// The optimized program's [`forward_reference`] output and datapath
     /// stats are bitwise equal to the unoptimized program's — the
@@ -51,61 +44,18 @@ impl NetworkProgram {
         let mut stages: Vec<Stage> = Vec::new();
 
         for (i, stage) in self.stages.iter().enumerate() {
-            let is_last = i == n - 1;
-            // An alias (or fusion into the producer) at the tail is only
-            // sound when its target ends up as the new tail.
-            let alias_ok = |target: usize, stages: &[Stage]| -> bool {
-                !is_last || target == stages.len() - 1
-            };
-            match &stage.op {
-                StageOp::Relu => {
-                    if let StageInput::Stage(j) = stage.input {
-                        let nj = remap[j];
-                        // relu(relu(x)) == relu(x) bitwise.
-                        if stages[nj].op.fused_relu() || matches!(self.stages[j].op, StageOp::Relu)
-                        {
-                            if alias_ok(nj, &stages) {
-                                remap.push(nj);
-                                continue;
-                            }
-                        } else if consumers[j] == [i] && origin[nj] == j {
-                            // Sole reader of the pre-activation value:
-                            // fold into the producer's epilogue.
-                            if let Some(fused) = stages[nj].op.with_fused_relu() {
-                                if alias_ok(nj, &stages) {
-                                    stages[nj].op = fused;
-                                    stages[nj].name.push_str("+relu");
-                                    remap.push(nj);
-                                    continue;
-                                }
-                            }
-                        }
+            if let (StageOp::Relu, StageInput::Stage(j)) = (&stage.op, stage.input) {
+                let nj = remap[j];
+                // Sole reader of the pre-activation value: fold into the
+                // producer's epilogue.
+                if consumers[j] == [i] && origin[nj] == j {
+                    if let Some(fused) = stages[nj].op.with_fused_relu() {
+                        stages[nj].op = fused;
+                        stages[nj].name.push_str("+relu");
+                        remap.push(nj);
+                        continue;
                     }
                 }
-                StageOp::MaxPool(cfg) if cfg.window == 1 && cfg.stride == 1 && cfg.padding == 0 => {
-                    if let StageInput::Stage(j) = stage.input {
-                        let nj = remap[j];
-                        if alias_ok(nj, &stages) {
-                            remap.push(nj);
-                            continue;
-                        }
-                    }
-                }
-                StageOp::GlobalAvgPool => {
-                    // GAP over a 1×1 map is `s * (1.0 / 1)` per channel —
-                    // bitwise the identity (shape included: lowering emits
-                    // `[C, 1, 1]` for both).
-                    if let StageInput::Stage(j) = stage.input {
-                        if self.stages[j].out_shape == stage.out_shape {
-                            let nj = remap[j];
-                            if alias_ok(nj, &stages) {
-                                remap.push(nj);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                _ => {}
             }
             // Keep the stage, remapping its reads into the new indexing.
             let input = match stage.input {
@@ -238,7 +188,6 @@ mod tests {
     use crate::zoo;
     use epim_core::ConvShape;
     use epim_pim::datapath::AnalogModel;
-    use epim_tensor::ops::{Conv2dCfg, PoolCfg};
     use epim_tensor::{rng, Tensor};
 
     fn chain_net() -> Network {
@@ -312,59 +261,6 @@ mod tests {
             .stages()
             .iter()
             .any(|s| matches!(s.op, StageOp::Epitome { relu: true, .. })));
-    }
-
-    #[test]
-    fn identity_pools_fold_and_tail_alias_is_guarded() {
-        let conv_cfg = Conv2dCfg {
-            stride: 1,
-            padding: 1,
-        };
-        let conv = |name: &str, input: StageInput| Stage {
-            name: name.to_string(),
-            input,
-            op: StageOp::Conv {
-                layer: 0,
-                cfg: conv_cfg,
-                relu: false,
-            },
-            out_shape: vec![4, 8, 8],
-        };
-        let identity_pool = |input: StageInput| Stage {
-            name: "pool".to_string(),
-            input,
-            op: StageOp::MaxPool(PoolCfg {
-                window: 1,
-                stride: 1,
-                padding: 0,
-            }),
-            out_shape: vec![4, 8, 8],
-        };
-        // Mid-program identity pool folds away entirely.
-        let prog = NetworkProgram {
-            input_shape: vec![4, 8, 8],
-            stages: vec![
-                conv("c0", StageInput::Source),
-                identity_pool(StageInput::Stage(0)),
-                conv("c1", StageInput::Stage(1)),
-            ],
-        };
-        let opt = prog.optimize();
-        assert_eq!(opt.stages().len(), 2);
-        assert_eq!(opt.stages()[1].input, StageInput::Stage(0));
-        // A tail alias whose target is not the new tail must be kept:
-        // the program output is the tail stage's value.
-        let prog = NetworkProgram {
-            input_shape: vec![4, 8, 8],
-            stages: vec![
-                conv("c0", StageInput::Source),
-                conv("c1", StageInput::Stage(0)),
-                identity_pool(StageInput::Stage(0)),
-            ],
-        };
-        let opt = prog.optimize();
-        assert_eq!(opt.stages().len(), 3, "guarded tail alias stays");
-        assert!(matches!(opt.stages()[2].op, StageOp::MaxPool(_)));
     }
 
     #[test]

@@ -381,11 +381,6 @@ impl DataPath {
         &self.plan
     }
 
-    /// The channel-wrapping analysis for this layer.
-    pub fn wrapping(&self) -> ChannelWrapping {
-        self.wrapping
-    }
-
     /// Executes the layer on an input feature map `(N, C_in, H, W)`,
     /// returning the output `(N, C_out, OH, OW)` and execution statistics.
     ///

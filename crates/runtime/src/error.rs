@@ -38,7 +38,7 @@ pub enum RuntimeError {
     /// instead of spending a batch slot on an answer nobody is waiting
     /// for.
     DeadlineExceeded,
-    /// Scheduler workers crashed more times than the restart budget
+    /// Scheduler workers panicked more times than the restart budget
     /// allows; the fleet shut itself down rather than limp on with a
     /// panic loop. Every queued request is failed with this error.
     CrashLoop {

@@ -39,7 +39,8 @@
 //!    bounded by [`TenantConfig::max_batch`] and
 //!    [`TenantConfig::batch_window`] (an upper bound on the hold: the
 //!    scheduler waits at most the tenant's measured service time),
-//!    round-robin draining across tenants and supervised worker threads.
+//!    round-robin draining across tenants, and worker threads that
+//!    recover from their own panics under a fleet-wide restart budget.
 //! 5. **The engine** ([`MultiEngine`]): compiled plans registered as
 //!    tenants behind one scheduler. A single network — or a single
 //!    epitome layer, via `epim_models::zoo::epitome_layer` — is a

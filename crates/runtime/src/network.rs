@@ -182,8 +182,8 @@ pub struct NetworkPlan {
 
 impl NetworkPlan {
     /// Lowers `network` for `input_h × input_w` inputs, runs the
-    /// graph-fusion pass when `optimize` is set (fused ReLU epilogues and
-    /// identity folds — bit-identity-safe by construction), binds
+    /// graph-fusion pass when `optimize` is set (fused ReLU epilogues,
+    /// bit-identity-safe by construction), binds
     /// `weights`, resolves every epitome stage through `cache` (layers
     /// sharing a spec share one compiled plan; a pre-warmed cache
     /// compiles nothing) and plans the activation arena.

@@ -139,10 +139,10 @@ pub struct Inference {
 }
 
 /// Where a request's result goes. The scheduler calls it exactly once per
-/// accepted request, on a scheduler (or supervisor) thread — sometimes
-/// while holding the queue lock — so it must neither block, panic nor
-/// call back into the engine; handing the result to a channel is the
-/// intended use.
+/// accepted request, on a scheduler thread (or the thread dropping the
+/// engine) — sometimes while holding the queue lock — so it must neither
+/// block, panic nor call back into the engine; handing the result to a
+/// channel is the intended use.
 pub(crate) type Reply = Box<dyn FnOnce(Result<Inference, RuntimeError>) + Send>;
 
 /// A queued request: the input plus the reply its result is handed to.
@@ -213,9 +213,13 @@ struct Shared<E: GroupExecutor> {
     submitted: Condvar,
     /// Signals blocked submitters that queue space freed up.
     space: Condvar,
-    /// Crashed worker threads respawned by the supervisor (fleet-wide;
-    /// surfaced as `RuntimeStats::worker_restarts`).
+    /// Worker panics recovered in place, fleet-wide (surfaced as
+    /// `RuntimeStats::worker_restarts`). Workers claim restarts from it
+    /// and never take it past `restart_budget`.
     restarts: AtomicU64,
+    /// Most worker panics the fleet recovers from before it fails with
+    /// [`RuntimeError::CrashLoop`].
+    restart_budget: u32,
 }
 
 /// Every tenant's pending queue plus the round-robin cursor, all under
@@ -254,28 +258,18 @@ impl QueueSet {
 }
 
 /// The scheduler core: per-tenant bounded queues, round-robin draining,
-/// shape-grouped micro-batching worker threads under a supervisor that
-/// respawns crashed workers, per-request delivery. Engines wrap this
-/// around their executor(s).
+/// shape-grouped micro-batching worker threads that recover from their
+/// own panics under a fleet-wide restart budget, per-request delivery.
+/// Engines wrap this around their executor(s).
 pub(crate) struct Scheduler<E: GroupExecutor> {
     shared: Arc<Shared<E>>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
-}
-
-/// One worker thread's exit report to the supervisor. Every spawned
-/// worker sends exactly one of these as its last act.
-enum WorkerExit {
-    /// Clean return (shutdown drain finished).
-    Clean(usize),
-    /// The worker's loop unwound — a panic escaped the per-batch guards
-    /// (injected worker kill, poisoned-lock cascade, executor bug).
-    Crashed(usize),
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<E: GroupExecutor> Scheduler<E> {
     /// Validates every tenant's config and spawns `workers` scheduler
-    /// threads draining all of them round-robin, plus a supervisor thread
-    /// that respawns crashed workers until `restart_budget` is exhausted.
+    /// threads draining all of them round-robin; together they recover
+    /// from at most `restart_budget` panics.
     pub fn new(
         tenants: Vec<(String, E, TenantConfig)>,
         workers: usize,
@@ -316,23 +310,19 @@ impl<E: GroupExecutor> Scheduler<E> {
             submitted: Condvar::new(),
             space: Condvar::new(),
             restarts: AtomicU64::new(0),
+            restart_budget,
             tenants,
         });
-        let (exit_tx, exit_rx) = mpsc::channel();
-        let handles: Vec<Option<std::thread::JoinHandle<()>>> = (0..workers)
-            .map(|i| Some(spawn_worker(shared.clone(), i, exit_tx.clone())))
+        let workers = (0..workers)
+            .map(|lane| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("epim-sched-{lane}"))
+                    .spawn(move || worker_main(&shared))
+                    .expect("spawning scheduler thread")
+            })
             .collect();
-        let supervisor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("epim-supervisor".to_string())
-                .spawn(move || supervisor_main(&shared, exit_rx, exit_tx, handles, restart_budget))
-                .expect("spawning supervisor thread")
-        };
-        Ok(Scheduler {
-            shared,
-            supervisor: Some(supervisor),
-        })
+        Ok(Scheduler { shared, workers })
     }
 
     /// The executor of tenant `tenant`.
@@ -581,126 +571,61 @@ impl<E: GroupExecutor> Drop for Scheduler<E> {
         }
         self.shared.submitted.notify_all();
         self.shared.space.notify_all();
-        if let Some(supervisor) = self.supervisor.take() {
-            // The supervisor joins every worker (workers drain every
-            // queued request before exiting), so no submitter is left
-            // parked.
-            let _ = supervisor.join();
+        // Workers drain every queued request before returning.
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
+        // Fail-safe: with every worker gone, anything still queued (a
+        // submission that raced the shutdown flag, or work left by a
+        // worker that panicked during shutdown) would hang forever.
+        drain_all(&self.shared, RuntimeError::ShuttingDown);
     }
 }
 
-/// Spawns one scheduler worker thread for lane `lane`. The worker's last
-/// act — clean exit or unwinding panic — is reporting to the supervisor
-/// over `exit_tx`.
-fn spawn_worker<E: GroupExecutor>(
-    shared: Arc<Shared<E>>,
-    lane: usize,
-    exit_tx: mpsc::Sender<WorkerExit>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("epim-sched-{lane}"))
-        .spawn(move || {
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_main(&shared)));
-            let _ = exit_tx.send(match outcome {
-                Ok(()) => WorkerExit::Clean(lane),
-                Err(_) => WorkerExit::Crashed(lane),
-            });
-        })
-        .expect("spawning scheduler thread")
-}
-
-/// One scheduler thread: pick a tenant, coalesce, execute, deliver, until
-/// shut down.
+/// One scheduler thread: serve until shut down, recovering from its own
+/// panics in place.
 ///
 /// Per-batch panics are caught inside [`execute_group`] and delivered as
 /// [`RuntimeError::ExecutionPanicked`]; anything that escapes (an
 /// injected worker kill, a panic inside the stats critical section)
-/// unwinds this function — every in-hand request still gets a delivery
-/// via [`DeliveryGuard`], and the supervisor respawns the thread.
+/// unwinds [`serve`], and [`DeliveryGuard`] answers every in-hand request
+/// on the way out. Unless the fleet is shutting down, the thread then
+/// claims one restart from the fleet-wide budget, backs off (2 ms, 4 ms,
+/// … capped at 128 ms, so a deterministic crash loop burns its budget in
+/// well under a second) and serves again; once the budget is spent it
+/// fails the fleet with [`RuntimeError::CrashLoop`].
 fn worker_main<E: GroupExecutor>(shared: &Shared<E>) {
-    loop {
-        let Some((tenant, group)) = next_group(shared) else {
+    while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve(shared))).is_err() {
+        if lock_recover(&shared.queue).shutdown {
             return;
-        };
+        }
+        let budget = u64::from(shared.restart_budget);
+        let claimed = shared
+            .restarts
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < budget).then_some(n + 1)
+            });
+        match claimed {
+            Ok(n) => std::thread::sleep(Duration::from_millis(1 << (n + 1).min(7))),
+            Err(n) => {
+                drain_all(shared, RuntimeError::CrashLoop { restarts: n as u32 });
+                return;
+            }
+        }
+    }
+}
+
+/// The worker loop: pick a tenant, coalesce, execute, deliver, until shut
+/// down.
+fn serve<E: GroupExecutor>(shared: &Shared<E>) {
+    while let Some((tenant, group)) = next_group(shared) {
         execute_group(shared, tenant, group);
         // Injected worker kill: fires *after* the group delivered, so the
-        // crash costs a thread (exercising the supervisor), never an
-        // answer.
+        // panic costs a restart, never an answer.
         if faults::fires(faults::FaultPoint::WorkerPanic) {
             panic!("injected fault: worker panic after batch");
         }
     }
-}
-
-/// The supervisor loop: joins cleanly-exiting workers, respawns crashed
-/// ones (exponential backoff, bounded by `restart_budget`), and fails the
-/// whole fleet with [`RuntimeError::CrashLoop`] once the budget is
-/// exhausted. Returns when every worker lane has exited.
-fn supervisor_main<E: GroupExecutor>(
-    shared: &Arc<Shared<E>>,
-    exit_rx: mpsc::Receiver<WorkerExit>,
-    exit_tx: mpsc::Sender<WorkerExit>,
-    mut handles: Vec<Option<std::thread::JoinHandle<()>>>,
-    restart_budget: u32,
-) {
-    let mut alive = handles.len();
-    let mut restarts_used: u32 = 0;
-    while alive > 0 {
-        // Every live worker sends exactly one exit report, and the
-        // supervisor holds a sender too, so recv can only fail if the
-        // channel logic itself is broken — treat that as fleet failure
-        // rather than spinning.
-        let Ok(exit) = exit_rx.recv() else {
-            fail_fleet(shared, restarts_used);
-            return;
-        };
-        match exit {
-            WorkerExit::Clean(lane) => {
-                if let Some(handle) = handles[lane].take() {
-                    let _ = handle.join();
-                }
-                alive -= 1;
-            }
-            WorkerExit::Crashed(lane) => {
-                if let Some(handle) = handles[lane].take() {
-                    let _ = handle.join();
-                }
-                if lock_recover(&shared.queue).shutdown {
-                    // A crash during shutdown is not worth a respawn: the
-                    // remaining workers (or the fail-safe drain on the
-                    // way out) finish the drain.
-                    alive -= 1;
-                    continue;
-                }
-                if restarts_used >= restart_budget {
-                    fail_fleet(shared, restarts_used);
-                    alive -= 1;
-                    continue;
-                }
-                restarts_used += 1;
-                shared.restarts.fetch_add(1, Ordering::Relaxed);
-                // Exponential backoff (2ms, 4ms, … capped at 128ms): a
-                // deterministic crash loop burns its budget in well under
-                // a second instead of hammering the executor.
-                let backoff = Duration::from_millis(1u64 << restarts_used.min(7));
-                std::thread::sleep(backoff);
-                handles[lane] = Some(spawn_worker(shared.clone(), lane, exit_tx.clone()));
-            }
-        }
-    }
-    // Fail-safe: with no worker lanes left, anything still queued (e.g. a
-    // submission that raced the shutdown flag) would hang forever. Usually
-    // a no-op — clean-exiting workers only return with every queue empty.
-    drain_all(shared, RuntimeError::ShuttingDown);
-}
-
-/// Marks the fleet shut down and fails every queued request with a typed
-/// [`RuntimeError::CrashLoop`] — the crash-loop terminal state: no new
-/// work is accepted, nothing hangs.
-fn fail_fleet<E: GroupExecutor>(shared: &Shared<E>, restarts: u32) {
-    drain_all(shared, RuntimeError::CrashLoop { restarts });
 }
 
 /// Sets shutdown and delivers `error` to every queued request, waking all
@@ -863,8 +788,8 @@ fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Reques
 /// unwinds first — an injected lock-holder panic, a panic escaping the
 /// per-batch guard — `Drop` fails every still-undelivered request with
 /// [`RuntimeError::ExecutionPanicked`]. The panic still propagates (and
-/// kills the worker, exercising the supervisor), but it can never strand
-/// a parked submitter.
+/// costs the worker a restart), but it can never strand a parked
+/// submitter.
 struct DeliveryGuard {
     requests: Vec<Option<Request>>,
 }
@@ -964,7 +889,9 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
 /// Records one executed batch — the guard's requests from `first` on, one
 /// per output, which shared `service` of execution time — into the
 /// tenant's statistics, then hands each request its output.
-/// `exec_started` marks the end of each request's queue wait.
+/// `exec_started` marks the end of each request's queue wait; the clock
+/// is read once more when the batch is done, and that one reading ends
+/// both the recorded end-to-end latency and the one each caller receives.
 fn record_and_deliver<E>(
     tenant: &Tenant<E>,
     guard: &mut DeliveryGuard,
@@ -974,12 +901,13 @@ fn record_and_deliver<E>(
     service: Duration,
 ) {
     let batch_size = outputs.len();
+    let done = Instant::now();
     {
         let mut stats = lock_recover(&tenant.stats);
         // Injected lock-holder panic: unwinds while holding the stats
         // mutex (poisoning it) with the batch outputs in hand — the
         // delivery guard fails the requests, lock recovery un-poisons the
-        // mutex for the respawned worker.
+        // mutex for the restarted worker.
         if faults::fires(faults::FaultPoint::LockPanic) {
             panic!("injected fault: panic while holding the stats lock");
         }
@@ -989,12 +917,12 @@ fn record_and_deliver<E>(
             stats.record_request(
                 exec_started.saturating_duration_since(submitted_at),
                 service,
-                submitted_at.elapsed(),
+                done.saturating_duration_since(submitted_at),
             );
         }
     }
     for (i, output) in (first..).zip(outputs) {
-        let latency = guard.get(i).submitted_at.elapsed();
+        let latency = done.saturating_duration_since(guard.get(i).submitted_at);
         guard.deliver(
             i,
             Ok(Inference {
@@ -1085,7 +1013,7 @@ mod tests {
         }
     }
 
-    /// One worker, no supervision, one tenant per `(cost_ms, config)`.
+    /// One worker, no restart budget, one tenant per `(cost_ms, config)`.
     fn fleet(tenants: &[(u64, TenantConfig)]) -> Scheduler<Stub> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let tenants = tenants
@@ -1314,6 +1242,21 @@ mod tests {
         let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
         assert_eq!((stats.requests, stats.batches), (3, 3));
         assert_eq!(stats.batch_histogram[0], 3);
+    }
+
+    /// The end-to-end latency the statistics record is the one each
+    /// caller receives, to the nanosecond.
+    #[test]
+    fn recorded_end_to_end_latency_is_what_callers_receive() {
+        let sched = fleet(&[(1, tenant(0, 4))]);
+        let results = sched.submit_many(0, vec![Tensor::zeros(&[1]); 3]).unwrap();
+        let received: u64 = results
+            .iter()
+            .map(|result| ns(result.as_ref().unwrap().latency))
+            .sum();
+        let stats = sched.tenant_stats(0, PlanCacheStats::default()).unwrap();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.e2e.sum, received, "recorded vs received e2e ns");
     }
 
     /// Two tenants backlogged behind one worker are drained round-robin,

@@ -99,7 +99,8 @@ pub struct RuntimeStats {
     /// started (at admission or in the drain loop) — the
     /// [`crate::RuntimeError::DeadlineExceeded`] count.
     pub deadline_exceeded: u64,
-    /// Crashed scheduler worker threads respawned by the supervisor.
+    /// Worker panics recovered in place, fleet-wide: each is a scheduler
+    /// worker that panicked outside a batch and restarted its own loop.
     /// Fleet-wide (workers are shared by all tenants), so per-tenant
     /// snapshots of a multi-tenant engine all report the same value.
     pub worker_restarts: u64,
@@ -268,7 +269,7 @@ impl RuntimeStats {
 pub(crate) fn write_supervision_prometheus(w: &mut PromWriter, worker_restarts: u64) {
     w.counter(
         "epim_worker_restarts_total",
-        "Crashed scheduler workers respawned by the supervisor.",
+        "Worker panics recovered in place, fleet-wide.",
         &[],
         worker_restarts,
     );

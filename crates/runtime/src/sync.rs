@@ -8,8 +8,8 @@
 //! critical sections leave their data structurally valid at every await
 //! of a panic (counters may undercount the moment of the crash, queues
 //! and slots are always consistent), so the right response to poison is
-//! to *take the data and keep serving* — the panicking thread itself is
-//! handled by worker supervision, and its batch by the delivery guard.
+//! to *take the data and keep serving* — the panicking thread itself
+//! restarts its own loop, and its batch is answered by the delivery guard.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;

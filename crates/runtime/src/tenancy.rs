@@ -106,10 +106,12 @@ impl MultiEngineBuilder {
         self
     }
 
-    /// Sets how many crashed scheduler workers the supervisor may respawn
-    /// over the fleet's lifetime before giving up and shutting the fleet
-    /// down (defaults to [`crate::DEFAULT_RESTART_BUDGET`]; `0` disables
-    /// supervision entirely — the first crash fails the fleet).
+    /// Sets how many worker panics the fleet's scheduler threads recover
+    /// from, together, over the fleet's lifetime; each one restarts its
+    /// own loop in place. The next panic fails the fleet with
+    /// [`RuntimeError::CrashLoop`] (defaults to
+    /// [`crate::DEFAULT_RESTART_BUDGET`]; `0` means the first panic fails
+    /// the fleet).
     pub fn restart_budget(mut self, budget: u32) -> Self {
         self.restart_budget = budget;
         self

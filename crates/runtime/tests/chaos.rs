@@ -18,7 +18,8 @@ use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{
-    InferRequest, MultiEngine, PlanCache, RuntimeError, RuntimeStats, TenantConfig, TenantId,
+    InferRequest, Inference, MultiEngine, PlanCache, RuntimeError, RuntimeStats, TenantConfig,
+    TenantId,
 };
 use epim_tensor::{init, rng, Tensor};
 use std::sync::{mpsc, Mutex, PoisonError};
@@ -35,13 +36,15 @@ fn requests(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// A one-tenant, single-worker fleet over the tiny epitome network,
-/// serving one request per batch: one scheduler lane makes crash/respawn
-/// sequencing deterministic.
-fn build_engine(restart_budget: u32) -> (MultiEngine, TenantId) {
+/// A one-tenant fleet of `workers` scheduler threads over the tiny
+/// epitome network, serving one request per batch: with one worker the
+/// crash/restart sequencing is deterministic.
+fn build_engine(workers: usize, restart_budget: u32) -> (MultiEngine, TenantId) {
     let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
     let weights = NetworkWeights::random(&net, 7).unwrap();
-    let mut builder = MultiEngine::builder(&PlanCache::new()).restart_budget(restart_budget);
+    let mut builder = MultiEngine::builder(&PlanCache::new())
+        .workers(workers)
+        .restart_budget(restart_budget);
     let serial = TenantConfig {
         max_batch: 1,
         batch_window: Duration::ZERO,
@@ -62,7 +65,7 @@ fn build_engine(restart_budget: u32) -> (MultiEngine, TenantId) {
 }
 
 fn serial_engine() -> (MultiEngine, TenantId) {
-    build_engine(epim_runtime::DEFAULT_RESTART_BUDGET)
+    build_engine(1, epim_runtime::DEFAULT_RESTART_BUDGET)
 }
 
 /// Polls until the submission queue drains (the worker took the head
@@ -82,7 +85,7 @@ fn wait_queue_empty(engine: &MultiEngine) -> RuntimeStats {
 
 /// An injected worker kill after the first batch must cost a thread, not
 /// an answer: every request (including the one whose batch triggered the
-/// kill) completes, the supervisor respawns the lane, and the
+/// kill) completes, the worker restarts its own loop, and the
 /// post-restart burst is bitwise equal to a fault-free engine's outputs.
 #[test]
 fn worker_kill_is_survived_bit_identically() {
@@ -105,7 +108,7 @@ fn worker_kill_is_survived_bit_identically() {
     );
     // Serial submission: request 0 rides the batch that kills the worker
     // (delivery happens before the injected panic), requests 1.. are
-    // served by the respawned lane.
+    // served by the restarted worker.
     let got: Vec<Tensor> = reqs
         .iter()
         .map(|r| engine.infer(id, r.clone()).unwrap().output)
@@ -132,7 +135,7 @@ fn crash_loop_fails_typed_instead_of_hanging() {
     epim_faults::clear();
 
     let reqs = requests(2, 44);
-    let (engine, id) = build_engine(0);
+    let (engine, id) = build_engine(1, 0);
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::WorkerPanic, FaultRule::once_at(1)),
     );
@@ -141,10 +144,10 @@ fn crash_loop_fails_typed_instead_of_hanging() {
     let first = engine.infer(id, reqs[0].clone());
     assert!(first.is_ok(), "pre-crash request failed: {first:?}");
 
-    // The lone worker is dead and the supervisor may not respawn it; the
-    // next submission must resolve to a typed terminal error. (It may
-    // block briefly until the supervisor sweeps the queue — that bounded
-    // wait is the test: a hang here is the bug.)
+    // The lone worker may not restart, so it failed the fleet; the next
+    // submission must resolve to a typed terminal error. (It may block
+    // briefly until the worker sweeps the queue — that bounded wait is
+    // the test: a hang here is the bug.)
     let second = engine.infer(id, reqs[1].clone());
     match second {
         Err(RuntimeError::CrashLoop { .. }) | Err(RuntimeError::ShuttingDown) => {}
@@ -155,8 +158,8 @@ fn crash_loop_fails_typed_instead_of_hanging() {
 
 /// A panic while *holding the stats mutex* poisons it with a batch in
 /// flight. The delivery guard must fail that batch with the typed
-/// [`RuntimeError::ExecutionPanicked`], the supervisor respawns the
-/// worker, lock recovery un-poisons the mutex — and the engine then
+/// [`RuntimeError::ExecutionPanicked`], the worker restarts its own
+/// loop, lock recovery un-poisons the mutex — and the engine then
 /// serves bit-identical answers and readable statistics.
 #[test]
 fn stats_lock_poisoning_recovers() {
@@ -181,7 +184,7 @@ fn stats_lock_poisoning_recovers() {
         Err(RuntimeError::ExecutionPanicked) => {}
         other => panic!("expected ExecutionPanicked, got {other:?}"),
     }
-    // Subsequent requests are served by the respawned worker through the
+    // Subsequent requests are served by the restarted worker through the
     // recovered (formerly poisoned) stats mutex, bit-identically.
     for (i, req) in reqs.iter().enumerate().skip(1) {
         let out = engine.infer(id, req.clone()).unwrap().output;
@@ -309,4 +312,100 @@ fn armed_but_silent_faults_change_no_bits() {
 
     assert_eq!(got, want, "armed-but-silent fault plan changed served bits");
     assert_eq!(engine.fleet_stats().worker_restarts, 0);
+}
+
+/// Two workers race for one fleet-wide restart budget. Every batch is
+/// followed by a worker kill, so the first three kills each claim one of
+/// the three restarts, whichever worker claims it, and the fourth fails
+/// the fleet with `CrashLoop { restarts: 3 }`. Every request resolves
+/// exactly once (its reply is an `FnOnce`, and each accepted one is
+/// received) to the fault-free engine's output, bitwise, or to a typed
+/// `CrashLoop` / `ShuttingDown` (drained with the fleet, or refused at the
+/// door). No answer takes longer than `RECV_BOUND` to arrive; the
+/// backoffs add up to 14 ms.
+#[test]
+fn racing_workers_claim_one_restart_budget() {
+    const SUBMITTERS: usize = 3;
+    const PER_SUBMITTER: usize = 8;
+    const BUDGET: u32 = 3;
+    const RECV_BOUND: Duration = Duration::from_secs(5);
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    epim_faults::clear();
+
+    let reqs = requests(SUBMITTERS * PER_SUBMITTER, 99);
+    let (healthy, healthy_id) = serial_engine();
+    let want: Vec<Tensor> = reqs
+        .iter()
+        .map(|r| healthy.infer(healthy_id, r.clone()).unwrap().output)
+        .collect();
+    drop(healthy);
+
+    let (engine, id) = build_engine(2, BUDGET);
+    epim_faults::install(FaultPlan::new(42).with_rule(
+        FaultPoint::WorkerPanic,
+        FaultRule {
+            every: 1,
+            ..FaultRule::default()
+        },
+    ));
+    let start = std::sync::Barrier::new(SUBMITTERS);
+    let answers: Vec<(usize, Result<Tensor, RuntimeError>)> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = reqs
+            .chunks(PER_SUBMITTER)
+            .enumerate()
+            .map(|(s, chunk)| {
+                let (engine, start) = (&engine, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let submitted: Vec<_> = chunk
+                        .iter()
+                        .map(|input| {
+                            let (tx, rx) = mpsc::channel();
+                            let reply = move |result: Result<Inference, RuntimeError>| {
+                                let _ = tx.send(result.map(|inference| inference.output));
+                            };
+                            engine.try_infer(id, input.clone(), reply).map(|()| rx)
+                        })
+                        .collect();
+                    (s * PER_SUBMITTER..)
+                        .zip(submitted)
+                        .map(|(i, accepted)| {
+                            let answer = accepted.and_then(|rx| {
+                                rx.recv_timeout(RECV_BOUND).unwrap_or_else(|e| {
+                                    panic!("request {i}: no answer within {RECV_BOUND:?} ({e})")
+                                })
+                            });
+                            (i, answer)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .flat_map(|s| s.join().unwrap())
+            .collect()
+    });
+    let stats = engine.fleet_stats();
+    drop(engine);
+    epim_faults::clear();
+
+    assert_eq!(stats.worker_restarts, u64::from(BUDGET), "{stats:?}");
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut crash_loops = 0;
+    for (i, answer) in answers {
+        match answer {
+            Ok(output) => {
+                assert_eq!(output.shape(), want[i].shape(), "request {i}");
+                assert_eq!(bits(&output), bits(&want[i]), "request {i} diverged");
+            }
+            Err(RuntimeError::CrashLoop { restarts }) => {
+                assert_eq!(restarts, BUDGET, "request {i}");
+                crash_loops += 1;
+            }
+            Err(RuntimeError::ShuttingDown) => {}
+            Err(e) => panic!("request {i}: unexpected {e}"),
+        }
+    }
+    assert!(crash_loops > 0, "no request saw the fleet fail");
 }

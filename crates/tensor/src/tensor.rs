@@ -15,7 +15,7 @@ use std::fmt;
 ///
 /// # fn main() -> Result<(), epim_tensor::TensorError> {
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_fn(&[2, 2], |idx| if idx[0] == idx[1] { 1.0 } else { 0.0 });
 /// let c = a.matmul(&b)?;
 /// assert_eq!(c.data(), a.data());
 /// # Ok(())
@@ -96,20 +96,6 @@ impl Tensor {
             }
         }
         Tensor { shape, data }
-    }
-
-    /// Identity matrix of size `n x n`.
-    pub fn eye(n: usize) -> Self {
-        Tensor::from_fn(&[n, n], |idx| if idx[0] == idx[1] { 1.0 } else { 0.0 })
-    }
-
-    /// Evenly spaced values `[0, 1, ..., n-1]` as a rank-1 tensor.
-    pub fn arange(n: usize) -> Self {
-        let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        Tensor {
-            shape: Shape::from(vec![n]),
-            data,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -240,59 +226,6 @@ impl Tensor {
             }
         }
         Ok(out)
-    }
-
-    /// Permutes the dimensions of the tensor.
-    ///
-    /// `perm` must be a permutation of `0..rank`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if `perm` is not a valid
-    /// permutation of the dimensions.
-    pub fn permute(&self, perm: &[usize]) -> Result<Tensor, TensorError> {
-        if perm.len() != self.rank() {
-            return Err(TensorError::invalid(format!(
-                "permutation length {} does not match rank {}",
-                perm.len(),
-                self.rank()
-            )));
-        }
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            if p >= perm.len() || seen[p] {
-                return Err(TensorError::invalid(format!(
-                    "invalid permutation {perm:?}"
-                )));
-            }
-            seen[p] = true;
-        }
-        let old_dims = self.shape();
-        let new_dims: Vec<usize> = perm.iter().map(|&p| old_dims[p]).collect();
-        let new_shape = Shape::from(new_dims.clone());
-        let old_strides = self.shape.strides();
-        // Stride of each *new* axis in the old layout; walk the output with
-        // an odometer instead of unflattening every element.
-        let permuted_strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        let mut data = vec![0.0f32; self.len()];
-        let mut idx = vec![0usize; new_dims.len()];
-        let mut old_flat = 0usize;
-        for item in data.iter_mut() {
-            *item = self.data[old_flat];
-            for d in (0..idx.len()).rev() {
-                idx[d] += 1;
-                old_flat += permuted_strides[d];
-                if idx[d] < new_dims[d] {
-                    break;
-                }
-                old_flat -= new_dims[d] * permuted_strides[d];
-                idx[d] = 0;
-            }
-        }
-        Ok(Tensor {
-            shape: new_shape,
-            data,
-        })
     }
 
     // ------------------------------------------------------------------
@@ -511,7 +444,6 @@ mod tests {
         assert_eq!(Tensor::ones(&[2, 3]).sum(), 6.0);
         assert_eq!(Tensor::full(&[4], 2.5).sum(), 10.0);
         assert_eq!(Tensor::scalar(7.0).data(), &[7.0]);
-        assert_eq!(Tensor::arange(4).data(), &[0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -533,7 +465,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let i = Tensor::eye(3);
+        let i = Tensor::from_fn(&[3, 3], |idx| if idx[0] == idx[1] { 1.0 } else { 0.0 });
         let b = a.matmul(&i).unwrap();
         assert_eq!(b.data(), a.data());
     }
@@ -561,22 +493,6 @@ mod tests {
         let t = a.transpose().unwrap();
         assert_eq!(t.shape(), &[4, 3]);
         assert_eq!(t.transpose().unwrap(), a);
-    }
-
-    #[test]
-    fn permute_matches_transpose_for_matrices() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]).unwrap();
-        assert_eq!(a.permute(&[1, 0]).unwrap(), a.transpose().unwrap());
-    }
-
-    #[test]
-    fn permute_validates() {
-        let a = Tensor::zeros(&[2, 3, 4]);
-        assert!(a.permute(&[0, 1]).is_err());
-        assert!(a.permute(&[0, 0, 1]).is_err());
-        assert!(a.permute(&[0, 1, 3]).is_err());
-        let p = a.permute(&[2, 0, 1]).unwrap();
-        assert_eq!(p.shape(), &[4, 2, 3]);
     }
 
     #[test]
@@ -614,19 +530,9 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let a = Tensor::arange(6);
+        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[6]).unwrap();
         let b = a.reshape(&[2, 3]).unwrap();
         assert_eq!(b.at(&[1, 2]), 5.0);
         assert!(a.reshape(&[4]).is_err());
-    }
-
-    #[test]
-    fn permute_3d_roundtrip() {
-        let a = Tensor::from_fn(&[2, 3, 4], |i| (i[0] * 100 + i[1] * 10 + i[2]) as f32);
-        let p = a.permute(&[2, 0, 1]).unwrap();
-        assert_eq!(p.at(&[3, 1, 2]), a.at(&[1, 2, 3]));
-        // Inverse permutation restores original.
-        let back = p.permute(&[1, 2, 0]).unwrap();
-        assert_eq!(back, a);
     }
 }

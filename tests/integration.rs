@@ -3,6 +3,7 @@
 
 use epim::core::{wrapping_factor, ConvShape, Epitome, EpitomeDesigner, EpitomeShape, EpitomeSpec};
 use epim::models::accuracy::{AccuracyModel, QuantMethod, WeightScheme};
+use epim::models::lower::{StageInput, StageOp};
 use epim::models::network::{Network, OperatorChoice};
 use epim::models::resnet::{resnet101, resnet50};
 use epim::pim::datapath::DataPath;
@@ -11,7 +12,7 @@ use epim::prune::{element_prune, prune_blocks, BlockPruneConfig};
 use epim::quant::{quantize_epitome, QuantGranularity, RangeEstimator};
 use epim::search::{EvoSearch, Objective, SearchConfig, SearchLayer};
 use epim::tensor::ops::{conv2d, Conv2dCfg};
-use epim::tensor::{init, rng};
+use epim::tensor::{init, rng, Tensor};
 
 #[test]
 fn designed_epitome_runs_quantized_on_datapath() {
@@ -252,4 +253,54 @@ fn objective_choice_changes_search_outcome_metrics() {
     let en = run(Objective::Energy);
     assert!(lat.costs.latency_ns <= en.costs.latency_ns * 1.05);
     assert!(en.costs.energy_pj <= lat.costs.energy_pj * 1.05);
+}
+
+/// The cost model and the executed data path count the same events. For
+/// every epitome stage of uniform ResNet-50 and ResNet-101 lowered at
+/// 64×64, with channel wrapping off and on, one image through the stage's
+/// `DataPath` executes the model's rounds per pixel times the output
+/// pixels, and reads and writes exactly the model's buffer elements.
+#[test]
+fn cost_model_counts_equal_executed_datapath_counts() {
+    let designer = EpitomeDesigner::new(128, 128);
+    let mut wrapped_stages = 0;
+    for backbone in [resnet50(), resnet101()] {
+        let net = Network::uniform_epitome(backbone, &designer, 1024, 256).unwrap();
+        let prog = net.lower(64, 64).unwrap();
+        // Blocks repeat their layers: each (spec, cfg, input shape) once.
+        let mut seen = Vec::new();
+        for stage in prog.stages() {
+            let StageOp::Epitome { spec, cfg, .. } = &stage.op else {
+                continue;
+            };
+            let in_shape = match stage.input {
+                StageInput::Source => prog.input_shape(),
+                StageInput::Stage(j) => &prog.stages()[j].out_shape,
+            };
+            let key = (spec.clone(), *cfg, in_shape.to_vec());
+            if seen.contains(&key) {
+                continue;
+            }
+            seen.push(key);
+            let pixels: usize = stage.out_shape[1..].iter().product();
+            let input = Tensor::zeros(&[&[1], in_shape].concat());
+            let epitome = Epitome::zeros(spec.clone());
+            for wrapping in [false, true] {
+                let (_, stats) = DataPath::new(&epitome, *cfg, wrapping)
+                    .unwrap()
+                    .execute(&input)
+                    .unwrap();
+                let model =
+                    CostModel::new(AcceleratorConfig::default().with_channel_wrapping(wrapping))
+                        .epitome_layer(spec, pixels, Precision::fp32());
+                let what = format!("{} with wrapping {wrapping}", stage.name);
+                let rounds = (model.rounds_per_pixel * pixels) as u64;
+                assert_eq!(stats.rounds, rounds, "rounds of {what}");
+                assert_eq!(stats.buffer_reads, model.buffer_reads, "reads of {what}");
+                assert_eq!(stats.buffer_writes, model.buffer_writes, "writes of {what}");
+                wrapped_stages += usize::from(stats.wrapped_elements > 0);
+            }
+        }
+    }
+    assert!(wrapped_stages > 0, "no stage exercised channel wrapping");
 }
