@@ -27,14 +27,17 @@
 //! instead of two) and `epim_tensor`'s GEMM (FMA micro-kernels, split `k`).
 //!
 //! Two kernels compute it. Plain Rust compiles for generic x86-64, i.e.
-//! SSE2, so the portable block runs 4-lane code whatever the host;
-//! the wide kernel is a [`SimdOp`] monomorphized per ISA by `epim-simd`.
-//! [`crossbar_mvm`] picks between them from what it can see: a round
-//! narrower than one AVX-512 vector (the zoo's 2–4 bit lines) has nothing
-//! for the wide kernel's vector tiles to do, and its per-call dispatch and
-//! per-column tail cost more than the portable block; and on a host whose
-//! only `epim-simd` arm is the one-lane reference, the portable block's
-//! 4 lanes are the wider code.
+//! SSE2, so the portable kernel runs 4-lane code whatever the host; it is
+//! one register block of `MVM_TB` pixels × up to 8 bit lines, the block's
+//! width a const parameter so a narrow round keeps its accumulators in
+//! registers, and a short pixel block repeats its last pixel as the wide
+//! kernel does. The wide kernel is a [`SimdOp`] monomorphized per ISA by
+//! `epim-simd`. [`crossbar_mvm`] picks between them from what it can see:
+//! a round narrower than one AVX-512 vector (the zoo's 2–4 bit lines) has
+//! nothing for the wide kernel's vector tiles to do, and its per-call
+//! dispatch and per-column tail cost more than the portable block; and on
+//! a host whose only `epim-simd` arm is the one-lane reference, the
+//! portable block's 4 lanes are the wider code.
 
 use epim_simd::{dispatch, isa, Isa, ScalarSimd, Simd, SimdOp};
 
@@ -98,62 +101,62 @@ pub fn crossbar_mvm(round: CrossbarRound<'_>, out: &mut [f32]) {
     dispatch(MvmOp { round, out });
 }
 
-/// [`crossbar_mvm`] in plain Rust: an `8 x 8` accumulator block the
-/// compiler keeps in (SSE2) registers, plain loops for a short pixel block
-/// or a narrow bit-line chunk. The kernel for narrow rounds and for a
-/// host whose only `epim-simd` arm is the one-lane reference.
+/// [`crossbar_mvm`] in plain Rust: one register block of [`MVM_TB`]
+/// pixels × up to 8 bit lines, its width a const parameter so a narrow
+/// chunk keeps its accumulators in registers too. The kernel for narrow
+/// rounds and for a host whose only `epim-simd` arm is the one-lane
+/// reference.
 ///
 /// # Panics
 ///
 /// Same contract as [`crossbar_mvm`].
 fn crossbar_mvm_portable(round: CrossbarRound<'_>, out: &mut [f32]) {
+    /// The block for each chunk width `1..=8`, at index `width - 1`.
+    const BLOCKS: [Block; 8] = [
+        block::<1>, block::<2>, block::<3>, block::<4>, block::<5>, block::<6>, block::<7>,
+        block::<8>,
+    ];
     round.check(out);
-    let CrossbarRound {
-        input,
-        origins,
-        matrix,
-        ld,
-        col0,
-        width,
-        taps,
-    } = round;
-    if width == 0 {
+    if round.width == 0 {
         return;
     }
-    let blocks = origins.chunks(MVM_TB).zip(out.chunks_mut(MVM_TB * width));
+    let blocks = round
+        .origins
+        .chunks(MVM_TB)
+        .zip(out.chunks_mut(MVM_TB * round.width));
     for (origins, out) in blocks {
-        let mut j0 = 0;
-        while j0 < width {
-            let jl = (width - j0).min(8);
-            if origins.len() == MVM_TB && jl == 8 {
-                let mut acc = [[0.0f32; 8]; MVM_TB];
-                for &(wl, at) in taps {
-                    let b = &matrix[wl * ld + col0 + j0..][..8];
-                    for (acc_row, &origin) in acc.iter_mut().zip(origins) {
-                        let v = input[origin + at];
-                        for (s, &m) in acc_row.iter_mut().zip(b) {
-                            *s += v * m;
-                        }
-                    }
-                }
-                for (ti, acc_row) in acc.iter().enumerate() {
-                    out[ti * width + j0..][..8].copy_from_slice(acc_row);
-                }
-            } else {
-                for (ti, &origin) in origins.iter().enumerate() {
-                    let orow = &mut out[ti * width + j0..][..jl];
-                    orow.fill(0.0);
-                    for &(wl, at) in taps {
-                        let v = input[origin + at];
-                        let b = &matrix[wl * ld + col0 + j0..][..jl];
-                        for (s, &m) in orow.iter_mut().zip(b) {
-                            *s += v * m;
-                        }
-                    }
-                }
-            }
-            j0 += jl;
+        // A short block repeats its last pixel up to `MVM_TB` rows, as the
+        // wide kernel does; only `origins.len()` rows are stored.
+        let windows: [usize; MVM_TB] = std::array::from_fn(|ti| origins[ti.min(origins.len() - 1)]);
+        for j in (0..round.width).step_by(8) {
+            BLOCKS[(round.width - j).min(8) - 1](&round, &windows, j, out);
         }
+    }
+}
+
+/// A portable register block: stores columns `j..j + W` of the block's
+/// first `out.len() / width` pixel rows.
+type Block = fn(&CrossbarRound<'_>, &[usize; MVM_TB], usize, &mut [f32]);
+
+/// `MVM_TB` pixels × `W` bit lines from column `j`, every tap in order.
+fn block<const W: usize>(
+    round: &CrossbarRound<'_>,
+    windows: &[usize; MVM_TB],
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; MVM_TB];
+    for &(wl, at) in round.taps {
+        let b = &round.matrix[wl * round.ld + round.col0 + j..][..W];
+        for (acc_row, &origin) in acc.iter_mut().zip(windows) {
+            let v = round.input[origin + at];
+            for (s, &m) in acc_row.iter_mut().zip(b) {
+                *s += v * m;
+            }
+        }
+    }
+    for (acc_row, orow) in acc.iter().zip(out.chunks_mut(round.width)) {
+        orow[j..j + W].copy_from_slice(acc_row);
     }
 }
 
@@ -334,28 +337,33 @@ mod tests {
 
     #[test]
     fn multi_block_tiles_and_kernel_selection_agree() {
-        // More than one pixel block with a ragged last one, through the
-        // public selector on both sides of the width rule.
-        let (ld, word_lines, kk, pixels) = (48, 64, 33, 21);
+        // One to three pixel blocks, the last one short or whole, through
+        // the public selector: every narrow chunk width of the portable
+        // block, alone (1–4) and after a full one (9–15), and both sides
+        // of the width rule.
+        let (ld, word_lines, kk) = (48, 64, 33);
         let matrix = values(word_lines * ld, 3);
         let taps: Vec<(usize, usize)> = (0..kk)
             .map(|k| ((k * 5) % word_lines, kk - 1 - k))
             .collect();
-        let origins: Vec<usize> = (0..pixels).map(|t| t * kk).collect();
-        let input = values(pixels * kk, 4);
-        for width in [3, 15, 16, 17, 40] {
-            let round = CrossbarRound {
-                input: &input,
-                origins: &origins,
-                matrix: &matrix,
-                ld,
-                col0: 8,
-                width,
-                taps: &taps,
-            };
-            let mut got = vec![f32::NAN; pixels * width];
-            crossbar_mvm(round, &mut got);
-            assert_bits_eq(&got, &oracle(round), &format!("width {width}"));
+        for pixels in 1..=21 {
+            let origins: Vec<usize> = (0..pixels).map(|t| t * kk).collect();
+            let input = values(pixels * kk, 4);
+            for width in (1..=4).chain(9..=17).chain([40]) {
+                let round = CrossbarRound {
+                    input: &input,
+                    origins: &origins,
+                    matrix: &matrix,
+                    ld,
+                    col0: 8,
+                    width,
+                    taps: &taps,
+                };
+                let mut got = vec![f32::NAN; pixels * width];
+                crossbar_mvm(round, &mut got);
+                let what = format!("width {width} pixels {pixels}");
+                assert_bits_eq(&got, &oracle(round), &what);
+            }
         }
     }
 

@@ -660,8 +660,8 @@ impl GroupExecutor for PlanExecutor {
 mod tests {
     use super::*;
     use crate::{MultiEngine, TenantConfig};
-    use epim_core::EpitomeDesigner;
-    use epim_models::resnet::resnet50;
+    use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
+    use epim_models::zoo;
     use epim_tensor::{init, rng};
     use std::time::Duration;
 
@@ -673,12 +673,21 @@ mod tests {
 
     /// Serving split groups retains exactly the arenas a full group
     /// leases, one per sub-batch, and an odd-sized group never leaves a
-    /// larger arena behind.
+    /// larger arena behind. The plan is one epitome layer, heavy (its
+    /// stage forks across the pool for one image) and with enough work
+    /// per sub-batch that every pool thread claims one before the first
+    /// finishes, at a width of 4 on two cores too.
     #[test]
     fn split_groups_retain_exactly_a_full_groups_arenas() {
-        let designer = EpitomeDesigner::new(128, 128);
-        let net = Network::uniform_epitome(resnet50(), &designer, 1024, 256).unwrap();
-        let weights = NetworkWeights::random(&net, 5).unwrap();
+        let spec = EpitomeSpec::new(
+            ConvShape::new(64, 64, 3, 3),
+            EpitomeShape::new(32, 32, 2, 2),
+        )
+        .unwrap();
+        let data = init::uniform(&[32, 32, 2, 2], -1.0, 1.0, &mut rng::seeded(5));
+        let epitome = Epitome::from_tensor(spec, data).unwrap();
+        let hw = 64;
+        let (net, weights) = zoo::epitome_layer(&epitome, hw).unwrap();
         let max_batch = 2 * epim_parallel::num_threads();
         let config = TenantConfig {
             max_batch,
@@ -688,10 +697,10 @@ mod tests {
         let mut builder = MultiEngine::builder(&PlanCache::new());
         let id = builder
             .register(
-                "r50",
+                "layer",
                 &net,
                 &weights,
-                (32, 32),
+                (hw, hw),
                 true,
                 AnalogModel::ideal(),
                 config,
@@ -699,6 +708,7 @@ mod tests {
             .unwrap();
         let engine = builder.build().unwrap();
         let plan = engine.plan(id).unwrap();
+        assert!(plan.heavy, "a stage of {} outputs forks", 64 * hw * hw);
         let full = plan.arena_bytes(max_batch);
         assert_eq!(
             retained_bytes(plan),
@@ -708,7 +718,7 @@ mod tests {
         let mut r = rng::seeded(6);
         for group in (1..=max_batch).chain([max_batch, max_batch]) {
             let burst = (0..group)
-                .map(|_| init::uniform(&[1, 3, 32, 32], -1.0, 1.0, &mut r))
+                .map(|_| init::uniform(&[1, 64, hw, hw], -1.0, 1.0, &mut r))
                 .collect();
             for result in engine.infer_many(id, burst).unwrap() {
                 assert_eq!(result.unwrap().batch_size, group);

@@ -133,7 +133,7 @@ fn two_tenant_serving_is_bit_identical_to_dedicated_engines() {
 /// before the heavy backlog drains.
 #[test]
 fn light_tenant_is_not_starved_by_heavy_backlog() {
-    const HEAVY_BACKLOG: usize = 300;
+    const HEAVY_BACKLOG: usize = 900;
     let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
     let weights = NetworkWeights::random(&net, 33).unwrap();
     let cache = PlanCache::new();
@@ -149,7 +149,7 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
             TenantConfig {
                 max_batch: 4,
                 batch_window: Duration::ZERO,
-                queue_capacity: 512,
+                queue_capacity: 1024,
             },
         )
         .unwrap();
@@ -174,10 +174,15 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
 
     // Queue the heavy backlog without waiting on it (its replies send
     // into one channel), then submit one light request from this thread.
+    // The inputs are drawn first, so the backlog is queued faster than
+    // the workers serve it.
     let mut r = rng::seeded(44);
+    let mut xs: Vec<_> = (0..=HEAVY_BACKLOG)
+        .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
+        .collect();
+    let light_x = xs.pop().expect("one input per request");
     let (done_tx, done) = mpsc::channel();
-    for _ in 0..HEAVY_BACKLOG {
-        let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
+    for x in xs {
         let done_tx = done_tx.clone();
         engine
             .try_infer(heavy, x, move |result| {
@@ -186,8 +191,9 @@ fn light_tenant_is_not_starved_by_heavy_backlog() {
             .expect("heavy queue has capacity");
     }
     drop(done_tx);
-    let x = init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r);
-    engine.infer(light, x).expect("light tenant must be served");
+    engine
+        .infer(light, light_x)
+        .expect("light tenant must be served");
 
     // Fair draining: the light request completed while the heavy
     // backlog was still being worked through.

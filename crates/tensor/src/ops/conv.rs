@@ -94,11 +94,9 @@ fn kx_run(ox: usize, kw: usize, w: usize, cfg: Conv2dCfg) -> (usize, usize, usiz
 /// slice.
 ///
 /// Padded positions are not written: `dst` (`c_in * kh * kw` floats) must
-/// already hold zeros there, as [`im2col`]'s rows and the GEMM's gathered
-/// rows do. Shared by both, so the padding/clipping arithmetic exists
-/// exactly once.
+/// already hold zeros there, as [`im2col`]'s rows do.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn copy_receptive_runs(
+fn copy_receptive_runs(
     xd: &[f32],
     c_in: usize,
     h: usize,

@@ -42,6 +42,18 @@
 //! No element's arithmetic depends on the blocking, on its place in a panel
 //! or on the thread count.
 //!
+//! Products of at most `SMALL_FLOPS` multiply-adds per image skip the nest
+//! and run serial loops on a row-major A, each image's output prefilled
+//! with its bias. A matrix B is read in place: row-major by an axpy that
+//! adds every term to C, stored transposed by one dot product per element.
+//! A convolution's window is lowered per image **k-major** — one row of
+//! the image's `oh·ow` pixels per `(ci, ky, kx)`, packed by the same
+//! panel packer as the nest — and an `epim-simd` kernel accumulates one
+//! output pixel per lane in registers: each element's sum runs over K in
+//! order from `0.0`, a rounded multiply then a rounded add per term (never
+//! `mul_add`), and is then added to the bias. That is the scalar dot
+//! product's arithmetic, element for element, on every ISA arm.
+//!
 //! The binary stays portable (generic x86-64, same target the seed used):
 //! the micro-kernel is selected **at runtime** from the cached
 //! `epim-simd` CPU-feature probe — an 8x32 AVX-512F kernel, a 6x16
@@ -50,8 +62,9 @@
 //! confined to the `#[target_feature]` kernel bodies, which only touch
 //! caller-validated panel/tile buffers.
 
-use crate::ops::conv::{copy_receptive_runs, Conv2dCfg};
+use crate::ops::conv::Conv2dCfg;
 use epim_parallel::for_each_chunk_mut;
+use epim_simd::{dispatch, ScalarSimd, Simd, SimdOp};
 use std::cell::RefCell;
 
 /// Largest micro-kernel row count across variants (tile sizing).
@@ -462,9 +475,10 @@ impl<'a> ConvWindow<'a> {
         }
     }
 
-    /// Fills the first `nr` columns of one panel from K rows `pc..` and
-    /// stacked pixels `col0..col0+nr`. Stride 1 copies the in-bounds part of
-    /// each run as one slice; other strides gather it.
+    /// Fills the first `nr` columns of one panel (rows `nr_k` floats apart,
+    /// one per K row from `pc`) from stacked pixels `col0..col0+nr`, finding
+    /// each output row's in-bounds run once per K row. Stride 1 copies the
+    /// run as one slice; other strides gather it.
     fn pack_panel(&self, panel: &mut [f32], pc: usize, col0: usize, nr: usize, nr_k: usize) {
         let (stride, padding) = (self.cfg.stride, self.cfg.padding);
         let (h, w) = (self.h, self.w);
@@ -521,8 +535,13 @@ impl<'a> ConvWindow<'a> {
                 while hi > lo && x + (hi - 1) * stride >= w + padding {
                     hi -= 1;
                 }
-                drow[..lo].fill(0.0);
-                drow[hi..].fill(0.0);
+                // An empty `fill` would still cost a `memset` call.
+                if lo > 0 {
+                    drow[..lo].fill(0.0);
+                }
+                if hi < seg.len {
+                    drow[hi..].fill(0.0);
+                }
                 if lo == hi {
                     continue;
                 }
@@ -546,15 +565,16 @@ impl<'a> ConvWindow<'a> {
         }
     }
 
-    /// Writes image `img`'s lowered matrix into `dst`, one row of
-    /// `c_in·kh·kw` per output pixel — the operand [`gemm_small`] reads
-    /// through transposed strides.
-    fn gather_image(&self, img: usize, dst: &mut [f32]) {
-        let (c_in, h, w, kh, kw) = (self.c_in, self.h, self.w, self.kh, self.kw);
-        dst.fill(0.0);
-        for (pixel, row) in dst.chunks_mut(c_in * kh * kw).enumerate() {
-            let (oy, ox) = (pixel / self.ow, pixel % self.ow);
-            copy_receptive_runs(self.xd, c_in, h, w, kh, kw, img, oy, ox, self.cfg, row);
+    /// Writes image `img`'s lowered matrix into `dst` k-major, the operand
+    /// of the small path: K row `(ci, ky, kx)` holds the tap's value for
+    /// each of the image's `oh·ow` pixels, contiguous. Packed as panels of
+    /// at most `NR_MAX` columns with a row stride of `oh·ow`, so each
+    /// output row's in-bounds run is found once per K row.
+    fn lower_image(&self, img: usize, dst: &mut [f32]) {
+        let pixels = self.oh * self.ow;
+        for j0 in (0..pixels).step_by(NR_MAX) {
+            let nr = NR_MAX.min(pixels - j0);
+            self.pack_panel(&mut dst[j0..], 0, img * pixels + j0, nr, pixels);
         }
     }
 }
@@ -635,26 +655,30 @@ fn gemm_nest(
             a.layout == Layout::Rows,
             "weights packed for a larger product than this one"
         );
-        // Plain serial loops per group (none for `k == 0`: the output is
-        // the prefilled bias). They accumulate in place, so clamping
+        // Serial loops per group, accumulating in place, so clamping
         // afterwards is bit-identical to a separate ReLU pass.
         let group = |g: usize, c_g: &mut [f32]| {
             prefill(m, pixels, bias, c_g);
-            match b {
-                BSource::Mat(b) => gemm_small(m, pixels, k, &a.data, b, c_g),
-                BSource::Conv(win) => PACK_BUF.with_borrow_mut(|buf| {
-                    if buf.len() < pixels * k {
-                        buf.resize(pixels * k, 0.0);
-                    }
-                    let lowered = &mut buf[..pixels * k];
-                    win.gather_image(g, lowered);
-                    let b = MatRef {
-                        data: lowered,
-                        rs: 1,
-                        cs: k,
-                    };
-                    gemm_small(m, pixels, k, &a.data, b, c_g);
-                }),
+            // An empty sum adds nothing — not even the `+ 0.0` that would
+            // turn a `-0.0` bias into `+0.0`.
+            if k > 0 {
+                match b {
+                    BSource::Mat(b) => gemm_small(m, pixels, k, &a.data, b, c_g),
+                    BSource::Conv(win) => PACK_BUF.with_borrow_mut(|buf| {
+                        if buf.len() < k * pixels {
+                            buf.resize(k * pixels, 0.0);
+                        }
+                        let lowered = &mut buf[..k * pixels];
+                        win.lower_image(g, lowered);
+                        dispatch(SmallConv {
+                            k,
+                            pixels,
+                            a: &a.data[..m * k],
+                            b: lowered,
+                            c: c_g,
+                        });
+                    }),
+                }
             }
             if relu {
                 relu_pass(c_g);
@@ -995,22 +1019,17 @@ fn prefill(m: usize, n: usize, bias: Bias, c: &mut [f32]) {
     }
 }
 
-/// Serial path for tiny problems: no packing, no threads. `a` is the
-/// row-major `m x k` operand; `b` is row-major or stored transposed.
+/// Serial path for tiny products of a matrix B: no packing, no threads.
+/// `a` is the row-major `m x k` operand (`k > 0`); `b` is row-major or
+/// stored transposed.
 fn gemm_small(m: usize, n: usize, k: usize, a: &[f32], b: MatRef, c: &mut [f32]) {
-    if k == 0 {
-        // An empty sum adds nothing — not even the `+ 0.0` that would turn a
-        // `-0.0` bias into `+0.0`.
-        return;
-    }
     let rows = a.chunks_exact(k).zip(c.chunks_exact_mut(n)).take(m);
     if b.cs == 1 {
-        // Inner loop walks contiguous B rows (ikj / axpy).
+        // Inner loop walks contiguous B rows (ikj / axpy). Every term is
+        // added, a zero `a` too: `0 · ∞` and `0 · NaN` are NaN on the
+        // nest, and must be here.
         for (arow, crow) in rows {
             for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
                 let brow = &b.data[p * b.rs..p * b.rs + n];
                 for (co, &bv) in crow.iter_mut().zip(brow) {
                     *co += av * bv;
@@ -1030,6 +1049,75 @@ fn gemm_small(m: usize, n: usize, k: usize, a: &[f32], b: MatRef, c: &mut [f32])
                 *co += acc;
             }
         }
+    }
+}
+
+/// The small path's convolution: `C (m x pixels) += A · B` for the
+/// row-major `m x k` weight `a` and one image's k-major lowered window `b`
+/// (`k x pixels`, see `ConvWindow::lower_image`), one output pixel per
+/// lane. Each element's sum runs over K in order from `0.0`, one rounded
+/// multiply and one rounded add per term (never `mul_add`), and is then
+/// added to C: the arithmetic of one scalar dot product per element,
+/// vectorized across independent outputs. Pixels past the last whole
+/// vector run the same tiles one lane wide.
+struct SmallConv<'a> {
+    k: usize,
+    pixels: usize,
+    a: &'a [f32],
+    b: &'a [f32],
+    c: &'a mut [f32],
+}
+
+impl SimdOp for SmallConv<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn eval<S: Simd>(self, s: S) {
+        let (k, pixels) = (self.k, self.pixels);
+        let body = pixels - pixels % S::LANES;
+        for (arow, crow) in self.a.chunks_exact(k).zip(self.c.chunks_exact_mut(pixels)) {
+            small_row(s, arow, self.b, (0, body), crow);
+            small_row(ScalarSimd, arow, self.b, (body, pixels), crow);
+        }
+    }
+}
+
+/// Output pixels `j..end` of one output row (`end - j` a multiple of
+/// `LANES`), four vectors at a time, then one.
+#[inline(always)]
+fn small_row<S: Simd>(
+    s: S,
+    arow: &[f32],
+    b: &[f32],
+    (mut j, end): (usize, usize),
+    crow: &mut [f32],
+) {
+    while j + 4 * S::LANES <= end {
+        small_tile::<S, 4>(s, arow, b, j, crow);
+        j += 4 * S::LANES;
+    }
+    while j < end {
+        small_tile::<S, 1>(s, arow, b, j, crow);
+        j += S::LANES;
+    }
+}
+
+/// `NV` vectors of register accumulators for output pixels `j..` of one
+/// output row `crow`, over every K row of `b` (each `crow.len()` wide).
+#[inline(always)]
+fn small_tile<S: Simd, const NV: usize>(s: S, arow: &[f32], b: &[f32], j: usize, crow: &mut [f32]) {
+    let cols = j..j + NV * S::LANES;
+    let mut acc = [s.splat(0.0); NV];
+    for (&av, brow) in arow.iter().zip(b.chunks_exact(crow.len())) {
+        let av = s.splat(av);
+        for (acc, bv) in acc
+            .iter_mut()
+            .zip(brow[cols.clone()].chunks_exact(S::LANES))
+        {
+            *acc = s.add(*acc, s.mul(av, s.load(bv)));
+        }
+    }
+    for (acc, cv) in acc.iter().zip(crow[cols].chunks_exact_mut(S::LANES)) {
+        s.store(cv, s.add(s.load(cv), *acc));
     }
 }
 
@@ -1296,7 +1384,7 @@ mod tests {
                         v += t;
                     }
                 } else if b_rows {
-                    for p in (0..k).filter(|&p| a(i, p) != 0.0) {
+                    for p in 0..k {
                         v += a(i, p) * b(p, j);
                     }
                 } else {
@@ -1490,6 +1578,93 @@ mod tests {
             }
         }
         assert!(small > 0 && nest > 0, "small {small}, nest {nest}");
+    }
+
+    /// `0 · ∞` and `0 · NaN` are NaN on both sides of `SMALL_FLOPS`: an
+    /// IEEE result does not depend on the problem's size.
+    #[test]
+    fn small_path_propagates_nan_and_infinity() {
+        let mut c = [7.0f32];
+        gemm(1, 1, 1, &[0.0], &[f32::INFINITY], &mut c);
+        assert!(c[0].is_nan(), "0 · ∞ gave {}", c[0]);
+        for n in [16usize, 64] {
+            assert_eq!(n * n * n > SMALL_FLOPS, n == 64);
+            let a = vec![0.0f32; n * n];
+            let mut b = dense(n, n, 81);
+            b[3 * n + 5] = f32::NAN;
+            let mut c = vec![0.0f32; n * n];
+            gemm(n, n, n, &a, &b, &mut c);
+            for (idx, v) in c.iter().enumerate() {
+                assert_eq!(v.is_nan(), idx % n == 5, "{n}³ element {idx} = {v}");
+            }
+        }
+    }
+
+    /// The small path's convolution gives, bit for bit, the scalar
+    /// per-element sum: `bias + Σ_k w·x` over `(ci, ky, kx)` in order from
+    /// `0.0`, one rounded multiply and add per term, zero in the padding,
+    /// clamped when `relu` is set. Strides 1 and 2, padding 0 and 1, 1×1
+    /// and 3×3 kernels, pixel counts that are no multiple of any lane
+    /// count, a `-0.0` bias and a stacked batch.
+    #[test]
+    fn small_conv_bit_identical_to_scalar_reference() {
+        let mut cases = 0;
+        for (c_in, hw, kk) in [
+            (3usize, 13usize, 3usize),
+            (2, 7, 3),
+            (5, 9, 1),
+            (4, 5, 1),
+            (1, 3, 3),
+        ] {
+            for (stride, padding) in [(1usize, 0usize), (1, 1), (2, 0), (2, 1)] {
+                let side = (hw + 2 * padding - kk) / stride + 1;
+                let (oh, ow) = (side, side);
+                let (m, k, images) = (6, c_in * kk * kk, 3);
+                assert!(m * oh * ow * k <= SMALL_FLOPS);
+                let seed = (c_in * 100 + hw * 10 + kk + stride + padding) as u64;
+                let w = dense(m, k, seed);
+                let x = dense(images * c_in, hw * hw, seed + 1);
+                let mut bias = dense(1, m, seed + 2);
+                bias[1] = -0.0;
+                let cfg = Conv2dCfg { stride, padding };
+                let packed = PackedWeights::new(&w, m, k, oh * ow);
+                assert_eq!(packed.layout, Layout::Rows);
+                let win = ConvWindow::new(&x, (images, c_in, hw, hw), (kk, kk), cfg, (oh, ow));
+                for relu in [false, true] {
+                    let mut got = vec![f32::NAN; images * m * oh * ow];
+                    gemm_conv(&packed, win, Some(&bias), relu, &mut got);
+                    let mut want = Vec::with_capacity(got.len());
+                    for g in 0..images {
+                        for i in 0..m {
+                            for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                                let mut acc = 0.0f32;
+                                for p in 0..k {
+                                    let (ci, ky, kx) = (p / (kk * kk), p / kk % kk, p % kk);
+                                    let (y, xx) = (oy * stride + ky, ox * stride + kx);
+                                    let inside = (padding..hw + padding).contains(&y)
+                                        && (padding..hw + padding).contains(&xx);
+                                    let v = if inside {
+                                        x[(g * c_in + ci) * hw * hw + (y - padding) * hw + xx
+                                            - padding]
+                                    } else {
+                                        0.0
+                                    };
+                                    acc += w[i * k + p] * v;
+                                }
+                                let v = bias[i] + acc;
+                                want.push(if relu { v.max(0.0) } else { v });
+                            }
+                        }
+                    }
+                    let case = format!(
+                        "c_in {c_in} hw {hw} k {kk} stride {stride} pad {padding} relu {relu}"
+                    );
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 40);
     }
 
     #[test]

@@ -153,39 +153,15 @@ impl PoolReduce for AvgReduce {
     }
 }
 
-/// One pooled output, reduced **in place** in the documented ky-then-kx
-/// pad-skipping order (no window gather buffer), on the one-lane arm.
-#[inline(always)]
-fn pool_window_scalar<R: PoolReduce>(
-    plane: &[f32],
-    (h, w): (usize, usize),
-    cfg: PoolCfg,
-    (oy, ox): (usize, usize),
-    red: &R,
-) -> f32 {
-    let s = ScalarSimd;
-    let mut acc = red.init();
-    for ky in 0..cfg.window {
-        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-        if iy < 0 || iy >= h as isize {
-            continue;
-        }
-        for kx in 0..cfg.window {
-            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-            if ix < 0 || ix >= w as isize {
-                continue;
-            }
-            acc = red.vaccum(s, acc, plane[iy as usize * w + ix as usize]);
-        }
-    }
-    red.vfinish(s, acc)
-}
-
-/// The dispatched pooling op: vectorizes across output columns (one output
-/// per lane, so each output's FP reduction sequence is unchanged) over the
-/// interior column range where the whole window is in-bounds; edge columns
-/// and sub-lane remainders run the same reduction one lane wide
-/// ([`pool_window_scalar`]).
+/// The dispatched pooling op, one output per lane so each output's FP
+/// reduction sequence is unchanged: each window is reduced **in place**
+/// (no gather buffer) over its in-bounds taps, `ky` then `kx` ascending,
+/// pads skipped. The in-bounds rows are found once per output row. Over
+/// the interior columns, where every `kx` is in bounds, whole vectors of
+/// outputs load their taps strided; every other output (the edge columns
+/// and the interior's last `ow % LANES`, so every output of a row
+/// narrower than one vector) runs the same reduction one lane wide over
+/// its in-bounds `kx` range.
 struct Pool2dOp<'a, R> {
     xd: &'a [f32],
     dims: (usize, usize, usize, usize),
@@ -201,9 +177,8 @@ impl<R: PoolReduce> SimdOp for Pool2dOp<'_, R> {
     fn eval<S: Simd>(self, s: S) {
         let (n, c, h, w) = self.dims;
         let (oh, ow) = self.odims;
-        let cfg = self.cfg;
         let red = self.red;
-        let (win, st, pad) = (cfg.window, cfg.stride, cfg.padding);
+        let (win, st, pad) = (self.cfg.window, self.cfg.stride, self.cfg.padding);
         // Columns where every kx lands in-bounds: ox*st >= pad and
         // ox*st + win - 1 - pad <= w - 1.
         let ox_hi = if w + pad >= win {
@@ -212,42 +187,60 @@ impl<R: PoolReduce> SimdOp for Pool2dOp<'_, R> {
             0
         };
         let ox_lo = pad.div_ceil(st).min(ox_hi);
-        // Floats one strided load of LANES outputs spans.
-        let span = (S::LANES - 1) * st + 1;
-        let mut idx = 0usize;
+        let mut outs = self.out[..n * c * oh * ow].chunks_exact_mut(ow);
         for plane in self.xd[..n * c * h * w].chunks_exact(h * w) {
-            for oy in 0..oh {
-                // Rows of the window that are in-bounds for this oy; the
-                // range is uniform across ox.
+            for (oy, out) in (0..oh).zip(&mut outs) {
+                // The window rows in bounds for this oy, the same for
+                // every ox.
                 let ky_lo = pad.saturating_sub(oy * st);
                 let ky_hi = win.min(h + pad - oy * st);
-                let out = &mut self.out[idx..idx + ow];
+                let rows = &plane[(oy * st + ky_lo - pad) * w..(oy * st + ky_hi - pad) * w];
                 for (ox, o) in out[..ox_lo].iter_mut().enumerate() {
-                    *o = pool_window_scalar(plane, (h, w), cfg, (oy, ox), &red);
+                    *o = window(ScalarSimd, &red, rows, w, st, in_bounds(ox, w, self.cfg));
                 }
                 let mut ox = ox_lo;
                 while ox + S::LANES <= ox_hi {
-                    let mut acc = s.splat(red.init());
-                    for ky in ky_lo..ky_hi {
-                        let iy = oy * st + ky - pad;
-                        let row = &plane[iy * w..(iy + 1) * w];
-                        for kx in 0..win {
-                            // Interior columns: the last lane reads
-                            // (ox + LANES - 1)*st + kx - pad < w.
-                            let v = s.load_strided(&row[ox * st + kx - pad..][..span], st);
-                            acc = red.vaccum(s, acc, v);
-                        }
-                    }
-                    s.store(&mut out[ox..ox + S::LANES], red.vfinish(s, acc));
+                    let x0 = ox * st - pad;
+                    let v = window(s, &red, rows, w, st, x0..x0 + win);
+                    s.store(&mut out[ox..ox + S::LANES], v);
                     ox += S::LANES;
                 }
                 for (ox, o) in out.iter_mut().enumerate().skip(ox) {
-                    *o = pool_window_scalar(plane, (h, w), cfg, (oy, ox), &red);
+                    *o = window(ScalarSimd, &red, rows, w, st, in_bounds(ox, w, self.cfg));
                 }
-                idx += ow;
             }
         }
     }
+}
+
+/// The input columns of output column `ox`'s window that lie in bounds
+/// (never empty: `w + padding > ox * stride` in every output column).
+#[inline(always)]
+fn in_bounds(ox: usize, w: usize, cfg: PoolCfg) -> std::ops::Range<usize> {
+    let x = ox * cfg.stride;
+    x.max(cfg.padding) - cfg.padding..(x + cfg.window).min(w + cfg.padding) - cfg.padding
+}
+
+/// `LANES` outputs `st` columns apart, reduced over the window rows
+/// `rows` (each `w` floats) and, for the first lane, the columns `taps`.
+#[inline(always)]
+fn window<S: Simd, R: PoolReduce>(
+    s: S,
+    red: &R,
+    rows: &[f32],
+    w: usize,
+    st: usize,
+    taps: std::ops::Range<usize>,
+) -> S::V {
+    // Floats one strided load of LANES outputs spans.
+    let span = (S::LANES - 1) * st + 1;
+    let mut acc = s.splat(red.init());
+    for row in rows.chunks_exact(w) {
+        for x in taps.clone() {
+            acc = red.vaccum(s, acc, s.load_strided(&row[x..x + span], st));
+        }
+    }
+    red.vfinish(s, acc)
 }
 
 /// Slice-based [`max_pool2d`] for arena-backed executors: pools the
@@ -556,7 +549,8 @@ mod tests {
 
     /// The scalar reduction core: one output element per `(ni, ci, oy, ox)`
     /// in row-major order, each window reduced in place in `ky`-then-`kx`
-    /// order with pads skipped — the bitwise reference for every arm.
+    /// order with pads skipped by signed-index checks — the bitwise
+    /// reference for every arm.
     fn pool_into_core<R: PoolReduce>(
         xd: &[f32],
         (n, c, h, w): (usize, usize, usize, usize),
@@ -569,7 +563,22 @@ mod tests {
         for plane in xd[..n * c * h * w].chunks_exact(h * w) {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    out[idx] = pool_window_scalar(plane, (h, w), cfg, (oy, ox), red);
+                    let s = ScalarSimd;
+                    let mut acc = red.init();
+                    for ky in 0..cfg.window {
+                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..cfg.window {
+                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            acc = red.vaccum(s, acc, plane[iy as usize * w + ix as usize]);
+                        }
+                    }
+                    out[idx] = red.vfinish(s, acc);
                     idx += 1;
                 }
             }
@@ -742,6 +751,60 @@ mod tests {
                             want_avg[i].to_bits(),
                             "avg {isa:?} ({n},{c},{h},{w}) {cfg:?} elem {i}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Output rows narrower than a vector keep the window order on every
+    /// arm: on a plane of signed zeros a tie keeps the accumulator, and on
+    /// a plane with NaNs a NaN never replaces it, at every `ow` from 1 to
+    /// 15.
+    #[test]
+    fn narrow_max_pool_keeps_window_order_on_zeros_and_nans() {
+        use epim_simd::{dispatch_on, CpuFeatures};
+        let zeros = |i: usize| [0.0, -0.0, -0.0, -1.5, 0.0][i * 7 % 5];
+        let nans = |i: usize| [0.0, f32::NAN, -0.0, 2.5, -1.0, f32::NAN, 1.0][i * 3 % 7];
+        let cfgs = [
+            PoolCfg {
+                window: 3,
+                stride: 2,
+                padding: 1,
+            },
+            PoolCfg::new(2, 2),
+            PoolCfg {
+                window: 3,
+                stride: 1,
+                padding: 1,
+            },
+        ];
+        for cfg in cfgs {
+            for ow in 1..=15 {
+                let (c, h) = (2, 5);
+                let w = (ow - 1) * cfg.stride + cfg.window - 2 * cfg.padding;
+                let xd: Vec<f32> = (0..c * h * w)
+                    .map(|i| if i < h * w { zeros(i) } else { nans(i) })
+                    .collect();
+                let (oh, got_ow) = pool_out_dims(h, w, cfg).unwrap();
+                assert_eq!(got_ow, ow);
+                let mut want = vec![0.0; c * oh * ow];
+                pool_into_core(&xd, (1, c, h, w), cfg, (oh, ow), &mut want, &MaxReduce);
+                for isa in CpuFeatures::get().available() {
+                    let mut got = vec![7.0; want.len()];
+                    dispatch_on(
+                        isa,
+                        Pool2dOp {
+                            xd: &xd,
+                            dims: (1, c, h, w),
+                            cfg,
+                            odims: (oh, ow),
+                            out: &mut got,
+                            red: MaxReduce,
+                        },
+                    );
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{isa:?} {cfg:?} ow {ow} elem {i}");
                     }
                 }
             }
