@@ -36,6 +36,7 @@ use crate::quantize::quantize_slice;
 use crate::PimError;
 use epim_core::{wrapping_factor, ChannelWrapping, Epitome, EpitomeSpec};
 use epim_obs::trace;
+use epim_simd::{dispatch, ScalarSimd, Simd, SimdOp};
 use epim_tensor::ops::{conv2d_out_dims, Conv2dCfg};
 use epim_tensor::{rng, Tensor};
 use serde::{Deserialize, Serialize};
@@ -246,8 +247,9 @@ pub struct DataPath {
     wrapping: ChannelWrapping,
     wrapping_enabled: bool,
     analog: AnalogModel,
-    /// ADC full-scale per column: the largest partial sum this column can
-    /// produce for unit-magnitude inputs (worst-case row L1 norm).
+    /// ADC full scale, one value for the whole array: the largest column
+    /// L1 norm, i.e. the largest partial sum any bit line can produce for
+    /// inputs in `[-1, 1]`.
     adc_full_scale: f32,
 }
 
@@ -414,8 +416,9 @@ impl DataPath {
     /// output is bit-identical to the seed's per-pixel table walk (the
     /// oracle in `crates/pim/tests/oracle`) on its input, whatever else
     /// shares the batch, and the stats are the sum of the per-input oracle
-    /// stats. The speed comes from restructuring
-    /// the walk, not from reassociating any floating-point arithmetic:
+    /// stats. The speed comes from restructuring the walk, not from
+    /// reassociating any floating-point arithmetic (each bit line is one
+    /// chain of fused multiply-adds in word-line order, as in the oracle):
     ///
     /// - the whole batch is staged once as the on-chip input buffer would
     ///   hold it — zero-padded, with one finite-DAC sweep over it; the
@@ -425,12 +428,11 @@ impl DataPath {
     /// - each round is one [`crossbar_mvm`] over a tile of pixels drawn
     ///   from the whole batch: weight rows are read in place through the
     ///   round's word-line list, every weight row is shared by `MVM_TB`
-    ///   pixels, and rounds 16 or more bit lines wide run on the host's
-    ///   widest vector ISA;
+    ///   pixels, and every round runs on the host's widest vector ISA;
     /// - round metadata (word-line lists, OFAT routing) is walked once per
     ///   tile instead of once per pixel, the counters are computed as
-    ///   products, and wrapped channels are replicated by the final scatter
-    ///   instead of being staged.
+    ///   products, and wrapped channels are replicated by the final
+    ///   (vectorized) scatter instead of being staged.
     ///
     /// # Errors
     ///
@@ -464,9 +466,9 @@ impl DataPath {
     /// Executes the layer on one stacked `(n, c_in, h, w)` NCHW image block
     /// held in a plain slice, writing the `(n, c_out, oh, ow)` result into
     /// `out` — the arena-backed serving path's entry point. With `relu`
-    /// set, each output element is clamped with `v.max(0.0)` as it is
-    /// scattered, bit-identical to a separate ReLU pass over the unfused
-    /// output; the returned [`DataPathStats`] are unaffected by the fusion.
+    /// set, each output element is clamped to `max(v, 0.0)` as it is
+    /// scattered, bit-identical to `ops::relu` over the unfused output;
+    /// the returned [`DataPathStats`] are unaffected by the fusion.
     ///
     /// # Errors
     ///
@@ -614,7 +616,7 @@ impl DataPath {
         // processed in row tiles: rows `tile_rows*i..` of `pix` form tile
         // `i`. A tile is whole `MVM_TB` blocks, and small enough that a 7×7
         // layer's 49 rows still give every pool thread one.
-        const TILE_ROWS: usize = 64;
+        const TILE_ROWS: usize = 10 * MVM_TB;
         let tile_rows = rows
             .div_ceil(epim_parallel::num_threads())
             .next_multiple_of(MVM_TB)
@@ -673,9 +675,7 @@ impl DataPath {
 
         // Scatter pixel-major -> one NCHW block per request, `SCATTER_PLANES`
         // (image, channel) planes per pass so each `pix` cache line is
-        // fetched once; a wrapped channel reads its block-0 twin. The
-        // fused-ReLU clamp is an elementwise `max`, bit-identical to a
-        // separate pass over the unfused scatter.
+        // fetched once; a wrapped channel reads its block-0 twin.
         const SCATTER_PLANES: usize = 16;
         let out_len = n * cout * pixels;
         for (b, od) in outs.iter_mut().enumerate() {
@@ -689,12 +689,13 @@ impl DataPath {
                     let plane_idx = chunk_idx * SCATTER_PLANES + j;
                     *offset = plane_idx / cout * pixels * cw + plane_idx % cout % cw;
                 }
-                for p in 0..pixels {
-                    for (j, &offset) in offsets[..n_planes].iter().enumerate() {
-                        let v = rows_of_b[p * cw + offset];
-                        planes[j * pixels + p] = if relu { v.max(0.0) } else { v };
-                    }
-                }
+                dispatch(ScatterOp {
+                    rows: rows_of_b,
+                    cw,
+                    offsets: &offsets[..n_planes],
+                    planes,
+                    relu,
+                });
             };
             let od = &mut od[..out_len];
             if out_len < 1 << 16 {
@@ -753,6 +754,48 @@ impl DataPath {
             )));
         }
         conv2d_out_dims(h, w, conv.kh, conv.kw, self.conv_cfg).map_err(PimError::Tensor)
+    }
+}
+
+/// The scatter of a few (image, channel) planes out of the pixel-major
+/// staging rows: plane `j`'s pixel `p` is `rows[p * cw + offsets[j]]`,
+/// clamped with the vector `max(v, 0.0)` of `ops::relu` when `relu` is
+/// set. A vector of pixels is one strided load down the plane's column
+/// and one contiguous store; the last `pixels % LANES` pixels are single
+/// lanes.
+struct ScatterOp<'a> {
+    rows: &'a [f32],
+    cw: usize,
+    offsets: &'a [usize],
+    /// `offsets.len()` planes of `pixels` floats each.
+    planes: &'a mut [f32],
+    relu: bool,
+}
+
+impl SimdOp for ScatterOp<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn eval<S: Simd>(self, s: S) {
+        let (cw, relu) = (self.cw, self.relu);
+        let pixels = self.planes.len() / self.offsets.len();
+        let body = pixels - pixels % S::LANES;
+        let span = (S::LANES - 1) * cw + 1;
+        let zero = s.splat(0.0);
+        for p in (0..body).step_by(S::LANES) {
+            let planes = self.planes.chunks_exact_mut(pixels).zip(self.offsets);
+            for (plane, &offset) in planes {
+                let v = s.load_strided(&self.rows[p * cw + offset..][..span], cw);
+                let v = if relu { s.max(v, zero) } else { v };
+                s.store(&mut plane[p..p + S::LANES], v);
+            }
+        }
+        for p in body..pixels {
+            let planes = self.planes.chunks_exact_mut(pixels).zip(self.offsets);
+            for (plane, &offset) in planes {
+                let v = self.rows[p * cw + offset];
+                plane[p] = if relu { ScalarSimd.max(v, 0.0) } else { v };
+            }
+        }
     }
 }
 

@@ -16,36 +16,36 @@
 //! receptive-field (im2col) matrix is built and no word-line voltage
 //! vector is gathered.
 //!
-//! **Bit-exactness contract.** Every output element is produced by the same
-//! sequence of (round-to-nearest multiply, round-to-nearest add), `k`
-//! strictly in order from a `0.0` accumulator, as the scalar per-pixel table
-//! walk in `crates/pim/tests/oracle` — whose word lines run in ascending
-//! order, the order of a round's taps. Blocking only reuses
-//! each weight row across `MVM_TB` (8) pixels and keeps the accumulators in
-//! registers; vectorizing across the independent pixel/bit-line lanes
-//! reorders no per-element sum. That rules out `mul_add` (one rounding
-//! instead of two) and `epim_tensor`'s GEMM (FMA micro-kernels, split `k`).
+//! **Bit-exactness contract.** A crossbar sums its bit-line currents
+//! exactly and rounds once, at the ADC; the model rounds once per
+//! multiply-accumulate. Every output element is `acc = fma(input, weight,
+//! acc)` — [`f32::mul_add`], one round-to-nearest of the exact `x·w + acc`
+//! — with `k` strictly in order from a `0.0` accumulator, as in the scalar
+//! per-pixel table walk in `crates/pim/tests/oracle`, whose word lines run
+//! in ascending order, the order of a round's taps. Blocking only reuses
+//! each weight row across the `MVM_TB` (6) pixels of a register tile and
+//! keeps the accumulators in registers; vectorizing across the independent
+//! pixel/bit-line lanes reorders no per-element sum. A fused multiply-add
+//! is exact IEEE arithmetic, so every ISA arm gives the same bits, and
+//! `mul_add` is required: an unfused `acc + x * w` rounds twice and moves
+//! the last place. `epim_tensor`'s GEMM stays ruled out (it splits `k`).
 //!
-//! Two kernels compute it. Plain Rust compiles for generic x86-64, i.e.
-//! SSE2, so the portable kernel runs 4-lane code whatever the host; it is
-//! one register block of `MVM_TB` pixels × up to 8 bit lines, the block's
-//! width a const parameter so a narrow round keeps its accumulators in
-//! registers, and a short pixel block repeats its last pixel as the wide
-//! kernel does. The wide kernel is a [`SimdOp`] monomorphized per ISA by
-//! `epim-simd`. [`crossbar_mvm`] picks between them from what it can see:
-//! a round narrower than one AVX-512 vector (the zoo's 2–4 bit lines) has
-//! nothing for the wide kernel's vector tiles to do, and its per-call
-//! dispatch and per-column tail cost more than the portable block; and on
-//! a host whose only `epim-simd` arm is the one-lane reference, the
-//! portable block's 4 lanes are the wider code.
+//! **One dispatched kernel.** [`crossbar_mvm`] is one [`SimdOp`],
+//! monomorphized per ISA by `epim-simd`, so every multiply-accumulate
+//! compiles inside the arm's `#[target_feature]` wrapper as one `vfmadd`;
+//! plain Rust on the generic x86-64 target would call libm's `fmaf` for
+//! each (the one-lane reference arm does). A register tile is `MVM_TB`
+//! pixels × `NV` vectors of bit lines, `NV` per arm: 4 on AVX-512 (24 of
+//! its 32 registers accumulate), 2 on AVX2 (12 of 16). The columns left
+//! after the vector tiles — all of a narrow round's 2–4 bit lines — run
+//! the same tile on one-lane [`ScalarSimd`] columns, up to 8 at a time,
+//! still inside the arm. A short pixel block repeats its last pixel up to
+//! `MVM_TB` rows; only its real rows are stored.
 
-use epim_simd::{dispatch, isa, Isa, ScalarSimd, Simd, SimdOp};
+use epim_simd::{dispatch, ScalarSimd, Simd, SimdOp};
 
-/// Pixel rows per register block.
-pub(crate) const MVM_TB: usize = 8;
-
-/// Rounds at least this wide run the `epim-simd` kernel.
-const WIDE_MIN_WIDTH: usize = 16;
+/// Pixel rows per register tile, on every arm.
+pub(crate) const MVM_TB: usize = 6;
 
 /// One activation round's operands (see the module docs for the sum).
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +68,7 @@ pub struct CrossbarRound<'a> {
 
 impl CrossbarRound<'_> {
     /// Panics unless every index the sum addresses lies inside its slice
-    /// and `out` holds exactly `pixels * width` floats; the wide kernel's
+    /// and `out` holds exactly `pixels * width` floats; the kernel's
     /// pointer loads and stores rely on it.
     fn check(&self, out: &[f32]) {
         assert!(self.ld > 0 && self.col0 + self.width <= self.ld);
@@ -85,8 +85,8 @@ impl CrossbarRound<'_> {
 }
 
 /// Computes one round for every pixel of the tile into `out` (`(pixels,
-/// width)` row-major), on the kernel the round's width and the host's ISA
-/// select. Both kernels produce identical bits.
+/// width)` row-major) on the host's widest ISA arm. Every arm produces
+/// identical bits.
 ///
 /// # Panics
 ///
@@ -94,75 +94,15 @@ impl CrossbarRound<'_> {
 /// a word line outside `round.matrix`, or `out` is not exactly `pixels *
 /// round.width` long.
 pub fn crossbar_mvm(round: CrossbarRound<'_>, out: &mut [f32]) {
-    if round.width < WIDE_MIN_WIDTH || isa() == Isa::Scalar {
-        return crossbar_mvm_portable(round, out);
-    }
     round.check(out);
-    dispatch(MvmOp { round, out });
-}
-
-/// [`crossbar_mvm`] in plain Rust: one register block of [`MVM_TB`]
-/// pixels × up to 8 bit lines, its width a const parameter so a narrow
-/// chunk keeps its accumulators in registers too. The kernel for narrow
-/// rounds and for a host whose only `epim-simd` arm is the one-lane
-/// reference.
-///
-/// # Panics
-///
-/// Same contract as [`crossbar_mvm`].
-fn crossbar_mvm_portable(round: CrossbarRound<'_>, out: &mut [f32]) {
-    /// The block for each chunk width `1..=8`, at index `width - 1`.
-    const BLOCKS: [Block; 8] = [
-        block::<1>, block::<2>, block::<3>, block::<4>, block::<5>, block::<6>, block::<7>,
-        block::<8>,
-    ];
-    round.check(out);
-    if round.width == 0 {
-        return;
-    }
-    let blocks = round
-        .origins
-        .chunks(MVM_TB)
-        .zip(out.chunks_mut(MVM_TB * round.width));
-    for (origins, out) in blocks {
-        // A short block repeats its last pixel up to `MVM_TB` rows, as the
-        // wide kernel does; only `origins.len()` rows are stored.
-        let windows: [usize; MVM_TB] = std::array::from_fn(|ti| origins[ti.min(origins.len() - 1)]);
-        for j in (0..round.width).step_by(8) {
-            BLOCKS[(round.width - j).min(8) - 1](&round, &windows, j, out);
-        }
+    if round.width > 0 {
+        dispatch(MvmOp { round, out });
     }
 }
 
-/// A portable register block: stores columns `j..j + W` of the block's
-/// first `out.len() / width` pixel rows.
-type Block = fn(&CrossbarRound<'_>, &[usize; MVM_TB], usize, &mut [f32]);
-
-/// `MVM_TB` pixels × `W` bit lines from column `j`, every tap in order.
-fn block<const W: usize>(
-    round: &CrossbarRound<'_>,
-    windows: &[usize; MVM_TB],
-    j: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; W]; MVM_TB];
-    for &(wl, at) in round.taps {
-        let b = &round.matrix[wl * round.ld + round.col0 + j..][..W];
-        for (acc_row, &origin) in acc.iter_mut().zip(windows) {
-            let v = round.input[origin + at];
-            for (s, &m) in acc_row.iter_mut().zip(b) {
-                *s += v * m;
-            }
-        }
-    }
-    for (acc_row, orow) in acc.iter().zip(out.chunks_mut(round.width)) {
-        orow[j..j + W].copy_from_slice(acc_row);
-    }
-}
-
-/// The wide kernel: [`MVM_TB`] pixels × 2·`LANES` bit lines of register
-/// accumulators per tile, one vector of `LANES` for a leftover vector and
-/// one-lane tiles for the last `width % LANES` columns.
+/// The kernel: per block of [`MVM_TB`] pixels, vector tiles of `NV` and
+/// then 1 vectors of bit lines, then one-lane tiles of up to 8 columns for
+/// the rest.
 struct MvmOp<'a> {
     round: CrossbarRound<'a>,
     out: &'a mut [f32],
@@ -172,6 +112,20 @@ impl SimdOp for MvmOp<'_> {
     type Output = ();
     #[inline(always)]
     fn eval<S: Simd>(self, s: S) {
+        match S::LANES {
+            16 => self.run::<S, 4>(s),
+            8 => self.run::<S, 2>(s),
+            // The one-lane arm runs only the narrow tiles.
+            _ => self.run::<S, 1>(s),
+        }
+    }
+}
+
+impl MvmOp<'_> {
+    /// The kernel with `NV` vectors per register tile. `round.width > 0`
+    /// and `round.check(out)` held before dispatch.
+    #[inline(always)]
+    fn run<S: Simd, const NV: usize>(self, s: S) {
         let round = &self.round;
         let width = round.width;
         let blocks = round
@@ -179,30 +133,43 @@ impl SimdOp for MvmOp<'_> {
             .chunks(MVM_TB)
             .zip(self.out.chunks_mut(MVM_TB * width));
         for (origins, out) in blocks {
-            // A short block repeats its last pixel up to `MVM_TB` rows, so
-            // remainders run the same register tile; only `origins.len()`
-            // rows are stored.
             let windows: [*const f32; MVM_TB] = std::array::from_fn(|ti| {
                 round.input[origins[ti.min(origins.len() - 1)]..].as_ptr()
             });
+            let tb = origins.len();
             let mut j = 0;
             // SAFETY: `CrossbarRound::check` held before dispatch: every
             // tap offset from every origin is inside `input`; every word
             // line's `col0..col0 + width` is inside `matrix`; `out` heads
-            // `origins.len()` rows of `width` floats. Each tile covers `NV
-            // * LANES` columns from `j`, within `width`.
+            // `tb` rows of `width` floats. Each tile covers its columns
+            // from `j` within `width`.
             unsafe {
-                while j + 2 * S::LANES <= width {
-                    tile::<S, 2>(s, &windows, origins.len(), round, j, out);
-                    j += 2 * S::LANES;
-                }
-                while j + S::LANES <= width {
-                    tile::<S, 1>(s, &windows, origins.len(), round, j, out);
-                    j += S::LANES;
+                if S::LANES > 1 {
+                    while j + NV * S::LANES <= width {
+                        tile::<S, NV>(s, &windows, tb, round, j, out);
+                        j += NV * S::LANES;
+                    }
+                    while j + S::LANES <= width {
+                        tile::<S, 1>(s, &windows, tb, round, j, out);
+                        j += S::LANES;
+                    }
                 }
                 while j < width {
-                    tile::<ScalarSimd, 1>(ScalarSimd, &windows, origins.len(), round, j, out);
-                    j += 1;
+                    let n = (width - j).min(8);
+                    // Direct calls, not a table of function pointers: a
+                    // pointer's target is compiled outside the arm, where
+                    // `mul_add` is a libm call.
+                    match n {
+                        1 => tile::<ScalarSimd, 1>(ScalarSimd, &windows, tb, round, j, out),
+                        2 => tile::<ScalarSimd, 2>(ScalarSimd, &windows, tb, round, j, out),
+                        3 => tile::<ScalarSimd, 3>(ScalarSimd, &windows, tb, round, j, out),
+                        4 => tile::<ScalarSimd, 4>(ScalarSimd, &windows, tb, round, j, out),
+                        5 => tile::<ScalarSimd, 5>(ScalarSimd, &windows, tb, round, j, out),
+                        6 => tile::<ScalarSimd, 6>(ScalarSimd, &windows, tb, round, j, out),
+                        7 => tile::<ScalarSimd, 7>(ScalarSimd, &windows, tb, round, j, out),
+                        _ => tile::<ScalarSimd, 8>(ScalarSimd, &windows, tb, round, j, out),
+                    }
+                    j += n;
                 }
             }
         }
@@ -237,7 +204,7 @@ unsafe fn tile<S: Simd, const NV: usize>(
         for (acc_row, window) in acc.iter_mut().zip(windows) {
             let v = s.splat(*window.add(at));
             for (acc, &b) in acc_row.iter_mut().zip(&b) {
-                *acc = s.add(*acc, s.mul(v, b));
+                *acc = s.mul_add(v, b, *acc);
             }
         }
     }
@@ -266,7 +233,7 @@ mod tests {
     }
 
     /// The per-pixel oracle loop (the arithmetic of the table walk in
-    /// `crates/pim/tests/oracle`).
+    /// `crates/pim/tests/oracle`): one fused multiply-add per tap.
     fn oracle(r: CrossbarRound<'_>) -> Vec<f32> {
         let mut out = vec![0.0f32; r.origins.len() * r.width];
         for (&origin, out_row) in r.origins.iter().zip(out.chunks_mut(r.width)) {
@@ -274,7 +241,7 @@ mod tests {
                 let v = r.input[origin + at];
                 let mrow = &r.matrix[wl * r.ld + r.col0..][..r.width];
                 for (a, &m) in out_row.iter_mut().zip(mrow) {
-                    *a += v * m;
+                    *a = v.mul_add(m, *a);
                 }
             }
         }
@@ -317,8 +284,6 @@ mod tests {
                     let what = format!("width {width} pixels {pixels} kk {kk}");
                     let want = oracle(round);
                     let mut got = vec![f32::NAN; pixels * width];
-                    crossbar_mvm_portable(round, &mut got);
-                    assert_bits_eq(&got, &want, &format!("portable {what}"));
                     for isa in CpuFeatures::get().available() {
                         got.fill(f32::NAN);
                         dispatch_on(
@@ -337,11 +302,11 @@ mod tests {
 
     #[test]
     fn multi_block_tiles_and_kernel_selection_agree() {
-        // One to three pixel blocks, the last one short or whole, through
-        // the public selector: every narrow chunk width of the portable
-        // block, alone (1–4) and after a full one (9–15), and both sides
-        // of the width rule.
-        let (ld, word_lines, kk) = (48, 64, 33);
+        // One to four pixel blocks, the last one short or whole, through
+        // the public entry point: every narrow tile width alone (1–4) and
+        // after a full one (9–15), one vector (16–17) and vector tiles
+        // with narrow columns after them (40, 83).
+        let (ld, word_lines, kk) = (100, 64, 33);
         let matrix = values(word_lines * ld, 3);
         let taps: Vec<(usize, usize)> = (0..kk)
             .map(|k| ((k * 5) % word_lines, kk - 1 - k))
@@ -349,7 +314,7 @@ mod tests {
         for pixels in 1..=21 {
             let origins: Vec<usize> = (0..pixels).map(|t| t * kk).collect();
             let input = values(pixels * kk, 4);
-            for width in (1..=4).chain(9..=17).chain([40]) {
+            for width in (1..=4).chain(9..=17).chain([40, 83]) {
                 let round = CrossbarRound {
                     input: &input,
                     origins: &origins,
@@ -363,6 +328,51 @@ mod tests {
                 crossbar_mvm(round, &mut got);
                 let what = format!("width {width} pixels {pixels}");
                 assert_bits_eq(&got, &oracle(round), &what);
+            }
+        }
+    }
+
+    /// Pins the single rounding. With `x = w = 1 + 2⁻¹²` after an
+    /// accumulator of `-(1 + 2⁻¹¹)`, the exact `x·w + acc` is `2⁻²⁴`; an
+    /// unfused sum first rounds `x·w` to `1 + 2⁻¹¹` (a tie, to even) and
+    /// returns `0.0`. Every narrow and vector tile width, on every arm.
+    #[test]
+    fn every_tile_fuses_the_multiply_add() {
+        let x = 1.0 + 2f32.powi(-12);
+        let acc = -(1.0 + 2f32.powi(-11));
+        assert_eq!(x * x + acc, 0.0, "the operands must round apart");
+        assert_eq!(x.mul_add(x, acc), 2f32.powi(-24));
+        let ld = 300;
+        // Word line 0 holds `acc` (driven by 1.0), word line 1 holds `x`.
+        let matrix: Vec<f32> = [acc, x].iter().flat_map(|&v| vec![v; ld]).collect();
+        let taps = [(0, 0), (1, 1)];
+        let pixels = MVM_TB + 1;
+        let origins: Vec<usize> = (0..pixels).map(|t| 2 * t).collect();
+        let input: Vec<f32> = (0..2 * pixels).map(|i| [1.0, x][i % 2]).collect();
+        for width in [1, 3, 8, 11, 16, 35, 64, 83, 256] {
+            let round = CrossbarRound {
+                input: &input,
+                origins: &origins,
+                matrix: &matrix,
+                ld,
+                col0: ld - width,
+                width,
+                taps: &taps,
+            };
+            let want = vec![2f32.powi(-24); pixels * width];
+            let mut got = vec![f32::NAN; pixels * width];
+            crossbar_mvm(round, &mut got);
+            assert_bits_eq(&got, &want, &format!("crossbar_mvm width {width}"));
+            for isa in CpuFeatures::get().available() {
+                got.fill(f32::NAN);
+                dispatch_on(
+                    isa,
+                    MvmOp {
+                        round,
+                        out: &mut got,
+                    },
+                );
+                assert_bits_eq(&got, &want, &format!("{isa:?} width {width}"));
             }
         }
     }

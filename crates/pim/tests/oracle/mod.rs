@@ -5,9 +5,10 @@
 //! tables from the sampling plan, programs its own crossbar matrix, and
 //! then walks the tables pixel by pixel — gather the receptive field, fetch
 //! each round's IFAT runs, DAC-quantize them, place them on word lines
-//! through the IFRT, sum every bit line in ascending word-line order,
-//! ADC-quantize, and route the partials through the OFAT into the joint
-//! module. The executor must agree with it bit for bit, stats exactly.
+//! through the IFRT, sum every bit line in ascending word-line order with
+//! one fused multiply-add (one rounding) per word line, ADC-quantize, and
+//! route the partials through the OFAT into the joint module. The executor
+//! must agree with it bit for bit, stats exactly.
 
 use epim_core::{wrapping_factor, Epitome, EpitomeSpec};
 use epim_pim::datapath::{AnalogModel, DataPathStats};
@@ -200,7 +201,7 @@ pub fn execute_reference(
                     for (j, co) in range.clone().enumerate() {
                         let mut acc = 0.0f32;
                         for &(wl, v) in &active {
-                            acc += v * md[wl * cout_e + src_col + j];
+                            acc = v.mul_add(md[wl * cout_e + src_col + j], acc);
                         }
                         if let Some(q) = adc {
                             acc = quantize(acc, q);
