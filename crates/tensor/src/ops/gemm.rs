@@ -55,69 +55,65 @@
 //! product's arithmetic, element for element, on every ISA arm.
 //!
 //! The binary stays portable (generic x86-64, same target the seed used):
-//! the micro-kernel is selected **at runtime** from the cached
-//! `epim-simd` CPU-feature probe — an 8x32 AVX-512F kernel, a 6x16
-//! AVX2+FMA kernel, or a scalar-autovectorized 8x8 fallback (the probe's
-//! `EPIM_FORCE_ISA` override applies here too). The `unsafe` surface is
-//! confined to the `#[target_feature]` kernel bodies, which only touch
-//! caller-validated panel/tile buffers.
+//! the register tile is one `epim-simd` [`SimdOp`], written once over the
+//! `Simd` lane trait and monomorphized per ISA arm behind the cached
+//! CPU-feature probe (`EPIM_FORCE_ISA` applies here too) — 8 × 32 on
+//! AVX-512F, 6 × 16 on AVX2+FMA, 8 × 8 one-lane columns on the scalar arm.
+//! Each accumulator is a fused `mul_add` from `0.0` over the slice's K in
+//! order, so every arm gives the same bits. Panels are read as slices,
+//! through no raw pointer.
 
 use crate::ops::conv::Conv2dCfg;
 use epim_parallel::for_each_chunk_mut;
 use epim_simd::{dispatch, ScalarSimd, Simd, SimdOp};
 use std::cell::RefCell;
 
-/// Largest micro-kernel row count across variants (tile sizing).
+/// Largest register-tile row count across arms (tile sizing).
 const MR_MAX: usize = 8;
-/// Largest micro-kernel column count across variants (tile sizing).
+/// Largest register-tile column count across arms (tile sizing).
 const NR_MAX: usize = 32;
 /// K-dimension cache block: an A panel (at most `MR_MAX * KC` floats)
 /// stays L1 resident while B panels stream from L2.
 const KC: usize = 256;
 /// N-dimension cache block: a task's packed B block (`KC * NC` floats,
 /// 512 KB) stays L2 resident while the task's row bands sweep it. A multiple
-/// of every micro-kernel's column count.
+/// of every register tile's column count.
 const NC: usize = 512;
 
-/// The instruction-set variant the tile kernel dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelKind {
-    /// 8x32 tiles on 512-bit FMA (16 zmm accumulators).
-    Avx512,
-    /// 6x16 tiles on 256-bit FMA (12 ymm accumulators).
-    Fma,
-    /// 8x8 tiles, plain Rust left to the autovectorizer.
-    Generic,
+/// Work done at an arm's register tile: `MR` rows of A by `NV` vectors of
+/// B columns, `NR = NV · LANES` columns.
+trait AtTile {
+    type Output;
+    fn at<S: Simd, const MR: usize, const NV: usize>(self, s: S) -> Self::Output;
 }
 
-impl KernelKind {
-    #[inline]
-    fn mr(self) -> usize {
-        match self {
-            KernelKind::Avx512 => 8,
-            KernelKind::Fma => 6,
-            KernelKind::Generic => 8,
-        }
-    }
-
-    #[inline]
-    fn nr(self) -> usize {
-        match self {
-            KernelKind::Avx512 => 32,
-            KernelKind::Fma => 16,
-            KernelKind::Generic => 8,
-        }
+/// Runs `op` at arm `S`'s register tile. This is the one table of tile
+/// shapes, which both the A panels' layout and the nest's tile read:
+/// 8 × 32 on 16 lanes (16 zmm accumulators), 6 × 16 on 8 lanes (12 ymm),
+/// 8 × 8 one-lane columns on the scalar arm.
+#[inline(always)]
+fn at_tile<S: Simd, Op: AtTile>(s: S, op: Op) -> Op::Output {
+    match S::LANES {
+        16 => op.at::<S, 8, 2>(s),
+        8 => op.at::<S, 6, 2>(s),
+        _ => op.at::<S, 8, 8>(s),
     }
 }
 
-/// Maps the cached `epim-simd` ISA selection (feature probe plus the
-/// `EPIM_FORCE_ISA` override) onto a micro-kernel variant. The tier
-/// requirements line up exactly: `Isa::Avx2` already implies FMA.
-fn kernel_kind() -> KernelKind {
-    match epim_simd::isa() {
-        epim_simd::Isa::Avx512 => KernelKind::Avx512,
-        epim_simd::Isa::Avx2 => KernelKind::Fma,
-        epim_simd::Isa::Scalar => KernelKind::Generic,
+/// The `(MR, NR)` of an arm's register tile.
+struct Shape;
+
+impl AtTile for Shape {
+    type Output = (usize, usize);
+    fn at<S: Simd, const MR: usize, const NV: usize>(self, _: S) -> (usize, usize) {
+        (MR, NV * S::LANES)
+    }
+}
+
+impl SimdOp for Shape {
+    type Output = (usize, usize);
+    fn eval<S: Simd>(self, s: S) -> (usize, usize) {
+        at_tile(s, self)
     }
 }
 
@@ -170,9 +166,10 @@ pub(crate) enum Bias<'a> {
 enum Layout {
     /// Row-major, read in place by the small path.
     Rows,
-    /// The `kind` micro-kernel's A panels: per `KC` slice of K, per `MR`-row
-    /// band, k-major (`ap[p * MR + i]`), the last band's rows past `m` zero.
-    Panels(KernelKind),
+    /// A panels of a register tile with `MR` (the field) rows: per `KC`
+    /// slice of K, per `MR`-row band, k-major (`ap[p * MR + i]`), the last
+    /// band's rows past `m` zero.
+    Panels(usize),
 }
 
 /// The `m x k` left operand of every product, laid out for the path its
@@ -214,7 +211,7 @@ impl PackedWeights {
             );
         }
         if m * pixels * k > SMALL_FLOPS {
-            return Self::panels(a, m, k, kernel_kind());
+            return Self::panels(a, m, k, dispatch(Shape).0);
         }
         let data = if (a.rs, a.cs) == (k, 1) {
             a.data[..m * k].to_vec()
@@ -241,10 +238,9 @@ impl PackedWeights {
         self.k
     }
 
-    /// Packs `a` into `kind`'s panels in one pass over the destination, one
+    /// Packs `a` into `mr`-row panels in one pass over the destination, one
     /// `KC` slice per pool task when the matrix is large.
-    fn panels(a: MatRef, m: usize, k: usize, kind: KernelKind) -> Self {
-        let mr = kind.mr();
+    fn panels(a: MatRef, m: usize, k: usize, mr: usize) -> Self {
         let mp = m.div_ceil(mr) * mr;
         // Zeroed, so the last band's rows past `m` are its padding.
         let mut data = vec![0.0f32; mp * k];
@@ -278,7 +274,7 @@ impl PackedWeights {
         PackedWeights {
             m,
             k,
-            layout: Layout::Panels(kind),
+            layout: Layout::Panels(mr),
             data,
         }
     }
@@ -694,28 +690,27 @@ fn gemm_nest(
         return;
     }
 
-    let kind = kernel_kind();
+    let (mr_k, nr_k) = dispatch(Shape);
     // A row-major A in a product larger than it was packed for: pack its
     // panels for this call.
     let packed;
     let a = if a.layout == Layout::Rows {
-        packed = PackedWeights::panels(MatRef::rows(&a.data, k), m, k, kind);
+        packed = PackedWeights::panels(MatRef::rows(&a.data, k), m, k, mr_k);
         &packed
     } else {
         a
     };
     assert_eq!(
         a.layout,
-        Layout::Panels(kind),
+        Layout::Panels(mr_k),
         "weights packed for another micro-kernel"
     );
-    let mr_k = kind.mr();
     // One task per cell of a grid over C: even column blocks of at most `NC`
     // columns, cut into row blocks only while there are fewer cells than
     // pool threads (each row block packs the B block again, so columns are
     // the cheaper axis to split).
-    let (panels, bands) = (n.div_ceil(kind.nr()), m.div_ceil(mr_k));
-    let block_cols = panels.div_ceil(n.div_ceil(NC)) * kind.nr();
+    let (panels, bands) = (n.div_ceil(nr_k), m.div_ceil(mr_k));
+    let block_cols = panels.div_ceil(n.div_ceil(NC)) * nr_k;
     let col_blocks = n.div_ceil(block_cols);
     let threads = if m * n * k >= PARALLEL_FLOPS {
         epim_parallel::num_threads()
@@ -762,7 +757,8 @@ fn gemm_nest(
         b,
         bias,
         relu,
-        kind,
+        mr: mr_k,
+        nr: nr_k,
     };
     if threads > 1 {
         for_each_chunk_mut(&mut tasks, 1, |_, task| nest.run(&mut task[0]));
@@ -782,12 +778,14 @@ struct Nest<'a> {
     /// Columns per output group.
     pixels: usize,
     k: usize,
-    /// A in `kind`'s panels.
+    /// A in `mr`-row panels.
     a: &'a PackedWeights,
     b: BSource<'a>,
     bias: Bias<'a>,
     relu: bool,
-    kind: KernelKind,
+    /// The register tile's rows and columns.
+    mr: usize,
+    nr: usize,
 }
 
 /// One block of columns by one block of rows of the output.
@@ -805,7 +803,7 @@ impl Nest<'_> {
     /// Computes one task: per K slice, packs the task's B block into the
     /// thread's buffer, then sweeps the task's row bands' A panels over it.
     fn run(&self, task: &mut Task) {
-        let (mr_k, nr_k) = (self.kind.mr(), self.kind.nr());
+        let (mr_k, nr_k) = (self.mr, self.nr);
         let panels = task.ncols.div_ceil(nr_k);
         // Padded rows of A: the panels of one K slice take `mp * kc` floats.
         let mp = self.a.data.len() / self.k;
@@ -825,7 +823,7 @@ impl Nest<'_> {
                     let band = (task.row0 + i0) / mr_k;
                     let apanel = &aslice[band * kc * mr_k..(band + 1) * kc * mr_k];
                     for (jp, bpanel) in bpack.chunks(nr_k * kc).enumerate() {
-                        run_kernel(self.kind, kc, apanel, bpanel, &mut tile);
+                        run_tile(apanel, bpanel, &mut tile);
                         self.write_back(task, &tile, (i0, mr), jp * nr_k, pc);
                     }
                 }
@@ -847,7 +845,7 @@ impl Nest<'_> {
         t0: usize,
         pc: usize,
     ) {
-        let nr_k = self.kind.nr();
+        let nr_k = self.nr;
         let t1 = task.ncols.min(t0 + nr_k);
         let relu = self.relu && pc + KC >= self.k;
         let first_group = task.col0 / self.pixels;
@@ -894,110 +892,54 @@ fn relu_pass(c: &mut [f32]) {
     }
 }
 
-/// Runs the `kind` micro-kernel over one packed A panel and B panel,
-/// overwriting `tile` (row stride `kind.nr()`).
-#[inline(always)]
-fn run_kernel(
-    kind: KernelKind,
-    kc: usize,
-    apanel: &[f32],
-    bpanel: &[f32],
-    tile: &mut [f32; MR_MAX * NR_MAX],
-) {
-    assert!(apanel.len() >= kc * kind.mr() && bpanel.len() >= kc * kind.nr());
-    match kind {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `kernel_kind()` verified avx512f at runtime; the
-        // pointers cover `kc * 8` / `kc * 32` / `8 * 32` floats by the
-        // assertion above and the tile's array type.
-        KernelKind::Avx512 => unsafe {
-            kernel_8x32_avx512(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, with avx2+fma verified and 6x16 geometry.
-        KernelKind::Fma => unsafe {
-            kernel_6x16_fma(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr());
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelKind::Avx512 | KernelKind::Fma => kernel_8x8_generic(kc, apanel, bpanel, tile),
-        KernelKind::Generic => kernel_8x8_generic(kc, apanel, bpanel, tile),
+/// One register tile over one A panel (`MR` rows per K step) and one B
+/// panel (`NR` columns per K step) of the same K: every accumulator is
+/// `mul_add`ed from `0.0` over that K in order, and the `MR x NR` result
+/// overwrites the head of `tile` (row stride `NR`).
+struct Tile<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    tile: &'a mut [f32; MR_MAX * NR_MAX],
+}
+
+/// Runs [`Tile`] on the running arm. Kept out of line: inlined into the
+/// nest, the scalar arm's tile (64 `mul_add`s per K step, libm calls on
+/// generic x86-64) crowded its loop, and the dense convolutions ran 3-5 %
+/// slower on the vector arms.
+#[inline(never)]
+fn run_tile(a: &[f32], b: &[f32], tile: &mut [f32; MR_MAX * NR_MAX]) {
+    dispatch(Tile { a, b, tile });
+}
+
+impl SimdOp for Tile<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn eval<S: Simd>(self, s: S) {
+        at_tile(s, self)
     }
 }
 
-/// 8x32 AVX-512F tile kernel: 16 zmm accumulators, two B vector loads and
-/// eight A broadcasts per k step. Writes the full `8 x 32` tile (row stride
-/// 32) to `tile`.
-///
-/// # Safety
-///
-/// Caller must verify `avx512f` is available and that `ap` holds
-/// `kc * 8` floats, `bp` `kc * 32` floats and `tile` `8 * 32` floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn kernel_8x32_avx512(kc: usize, ap: *const f32, bp: *const f32, tile: *mut f32) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm512_setzero_ps(); 2]; 8];
-    for p in 0..kc {
-        let b0 = _mm512_loadu_ps(bp.add(p * 32));
-        let b1 = _mm512_loadu_ps(bp.add(p * 32 + 16));
-        let arow = ap.add(p * 8);
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*arow.add(i));
-            acc_row[0] = _mm512_fmadd_ps(av, b0, acc_row[0]);
-            acc_row[1] = _mm512_fmadd_ps(av, b1, acc_row[1]);
-        }
-    }
-    for (i, acc_row) in acc.iter().enumerate() {
-        _mm512_storeu_ps(tile.add(i * 32), acc_row[0]);
-        _mm512_storeu_ps(tile.add(i * 32 + 16), acc_row[1]);
-    }
-}
-
-/// 6x16 AVX2+FMA tile kernel: 12 ymm accumulators. Writes the full
-/// `6 x 16` tile (row stride 16) to `tile`.
-///
-/// # Safety
-///
-/// Caller must verify `avx2` and `fma` are available and that `ap` holds
-/// `kc * 6` floats, `bp` `kc * 16` floats and `tile` `6 * 16` floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn kernel_6x16_fma(kc: usize, ap: *const f32, bp: *const f32, tile: *mut f32) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_ps(); 2]; 6];
-    for p in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(p * 16));
-        let b1 = _mm256_loadu_ps(bp.add(p * 16 + 8));
-        let arow = ap.add(p * 6);
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*arow.add(i));
-            acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-            acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
-        }
-    }
-    for (i, acc_row) in acc.iter().enumerate() {
-        _mm256_storeu_ps(tile.add(i * 16), acc_row[0]);
-        _mm256_storeu_ps(tile.add(i * 16 + 8), acc_row[1]);
-    }
-}
-
-/// Portable 8x8 tile kernel, shaped for the autovectorizer. Writes the full
-/// `8 x 8` tile (row stride 8) to `tile`.
-fn kernel_8x8_generic(kc: usize, apanel: &[f32], bpanel: &[f32], tile: &mut [f32]) {
-    let mut acc = [[0.0f32; 8]; 8];
-    for p in 0..kc {
-        let ap: &[f32] = &apanel[p * 8..p * 8 + 8];
-        let bp: &[f32] = &bpanel[p * 8..p * 8 + 8];
-        for i in 0..8 {
-            let av = ap[i];
-            let row = &mut acc[i];
-            for j in 0..8 {
-                row[j] += av * bp[j];
+impl AtTile for Tile<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn at<S: Simd, const MR: usize, const NV: usize>(self, s: S) {
+        let nr = NV * S::LANES;
+        assert_eq!(self.a.len() / MR, self.b.len() / nr, "panels of another K");
+        let mut acc = [[s.splat(0.0); NV]; MR];
+        for (ap, bp) in self.a.chunks_exact(MR).zip(self.b.chunks_exact(nr)) {
+            let bv: [S::V; NV] = std::array::from_fn(|v| s.load(&bp[v * S::LANES..][..S::LANES]));
+            for (acc_row, &av) in acc.iter_mut().zip(ap) {
+                let av = s.splat(av);
+                for (acc, &bv) in acc_row.iter_mut().zip(&bv) {
+                    *acc = s.mul_add(av, bv, *acc);
+                }
             }
         }
-    }
-    for (i, acc_row) in acc.iter().enumerate() {
-        tile[i * 8..i * 8 + 8].copy_from_slice(acc_row);
+        for (acc_row, trow) in acc.iter().zip(self.tile[..MR * nr].chunks_exact_mut(nr)) {
+            for (&acc, t) in acc_row.iter().zip(trow.chunks_exact_mut(S::LANES)) {
+                s.store(t, acc);
+            }
+        }
     }
 }
 
@@ -1125,6 +1067,7 @@ fn small_tile<S: Simd, const NV: usize>(s: S, arow: &[f32], b: &[f32], j: usize,
 mod tests {
     use super::*;
     use crate::{init, rng};
+    use epim_simd::dispatch_on;
 
     fn dense(m: usize, n: usize, seed: u64) -> Vec<f32> {
         let mut r = rng::seeded(seed);
@@ -1360,7 +1303,7 @@ mod tests {
     /// starting value `bias(i, j)`. On the small path that is the axpy
     /// loop's in-place sum when B is row-major (`b_rows`), or one dot
     /// product added to the bias when B is stored transposed; on the nest
-    /// it is the per-`KC`-slice sums (fused multiply-adds on the SIMD arms)
+    /// it is the per-`KC`-slice sums of fused multiply-adds, on every arm,
     /// added to the bias in slice order.
     fn exact(
         (m, n, k): (usize, usize, usize),
@@ -1369,7 +1312,6 @@ mod tests {
         bias: impl Fn(usize, usize) -> f32,
         b_rows: bool,
     ) -> Vec<f32> {
-        let fused = kernel_kind() != KernelKind::Generic;
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -1379,7 +1321,7 @@ mod tests {
                         let mut t = 0.0f32;
                         for p in p0..k.min(p0 + KC) {
                             let (x, y) = (a(i, p), b(p, j));
-                            t = if fused { x.mul_add(y, t) } else { t + x * y };
+                            t = x.mul_add(y, t);
                         }
                         v += t;
                     }
@@ -1667,13 +1609,82 @@ mod tests {
         assert_eq!(cases, 40);
     }
 
+    /// Pins the single rounding on every arm's tile. With `x = w = 1 +
+    /// 2⁻¹²` after an accumulator of `-(1 + 2⁻¹¹)`, the exact `x·w + acc`
+    /// is `2⁻²⁴`; an unfused sum first rounds `x·w` to `1 + 2⁻¹¹` (a tie,
+    /// to even) and returns `0.0`. The pair closes a K of 2, 7 and `KC`
+    /// (zero terms before it); one term from `0.0` rounds once either way,
+    /// so K = 1 is left to the oracle test below.
+    #[test]
+    fn every_arm_tile_fuses_the_multiply_add() {
+        let x = 1.0 + 2f32.powi(-12);
+        let acc = -(1.0 + 2f32.powi(-11));
+        assert_eq!(x * x + acc, 0.0, "the operands must round apart");
+        assert_eq!(x.mul_add(x, acc), 2f32.powi(-24));
+        for isa in epim_simd::CpuFeatures::get().available() {
+            let (mr, nr) = dispatch_on(isa, Shape);
+            for kc in [2, 7, KC] {
+                // K step `kc - 2` adds `1 · acc`, step `kc - 1` adds `x · x`.
+                let term = |p: usize| match kc - p {
+                    2 => (1.0, acc),
+                    1 => (x, x),
+                    _ => (0.0, 1.0),
+                };
+                let a: Vec<f32> = (0..kc * mr).map(|i| term(i / mr).0).collect();
+                let b: Vec<f32> = (0..kc * nr).map(|j| term(j / nr).1).collect();
+                let mut tile = [f32::NAN; MR_MAX * NR_MAX];
+                dispatch_on(
+                    isa,
+                    Tile {
+                        a: &a,
+                        b: &b,
+                        tile: &mut tile,
+                    },
+                );
+                let want = vec![2f32.powi(-24).to_bits(); mr * nr];
+                assert_eq!(bits(&tile[..mr * nr]), want, "{isa:?} kc {kc}");
+            }
+        }
+    }
+
+    /// Every arm's tile gives, bit for bit, a scalar `mul_add` loop at that
+    /// arm's `(MR, NR)` over random panels, for K of 1, 7 and `KC`.
+    #[test]
+    fn every_arm_tile_bit_identical_to_scalar_mul_add_oracle() {
+        for isa in epim_simd::CpuFeatures::get().available() {
+            let (mr, nr) = dispatch_on(isa, Shape);
+            for kc in [1, 7, KC] {
+                let a = dense(kc, mr, 91 + kc as u64);
+                let b = dense(kc, nr, 92 + kc as u64);
+                let mut want = vec![0.0f32; mr * nr];
+                for (ap, bp) in a.chunks(mr).zip(b.chunks(nr)) {
+                    for (i, &av) in ap.iter().enumerate() {
+                        for (j, &bv) in bp.iter().enumerate() {
+                            want[i * nr + j] = av.mul_add(bv, want[i * nr + j]);
+                        }
+                    }
+                }
+                let mut tile = [f32::NAN; MR_MAX * NR_MAX];
+                dispatch_on(
+                    isa,
+                    Tile {
+                        a: &a,
+                        b: &b,
+                        tile: &mut tile,
+                    },
+                );
+                assert_eq!(bits(&tile[..mr * nr]), bits(&want), "{isa:?} kc {kc}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "packed for another micro-kernel")]
     fn panels_of_another_kernel_are_rejected() {
         let (m, n, k) = (16, 16, 300);
-        let other = match kernel_kind() {
-            KernelKind::Fma => KernelKind::Generic,
-            _ => KernelKind::Fma,
+        let other = match dispatch(Shape).0 {
+            6 => 8,
+            _ => 6,
         };
         let a = dense(m, k, 51);
         let w = PackedWeights::panels(MatRef::rows(&a, k), m, k, other);
